@@ -13,7 +13,6 @@
 package cache
 
 import (
-	"container/list"
 	"fmt"
 	"sort"
 
@@ -78,10 +77,18 @@ func DefaultParams(name string, capacity int64) Params {
 	}
 }
 
+// page is one resident page. Pages are linked into the cache's LRU
+// list intrusively and recycled through its free list, so steady-state
+// insert/evict traffic allocates nothing.
 type page struct {
-	idx   int64
-	dirty bool
-	elem  *list.Element
+	idx        int64
+	dirty      bool
+	prev, next *page // LRU neighbours: prev is more recent
+	// gen is bumped each time the page is released. A holder that
+	// sleeps while keeping a *page (evictLRU across its write-out)
+	// compares generations afterwards to learn whether the page was
+	// evicted, dropped or invalidated — and possibly reused — meanwhile.
+	gen uint64
 }
 
 // Stats counts cache activity.
@@ -98,10 +105,13 @@ type Stats struct {
 type Cache struct {
 	eng    *sim.Engine
 	params Params
+	comp   string // span component name, "cache:<name>"
 	under  device.BlockDev
 	pages  map[int64]*page
-	lru    *list.List // front = most recent
-	nDirty int64      // dirty pages
+	head   *page // most recently used
+	tail   *page // least recently used; the next victim
+	free   *page // released pages, chained through next
+	nDirty int64 // dirty pages
 
 	// lastReadEnd is the byte after the most recent read; read-ahead
 	// fires only when a read continues from here (Linux read-ahead
@@ -130,13 +140,14 @@ func New(e *sim.Engine, params Params, under device.BlockDev) *Cache {
 	if params.DirtyRatio == 0 {
 		params.DirtyRatio = 0.20
 	}
+	comp := "cache:" + params.Name
 	return &Cache{
 		eng:    e,
 		params: params,
+		comp:   comp,
 		under:  under,
 		pages:  map[int64]*page{},
-		lru:    list.New(),
-		rec:    telemetry.NewRecorder(e, "cache:"+params.Name, telemetry.LevelCache, 1),
+		rec:    telemetry.NewRecorder(e, comp, telemetry.LevelCache, 1),
 	}
 }
 
@@ -168,8 +179,67 @@ func (c *Cache) memCopy(p *sim.Proc, n int64) {
 	p.Sleep(sim.Duration(float64(n) / c.params.MemRate * 1e9))
 }
 
+// pushFront links pg at the MRU position.
+func (c *Cache) pushFront(pg *page) {
+	pg.prev, pg.next = nil, c.head
+	if c.head != nil {
+		c.head.prev = pg
+	} else {
+		c.tail = pg
+	}
+	c.head = pg
+}
+
+// unlink removes pg from the LRU list.
+func (c *Cache) unlink(pg *page) {
+	if pg.prev != nil {
+		pg.prev.next = pg.next
+	} else {
+		c.head = pg.next
+	}
+	if pg.next != nil {
+		pg.next.prev = pg.prev
+	} else {
+		c.tail = pg.prev
+	}
+	pg.prev, pg.next = nil, nil
+}
+
 // touch moves pg to the MRU position.
-func (c *Cache) touch(pg *page) { c.lru.MoveToFront(pg.elem) }
+func (c *Cache) touch(pg *page) {
+	if c.head != pg {
+		c.unlink(pg)
+		c.pushFront(pg)
+	}
+}
+
+// newPage returns an unlinked page for idx, recycled from the free
+// list when one is available; the caller links it with pushFront.
+func (c *Cache) newPage(idx int64, dirty bool) *page {
+	pg := c.free
+	if pg != nil {
+		c.free = pg.next
+	} else {
+		pg = &page{}
+	}
+	pg.idx, pg.dirty = idx, dirty
+	return pg
+}
+
+// release unlinks a resident page, drops it from the map and the dirty
+// count, and recycles it. Callers must hold no other reference they
+// expect to stay valid: the generation bump tells them it is gone.
+func (c *Cache) release(pg *page) {
+	if pg.dirty {
+		pg.dirty = false
+		c.nDirty--
+	}
+	c.unlink(pg)
+	delete(c.pages, pg.idx)
+	pg.gen++
+	pg.next = c.free
+	c.free = pg
+}
 
 // insert adds a page, evicting as needed. Returns the page.
 // Eviction of a dirty page synchronously writes it to the device.
@@ -196,8 +266,8 @@ func (c *Cache) insert(r *ioreq.Request, idx int64, dirty bool) *page {
 		c.touch(pg)
 		return pg
 	}
-	pg := &page{idx: idx, dirty: dirty}
-	pg.elem = c.lru.PushFront(pg)
+	pg := c.newPage(idx, dirty)
+	c.pushFront(pg)
 	c.pages[idx] = pg
 	if dirty {
 		c.nDirty++
@@ -206,11 +276,11 @@ func (c *Cache) insert(r *ioreq.Request, idx int64, dirty bool) *page {
 }
 
 func (c *Cache) evictLRU(r *ioreq.Request) {
-	back := c.lru.Back()
-	if back == nil {
+	pg := c.tail
+	if pg == nil {
 		panic("cache: eviction with empty LRU")
 	}
-	pg := back.Value.(*page)
+	gen := pg.gen
 	c.Stats.Evictions++
 	c.rec.Add("evictions", 1)
 	if pg.dirty {
@@ -237,12 +307,12 @@ func (c *Cache) evictLRU(r *ioreq.Request) {
 		}
 		c.writeOut(r, idxs)
 	}
-	// Always unlink the popped element (Remove is a no-op if a
-	// concurrent eviction already did); only drop the map entry when
-	// it still refers to this page object.
-	c.lru.Remove(pg.elem)
-	if cur, ok := c.pages[pg.idx]; ok && cur == pg {
-		delete(c.pages, pg.idx)
+	// The write-out may have slept, letting another process evict,
+	// drop or invalidate the victim (and reuse the page object for
+	// another index). Release it only if it is still the page we
+	// picked.
+	if pg.gen == gen {
+		c.release(pg)
 	}
 }
 
@@ -303,7 +373,7 @@ func (c *Cache) ReadAt(r *ioreq.Request, off, n int64) {
 	if n == 0 {
 		return
 	}
-	r.Push(telemetry.LevelCache, "cache:"+c.params.Name)
+	r.Push(telemetry.LevelCache, c.comp)
 	defer r.Pop()
 	p := r.Proc()
 	c.Stats.ReadOps++
@@ -377,7 +447,7 @@ func (c *Cache) WriteAt(r *ioreq.Request, off, n int64) {
 	if n == 0 {
 		return
 	}
-	r.Push(telemetry.LevelCache, "cache:"+c.params.Name)
+	r.Push(telemetry.LevelCache, c.comp)
 	defer r.Pop()
 	p := r.Proc()
 	c.Stats.WriteOps++
@@ -420,8 +490,7 @@ func (c *Cache) throttle(r *ioreq.Request) {
 	target := limit / 2
 	// Collect dirty pages from the LRU end (oldest first).
 	var victims []int64
-	for e := c.lru.Back(); e != nil && c.nDirty-int64(len(victims)) > target; e = e.Prev() {
-		pg := e.Value.(*page)
+	for pg := c.tail; pg != nil && c.nDirty-int64(len(victims)) > target; pg = pg.prev {
 		if pg.dirty {
 			victims = append(victims, pg.idx)
 		}
@@ -432,7 +501,7 @@ func (c *Cache) throttle(r *ioreq.Request) {
 // Flush implements device.BlockDev: write out every dirty page and
 // flush the device below.
 func (c *Cache) Flush(r *ioreq.Request) {
-	r.Push(telemetry.LevelCache, "cache:"+c.params.Name)
+	r.Push(telemetry.LevelCache, c.comp)
 	defer r.Pop()
 	start0 := r.Now()
 	defer func() {
@@ -457,9 +526,11 @@ func (c *Cache) Flush(r *ioreq.Request) {
 // first.
 func (c *Cache) DropCaches(r *ioreq.Request) {
 	c.Flush(r)
-	c.pages = map[int64]*page{}
-	c.lru = list.New()
-	c.nDirty = 0
+	// Release every page (not just forget the map), so an eviction
+	// still in its write-out sees the generation change.
+	for c.tail != nil {
+		c.release(c.tail)
+	}
 }
 
 // InvalidateRange drops all pages covering [off, off+n), discarding
@@ -467,14 +538,17 @@ func (c *Cache) DropCaches(r *ioreq.Request) {
 // the remote copy is authoritative).
 func (c *Cache) InvalidateRange(off, n int64) {
 	first, last := c.pageRange(off, n)
+	if last-first < int64(len(c.pages)) {
+		for idx := first; idx < last; idx++ {
+			if pg, ok := c.pages[idx]; ok {
+				c.release(pg)
+			}
+		}
+		return
+	}
 	for idx, pg := range c.pages {
 		if idx >= first && idx < last {
-			if pg.dirty {
-				pg.dirty = false
-				c.nDirty--
-			}
-			c.lru.Remove(pg.elem)
-			delete(c.pages, idx)
+			c.release(pg)
 		}
 	}
 }

@@ -294,7 +294,41 @@ func TestQuickResidencyBound(t *testing.T) {
 	}
 }
 
+// nullDev charges a fixed service time per call and records nothing.
+type nullDev struct{ capacity int64 }
+
+func (d nullDev) ReadAt(r *ioreq.Request, off, n int64)  { r.Proc().Sleep(sim.Microsecond) }
+func (d nullDev) WriteAt(r *ioreq.Request, off, n int64) { r.Proc().Sleep(sim.Microsecond) }
+func (d nullDev) Flush(r *ioreq.Request)                 {}
+func (d nullDev) Capacity() int64                        { return d.capacity }
+func (d nullDev) Name() string                           { return "null" }
+
+// A read that evicts allocates per request, not per page: evicted
+// pages are recycled into the inserted ones, so a 16 MiB read through
+// a full cache costs no more allocations than a 1 MiB one.
+func TestEvictingReadAllocsPerRequest(t *testing.T) {
+	allocs := func(size int64) float64 {
+		e := sim.NewEngine()
+		c := New(e, DefaultParams("pc", 8*mb), nullDev{capacity: 64 * gb})
+		off := int64(0)
+		read := func() {
+			e.Spawn("r", func(p *sim.Proc) { c.ReadAt(ioreq.Reader(p), off, size) })
+			e.Run()
+			off += size + mb // never sequential: no read-ahead
+		}
+		for off < 32*mb {
+			read() // fill the cache, then keep it full
+		}
+		return testing.AllocsPerRun(50, read)
+	}
+	small, large := allocs(1*mb), allocs(16*mb)
+	if large > small+4 {
+		t.Fatalf("evicting 16 MiB read: %.1f allocs, 1 MiB read: %.1f; want per-request, not per-page", large, small)
+	}
+}
+
 func BenchmarkCachedRead(b *testing.B) {
+	b.ReportAllocs()
 	e := sim.NewEngine()
 	c, _ := newStack(e, 256*mb)
 	e.Spawn("r", func(p *sim.Proc) {

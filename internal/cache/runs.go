@@ -19,7 +19,7 @@ func (c *Cache) ReadRuns(r *ioreq.Request, runs []device.Run) {
 	if len(runs) == 0 {
 		return
 	}
-	r.Push(telemetry.LevelCache, "cache:"+c.params.Name)
+	r.Push(telemetry.LevelCache, c.comp)
 	defer r.Pop()
 	c.Stats.ReadOps += int64(len(runs))
 	ps := c.params.PageSize
@@ -72,7 +72,9 @@ func (c *Cache) ReadRuns(r *ioreq.Request, runs []device.Run) {
 			}
 		}
 		// Insert as resident before the fetch (models page I/O locking),
-		// then fetch merged runs from the device.
+		// then fetch merged runs from the device. Consecutive pages
+		// extend the current run as they come (what ioreq.Merge would
+		// make of one run per page).
 		var devRuns []device.Run
 		for _, idx := range uniq {
 			c.insert(r, idx, false)
@@ -81,9 +83,14 @@ func (c *Cache) ReadRuns(r *ioreq.Request, runs []device.Run) {
 			if off+n > c.under.Capacity() {
 				n = c.under.Capacity() - off
 			}
+			if k := len(devRuns) - 1; k >= 0 && off <= devRuns[k].End() {
+				if end := off + n; end > devRuns[k].End() {
+					devRuns[k].Len = end - devRuns[k].Off
+				}
+				continue
+			}
 			devRuns = append(devRuns, device.Run{Off: off, Len: n})
 		}
-		devRuns = ioreq.Merge(devRuns)
 		// Streaming batches extend the final fetch by the read-ahead
 		// window.
 		if streaming && c.params.ReadAhead > 0 && len(devRuns) > 0 {
@@ -115,7 +122,7 @@ func (c *Cache) WriteRuns(r *ioreq.Request, runs []device.Run) {
 	if len(runs) == 0 {
 		return
 	}
-	r.Push(telemetry.LevelCache, "cache:"+c.params.Name)
+	r.Push(telemetry.LevelCache, c.comp)
 	defer r.Pop()
 	c.Stats.WriteOps += int64(len(runs))
 	var totalBytes int64

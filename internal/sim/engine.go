@@ -89,6 +89,7 @@ type Engine struct {
 	now     Time
 	seq     uint64
 	events  eventHeap
+	free    []*event // dispatched events, recycled by Schedule
 	running bool
 	procs   int // live (spawned, unfinished) processes, for diagnostics
 }
@@ -110,8 +111,7 @@ func (e *Engine) Schedule(delay Duration, fn func()) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", delay))
 	}
-	e.seq++
-	heap.Push(&e.events, &event{t: e.now + Time(delay), seq: e.seq, fn: fn})
+	e.push(e.now+Time(delay), fn)
 }
 
 // ScheduleAt arranges for fn to run at absolute time t, which must not
@@ -120,8 +120,34 @@ func (e *Engine) ScheduleAt(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: ScheduleAt %d in the past (now %d)", t, e.now))
 	}
+	e.push(t, fn)
+}
+
+// push puts fn on the calendar at t, reusing a dispatched event when
+// one is free.
+func (e *Engine) push(t Time, fn func()) {
+	var ev *event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		ev = &event{}
+	}
 	e.seq++
-	heap.Push(&e.events, &event{t: t, seq: e.seq, fn: fn})
+	ev.t, ev.seq, ev.fn = t, e.seq, fn
+	heap.Push(&e.events, ev)
+}
+
+// dispatch pops the earliest event, advances the clock to it, recycles
+// the event and runs its function. The event is free before fn runs,
+// so whatever fn schedules can reuse it.
+func (e *Engine) dispatch() {
+	ev := heap.Pop(&e.events).(*event)
+	e.now = ev.t
+	fn := ev.fn
+	ev.fn = nil
+	e.free = append(e.free, ev)
+	fn()
 }
 
 // Run executes events until the calendar is empty, returning the final
@@ -136,9 +162,7 @@ func (e *Engine) Run() Time {
 	e.running = true
 	defer func() { e.running = false }()
 	for e.events.Len() > 0 {
-		ev := heap.Pop(&e.events).(*event)
-		e.now = ev.t
-		ev.fn()
+		e.dispatch()
 	}
 	if e.procs > 0 {
 		panic(fmt.Sprintf("sim: deadlock: %d process(es) still blocked with no pending events", e.procs))
@@ -156,9 +180,7 @@ func (e *Engine) RunUntil(limit Time) Time {
 	e.running = true
 	defer func() { e.running = false }()
 	for e.events.Len() > 0 && e.events[0].t <= limit {
-		ev := heap.Pop(&e.events).(*event)
-		e.now = ev.t
-		ev.fn()
+		e.dispatch()
 	}
 	if e.now < limit {
 		e.now = limit

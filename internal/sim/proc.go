@@ -12,14 +12,26 @@ type Proc struct {
 	name     string
 	resume   chan struct{} // engine -> process: continue
 	yield    chan struct{} // process -> engine: parked or finished
+	wake     func()        // p.wakeNow, bound once so Sleep and PrepareWait do not allocate
 	finished bool
+
+	// A Fork child's name parts, formatted only by Name.
+	parent *Proc
+	label  string
+	index  int
 }
 
 // Engine returns the engine this process belongs to.
 func (p *Proc) Engine() *Engine { return p.eng }
 
-// Name returns the diagnostic name given at spawn time.
-func (p *Proc) Name() string { return p.name }
+// Name returns the diagnostic name given at spawn time; a Fork child
+// is named "<parent>/<label>[<index>]".
+func (p *Proc) Name() string {
+	if p.parent != nil {
+		return fmt.Sprintf("%s/%s[%d]", p.parent.Name(), p.label, p.index)
+	}
+	return p.name
+}
 
 // Now returns the current simulated time.
 func (p *Proc) Now() Time { return p.eng.now }
@@ -33,12 +45,16 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 
 // SpawnAfter is Spawn with a start delay.
 func (e *Engine) SpawnAfter(delay Duration, name string, fn func(*Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-	}
+	return e.spawn(delay, &Proc{name: name}, fn)
+}
+
+// spawn completes p (its name fields already set) and schedules its
+// start after delay.
+func (e *Engine) spawn(delay Duration, p *Proc, fn func(*Proc)) *Proc {
+	p.eng = e
+	p.resume = make(chan struct{})
+	p.yield = make(chan struct{})
+	p.wake = p.wakeNow
 	e.procs++
 	e.Schedule(delay, func() {
 		go func() {
@@ -70,12 +86,12 @@ func (p *Proc) park() {
 // Sleep suspends the process for d of simulated time.
 func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
-		panic(fmt.Sprintf("sim: Proc %q sleeping negative duration %d", p.name, d))
+		panic(fmt.Sprintf("sim: Proc %q sleeping negative duration %d", p.Name(), d))
 	}
 	if d == 0 {
 		return
 	}
-	p.eng.Schedule(d, p.wakeNow)
+	p.eng.Schedule(d, p.wake)
 	p.park()
 }
 
@@ -95,7 +111,7 @@ func (p *Proc) Sleep(d Duration) {
 // process's own execution slot, and the wake cannot fire until the
 // process has parked, because nothing else runs concurrently.
 func (p *Proc) PrepareWait() (wake func()) {
-	return p.wakeNow
+	return p.wake
 }
 
 // Wait parks the process until the function returned by PrepareWait is
@@ -159,7 +175,7 @@ func Fork(p *Proc, name string, fns ...func(*Proc)) {
 	c := NewCompletion(p.eng, len(fns))
 	for i, fn := range fns {
 		fn := fn
-		p.eng.Spawn(fmt.Sprintf("%s/%s[%d]", p.name, name, i), func(child *Proc) {
+		p.eng.spawn(0, &Proc{parent: p, label: name, index: i}, func(child *Proc) {
 			fn(child)
 			c.Done()
 		})

@@ -293,6 +293,28 @@ func TestFork(t *testing.T) {
 	}
 }
 
+// Fork children are named after their parent, the fork label and
+// their index, nesting through grandchildren.
+func TestForkChildNames(t *testing.T) {
+	e := NewEngine()
+	var names []string
+	e.Spawn("root", func(p *Proc) {
+		Fork(p, "stripe",
+			func(c *Proc) { names = append(names, c.Name()) },
+			func(c *Proc) {
+				Fork(c, "disk", func(g *Proc) { names = append(names, g.Name()) })
+				names = append(names, c.Name())
+			},
+		)
+		names = append(names, p.Name())
+	})
+	e.Run()
+	want := []string{"root/stripe[0]", "root/stripe[1]/disk[0]", "root/stripe[1]", "root"}
+	if fmt.Sprint(names) != fmt.Sprint(want) {
+		t.Fatalf("names = %q, want %q", names, want)
+	}
+}
+
 func TestForkEmpty(t *testing.T) {
 	e := NewEngine()
 	e.Spawn("parent", func(p *Proc) {
@@ -401,7 +423,27 @@ func TestQuickResourceThroughput(t *testing.T) {
 	}
 }
 
+// Once warm, a sleeping process allocates nothing per Sleep: the
+// calendar event is recycled and the wake closure is bound at spawn.
+func TestSleepAllocFree(t *testing.T) {
+	const sleeps = 1000
+	e := NewEngine()
+	stop := false
+	e.Spawn("sleeper", func(p *Proc) {
+		for !stop {
+			p.Sleep(1)
+		}
+	})
+	allocs := testing.AllocsPerRun(20, func() { e.RunUntil(e.Now() + sleeps) })
+	stop = true
+	e.Run()
+	if perSleep := allocs / sleeps; perSleep >= 0.01 {
+		t.Fatalf("%.4f allocs per Sleep, want < 0.01", perSleep)
+	}
+}
+
 func BenchmarkEventDispatch(b *testing.B) {
+	b.ReportAllocs()
 	e := NewEngine()
 	for i := 0; i < b.N; i++ {
 		e.Schedule(Duration(i), func() {})
@@ -411,6 +453,7 @@ func BenchmarkEventDispatch(b *testing.B) {
 }
 
 func BenchmarkProcContextSwitch(b *testing.B) {
+	b.ReportAllocs()
 	e := NewEngine()
 	e.Spawn("p", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
