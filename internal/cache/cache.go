@@ -538,14 +538,6 @@ func (c *Cache) DropCaches(r *ioreq.Request) {
 // the remote copy is authoritative).
 func (c *Cache) InvalidateRange(off, n int64) {
 	first, last := c.pageRange(off, n)
-	if last-first < int64(len(c.pages)) {
-		for idx := first; idx < last; idx++ {
-			if pg, ok := c.pages[idx]; ok {
-				c.release(pg)
-			}
-		}
-		return
-	}
 	for idx, pg := range c.pages {
 		if idx >= first && idx < last {
 			c.release(pg)

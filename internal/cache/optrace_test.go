@@ -57,20 +57,37 @@ func (d *recDev) Name() string    { return "rec" }
 
 var _ device.BlockDev = (*recDev)(nil)
 
-// checkInvariants verifies the cache's internal bookkeeping: the page
-// map and the LRU list hold the same pages, nDirty counts exactly the
-// dirty ones, and every linked page is mapped under its own index.
-func checkInvariants(t *testing.T, c *Cache) {
+// lruPages returns the pages on the LRU list, most recent first, and
+// fails the test if the list's links are inconsistent. It is the only
+// part of the invariant check that depends on how the LRU list is
+// represented.
+func lruPages(t *testing.T, c *Cache) []*page {
 	t.Helper()
-	linked, dirty := 0, int64(0)
+	var out []*page
 	var prev *page
 	for pg := c.head; pg != nil; prev, pg = pg, pg.next {
 		if pg.prev != prev {
 			t.Fatalf("page %d: broken back link", pg.idx)
 		}
-		if linked++; linked > len(c.pages) {
+		if len(out) > len(c.pages) {
 			t.Fatalf("LRU holds more than the map's %d pages (or a cycle)", len(c.pages))
 		}
+		out = append(out, pg)
+	}
+	if c.tail != prev {
+		t.Fatal("LRU tail is not the last linked page")
+	}
+	return out
+}
+
+// checkInvariants verifies the cache's internal bookkeeping: the page
+// map and the LRU list hold the same pages, nDirty counts exactly the
+// dirty ones, and every linked page is mapped under its own index.
+func checkInvariants(t *testing.T, c *Cache) {
+	t.Helper()
+	linked := lruPages(t, c)
+	var dirty int64
+	for _, pg := range linked {
 		if pg.dirty {
 			dirty++
 		}
@@ -78,11 +95,8 @@ func checkInvariants(t *testing.T, c *Cache) {
 			t.Fatalf("linked page %d is not the map's entry for its index", pg.idx)
 		}
 	}
-	if c.tail != prev {
-		t.Fatal("LRU tail is not the last linked page")
-	}
-	if linked != len(c.pages) {
-		t.Fatalf("LRU holds %d pages, map %d", linked, len(c.pages))
+	if len(linked) != len(c.pages) {
+		t.Fatalf("LRU holds %d pages, map %d", len(linked), len(c.pages))
 	}
 	if dirty != c.nDirty {
 		t.Fatalf("nDirty = %d, counted %d dirty pages", c.nDirty, dirty)

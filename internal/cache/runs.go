@@ -72,9 +72,7 @@ func (c *Cache) ReadRuns(r *ioreq.Request, runs []device.Run) {
 			}
 		}
 		// Insert as resident before the fetch (models page I/O locking),
-		// then fetch merged runs from the device. Consecutive pages
-		// extend the current run as they come (what ioreq.Merge would
-		// make of one run per page).
+		// then fetch merged runs from the device.
 		var devRuns []device.Run
 		for _, idx := range uniq {
 			c.insert(r, idx, false)
@@ -83,13 +81,7 @@ func (c *Cache) ReadRuns(r *ioreq.Request, runs []device.Run) {
 			if off+n > c.under.Capacity() {
 				n = c.under.Capacity() - off
 			}
-			if k := len(devRuns) - 1; k >= 0 && off <= devRuns[k].End() {
-				if end := off + n; end > devRuns[k].End() {
-					devRuns[k].Len = end - devRuns[k].Off
-				}
-				continue
-			}
-			devRuns = append(devRuns, device.Run{Off: off, Len: n})
+			devRuns = ioreq.AppendMerged(devRuns, device.Run{Off: off, Len: n})
 		}
 		// Streaming batches extend the final fetch by the read-ahead
 		// window.

@@ -172,7 +172,8 @@ func TestRequestStamps(t *testing.T) {
 }
 
 // TestVecOps checks the shared vector bookkeeping: Total, Sort, and
-// Merge's coalescing of overlapping and touching extents.
+// Merge's (and the AppendMerged fold's) coalescing of overlapping and
+// touching extents.
 func TestVecOps(t *testing.T) {
 	vecs := []Vec{{Off: 30, Len: 10}, {Off: 0, Len: 10}, {Off: 8, Len: 4}, {Off: 12, Len: 3}}
 	if n := Total(vecs); n != 27 {
@@ -184,6 +185,10 @@ func TestVecOps(t *testing.T) {
 			t.Fatalf("not sorted at %d: %+v", i, vecs)
 		}
 	}
+	var folded []Vec
+	for _, v := range vecs {
+		folded = AppendMerged(folded, v)
+	}
 	merged := Merge(vecs)
 	want := []Vec{{Off: 0, Len: 15}, {Off: 30, Len: 10}}
 	if len(merged) != len(want) {
@@ -193,5 +198,8 @@ func TestVecOps(t *testing.T) {
 		if merged[i] != want[i] {
 			t.Errorf("Merge[%d] = %+v, want %+v", i, merged[i], want[i])
 		}
+	}
+	if len(folded) != len(want) || folded[0] != want[0] || folded[1] != want[1] {
+		t.Errorf("AppendMerged fold = %+v, want %+v", folded, want)
 	}
 }

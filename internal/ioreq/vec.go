@@ -38,14 +38,22 @@ func Merge(vecs []Vec) []Vec {
 	}
 	out := vecs[:1]
 	for _, v := range vecs[1:] {
-		last := &out[len(out)-1]
-		if v.Off <= last.End() {
-			if end := v.End(); end > last.End() {
-				last.Len = end - last.Off
-			}
-		} else {
-			out = append(out, v)
-		}
+		out = AppendMerged(out, v)
 	}
 	return out
+}
+
+// AppendMerged adds v to the merged cover out, whose last extent must
+// not start after v: v extends that extent when it overlaps or touches
+// it, and is appended otherwise. Folding sorted extents through it one
+// at a time builds the same cover Merge returns, without first
+// materialising the unmerged vector.
+func AppendMerged(out []Vec, v Vec) []Vec {
+	if k := len(out) - 1; k >= 0 && v.Off <= out[k].End() {
+		if end := v.End(); end > out[k].End() {
+			out[k].Len = end - out[k].Off
+		}
+		return out
+	}
+	return append(out, v)
 }
