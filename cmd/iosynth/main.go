@@ -11,8 +11,8 @@
 //	        [-fault scenario] [-seed N] [-spans] [-metrics out.json]
 //	        [-store DIR] [-utilization]
 //
-// Emit a built-in generator's spec (the hand-coded apps re-expressed
-// in the DSL) for editing and re-running:
+// Emit the spec an application package generates and runs (BT-IO and
+// MADbench2 are spec generators) for editing and re-running:
 //
 //	iosynth -emit btio-full|btio-simple|madbench-shared|madbench-unique
 //	        [-procs N] [-quick] [-out workload.json]
@@ -146,7 +146,7 @@ func main() {
 	}
 }
 
-// emitSpec writes one of the built-in generators' specs.
+// emitSpec writes the spec one of the application generators runs.
 func emitSpec(name string, procs int, quick bool, out string) error {
 	var spec *synth.Spec
 	switch name {
@@ -159,7 +159,7 @@ func emitSpec(name string, procs int, quick bool, out string) error {
 		if name == "btio-simple" {
 			st = btio.Simple
 		}
-		spec = synth.BTIOSpec(btio.Config{Class: class, Procs: procs, Subtype: st, ComputeScale: 1})
+		spec = btio.New(btio.Config{Class: class, Procs: procs, Subtype: st, ComputeScale: 1}).Spec()
 	case "madbench-shared", "madbench-unique":
 		ft := madbench.Shared
 		if name == "madbench-unique" {
@@ -169,7 +169,7 @@ func emitSpec(name string, procs int, quick bool, out string) error {
 		if quick {
 			kpix = 4
 		}
-		spec = synth.MadbenchSpec(madbench.Config{Procs: procs, KPix: kpix, FileType: ft, BusyWork: sim.Second})
+		spec = madbench.New(madbench.Config{Procs: procs, KPix: kpix, FileType: ft, BusyWork: sim.Second}).Spec()
 	default:
 		return fmt.Errorf("unknown generator %q (want btio-full, btio-simple, madbench-shared or madbench-unique)", name)
 	}

@@ -19,7 +19,6 @@ func DefaultAnalyzers() []*Analyzer {
 		SpanBalance(),
 		SeedFlow(),
 		FaultPlan(),
-		LegacyAPI(),
 	}
 }
 

@@ -134,14 +134,6 @@ func TestFaultPlanAnalyzer(t *testing.T) {
 	checkFixture(t, []*Analyzer{FaultPlan()}, "fault", "faultplan")
 }
 
-// TestLegacyAPIAnalyzer includes the core stub so both directions are
-// covered: reintroduced declarations inside the core package and
-// qualified references to them from a consumer. Session-method calls
-// named Evaluate must stay clean.
-func TestLegacyAPIAnalyzer(t *testing.T) {
-	checkFixture(t, []*Analyzer{LegacyAPI()}, "core", "legacyapi")
-}
-
 // TestSynthPlaneFixture pins the analyzers' view of the synthetic-
 // workload layer: reqpath must not flag *sim.Proc on application-layer
 // entry points (the engine's Run/rank procedures are the MPI idiom),

@@ -8,33 +8,26 @@ import (
 
 	"ioeval/internal/cluster"
 	"ioeval/internal/fault"
-	"ioeval/internal/workload"
 	"ioeval/internal/workload/btio"
 	"ioeval/internal/workload/synth"
 )
 
-// synthGrid puts the same BT-IO workload on the grid twice — once
-// hand-coded via Apps, once as a declarative spec via Specs — across
-// two organizations and a degraded scenario, so the sweep itself
-// becomes a differential harness.
+// synthGrid puts a declarative BT-IO spec on the grid's Specs axis
+// across two organizations and a degraded scenario.
 func synthGrid(t *testing.T) (Grid, string) {
 	t.Helper()
 	slow, err := fault.Builtin("slow-disk")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := btio.Config{Class: quickClass, Procs: 4, Subtype: btio.Full}
-	spec := synth.BTIOSpec(cfg)
+	spec := btio.New(btio.Config{Class: quickClass, Procs: 4, Subtype: btio.Full}).Spec()
 	spec.Name = "btio-synth"
 	grid := GridSpec{
 		Platforms: []cluster.Config{tinyBase("alpha", 2)},
 		Orgs:      []cluster.Organization{cluster.JBOD, cluster.RAID5},
 		Char:      quickChar(),
 		Scenarios: []fault.Plan{slow},
-		Apps: []AppSpec{{Name: "btio-hand", New: func() workload.App {
-			return btio.New(cfg)
-		}}},
-		Specs: []*synth.Spec{spec},
+		Specs:     []*synth.Spec{spec},
 	}.Grid()
 	return grid, spec.Name
 }
@@ -42,15 +35,14 @@ func synthGrid(t *testing.T) (Grid, string) {
 // TestSynthSweepDeterminism is the sweep acceptance for the synthetic
 // plane: a spec-driven cell runs end to end through the engine —
 // healthy and under a fault scenario — with byte-identical reports on
-// 1 and 8 workers, and produces exactly the hand-coded app's numbers
-// in every cell it shares a configuration with.
+// 1 and 8 workers.
 func TestSynthSweepDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep grid skipped in -short mode")
 	}
 	grid, synthName := synthGrid(t)
-	if len(grid.Apps) != 2 {
-		t.Fatalf("grid apps = %d, want 2 (hand + spec)", len(grid.Apps))
+	if len(grid.Apps) != 1 {
+		t.Fatalf("grid apps = %d, want 1 (the spec)", len(grid.Apps))
 	}
 
 	type run struct {
@@ -67,41 +59,22 @@ func TestSynthSweepDeterminism(t *testing.T) {
 		}
 		r.json, r.text = reportBytes(t, rep)
 
-		// Differential: per configuration, the synthetic cell must be
-		// indistinguishable from the hand-coded one.
-		hand := map[string]*Cell{}
-		for _, cell := range rep.Cells {
-			if cell.App == "btio-hand" {
-				hand[cell.Config] = cell
-			}
-		}
-		nSynth := 0
+		// 2 orgs × (healthy + slow-disk) = 4 synth cells, two of them degraded.
+		nSynth, degraded := 0, 0
 		for _, cell := range rep.Cells {
 			if cell.App != synthName {
 				continue
 			}
 			nSynth++
-			h, ok := hand[cell.Config]
-			if !ok {
-				t.Fatalf("%d workers: no hand cell for config %q", r.workers, cell.Config)
-			}
-			if cell.IOTime != h.IOTime || cell.ExecTime != h.ExecTime {
-				t.Errorf("%d workers: %q synth (io %v, exec %v) != hand (io %v, exec %v)",
-					r.workers, cell.Config, cell.IOTime, cell.ExecTime, h.IOTime, h.ExecTime)
-			}
-		}
-		// 2 orgs × (healthy + slow-disk) = 4 synth cells, one of them degraded.
-		if nSynth != 4 {
-			t.Errorf("%d workers: %d synthetic cells, want 4", r.workers, nSynth)
-		}
-		degraded := 0
-		for _, cell := range rep.Cells {
-			if cell.App == synthName && cell.Scenario != "" {
+			if cell.Scenario != "" {
 				degraded++
 				if !strings.HasSuffix(cell.Config, "/"+cell.Scenario) {
 					t.Errorf("degraded synth cell %q lacks scenario suffix", cell.Config)
 				}
 			}
+		}
+		if nSynth != 4 {
+			t.Errorf("%d workers: %d synthetic cells, want 4", r.workers, nSynth)
 		}
 		if degraded != 2 {
 			t.Errorf("%d workers: %d degraded synthetic cells, want 2", r.workers, degraded)

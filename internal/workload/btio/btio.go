@@ -14,17 +14,20 @@
 // exactly in structure: class C on 16 processes yields 6561 records
 // per process per dump of 1600 and 1640 bytes (Table II); on 64
 // processes, 800- and 840-byte records (Table V).
+//
+// The package is a spec generator: New derives the run's phase graph
+// from the decomposition and runs it through the synth engine, so the
+// spec (App.Spec) is the single description of what BT-IO does.
 package btio
 
 import (
 	"fmt"
 	"math"
 
-	"ioeval/internal/cluster"
-	"ioeval/internal/fs"
 	"ioeval/internal/mpiio"
 	"ioeval/internal/sim"
 	"ioeval/internal/workload"
+	"ioeval/internal/workload/synth"
 )
 
 // Subtype selects the BT-IO I/O implementation.
@@ -82,8 +85,10 @@ type Config struct {
 	Hints *mpiio.Hints
 }
 
-// App is a configured BT-IO instance.
+// App is a configured BT-IO instance. Name, Procs, Run and Spec come
+// from the compiled spec.
 type App struct {
+	*synth.App
 	cfg Config
 	q   int   // process grid side (procs = q²)
 	xs  []int // split of N into q chunks (larger chunks first)
@@ -101,15 +106,13 @@ func New(cfg Config) *App {
 	if cfg.Path == "" {
 		cfg.Path = "/btio.out"
 	}
-	if cfg.ComputeScale == 0 {
-		cfg.ComputeScale = 0 // explicit: I/O-only unless caller sets it
-	}
 	a := &App{cfg: cfg, q: q}
 	a.xs = split(cfg.Class.N, q)
 	a.pfx = make([]int, q+1)
 	for i, s := range a.xs {
 		a.pfx[i+1] = a.pfx[i] + s
 	}
+	a.App = synth.MustCompile(a.spec())
 	return a
 }
 
@@ -126,17 +129,6 @@ func split(n, q int) []int {
 	}
 	return out
 }
-
-// Name implements workload.App.
-func (a *App) Name() string {
-	return fmt.Sprintf("NAS BT-IO class %s %s (%d procs)", a.cfg.Class.Name, a.cfg.Subtype, a.cfg.Procs)
-}
-
-// Procs implements workload.App.
-func (a *App) Procs() int { return a.cfg.Procs }
-
-// Config returns the (defaulted) configuration the app runs.
-func (a *App) Config() Config { return a.cfg }
 
 // Dumps returns the number of solution dumps in the run.
 func (a *App) Dumps() int { return a.cfg.Class.Steps / a.cfg.Class.WriteInterval }
@@ -178,8 +170,7 @@ const BytesPerPoint = bytesPerPoint
 // Decomposition returns the rank's owned sub-blocks under diagonal
 // multi-partitioning, in dump emission order. Together with
 // BytesPerPoint and the class N this fully determines the rank's file
-// accesses, which is how the synthetic re-expression of BT-IO derives
-// its access lists without duplicating the partitioning code.
+// accesses.
 func (a *App) Decomposition(rank int) []GridRange {
 	out := make([]GridRange, 0, a.q)
 	for _, cl := range a.cells(rank) {
@@ -213,113 +204,63 @@ func (a *App) ComputePerDump() sim.Duration {
 	return sim.Duration(perRank * a.cfg.ComputeScale)
 }
 
-// dumpVecs builds the rank's records for the dump based at byte
-// offset base: one vector element per (z, y) line of each owned cell.
-func (a *App) dumpVecs(rank int, base int64) []fs.IOVec {
-	n := int64(a.cfg.Class.N)
-	var vecs []fs.IOVec
-	for _, g := range a.Decomposition(rank) {
-		x0, nx := int64(g.X0), int64(g.NX)
-		for z := g.Z0; z < g.Z0+g.NZ; z++ {
-			for y := g.Y0; y < g.Y0+g.NY; y++ {
-				off := base + ((int64(z)*n+int64(y))*n+x0)*bytesPerPoint
-				vecs = append(vecs, fs.IOVec{Off: off, Len: nx * bytesPerPoint})
-			}
+// spec expresses the run as a phase graph: Dumps iterations of
+// compute, boundary exchange and one dump write; a barrier; then the
+// verification read-back of the whole solution history.
+func (a *App) spec() *synth.Spec {
+	c := a.cfg
+	n := int64(c.Class.N)
+
+	mount := "nfs"
+	if c.UsePFS {
+		mount = "pfs"
+	}
+	file := synth.FileSpec{Name: "solution", Path: c.Path, Mount: mount, CollectiveBuffering: c.Subtype == Full}
+	if h := c.Hints; h != nil {
+		file.CollectiveBuffering, file.CBNodes, file.CBBufferBytes = h.CollectiveBuffering, h.CBNodes, h.CBBufferSize
+	}
+
+	// One access per owned cell: a record per x-line, strided over the
+	// cell's z (outer) and y (inner) extents.
+	perRank := make([][]synth.AccessSpec, c.Procs)
+	for rank := range perRank {
+		for _, g := range a.Decomposition(rank) {
+			perRank[rank] = append(perRank[rank], synth.AccessSpec{
+				OffsetBytes: ((int64(g.Z0)*n+int64(g.Y0))*n + int64(g.X0)) * bytesPerPoint,
+				BlockBytes:  int64(g.NX) * bytesPerPoint,
+				Dims: []synth.DimSpec{
+					{Count: g.NZ, StrideBytes: n * n * bytesPerPoint},
+					{Count: g.NY, StrideBytes: n * bytesPerPoint},
+				},
+			})
 		}
 	}
-	return vecs
-}
 
-// RecordsPerDump returns the per-rank record count for one dump
-// (6561 for class C on 16 procs — Table II).
-func (a *App) RecordsPerDump(rank int) int { return len(a.dumpVecs(rank, 0)) }
-
-// Run implements workload.App.
-func (a *App) Run(c *cluster.Cluster, tr mpiio.Tracer) (workload.Result, error) {
-	np := a.cfg.Procs
-	w := c.NewWorld(c.RankNodes(np))
-	w.SetTracer(tr)
-
-	hints := mpiio.Hints{CollectiveBuffering: a.cfg.Subtype == Full}
-	if a.cfg.Hints != nil {
-		hints = *a.cfg.Hints
+	// The full subtype issues collective operations even under hints
+	// that disable collective buffering (the library then degrades them
+	// to independent I/O itself).
+	collective := c.Subtype == Full
+	io := func(op string) synth.StepSpec {
+		return synth.StepSpec{Op: op, File: "solution", Collective: collective,
+			PerRankAccess: perRank, LoopStrideBytes: a.DumpBytes()}
 	}
-	mounts := c.NFSMounts(np)
-	if a.cfg.UsePFS {
-		mounts = c.PFSMounts(np)
+	var dump []synth.StepSpec
+	if d := a.ComputePerDump(); d > 0 {
+		dump = append(dump, synth.StepSpec{Op: synth.OpCompute, ComputeNS: int64(d)})
 	}
-	f := mpiio.OpenFile(w, a.cfg.Path, fs.ORead|fs.OWrite|fs.OCreate|fs.OTrunc,
-		mounts, hints)
+	dump = append(dump,
+		synth.StepSpec{Op: synth.OpSend, ToRankOffset: 1, Messages: a.MessagesPerDump(), MessageBytes: a.FaceBytes()},
+		io(synth.OpWrite))
 
-	dumps := a.Dumps()
-	computePerDump := a.ComputePerDump()
-	// Boundary-exchange bytes per dump: each rank exchanges cell faces
-	// with neighbours every step (the paper observes ~120 messages per
-	// write phase at 16 procs: 24 sends per step × 5 steps).
-	faceBytes := a.FaceBytes()
-	msgsPerDump := a.MessagesPerDump()
-
-	var errs []error
-	readTimes := make([]sim.Duration, np)
-	writeTimes := make([]sim.Duration, np)
-
-	for rank := 0; rank < np; rank++ {
-		rank := rank
-		c.Eng.Spawn(fmt.Sprintf("btio-r%d", rank), func(p *sim.Proc) {
-			if err := f.Open(p, rank); err != nil {
-				errs = append(errs, err)
-				return
-			}
-			right := (rank + 1) % np
-			for d := 0; d < dumps; d++ {
-				if computePerDump > 0 {
-					w.Compute(p, rank, computePerDump)
-				}
-				for m := 0; m < msgsPerDump; m++ {
-					w.Send(p, rank, right, faceBytes)
-				}
-				vecs := a.dumpVecs(rank, int64(d)*a.DumpBytes())
-				t0 := p.Now()
-				if a.cfg.Subtype == Full {
-					f.WriteVecAll(p, rank, vecs)
-				} else {
-					f.WriteVec(p, rank, vecs)
-				}
-				writeTimes[rank] += sim.Duration(p.Now() - t0)
-			}
-			w.Barrier(p, rank)
-			// Verification read-back of the whole solution history.
-			for d := 0; d < dumps; d++ {
-				vecs := a.dumpVecs(rank, int64(d)*a.DumpBytes())
-				t0 := p.Now()
-				if a.cfg.Subtype == Full {
-					f.ReadVecAll(p, rank, vecs)
-				} else {
-					f.ReadVec(p, rank, vecs)
-				}
-				readTimes[rank] += sim.Duration(p.Now() - t0)
-			}
-			f.Close(p, rank)
-		})
+	return &synth.Spec{
+		Name:  fmt.Sprintf("NAS BT-IO class %s %s (%d procs)", c.Class.Name, c.Subtype, c.Procs),
+		Procs: c.Procs,
+		Files: []synth.FileSpec{file},
+		Start: "dump",
+		Phases: []synth.PhaseSpec{
+			{Name: "dump", Loop: a.Dumps(), Steps: dump, Next: "sync-point"},
+			{Name: "sync-point", Steps: []synth.StepSpec{{Op: synth.OpBarrier}}, Next: "readback"},
+			{Name: "readback", Loop: a.Dumps(), Steps: []synth.StepSpec{io(synth.OpRead)}},
+		},
 	}
-	end := c.Eng.Run()
-	if len(errs) > 0 {
-		return workload.Result{}, errs[0]
-	}
-
-	res := workload.Result{ExecTime: sim.Duration(end)}
-	for r := 0; r < np; r++ {
-		if readTimes[r] > res.ReadTime {
-			res.ReadTime = readTimes[r]
-		}
-		if writeTimes[r] > res.WriteTime {
-			res.WriteTime = writeTimes[r]
-		}
-		if tot := readTimes[r] + writeTimes[r]; tot > res.IOTime {
-			res.IOTime = tot
-		}
-	}
-	res.BytesWritten = int64(dumps) * a.DumpBytes()
-	res.BytesRead = int64(dumps) * a.DumpBytes()
-	return res, nil
 }

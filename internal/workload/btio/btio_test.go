@@ -4,14 +4,31 @@ import (
 	"testing"
 
 	"ioeval/internal/cluster"
+	"ioeval/internal/fs"
 	"ioeval/internal/mpiio"
 	"ioeval/internal/sim"
 	"ioeval/internal/trace"
 	"ioeval/internal/workload/btio"
+	"ioeval/internal/workload/synth"
 )
 
 // quickClass is a reduced class for fast tests (4 dumps).
 var quickClass = btio.Class{Name: "Q", N: 64, Steps: 20, WriteInterval: 5, ComputeTotal: 10 * sim.Second}
+
+// dumpRecords expands rank's records for the first dump from the
+// spec's dump write step: the access list the run issues.
+func dumpRecords(t *testing.T, a *btio.App, rank int) []fs.IOVec {
+	t.Helper()
+	for _, ph := range a.Spec().Phases {
+		for i := range ph.Steps {
+			if st := &ph.Steps[i]; ph.Name == "dump" && st.Op == synth.OpWrite {
+				return st.Vecs(rank, 0)
+			}
+		}
+	}
+	t.Fatal("spec has no dump write step")
+	return nil
+}
 
 func TestDecompositionMatchesPaperTable2(t *testing.T) {
 	// Class C, 16 procs: 6561 records per process per dump, sizes 1600
@@ -21,7 +38,7 @@ func TestDecompositionMatchesPaperTable2(t *testing.T) {
 	// cell split; the total is exact.
 	var perDump int
 	for r := 0; r < 16; r++ {
-		got := a.RecordsPerDump(r)
+		got := len(dumpRecords(t, a, r))
 		if got < 6560 || got > 6562 {
 			t.Fatalf("rank %d records per dump = %d, want ~6561", r, got)
 		}
@@ -31,7 +48,7 @@ func TestDecompositionMatchesPaperTable2(t *testing.T) {
 		t.Fatalf("records per dump (all ranks) = %d, want %d", perDump, 16*6561)
 	}
 	sizes := map[int64]int{}
-	for _, v := range a.DumpVecs(3, 0) {
+	for _, v := range dumpRecords(t, a, 3) {
 		sizes[v.Len]++
 	}
 	if len(sizes) > 2 {
@@ -50,7 +67,7 @@ func TestDecompositionMatchesPaperTable5(t *testing.T) {
 	// Class C, 64 procs: 800- and 840-byte records.
 	a := btio.New(btio.Config{Class: btio.ClassC, Procs: 64, Subtype: btio.Simple})
 	sizes := map[int64]int{}
-	for _, v := range a.DumpVecs(17, 0) {
+	for _, v := range dumpRecords(t, a, 17) {
 		sizes[v.Len]++
 	}
 	if sizes[800] == 0 || sizes[840] == 0 {
@@ -73,7 +90,7 @@ func TestCellsCoverGridExactly(t *testing.T) {
 		a := btio.New(btio.Config{Class: btio.Class{Name: "t", N: 12, Steps: 5, WriteInterval: 5}, Procs: procs})
 		covered := map[int64]int{}
 		for r := 0; r < procs; r++ {
-			for _, v := range a.DumpVecs(r, 0) {
+			for _, v := range dumpRecords(t, a, r) {
 				for b := v.Off; b < v.Off+v.Len; b += btio.BytesPerPoint {
 					covered[b]++
 				}
@@ -133,7 +150,7 @@ func TestSimpleRunProducesPaperOpCounts(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 	p := tr.Profile()
-	wantOps := int64(4 * a.Dumps() * a.RecordsPerDump(0))
+	wantOps := int64(4 * a.Dumps() * len(dumpRecords(t, a, 0)))
 	if p.NumWrites != wantOps || p.NumReads != wantOps {
 		t.Fatalf("ops: w=%d r=%d, want %d each", p.NumWrites, p.NumReads, wantOps)
 	}

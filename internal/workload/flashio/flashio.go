@@ -7,16 +7,18 @@
 // write a subset of variables in single precision — many medium-sized
 // collective writes, a pattern distinct from both BT-IO subtypes and
 // MADbench2.
+//
+// The package is a spec generator: New expresses the dumps as a synth
+// phase graph and runs it through the synth engine.
 package flashio
 
 import (
 	"fmt"
 
-	"ioeval/internal/cluster"
-	"ioeval/internal/fs"
 	"ioeval/internal/mpiio"
 	"ioeval/internal/sim"
 	"ioeval/internal/workload"
+	"ioeval/internal/workload/synth"
 )
 
 // Config parameterizes a FLASH I/O run. Defaults mirror the standard
@@ -33,8 +35,10 @@ type Config struct {
 	Compute sim.Duration
 }
 
-// App is a configured FLASH I/O instance.
+// App is a configured FLASH I/O instance. Name, Procs, Run and Spec
+// come from the compiled spec.
 type App struct {
+	*synth.App
 	cfg Config
 }
 
@@ -60,17 +64,10 @@ func New(cfg Config) *App {
 	if cfg.PathPrefix == "" {
 		cfg.PathPrefix = "/flash"
 	}
-	return &App{cfg: cfg}
+	a := &App{cfg: cfg}
+	a.App = synth.MustCompile(a.spec())
+	return a
 }
-
-// Name implements workload.App.
-func (a *App) Name() string {
-	return fmt.Sprintf("FLASH I/O (%d procs, %d blocks/proc, %d vars)",
-		a.cfg.Procs, a.cfg.BlocksPerProc, a.cfg.Vars)
-}
-
-// Procs implements workload.App.
-func (a *App) Procs() int { return a.cfg.Procs }
 
 // VarBytesPerProc returns a rank's contribution to one checkpoint
 // variable dataset (double precision).
@@ -86,78 +83,46 @@ func (a *App) CheckpointBytes() int64 {
 	return a.VarBytesPerProc() * int64(a.cfg.Vars) * int64(a.cfg.Procs)
 }
 
-// Run implements workload.App.
-func (a *App) Run(c *cluster.Cluster, tr mpiio.Tracer) (workload.Result, error) {
-	np := a.cfg.Procs
-	w := c.NewWorld(c.RankNodes(np))
-	w.SetTracer(tr)
-
-	ckpt := mpiio.OpenFile(w, a.cfg.PathPrefix+"_hdf5_chk_0001",
-		fs.OWrite|fs.OCreate|fs.OTrunc, c.NFSMounts(np), mpiio.DefaultHints())
-	plots := []*mpiio.File{
-		mpiio.OpenFile(w, a.cfg.PathPrefix+"_hdf5_plt_crn_0001",
-			fs.OWrite|fs.OCreate|fs.OTrunc, c.NFSMounts(np), mpiio.DefaultHints()),
-		mpiio.OpenFile(w, a.cfg.PathPrefix+"_hdf5_plt_cnt_0001",
-			fs.OWrite|fs.OCreate|fs.OTrunc, c.NFSMounts(np), mpiio.DefaultHints()),
+// spec expresses the run as a phase graph: the optional solver time,
+// the checkpoint (one collectively written dataset per variable), a
+// barrier, then the two plotfiles (PlotVars single-precision datasets
+// each). Every dataset is variable-major with rank blocks contiguous.
+// The files take MPI-IO's default hints.
+func (a *App) spec() *synth.Spec {
+	c := a.cfg
+	np := int64(c.Procs)
+	h := mpiio.DefaultHints()
+	file := func(name, suffix string) synth.FileSpec {
+		return synth.FileSpec{Name: name, Path: c.PathPrefix + suffix,
+			CollectiveBuffering: h.CollectiveBuffering, CBNodes: h.CBNodes, CBBufferBytes: h.CBBufferSize}
+	}
+	dataset := func(name, fileName string, vars int, varBytes int64, next string) synth.PhaseSpec {
+		return synth.PhaseSpec{Name: name, Loop: vars, Next: next, Steps: []synth.StepSpec{{
+			Op: synth.OpWrite, File: fileName, Collective: true,
+			Access:          []synth.AccessSpec{{BlockBytes: varBytes}},
+			LoopStrideBytes: varBytes * np, RankStrideBytes: varBytes,
+		}}}
 	}
 
-	varBytes := a.VarBytesPerProc()
-	plotBytes := a.PlotVarBytesPerProc()
-	var errs []error
-	ioTimes := make([]sim.Duration, np)
-
-	for rank := 0; rank < np; rank++ {
-		rank := rank
-		c.Eng.Spawn(fmt.Sprintf("flash-r%d", rank), func(p *sim.Proc) {
-			if err := ckpt.Open(p, rank); err != nil {
-				errs = append(errs, err)
-				return
-			}
-			for _, f := range plots {
-				if err := f.Open(p, rank); err != nil {
-					errs = append(errs, err)
-					return
-				}
-			}
-			if a.cfg.Compute > 0 {
-				w.Compute(p, rank, a.cfg.Compute)
-			}
-			// Checkpoint: one collectively written dataset per variable;
-			// dataset layout is variable-major with rank blocks contiguous.
-			for v := 0; v < a.cfg.Vars; v++ {
-				base := int64(v)*varBytes*int64(np) + int64(rank)*varBytes
-				t0 := p.Now()
-				ckpt.WriteAtAll(p, rank, base, varBytes)
-				ioTimes[rank] += sim.Duration(p.Now() - t0)
-			}
-			w.Barrier(p, rank)
-			// Plotfiles: PlotVars single-precision datasets each.
-			for _, f := range plots {
-				for v := 0; v < a.cfg.PlotVars; v++ {
-					base := int64(v)*plotBytes*int64(np) + int64(rank)*plotBytes
-					t0 := p.Now()
-					f.WriteAtAll(p, rank, base, plotBytes)
-					ioTimes[rank] += sim.Duration(p.Now() - t0)
-				}
-			}
-			ckpt.Close(p, rank)
-			for _, f := range plots {
-				f.Close(p, rank)
-			}
-		})
+	var phases []synth.PhaseSpec
+	if c.Compute > 0 {
+		phases = append(phases, synth.PhaseSpec{Name: "compute", Next: "checkpoint",
+			Steps: []synth.StepSpec{{Op: synth.OpCompute, ComputeNS: int64(c.Compute)}}})
 	}
-	end := c.Eng.Run()
-	if len(errs) > 0 {
-		return workload.Result{}, errs[0]
+	phases = append(phases,
+		dataset("checkpoint", "chk", c.Vars, a.VarBytesPerProc(), "barrier"),
+		synth.PhaseSpec{Name: "barrier", Steps: []synth.StepSpec{{Op: synth.OpBarrier}}, Next: "crn"},
+		dataset("crn", "plt_crn", c.PlotVars, a.PlotVarBytesPerProc(), "cnt"),
+		dataset("cnt", "plt_cnt", c.PlotVars, a.PlotVarBytesPerProc(), ""),
+	)
+	return &synth.Spec{
+		Name:  fmt.Sprintf("FLASH I/O (%d procs, %d blocks/proc, %d vars)", c.Procs, c.BlocksPerProc, c.Vars),
+		Procs: c.Procs,
+		Files: []synth.FileSpec{
+			file("chk", "_hdf5_chk_0001"),
+			file("plt_crn", "_hdf5_plt_crn_0001"),
+			file("plt_cnt", "_hdf5_plt_cnt_0001"),
+		},
+		Phases: phases,
 	}
-	res := workload.Result{ExecTime: sim.Duration(end)}
-	for _, d := range ioTimes {
-		if d > res.IOTime {
-			res.IOTime = d
-		}
-	}
-	res.WriteTime = res.IOTime
-	res.BytesWritten = a.CheckpointBytes() +
-		2*plotBytes*int64(a.cfg.PlotVars)*int64(np)
-	return res, nil
 }

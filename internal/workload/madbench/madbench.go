@@ -12,16 +12,17 @@
 // With 18 KPIX and 16 processes each operation moves a 162 MB slice
 // (Table VIII); with 64 processes, 40.5 MB. FileType selects one
 // shared file or one file per process (SHARED/UNIQUE).
+//
+// The package is a spec generator: New expresses the three phases as
+// a synth phase graph and runs it through the synth engine.
 package madbench
 
 import (
 	"fmt"
 
-	"ioeval/internal/cluster"
-	"ioeval/internal/fs"
-	"ioeval/internal/mpiio"
 	"ioeval/internal/sim"
 	"ioeval/internal/workload"
+	"ioeval/internal/workload/synth"
 )
 
 // FileType selects the file layout, per MADbench2's FILETYPE option.
@@ -61,8 +62,10 @@ type Config struct {
 	UseLocal bool
 }
 
-// App is a configured MADbench2 instance.
+// App is a configured MADbench2 instance. Name, Procs, Run and Spec
+// come from the compiled spec.
 type App struct {
+	*synth.App
 	cfg Config
 }
 
@@ -89,20 +92,10 @@ func New(cfg Config) *App {
 	if cfg.UseLocal && cfg.FileType == Shared {
 		panic("madbench: SHARED filetype requires shared (NFS) storage")
 	}
-	return &App{cfg: cfg}
+	a := &App{cfg: cfg}
+	a.App = synth.MustCompile(a.spec())
+	return a
 }
-
-// Name implements workload.App.
-func (a *App) Name() string {
-	return fmt.Sprintf("MADbench2 %s (%d procs, %d KPIX, %d bins)",
-		a.cfg.FileType, a.cfg.Procs, a.cfg.KPix, a.cfg.Bins)
-}
-
-// Procs implements workload.App.
-func (a *App) Procs() int { return a.cfg.Procs }
-
-// Config returns the (defaulted) configuration the app runs.
-func (a *App) Config() Config { return a.cfg }
 
 // SliceBytes returns the per-process matrix slice (162 MB for 18 KPIX
 // on 16 processes — Table VIII).
@@ -111,155 +104,68 @@ func (a *App) SliceBytes() int64 {
 	return npix * npix * 8 / int64(a.cfg.Procs)
 }
 
-// path returns the file path for a rank.
-func (a *App) path(rank int) string {
-	if a.cfg.FileType == Unique {
-		return fmt.Sprintf("%s.%04d", a.cfg.PathPrefix, rank)
-	}
-	return a.cfg.PathPrefix
-}
-
-// offset returns where bin b of rank's slice lives in its file.
-func (a *App) offset(rank, b int) int64 {
+// spec expresses the run as three looped phases (S, W, C) of
+// whole-slice independent operations. MADbench uses independent large
+// operations: collective buffering brings nothing for disjoint
+// whole-slice accesses. Each read and write is timed under its
+// function's rate key — MADbench2 itself reports exactly these (S_w,
+// W_r, W_w, C_r).
+func (a *App) spec() *synth.Spec {
+	c := a.cfg
+	np := c.Procs
 	slice := a.SliceBytes()
-	if a.cfg.FileType == Unique {
-		return int64(b) * slice
+	shared := c.FileType == Shared
+
+	mount := "nfs"
+	if c.UseLocal {
+		mount = "local"
 	}
-	// Shared: bin-major layout, slices of a bin contiguous by rank.
-	return (int64(b)*int64(a.cfg.Procs) + int64(rank)) * slice
-}
+	// UNIQUE files are per-rank files named PathPrefix.%04d.
+	file := synth.FileSpec{Name: "matrices", Path: c.PathPrefix, Mount: mount, PerRank: !shared}
 
-// Run implements workload.App.
-func (a *App) Run(c *cluster.Cluster, tr mpiio.Tracer) (workload.Result, error) {
-	np := a.cfg.Procs
-	w := c.NewWorld(c.RankNodes(np))
-	w.SetTracer(tr)
-
-	mounts := c.NFSMounts(np)
-	if a.cfg.UseLocal {
-		mounts = c.LocalMounts(np)
+	// Bin b of a rank's slice lives at b*slice in a UNIQUE file and at
+	// (b*np+rank)*slice in the shared bin-major layout (slices of a bin
+	// contiguous by rank).
+	acc := []synth.AccessSpec{{OffsetBytes: 0, BlockBytes: slice}}
+	loopStride, rankStride := slice, int64(0)
+	if shared {
+		loopStride, rankStride = int64(np)*slice, slice
 	}
-
-	// MADbench uses independent large operations; collective
-	// buffering brings nothing for disjoint whole-slice accesses.
-	hints := mpiio.Hints{CollectiveBuffering: false}
-
-	// With UNIQUE files every rank has its own mpiio.File over a
-	// one-rank "sub-world" view; modelled here as np independent
-	// single-rank files sharing the world for tracing.
-	files := make([]*mpiio.File, np)
-	if a.cfg.FileType == Shared {
-		f := mpiio.OpenFile(w, a.path(0), fs.ORead|fs.OWrite|fs.OCreate|fs.OTrunc, mounts, hints)
-		for r := range files {
-			files[r] = f
-		}
+	io := func(op, key string) synth.StepSpec {
+		return synth.StepSpec{Op: op, File: "matrices", RateKey: key, Access: acc,
+			LoopStrideBytes: loopStride, RankStrideBytes: rankStride}
 	}
-
-	slice := a.SliceBytes()
-	bins := a.cfg.Bins
-	var errs []error
-	// Accumulated time inside each function's reads/writes, per rank —
-	// MADbench2 itself reports exactly these (S_w, W_r, W_w, C_r).
-	ra := workload.NewRateAggregator(np)
-	ra.Declare("S_w", "W_r", "W_w", "C_r")
-
-	for rank := 0; rank < np; rank++ {
-		rank := rank
-		c.Eng.Spawn(fmt.Sprintf("madbench-r%d", rank), func(p *sim.Proc) {
-			f := files[rank]
-			if f == nil {
-				// UNIQUE: a per-rank world/file pair.
-				sub := c.NewWorld([]string{w.Node(rank)})
-				sub.SetTracer(&rankShift{tr: w.Tracer(), rank: rank})
-				f = mpiio.OpenFile(sub, a.path(rank), fs.ORead|fs.OWrite|fs.OCreate|fs.OTrunc,
-					[]fs.Interface{mounts[rank]}, hints)
-			}
-			fRank := rank
-			if a.cfg.FileType == Unique {
-				fRank = 0
-			}
-			if err := f.Open(p, fRank); err != nil {
-				errs = append(errs, err)
-				return
-			}
-
-			timed := func(key string, fn func()) {
-				t0 := p.Now()
-				fn()
-				ra.Add(key, rank, sim.Duration(p.Now()-t0), slice)
-			}
-
-			// syncWrite performs one matrix write; in SYNC I/O mode
-			// (IOMODE=SYNC, the paper's setting) it is followed by a
-			// sync so the cost cannot hide in a write-behind cache.
-			syncWrite := func(off int64) {
-				f.WriteAt(p, fRank, off, slice)
-				if !a.cfg.AsyncWrites {
-					f.Sync(p, fRank)
-				}
-			}
-			// S: build and write each bin matrix.
-			for b := 0; b < bins; b++ {
-				if a.cfg.BusyWork > 0 {
-					w.Compute(p, rank, a.cfg.BusyWork)
-				}
-				b := b
-				timed("S_w", func() { syncWrite(a.offset(rank, b)) })
-			}
-			// W: read each bin, busy-work, write it back.
-			for b := 0; b < bins; b++ {
-				b := b
-				timed("W_r", func() { f.ReadAt(p, fRank, a.offset(rank, b), slice) })
-				if a.cfg.BusyWork > 0 {
-					w.Compute(p, rank, a.cfg.BusyWork)
-				}
-				timed("W_w", func() { syncWrite(a.offset(rank, b)) })
-			}
-			// C: read each bin.
-			for b := 0; b < bins; b++ {
-				b := b
-				timed("C_r", func() { f.ReadAt(p, fRank, a.offset(rank, b), slice) })
-			}
-			f.Close(p, fRank)
-		})
+	// In SYNC I/O mode (IOMODE=SYNC, the paper's setting) each write is
+	// followed by a sync so the cost cannot hide in a write-behind cache.
+	write := func(key string) synth.StepSpec {
+		st := io(synth.OpWrite, key)
+		st.SyncAfter = !c.AsyncWrites
+		return st
 	}
-	end := c.Eng.Run()
-	if len(errs) > 0 {
-		return workload.Result{}, errs[0]
-	}
+	busy := synth.StepSpec{Op: synth.OpCompute, ComputeNS: int64(c.BusyWork)}
 
-	// Ranks run in parallel: each key's aggregate rate is the total
-	// bytes of the function over the slowest rank's time in it.
-	res := workload.Result{ExecTime: sim.Duration(end), PhaseRates: ra.Rates()}
-	for r := 0; r < np; r++ {
-		read := ra.Duration("W_r", r) + ra.Duration("C_r", r)
-		write := ra.Duration("S_w", r) + ra.Duration("W_w", r)
-		if read > res.ReadTime {
-			res.ReadTime = read
-		}
-		if write > res.WriteTime {
-			res.WriteTime = write
-		}
-		if read+write > res.IOTime {
-			res.IOTime = read + write
-		}
+	// S builds and writes each bin matrix; W reads each bin, busy-works
+	// and writes it back; C reads each bin.
+	var sSteps, wSteps []synth.StepSpec
+	if c.BusyWork > 0 {
+		sSteps = append(sSteps, busy)
 	}
-	res.BytesWritten = 2 * int64(bins) * slice * int64(np)
-	res.BytesRead = 2 * int64(bins) * slice * int64(np)
-	return res, nil
-}
-
-// rankShift relabels events from per-rank sub-worlds (always rank 0)
-// with the true rank.
-type rankShift struct {
-	tr   mpiio.Tracer
-	rank int
-}
-
-func (rs *rankShift) Record(ev mpiio.Event) {
-	if rs.tr == nil {
-		return
+	sSteps = append(sSteps, write("S_w"))
+	wSteps = append(wSteps, io(synth.OpRead, "W_r"))
+	if c.BusyWork > 0 {
+		wSteps = append(wSteps, busy)
 	}
-	ev.Rank = rs.rank
-	rs.tr.Record(ev)
+	wSteps = append(wSteps, write("W_w"))
+
+	return &synth.Spec{
+		Name:  fmt.Sprintf("MADbench2 %s (%d procs, %d KPIX, %d bins)", c.FileType, np, c.KPix, c.Bins),
+		Procs: np,
+		Files: []synth.FileSpec{file},
+		Start: "S",
+		Phases: []synth.PhaseSpec{
+			{Name: "S", Loop: c.Bins, Steps: sSteps, Next: "W"},
+			{Name: "W", Loop: c.Bins, Steps: wSteps, Next: "C"},
+			{Name: "C", Loop: c.Bins, Steps: []synth.StepSpec{io(synth.OpRead, "C_r")}},
+		},
+	}
 }

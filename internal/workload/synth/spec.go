@@ -1,15 +1,16 @@
-// Package synth is the declarative synthetic-workload plane: a
-// workload is a phase graph — named phases of compute, communication,
-// and collective/independent I/O steps, chained by Next edges and
-// repeated by per-phase loop counts — parsed from a JSON spec and
-// compiled to a workload.App that runs through the same
-// ioreq/span/telemetry path as the hand-coded applications.
+// Package synth is the declarative workload plane: a workload is a
+// phase graph — named phases of compute, communication, and
+// collective/independent I/O steps, chained by Next edges and repeated
+// by per-phase loop counts — parsed from a JSON spec and compiled to a
+// workload.App that runs through the ioreq/span/telemetry path.
 //
-// The model is rich enough to re-express the paper's two applications
-// exactly (BTIOSpec, MadbenchSpec): the differential conformance
-// tests assert byte-for-byte equality of traces, results, and reports
-// between each hand-coded app and its synthetic re-expression. New
-// workloads therefore cost a spec file, not a Go package.
+// App.Run is the one rank loop in the repository. The application
+// packages (btio, madbench, flashio) are spec generators: each derives
+// its phase graph from its configuration and runs the compiled spec,
+// so the spec is the single description of what the workload does.
+// Their runs are pinned by digests recorded from the hand-coded rank
+// loops the generators replaced. New workloads therefore cost a spec
+// file, not a Go package.
 package synth
 
 import (

@@ -1,8 +1,9 @@
 // Package workload defines the application-side contract the
 // methodology evaluates: an App runs on a simulated cluster under a
 // tracer, and reports its execution metrics (the paper's "execution
-// time, I/O time, transfer rate" measurements). Subpackages implement
-// the paper's two applications: NAS BT-IO and MadBench2.
+// time, I/O time, transfer rate" measurements). Subpackages generate
+// the paper's two applications, NAS BT-IO and MadBench2, and FLASH I/O
+// as synth specs; synth runs them.
 package workload
 
 import (
@@ -51,8 +52,8 @@ type App interface {
 // Result.PhaseRates: cumulative per-rank time and total bytes per key.
 // Ranks run in parallel, so a key's aggregate rate is its total bytes
 // over the slowest rank's cumulative time in it — MADbench2's S_w,
-// W_r, W_w, C_r convention, shared by every workload that reports
-// phase rates (the hand-coded MADbench2 and the synthetic engine).
+// W_r, W_w, C_r convention, which the synth engine applies to every
+// step with a rate key.
 type RateAggregator struct {
 	np    int
 	keys  []string // declaration order, for deterministic iteration
@@ -88,14 +89,6 @@ func (ra *RateAggregator) ensure(key string) []sim.Duration {
 func (ra *RateAggregator) Add(key string, rank int, d sim.Duration, n int64) {
 	ra.ensure(key)[rank] += d
 	ra.bytes[key] += n
-}
-
-// Duration returns rank's cumulative time under key.
-func (ra *RateAggregator) Duration(key string, rank int) sim.Duration {
-	if d, ok := ra.durs[key]; ok {
-		return d[rank]
-	}
-	return 0
 }
 
 // Empty reports whether no key was ever declared or added.

@@ -110,21 +110,6 @@ func TestRateAggregatorRates(t *testing.T) {
 	}
 }
 
-func TestRateAggregatorDuration(t *testing.T) {
-	ra := NewRateAggregator(2)
-	if d := ra.Duration("S_w", 0); d != 0 {
-		t.Fatalf("unknown key duration = %v, want 0", d)
-	}
-	ra.Add("S_w", 1, 3*sim.Second, 10)
-	ra.Add("S_w", 1, sim.Second, 10)
-	if d := ra.Duration("S_w", 1); d != 4*sim.Second {
-		t.Fatalf("duration = %v, want 4s", d)
-	}
-	if d := ra.Duration("S_w", 0); d != 0 {
-		t.Fatalf("untouched rank duration = %v, want 0", d)
-	}
-}
-
 func TestRateAggregatorEmpty(t *testing.T) {
 	ra := NewRateAggregator(1)
 	if !ra.Empty() {
