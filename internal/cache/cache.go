@@ -105,7 +105,6 @@ type Stats struct {
 type Cache struct {
 	eng    *sim.Engine
 	params Params
-	comp   string // span component name, "cache:<name>"
 	under  device.BlockDev
 	pages  map[int64]*page
 	head   *page // most recently used
@@ -140,14 +139,12 @@ func New(e *sim.Engine, params Params, under device.BlockDev) *Cache {
 	if params.DirtyRatio == 0 {
 		params.DirtyRatio = 0.20
 	}
-	comp := "cache:" + params.Name
 	return &Cache{
 		eng:    e,
 		params: params,
-		comp:   comp,
 		under:  under,
 		pages:  map[int64]*page{},
-		rec:    telemetry.NewRecorder(e, comp, telemetry.LevelCache, 1),
+		rec:    telemetry.NewRecorder(e, "cache:"+params.Name, telemetry.LevelCache, 1),
 	}
 }
 
@@ -373,16 +370,11 @@ func (c *Cache) ReadAt(r *ioreq.Request, off, n int64) {
 	if n == 0 {
 		return
 	}
-	r.Push(telemetry.LevelCache, c.comp)
-	defer r.Pop()
+	r.Enter(c.rec)
+	defer r.Exit()
+	defer r.Observe(telemetry.ClassRead, 1, n)
 	p := r.Proc()
 	c.Stats.ReadOps++
-	c.rec.Enter()
-	start0 := p.Now()
-	defer func() {
-		c.rec.Observe(telemetry.ClassRead, 1, n, sim.Duration(p.Now()-start0))
-		c.rec.Exit()
-	}()
 	first, last := c.pageRange(off, n)
 	ps := c.params.PageSize
 	streaming := off == c.lastReadEnd
@@ -447,16 +439,11 @@ func (c *Cache) WriteAt(r *ioreq.Request, off, n int64) {
 	if n == 0 {
 		return
 	}
-	r.Push(telemetry.LevelCache, c.comp)
-	defer r.Pop()
+	r.Enter(c.rec)
+	defer r.Exit()
+	defer r.Observe(telemetry.ClassWrite, 1, n)
 	p := r.Proc()
 	c.Stats.WriteOps++
-	c.rec.Enter()
-	start0 := p.Now()
-	defer func() {
-		c.rec.Observe(telemetry.ClassWrite, 1, n, sim.Duration(p.Now()-start0))
-		c.rec.Exit()
-	}()
 	first, last := c.pageRange(off, n)
 	c.memCopy(p, n)
 
@@ -501,7 +488,7 @@ func (c *Cache) throttle(r *ioreq.Request) {
 // Flush implements device.BlockDev: write out every dirty page and
 // flush the device below.
 func (c *Cache) Flush(r *ioreq.Request) {
-	r.Push(telemetry.LevelCache, c.comp)
+	r.Push(telemetry.LevelCache, c.rec.Component())
 	defer r.Pop()
 	start0 := r.Now()
 	defer func() {

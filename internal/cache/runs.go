@@ -19,7 +19,7 @@ func (c *Cache) ReadRuns(r *ioreq.Request, runs []device.Run) {
 	if len(runs) == 0 {
 		return
 	}
-	r.Push(telemetry.LevelCache, c.comp)
+	r.Push(telemetry.LevelCache, c.rec.Component())
 	defer r.Pop()
 	c.Stats.ReadOps += int64(len(runs))
 	ps := c.params.PageSize
@@ -114,7 +114,7 @@ func (c *Cache) WriteRuns(r *ioreq.Request, runs []device.Run) {
 	if len(runs) == 0 {
 		return
 	}
-	r.Push(telemetry.LevelCache, c.comp)
+	r.Push(telemetry.LevelCache, c.rec.Component())
 	defer r.Pop()
 	c.Stats.WriteOps += int64(len(runs))
 	var totalBytes int64

@@ -197,12 +197,10 @@ func (d *Disk) checkRange(off, n int64, op string) {
 // ReadAt services a read of n bytes at off.
 func (d *Disk) ReadAt(r *ioreq.Request, off, n int64) {
 	d.checkRange(off, n, "read")
-	r.Push(telemetry.LevelDevice, "disk:"+d.params.Name)
-	defer r.Pop()
+	r.Enter(d.rec)
+	defer r.Exit()
 	d.tagSlow(r)
 	p := r.Proc()
-	d.rec.Enter()
-	defer d.rec.Exit()
 	d.res.Acquire(p, 1)
 	pos, seq := d.positioning(off, false)
 	t := d.scaled(d.params.CmdOverhead + pos + d.xfer(n))
@@ -214,12 +212,10 @@ func (d *Disk) ReadAt(r *ioreq.Request, off, n int64) {
 // WriteAt services a write of n bytes at off.
 func (d *Disk) WriteAt(r *ioreq.Request, off, n int64) {
 	d.checkRange(off, n, "write")
-	r.Push(telemetry.LevelDevice, "disk:"+d.params.Name)
-	defer r.Pop()
+	r.Enter(d.rec)
+	defer r.Exit()
 	d.tagSlow(r)
 	p := r.Proc()
-	d.rec.Enter()
-	defer d.rec.Exit()
 	d.res.Acquire(p, 1)
 	pos, seq := d.positioning(off, true)
 	t := d.scaled(d.params.CmdOverhead + pos + d.xfer(n))
@@ -261,12 +257,10 @@ func (d *Disk) Flush(r *ioreq.Request) {
 	if d.dirty == 0 {
 		return
 	}
-	r.Push(telemetry.LevelDevice, "disk:"+d.params.Name)
-	defer r.Pop()
+	r.Enter(d.rec)
+	defer r.Exit()
 	d.tagSlow(r)
 	p := r.Proc()
-	d.rec.Enter()
-	defer d.rec.Exit()
 	d.res.Acquire(p, 1)
 	t := d.scaled(d.rotLatency())
 	p.Sleep(t)

@@ -229,3 +229,24 @@ func BenchmarkDiskOp(b *testing.B) {
 	b.ResetTimer()
 	e.Run()
 }
+
+// An uncontended ReadAt allocates only its span: the span is bound to
+// the disk's recorder, so no label is built per request. The spawn
+// that drives the reads adds about 10 allocations per run.
+func TestReadAtAllocs(t *testing.T) {
+	const reads = 10000
+	e := sim.NewEngine()
+	d := newTestDisk(e)
+	run := func() {
+		e.Spawn("r", func(p *sim.Proc) {
+			r := ioreq.Reader(p)
+			for i := int64(0); i < reads; i++ {
+				d.ReadAt(r, i*64*kb, 64*kb)
+			}
+		})
+		e.Run()
+	}
+	if per := testing.AllocsPerRun(5, run) / reads; per > 1.05 {
+		t.Fatalf("%.3f allocs per ReadAt, want 1 (the span)", per)
+	}
+}

@@ -162,11 +162,6 @@ func (m *Mount) Device() device.BlockDev { return m.dev }
 // Params returns the mount configuration.
 func (m *Mount) Params() MountParams { return m.params }
 
-// span opens the mount's local-fs span on r.
-func (m *Mount) span(r *ioreq.Request) {
-	r.Push(telemetry.LevelLocalFS, "fs:"+m.params.Name)
-}
-
 // allocate returns a physical extent of exactly n bytes (block
 // aligned), preferring the free list (first fit) then the bump
 // allocator.
@@ -196,7 +191,7 @@ func (m *Mount) allocate(n int64) extent {
 
 // Open implements Interface.
 func (m *Mount) Open(r *ioreq.Request, path string, flags int) (Handle, error) {
-	m.span(r)
+	r.Push(telemetry.LevelLocalFS, m.rec.Component())
 	defer r.Pop()
 	p := r.Proc()
 	start := p.Now()
@@ -229,7 +224,7 @@ func (m *Mount) truncate(f *fileData) {
 
 // Remove implements Interface.
 func (m *Mount) Remove(r *ioreq.Request, path string) error {
-	m.span(r)
+	r.Push(telemetry.LevelLocalFS, m.rec.Component())
 	defer r.Pop()
 	m.rec.Observe(telemetry.ClassMeta, 1, 0, m.params.MetaOpCost)
 	r.Proc().Sleep(m.params.MetaOpCost)
@@ -245,7 +240,7 @@ func (m *Mount) Remove(r *ioreq.Request, path string) error {
 
 // Stat implements Interface.
 func (m *Mount) Stat(r *ioreq.Request, path string) (FileInfo, error) {
-	m.span(r)
+	r.Push(telemetry.LevelLocalFS, m.rec.Component())
 	defer r.Pop()
 	m.rec.Observe(telemetry.ClassMeta, 1, 0, m.params.MetaOpCost)
 	r.Proc().Sleep(m.params.MetaOpCost)
@@ -260,7 +255,7 @@ func (m *Mount) Stat(r *ioreq.Request, path string) (FileInfo, error) {
 // Sync implements Interface: flush the whole device stack (page cache
 // write-back plus device cache).
 func (m *Mount) Sync(r *ioreq.Request) {
-	m.span(r)
+	r.Push(telemetry.LevelLocalFS, m.rec.Component())
 	defer r.Pop()
 	m.dev.Flush(r)
 }
@@ -333,16 +328,13 @@ func (h *localHandle) check() {
 
 func (h *localHandle) ReadAt(r *ioreq.Request, off, n int64) int64 {
 	h.check()
-	h.m.span(r)
-	defer r.Pop()
+	r.Enter(h.m.rec)
+	defer r.Exit()
 	p := r.Proc()
-	h.m.rec.Enter()
-	defer h.m.rec.Exit()
-	start := p.Now()
 	p.Sleep(h.m.params.SyscallCost)
 	h.m.Stats.ReadCalls++
 	if off >= h.f.size {
-		h.m.rec.Observe(telemetry.ClassRead, 1, 0, sim.Duration(p.Now()-start))
+		r.Observe(telemetry.ClassRead, 1, 0)
 		return 0
 	}
 	if off+n > h.f.size {
@@ -352,22 +344,19 @@ func (h *localHandle) ReadAt(r *ioreq.Request, off, n int64) int64 {
 		h.m.dev.ReadAt(r, piece.Off, piece.Len)
 	}
 	h.m.Stats.BytesRead += n
-	h.m.rec.Observe(telemetry.ClassRead, 1, n, sim.Duration(p.Now()-start))
+	r.Observe(telemetry.ClassRead, 1, n)
 	return n
 }
 
 func (h *localHandle) WriteAt(r *ioreq.Request, off, n int64) int64 {
 	h.check()
-	h.m.span(r)
-	defer r.Pop()
+	r.Enter(h.m.rec)
+	defer r.Exit()
 	p := r.Proc()
-	h.m.rec.Enter()
-	defer h.m.rec.Exit()
-	start := p.Now()
 	p.Sleep(h.m.params.SyscallCost)
 	h.m.Stats.WriteCalls++
 	if n == 0 {
-		h.m.rec.Observe(telemetry.ClassWrite, 1, 0, sim.Duration(p.Now()-start))
+		r.Observe(telemetry.ClassWrite, 1, 0)
 		return 0
 	}
 	h.m.ensureAllocated(h.f, off+n)
@@ -378,7 +367,7 @@ func (h *localHandle) WriteAt(r *ioreq.Request, off, n int64) int64 {
 		h.f.size = off + n
 	}
 	h.m.Stats.BytesWritten += n
-	h.m.rec.Observe(telemetry.ClassWrite, 1, n, sim.Duration(p.Now()-start))
+	r.Observe(telemetry.ClassWrite, 1, n)
 	return n
 }
 
@@ -391,12 +380,9 @@ func (h *localHandle) ReadVec(r *ioreq.Request, vecs []IOVec) int64 {
 	if len(vecs) == 0 {
 		return 0
 	}
-	h.m.span(r)
-	defer r.Pop()
+	r.Enter(h.m.rec)
+	defer r.Exit()
 	p := r.Proc()
-	h.m.rec.Enter()
-	defer h.m.rec.Exit()
-	start := p.Now()
 	p.Sleep(h.m.params.SyscallCost * sim.Duration(len(vecs)))
 	h.m.Stats.ReadCalls += int64(len(vecs))
 	var runs []device.Run
@@ -414,7 +400,7 @@ func (h *localHandle) ReadVec(r *ioreq.Request, vecs []IOVec) int64 {
 	}
 	device.ReadRuns(r, h.m.dev, runs)
 	h.m.Stats.BytesRead += total
-	h.m.rec.Observe(telemetry.ClassRead, int64(len(vecs)), total, sim.Duration(p.Now()-start))
+	r.Observe(telemetry.ClassRead, int64(len(vecs)), total)
 	return total
 }
 
@@ -424,12 +410,9 @@ func (h *localHandle) WriteVec(r *ioreq.Request, vecs []IOVec) int64 {
 	if len(vecs) == 0 {
 		return 0
 	}
-	h.m.span(r)
-	defer r.Pop()
+	r.Enter(h.m.rec)
+	defer r.Exit()
 	p := r.Proc()
-	h.m.rec.Enter()
-	defer h.m.rec.Exit()
-	start := p.Now()
 	p.Sleep(h.m.params.SyscallCost * sim.Duration(len(vecs)))
 	h.m.Stats.WriteCalls += int64(len(vecs))
 	maxEnd := h.f.size
@@ -455,20 +438,20 @@ func (h *localHandle) WriteVec(r *ioreq.Request, vecs []IOVec) int64 {
 		h.f.size = maxEnd
 	}
 	h.m.Stats.BytesWritten += total
-	h.m.rec.Observe(telemetry.ClassWrite, int64(len(vecs)), total, sim.Duration(p.Now()-start))
+	r.Observe(telemetry.ClassWrite, int64(len(vecs)), total)
 	return total
 }
 
 func (h *localHandle) Sync(r *ioreq.Request) {
 	h.check()
-	h.m.span(r)
+	r.Push(telemetry.LevelLocalFS, h.m.rec.Component())
 	defer r.Pop()
 	h.m.dev.Flush(r)
 }
 
 func (h *localHandle) Close(r *ioreq.Request) {
 	h.check()
-	h.m.span(r)
+	r.Push(telemetry.LevelLocalFS, h.m.rec.Component())
 	defer r.Pop()
 	h.closed = true
 	h.f.opens--

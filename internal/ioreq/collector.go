@@ -18,11 +18,11 @@ type Collector struct {
 func NewCollector() *Collector { return &Collector{} }
 
 // record folds one popped span into the profile.
-func (c *Collector) record(level telemetry.Level, class telemetry.OpClass, busy, self sim.Duration, top, remote bool) {
+func (c *Collector) record(s *span, class telemetry.OpClass, busy, self sim.Duration) {
 	if c == nil {
 		return
 	}
-	c.prof.Observe(level, class, busy, self, top, remote)
+	c.prof.Observe(s.level, class, busy, self, s.parent == nil, s.remote())
 }
 
 // tag counts a fault-plane mark.

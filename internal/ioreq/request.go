@@ -3,10 +3,13 @@
 // bare (proc, offset, length) signatures could not: the operation
 // class, the application-level access pattern, the originating rank
 // and phase, fault tags, and — centrally — a span stack stamped on
-// the simulated clock. Each layer pushes a span on entry and pops it
-// on exit, so a completed request knows exactly how long it spent in
-// the MPI-IO library, the global filesystem, the local filesystem,
-// the page cache, the RAID organization, the disks, and the network.
+// the simulated clock. Each layer opens a span on entry and closes it
+// on exit; a data entry point opens it on the component's telemetry
+// Recorder (Enter/Observe/Exit), so one interval feeds both the path
+// profile and the component's counters. A completed request knows
+// exactly how long it spent in the MPI-IO library, the global
+// filesystem, the local filesystem, the page cache, the RAID
+// organization, the disks, and the network.
 //
 // The paper's evaluation phase infers the binding I/O level
 // indirectly (measured rate ÷ characterized rate per level, the
@@ -88,22 +91,40 @@ func (m Mode) String() string {
 // a child's [start, end] nests inside its parent's. covered/coverEnd
 // incrementally accumulate the union of completed children, so the
 // parent's self time (time not inside any child) is exact even when
-// sim.Fork runs children in parallel.
+// sim.Fork runs children in parallel. A span opened by Enter carries
+// its component's recorder; one opened by Push carries a label.
 type span struct {
 	parent *span
-	level  telemetry.Level
+	rec    *telemetry.Recorder
 	comp   string
+	level  telemetry.Level
 	start  sim.Time
-	// remote marks spans opened beneath a global-filesystem span: work
-	// a file server's backend stack (local fs, cache, RAID, disks)
-	// performs on behalf of a remote request. The distinction keeps the
-	// span verdict comparable to the characterization, which measures
-	// the server-side stack as part of the network-FS level, not the
-	// compute node's local-FS level.
-	remote bool
 
 	coverEnd sim.Time     // right edge of the children union so far
 	covered  sim.Duration // total length of the children union
+}
+
+// remote reports whether s was opened beneath a global-filesystem
+// span: work a file server's backend stack (local fs, cache, RAID,
+// disks) performs on behalf of a remote request. The distinction
+// keeps the span verdict comparable to the characterization, which
+// measures the server-side stack as part of the network-FS level, not
+// the compute node's local-FS level.
+func (s *span) remote() bool {
+	for a := s.parent; a != nil; a = a.parent {
+		if a.level == telemetry.LevelGlobalFS {
+			return true
+		}
+	}
+	return false
+}
+
+// label names the span's component for diagnostics.
+func (s *span) label() string {
+	if s.rec != nil {
+		return s.rec.Component()
+	}
+	return s.comp
 }
 
 // shared is the per-request state common to every proc view.
@@ -201,12 +222,52 @@ func (r *Request) WithProc(child *sim.Proc) *Request {
 	return &Request{p: child, d: r.d, cur: r.cur}
 }
 
-// Push opens a span at the given level. Every layer entry point calls
-// Push and defers Pop, so the open-span chain at any instant is the
-// request's current position on the I/O path.
+// Push opens a span at the given level. Every layer entry point opens
+// a span (Push or Enter) and defers its close (Pop or Exit), so the
+// open-span chain at any instant is the request's current position on
+// the I/O path. Push is for spans that feed no queue gauge; comp
+// should be a label the component stores once, not one built per
+// request.
 func (r *Request) Push(level telemetry.Level, comp string) {
-	remote := r.cur != nil && (r.cur.remote || r.cur.level == telemetry.LevelGlobalFS)
-	r.cur = &span{parent: r.cur, level: level, comp: comp, start: r.p.Now(), remote: remote}
+	r.cur = &span{parent: r.cur, level: level, comp: comp, start: r.p.Now()}
+}
+
+// Enter opens a span at rec's level bound to rec and counts the
+// request in rec's queue-depth gauge. Observe then records on rec
+// over the span's interval, and Exit leaves the gauge and pops: one
+// recording point per layer boundary for both the path profile and
+// the component's counters.
+func (r *Request) Enter(rec *telemetry.Recorder) {
+	if rec == nil {
+		panic("ioreq: Enter with nil recorder")
+	}
+	r.cur = &span{parent: r.cur, rec: rec, level: rec.Level(), start: r.p.Now()}
+	rec.Enter()
+}
+
+// Observe records ops operations of class moving bytes on the
+// recorder of the open span, timed from the span's start to now. The
+// class need not be the request's op: lower-layer work done on the
+// request's behalf (a RAID-5 read-modify-write's reads) records as
+// what it is.
+func (r *Request) Observe(class telemetry.OpClass, ops, bytes int64) {
+	s := r.entered("Observe")
+	s.rec.Observe(class, ops, bytes, sim.Duration(r.p.Now()-s.start))
+}
+
+// Exit closes a span opened by Enter: the request leaves the
+// recorder's queue-depth gauge and the span pops.
+func (r *Request) Exit() {
+	r.entered("Exit").rec.Exit()
+	r.Pop()
+}
+
+// entered returns the open span, which must have been opened by Enter.
+func (r *Request) entered(op string) *span {
+	if r.cur == nil || r.cur.rec == nil {
+		panic("ioreq: " + op + " without a span opened by Enter")
+	}
+	return r.cur
 }
 
 // Pop closes the current span, records it into the collector, and
@@ -225,9 +286,9 @@ func (r *Request) Pop() {
 		// Cannot happen while children nest inside their parent; guard
 		// so a future layer bug surfaces as a loud failure, not a
 		// negative self time.
-		panic(fmt.Sprintf("ioreq: span %s/%s self time negative", s.level, s.comp))
+		panic(fmt.Sprintf("ioreq: span %s/%s self time negative", s.level, s.label()))
 	}
-	r.d.col.record(s.level, r.d.op.Class(), dur, self, s.parent == nil, s.remote)
+	r.d.col.record(s, r.d.op.Class(), dur, self)
 	if par := s.parent; par != nil {
 		if s.start >= par.coverEnd {
 			par.covered += dur

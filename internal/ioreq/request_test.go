@@ -2,6 +2,7 @@ package ioreq
 
 import (
 	"testing"
+	"unsafe"
 
 	"ioeval/internal/sim"
 	"ioeval/internal/telemetry"
@@ -133,6 +134,114 @@ func TestNilCollectorSafe(t *testing.T) {
 		r.Pop()
 	})
 	e.Run()
+}
+
+// TestEnterObserveExit checks the recorder-bound span: the recorder
+// receives exactly the class, ops and bytes passed, busy for the
+// span's whole interval, even when the class is not the request's op
+// (a write request's RAID-5 read-modify-write reads); the collector
+// sees the same interval as a span at the recorder's level.
+func TestEnterObserveExit(t *testing.T) {
+	e := sim.NewEngine()
+	col := NewCollector()
+	rec := telemetry.NewRecorder(e, "array:a", telemetry.LevelBlock, 1)
+	e.Spawn("req", func(p *sim.Proc) {
+		r := Writer(p).SetCollector(col)
+		p.Sleep(ms)
+		r.Enter(rec)
+		defer r.Exit()
+		p.Sleep(3 * ms)
+		r.Observe(telemetry.ClassRead, 2, 8192)
+	})
+	e.Run()
+	c := rec.Snapshot().Counters
+	if c.Read.Ops != 2 || c.Read.Bytes != 8192 || c.Read.Busy != 3*ms {
+		t.Errorf("recorder read = %+v, want 2 ops, 8192 B, 3ms busy", c.Read)
+	}
+	if c.Write.Ops != 0 || c.Meta.Ops != 0 {
+		t.Errorf("recorder write/meta ops = %d/%d, want 0/0", c.Write.Ops, c.Meta.Ops)
+	}
+	cell := col.Profile().Cell(telemetry.LevelBlock, telemetry.ClassWrite)
+	if cell.Busy != 3*ms || cell.Self != 3*ms {
+		t.Errorf("block span busy=%v self=%v, want 3ms/3ms", cell.Busy, cell.Self)
+	}
+}
+
+// TestEnterGauge checks the queue-depth gauge: two forked children
+// inside the component at once reach depth 2, and every Exit returns
+// the gauge to 0.
+func TestEnterGauge(t *testing.T) {
+	e := sim.NewEngine()
+	rec := telemetry.NewRecorder(e, "disk:d", telemetry.LevelDevice, 1)
+	e.Spawn("req", func(p *sim.Proc) {
+		r := Reader(p)
+		child := func(d sim.Duration) func(*sim.Proc) {
+			return func(c *sim.Proc) {
+				cr := r.WithProc(c)
+				cr.Enter(rec)
+				defer cr.Exit()
+				c.Sleep(d)
+			}
+		}
+		sim.Fork(p, "xfer", child(2*ms), child(4*ms))
+	})
+	e.Run()
+	c := rec.Snapshot().Counters
+	if c.QueueDepth != 0 || c.MaxQueueDepth != 2 {
+		t.Errorf("queue depth=%d max=%d, want 0/2", c.QueueDepth, c.MaxQueueDepth)
+	}
+}
+
+// TestEnterNilCollector checks that a request without a collector
+// still records on the span's recorder.
+func TestEnterNilCollector(t *testing.T) {
+	e := sim.NewEngine()
+	rec := telemetry.NewRecorder(e, "net:n", telemetry.LevelNetwork, 1)
+	e.Spawn("req", func(p *sim.Proc) {
+		r := Meta(p)
+		r.Enter(rec)
+		p.Sleep(ms)
+		r.Observe(telemetry.ClassWrite, 1, 512)
+		r.Exit()
+	})
+	e.Run()
+	if w := rec.Snapshot().Counters.Write; w.Ops != 1 || w.Bytes != 512 || w.Busy != ms {
+		t.Errorf("recorder write = %+v, want 1 op, 512 B, 1ms busy", w)
+	}
+}
+
+// TestObserveOnPushedSpanPanics pins that Observe and Exit need a span
+// opened by Enter: on a Push span they would drop the counters.
+func TestObserveOnPushedSpanPanics(t *testing.T) {
+	e := sim.NewEngine()
+	for _, tc := range []struct {
+		name string
+		call func(*Request)
+	}{
+		{"Observe", func(r *Request) { r.Observe(telemetry.ClassRead, 1, 0) }},
+		{"Exit", func(r *Request) { r.Exit() }},
+	} {
+		e.Spawn(tc.name, func(p *sim.Proc) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a pushed span did not panic", tc.name)
+				}
+			}()
+			r := Reader(p)
+			r.Push(telemetry.LevelCache, "cache:c")
+			tc.call(r)
+		})
+	}
+	e.Run()
+}
+
+// TestSpanSize pins the span at one 64-byte allocation: every layer
+// boundary allocates one, so a larger span shows in the benchmark's
+// allocated bytes.
+func TestSpanSize(t *testing.T) {
+	if n := unsafe.Sizeof(span{}); n > 64 {
+		t.Errorf("span is %d bytes, want <= 64", n)
+	}
 }
 
 // TestPopWithoutPushPanics pins the stack-discipline guard.

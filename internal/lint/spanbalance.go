@@ -13,46 +13,23 @@ import (
 // SpanBalanceCheck is the name of the spanbalance analyzer.
 const SpanBalanceCheck = "spanbalance"
 
-// SpanHelperFact marks a deliberate span-open/close helper: a
-// function whose whole body is a single span operation on its
-// Param-th parameter. Callers account the helper's Delta at the call
-// site, which closes the blind spot the old syntactic check
-// documented (a helper call with no Pop anywhere went unflagged).
-type SpanHelperFact struct {
-	// Param is the index of the *ioreq.Request / *telemetry.Recorder
-	// parameter the helper operates on.
-	Param int
-	// Delta is +1 for an open helper, -1 for a close helper.
-	Delta int
-	// Close names the closing method of the pair ("Pop" or "Exit").
-	Close string
-}
-
-// String implements Fact.
-func (f SpanHelperFact) String() string {
-	return fmt.Sprintf("span(param=%d, delta=%+d, close=%s)", f.Param, f.Delta, f.Close)
-}
-
-// spanFactKind keys helper facts in the store.
-const spanFactKind = "spanbalance"
-
 // SpanBalance returns the CFG-based analyzer enforcing that every
-// span opened on an *ioreq.Request (Push) or *telemetry.Recorder
-// (Enter, the concurrency gauge) is closed (Pop/Exit) on every
-// control-flow path out of the function — early returns, panics, and
-// loop back-edges included. Deferred closes count on every exit,
-// which is the idiomatic shape (`defer r.Pop()`); helper facts make
-// single-statement open/close helpers transparent to callers.
+// span opened on an *ioreq.Request (Push, or Enter on a component's
+// recorder) or a *telemetry.Recorder (Enter, the concurrency gauge)
+// is closed by its own pair (Pop, Exit) on every control-flow path
+// out of the function — early returns, panics, and loop back-edges
+// included. Deferred closes count on every exit, which is the
+// idiomatic shape (`defer r.Exit()`). Every function is checked on
+// its own: a helper that only opens a span is itself a leak.
 func SpanBalance() *Analyzer {
 	return &Analyzer{
 		Name: SpanBalanceCheck,
-		Doc: "Reports spans (ioreq.Request.Push / telemetry.Recorder.Enter) " +
+		Doc: "Reports spans (ioreq.Request.Push/Enter, telemetry.Recorder.Enter) " +
 			"that some control-flow path leaves open or closes twice. The " +
 			"span stack is shared by every caller above: one unbalanced " +
 			"path corrupts the whole request's attribution. Close on every " +
 			"path, usually with a defer right after the open.",
 		AppliesTo: notSpanPrimitive,
-		Facts:     spanBalanceFacts,
 		Run:       spanBalanceRun,
 	}
 }
@@ -70,57 +47,11 @@ type spanOp struct {
 	pos     token.Pos
 	stmtEnd token.Pos // end of the enclosing top-level node, for fix insertion
 	subject string    // canonical receiver text, e.g. "r" or "srv.rec"
-	delta   int
-	close   string // closing method name of the pair
-}
-
-// spanBalanceFacts exports SpanHelperFacts for single-statement
-// open/close helpers.
-func spanBalanceFacts(pass *Pass) {
-	p := pass.Package
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || len(fd.Body.List) != 1 {
-				continue
-			}
-			expr, ok := fd.Body.List[0].(*ast.ExprStmt)
-			if !ok {
-				continue
-			}
-			call, ok := expr.X.(*ast.CallExpr)
-			if !ok {
-				continue
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				continue
-			}
-			delta, closeName, ok := spanMethod(p, sel)
-			if !ok {
-				continue
-			}
-			recv, ok := sel.X.(*ast.Ident)
-			if !ok {
-				continue
-			}
-			obj := p.Info.Uses[recv]
-			paramIdx := -1
-			for i, field := range fd.Type.Params.List {
-				for _, name := range field.Names {
-					if p.Info.Defs[name] == obj {
-						paramIdx = i
-					}
-				}
-			}
-			if paramIdx < 0 {
-				continue
-			}
-			if fn, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
-				pass.Facts.Export(fn, spanFactKind, SpanHelperFact{Param: paramIdx, Delta: delta, Close: closeName})
-			}
-		}
-	}
+	// pair keys the depth: subject plus closing method, so a span
+	// opened by r.Enter and closed by r.Pop is a finding on both pairs.
+	pair  string
+	delta int
+	close string // closing method name of the pair
 }
 
 // spanMethod classifies a selector call as a span operation: ±1 and
@@ -134,6 +65,10 @@ func spanMethod(p *Package, sel *ast.SelectorExpr) (delta int, closeName string,
 			return +1, "Pop", true
 		case "Pop":
 			return -1, "Pop", true
+		case "Enter":
+			return +1, "Exit", true
+		case "Exit":
+			return -1, "Exit", true
 		}
 	case isRecorderRef(t):
 		switch sel.Sel.Name {
@@ -153,9 +88,6 @@ func spanBalanceRun(pass *Pass) []Diagnostic {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
-				continue
-			}
-			if _, isHelper := helperFact(pass, p.Info.Defs[fd.Name]); isHelper {
 				continue
 			}
 			out = append(out, spanBalanceFunc(pass, funcName(fd), pass.FuncCFG(fd))...)
@@ -184,19 +116,6 @@ func spanBalanceRun(pass *Pass) []Diagnostic {
 	return out
 }
 
-// helperFact resolves a span-helper fact for a function object.
-func helperFact(pass *Pass, obj types.Object) (SpanHelperFact, bool) {
-	if obj == nil {
-		return SpanHelperFact{}, false
-	}
-	f, ok := pass.Facts.Get(obj, spanFactKind)
-	if !ok {
-		return SpanHelperFact{}, false
-	}
-	hf, ok := f.(SpanHelperFact)
-	return hf, ok
-}
-
 // collectOps scans one CFG node (not descending into function
 // literals) for span operations, in source order.
 func collectOps(pass *Pass, n ast.Node) []spanOp {
@@ -213,14 +132,10 @@ func collectOps(pass *Pass, n ast.Node) []spanOp {
 		}
 		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 			if delta, closeName, ok := spanMethod(p, sel); ok {
+				subject := types.ExprString(sel.X)
 				ops = append(ops, spanOp{pos: call.Pos(), stmtEnd: stmtEnd,
-					subject: types.ExprString(sel.X), delta: delta, close: closeName})
-				return true
+					subject: subject, pair: subject + "." + closeName, delta: delta, close: closeName})
 			}
-		}
-		if hf, ok := helperFact(pass, calleeObj(p, call)); ok && hf.Param < len(call.Args) {
-			ops = append(ops, spanOp{pos: call.Pos(), stmtEnd: stmtEnd,
-				subject: types.ExprString(call.Args[hf.Param]), delta: hf.Delta, close: hf.Close})
 		}
 		return true
 	})
@@ -239,13 +154,12 @@ func calleeObj(p *Package, call *ast.CallExpr) types.Object {
 }
 
 // spanBalanceFunc walks every control-flow path of one function,
-// tracking per-subject span depth, and reports paths that leave a
+// tracking per-pair span depth, and reports paths that leave a
 // span open, close a span that is not open, or grow the depth around
-// a loop. Defers are path-sensitive: a deferred close (directly, via
-// a close helper, or inside a deferred literal) is accumulated when
-// the path actually executes the defer statement, and applied at
-// every exit that path reaches — an early return before the defer
-// gets no credit for it.
+// a loop. Defers are path-sensitive: a deferred close (directly or
+// inside a deferred literal) is accumulated when the path actually
+// executes the defer statement, and applied at every exit that path
+// reaches — an early return before the defer gets no credit for it.
 func spanBalanceFunc(pass *Pass, name string, g *CFG) []Diagnostic {
 	p := pass.Package
 	// Per-block op lists (immediate vs deferred) and whole-function
@@ -273,11 +187,11 @@ func spanBalanceFunc(pass *Pass, name string, g *CFG) []Diagnostic {
 			for _, op := range ops {
 				anyOps = true
 				if op.delta > 0 {
-					if _, ok := firstOpen[op.subject]; !ok {
-						firstOpen[op.subject] = op
+					if _, ok := firstOpen[op.pair]; !ok {
+						firstOpen[op.pair] = op
 					}
 				} else {
-					closeCount[op.subject]++
+					closeCount[op.pair]++
 				}
 			}
 		}
@@ -336,55 +250,56 @@ func spanBalanceFunc(pass *Pass, name string, g *CFG) []Diagnostic {
 		deferred := copyMap(st.deferred)
 		overgrown := false
 		for _, op := range blockImm[st.blk.Index] {
-			depth[op.subject] += op.delta
-			if depth[op.subject] < 0 {
-				report("neg:"+op.subject, diag(p, op.pos, SpanBalanceCheck,
+			depth[op.pair] += op.delta
+			if depth[op.pair] < 0 {
+				report("neg:"+op.pair, diag(p, op.pos, SpanBalanceCheck,
 					"%s closes a span on %s that is not open on every path reaching this point; a double close corrupts the span stack for every caller above",
 					name, op.subject))
-				depth[op.subject] = 0
+				depth[op.pair] = 0
 			}
-			if depth[op.subject] > 3 {
-				op := firstOpen[op.subject]
-				report("loop:"+op.subject, diag(p, op.pos, SpanBalanceCheck,
+			if depth[op.pair] > 3 {
+				op := firstOpen[op.pair]
+				report("loop:"+op.pair, diag(p, op.pos, SpanBalanceCheck,
 					"%s opens a span on %s inside a loop without closing it in the same iteration; the depth grows with the trip count",
 					name, op.subject))
 				overgrown = true
 			}
 		}
 		for _, op := range blockDef[st.blk.Index] {
-			deferred[op.subject] += op.delta
+			deferred[op.pair] += op.delta
 		}
 		if overgrown {
 			continue
 		}
 		for _, succ := range st.blk.Succs {
 			if succ == g.Exit {
-				// Check the union of open and deferred subjects, so a
+				// Check the union of open and deferred pairs, so a
 				// deferred close with no matching open is caught too.
 				total := copyMap(depth)
-				for subject, d := range deferred {
-					total[subject] += d
+				for pair, d := range deferred {
+					total[pair] += d
 				}
-				for subject, d := range total {
+				for pair, d := range total {
 					if d > 0 {
-						op := firstOpen[subject]
+						op := firstOpen[pair]
 						exitLine := ""
 						if t := st.blk.Term(); t != nil {
 							exitLine = fmt.Sprintf(" (e.g. the path through line %d)", p.Position(t.Pos()).Line)
 						}
 						d := diag(p, op.pos, SpanBalanceCheck,
 							"%s opens a span on %s that is not closed on every path%s; close it on all paths or defer the close right after the open",
-							name, subject, exitLine)
-						if closeCount[subject] == 0 {
-							d = withFix(d, fmt.Sprintf("insert `defer %s.%s()` after the open", subject, op.close),
+							name, op.subject, exitLine)
+						if closeCount[pair] == 0 {
+							d = withFix(d, fmt.Sprintf("insert `defer %s.%s()` after the open", op.subject, op.close),
 								TextEdit{Pos: op.stmtEnd, End: op.stmtEnd,
-									NewText: fmt.Sprintf("\ndefer %s.%s()", subject, op.close)})
+									NewText: fmt.Sprintf("\ndefer %s.%s()", op.subject, op.close)})
 						}
-						report("open:"+subject, d)
+						report("open:"+pair, d)
 					} else if d < 0 {
-						report("negexit:"+subject, diag(p, firstClosePos(blockImm, blockDef, g, subject), SpanBalanceCheck,
+						cl := firstClose(blockImm, blockDef, g, pair)
+						report("negexit:"+pair, diag(p, cl.pos, SpanBalanceCheck,
 							"%s closes more spans on %s than it opens on at least one path",
-							name, subject))
+							name, cl.subject))
 					}
 				}
 				continue
@@ -401,27 +316,24 @@ func spanBalanceFunc(pass *Pass, name string, g *CFG) []Diagnostic {
 	return out
 }
 
-// firstClosePos finds the first closing op position for a subject,
-// for anchoring over-close findings.
-func firstClosePos(blockImm, blockDef [][]spanOp, g *CFG, subject string) token.Pos {
+// firstClose finds the first closing op of a pair, for anchoring
+// over-close findings. A pair with a negative total always has one.
+func firstClose(blockImm, blockDef [][]spanOp, g *CFG, pair string) spanOp {
 	for _, ops := range [][][]spanOp{blockImm, blockDef} {
 		for _, blk := range g.Blocks {
 			for _, op := range ops[blk.Index] {
-				if op.subject == subject && op.delta < 0 {
-					return op.pos
+				if op.pair == pair && op.delta < 0 {
+					return op
 				}
 			}
 		}
 	}
-	if len(g.Entry.Nodes) > 0 {
-		return g.Entry.Nodes[0].Pos()
-	}
-	return token.NoPos
+	panic("lint: over-close with no closing op for " + pair)
 }
 
 // deferredOps extracts the span operations a deferred call performs:
-// a direct close (defer r.Pop()), a helper call, or the net ops of a
-// deferred function literal.
+// a direct close (defer r.Pop()) or the net ops of a deferred function
+// literal.
 func deferredOps(pass *Pass, call *ast.CallExpr) []spanOp {
 	if lit, ok := call.Fun.(*ast.FuncLit); ok {
 		var ops []spanOp

@@ -30,13 +30,6 @@ func (c *Cache) Flush(r *ioreq.Request) {
 	c.Resize(0)
 }
 
-// span is the push-only helper idiom: a single-Push body exported to
-// callers as a span fact, so they account the open at the call site
-// and pair it with `defer r.Pop()`.
-func (c *Cache) span(r *ioreq.Request) {
-	r.Push(3, c.name)
-}
-
 // Drop closes inside a deferred literal — the path-sensitive check
 // credits the deferred Pop on every exit the defer is scheduled on.
 func (c *Cache) Drop(r *ioreq.Request) {

@@ -1,9 +1,12 @@
 // Package ioreq is a miniature stand-in for the per-request context —
-// enough surface (Request, Push, Pop) for the reqpath fixtures to
-// type-check.
+// enough surface (Request, Push/Pop, Enter/Exit) for the reqpath and
+// spanbalance fixtures to type-check.
 package ioreq
 
-import "fixture/internal/sim"
+import (
+	"fixture/internal/sim"
+	"fixture/internal/telemetry"
+)
 
 // Request is a per-request context with a span stack.
 type Request struct {
@@ -19,3 +22,9 @@ func (r *Request) Push(level int, comp string) { r.depth++ }
 
 // Pop closes the current span.
 func (r *Request) Pop() { r.depth-- }
+
+// Enter opens a span bound to a component's recorder.
+func (r *Request) Enter(rec *telemetry.Recorder) { r.depth++ }
+
+// Exit closes a span opened by Enter.
+func (r *Request) Exit() { r.depth-- }

@@ -1,7 +1,7 @@
 // Package spanbalance exercises the CFG-based span-balance analyzer:
-// every Push/Enter must reach a Pop/Exit on every control-flow path,
-// with defers credited only on paths that actually schedule them and
-// single-statement helpers made transparent through facts.
+// every Push/Enter must reach its own Pop/Exit on every control-flow
+// path, with defers credited only on paths that actually schedule
+// them. Every function is checked on its own, helpers included.
 package spanbalance
 
 import (
@@ -13,23 +13,60 @@ import (
 
 var errFail = errors.New("fail")
 
-// Layer is a fixture component with the helper idiom.
+// Layer is a fixture component.
 type Layer struct {
 	name string
 	rec  *telemetry.Recorder
 }
 
-// span is the push-only helper; the analyzer exports it as a span
-// fact instead of flagging its unbalanced body.
+// span is a push-only helper: it leaves the span it opens open, so it
+// is a finding of its own; callers' pops are checked against nothing.
 func (l *Layer) span(r *ioreq.Request) {
-	r.Push(3, l.name)
+	r.Push(3, l.name) // want spanbalance "not closed on every path"
 }
 
-// GoodDefer is the idiomatic shape: helper open, deferred close.
+// GoodDefer is the idiomatic shape: open, deferred close.
 func (l *Layer) GoodDefer(r *ioreq.Request, n int64) int64 {
-	l.span(r)
+	r.Push(3, l.name)
 	defer r.Pop()
 	return n
+}
+
+// GoodEnter opens the span on the component's recorder and defers
+// its Exit.
+func (l *Layer) GoodEnter(r *ioreq.Request, fail bool) error {
+	r.Enter(l.rec)
+	defer r.Exit()
+	if fail {
+		return errFail
+	}
+	return nil
+}
+
+// BadEnterEarlyReturn skips the Exit on the error path.
+func (l *Layer) BadEnterEarlyReturn(r *ioreq.Request, fail bool) error {
+	r.Enter(l.rec) // want spanbalance "not closed on every path"
+	if fail {
+		return errFail
+	}
+	r.Exit()
+	return nil
+}
+
+// BadEnterDoubleExit exits twice on the fail path.
+func (l *Layer) BadEnterDoubleExit(r *ioreq.Request, fail bool) {
+	r.Enter(l.rec)
+	if fail {
+		r.Exit()
+	}
+	r.Exit() // want spanbalance "not open on every path reaching this point"
+}
+
+// BadEnterPop closes an Enter span with Pop: the gauge never drops.
+// Each pair is balanced on its own, so both halves are findings.
+func (l *Layer) BadEnterPop(r *ioreq.Request) {
+	r.Enter(l.rec) // want spanbalance "not closed on every path"
+	defer r.Pop()  // want spanbalance "closes more spans on r than it opens"
 }
 
 // GoodManual closes explicitly on both paths.
@@ -46,8 +83,8 @@ func (l *Layer) GoodManual(r *ioreq.Request, fail bool) error {
 // GoodPanic panics after the defer is scheduled: defers run during
 // the unwind, so the span still closes.
 func (l *Layer) GoodPanic(r *ioreq.Request, bad bool) {
-	l.span(r)
-	defer r.Pop()
+	r.Enter(l.rec)
+	defer r.Exit()
 	if bad {
 		panic("boom")
 	}
@@ -71,13 +108,6 @@ func (l *Layer) BadEarlyReturn(r *ioreq.Request, fail bool) error {
 	}
 	r.Pop()
 	return nil
-}
-
-// BadHelperNoPop is the old syntactic blind spot: the open hides in
-// the helper and nothing ever closes it. The fact makes the call
-// site accountable.
-func (l *Layer) BadHelperNoPop(r *ioreq.Request) {
-	l.span(r) // want spanbalance "not closed on every path"
 }
 
 // BadPanicFirst can panic before the defer is scheduled, so the

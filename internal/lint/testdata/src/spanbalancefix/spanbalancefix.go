@@ -20,21 +20,16 @@ type Layer struct {
 	rec  *telemetry.Recorder
 }
 
-// span is the push-only helper, exported as a fact.
-func (l *Layer) span(r *ioreq.Request) {
-	r.Push(3, l.name)
-}
-
 // LeakDirect never closes the span it opens.
 func (l *Layer) LeakDirect(r *ioreq.Request, n int64) int64 {
 	r.Push(3, l.name) // want spanbalance "not closed on every path"
 	return n
 }
 
-// LeakHelper opens through the helper and never closes, on either
+// LeakEnter opens a span on the recorder and never exits, on either
 // path.
-func (l *Layer) LeakHelper(r *ioreq.Request, fail bool) error {
-	l.span(r) // want spanbalance "not closed on every path"
+func (l *Layer) LeakEnter(r *ioreq.Request, fail bool) error {
+	r.Enter(l.rec) // want spanbalance "not closed on every path"
 	if fail {
 		return errFail
 	}

@@ -53,6 +53,7 @@ type DirectIOSetter interface {
 type File struct {
 	w       *World
 	path    string
+	label   string // root span label, pushed and popped on the trace event's clock reads
 	flags   int
 	mounts  []fs.Interface
 	handles []fs.Handle
@@ -77,6 +78,7 @@ func OpenFile(w *World, path string, flags int, mounts []fs.Interface, hints Hin
 	f := &File{
 		w:       w,
 		path:    path,
+		label:   "mpiio:" + path,
 		flags:   flags,
 		mounts:  mounts,
 		handles: make([]fs.Handle, w.Size()),
@@ -125,13 +127,6 @@ func (f *File) Aggregators() []int { return append([]int{}, f.aggs...) }
 // Path returns the file path.
 func (f *File) Path() string { return f.path }
 
-// span opens the library-level span on r: the root of the request's
-// span tree, stamped on the same clock reads as the trace event, so
-// summed root spans equal summed trace I/O time by construction.
-func (f *File) span(r *ioreq.Request) {
-	r.Push(telemetry.LevelLibrary, "mpiio:"+f.path)
-}
-
 // Open opens the file on the calling rank. Files opened by more than
 // one process are switched to direct I/O on filesystems that support
 // it (the NFS client): ROMIO cannot rely on close-to-open caching for
@@ -139,7 +134,7 @@ func (f *File) span(r *ioreq.Request) {
 func (f *File) Open(p *sim.Proc, rank int) error {
 	r := f.w.req(p, ioreq.OpMeta, rank)
 	t0 := p.Now()
-	f.span(r)
+	r.Push(telemetry.LevelLibrary, f.label)
 	h, err := f.mounts[rank].Open(r, f.path, f.flags)
 	if err != nil {
 		r.Pop()
@@ -179,7 +174,7 @@ func (f *File) handle(rank int) fs.Handle {
 func (f *File) WriteAt(p *sim.Proc, rank int, off, n int64) int64 {
 	r := f.w.req(p, ioreq.OpWrite, rank).SetPattern(ioreq.ModeSequential, n)
 	t0 := p.Now()
-	f.span(r)
+	r.Push(telemetry.LevelLibrary, f.label)
 	f.lock(r, rank, 1)
 	got := f.handle(rank).WriteAt(r, off, n)
 	r.Pop()
@@ -191,7 +186,7 @@ func (f *File) WriteAt(p *sim.Proc, rank int, off, n int64) int64 {
 func (f *File) ReadAt(p *sim.Proc, rank int, off, n int64) int64 {
 	r := f.w.req(p, ioreq.OpRead, rank).SetPattern(ioreq.ModeSequential, n)
 	t0 := p.Now()
-	f.span(r)
+	r.Push(telemetry.LevelLibrary, f.label)
 	f.lock(r, rank, 1)
 	got := f.handle(rank).ReadAt(r, off, n)
 	r.Pop()
@@ -207,7 +202,7 @@ func (f *File) WriteVec(p *sim.Proc, rank int, vecs []fs.IOVec) int64 {
 	}
 	r := f.w.req(p, ioreq.OpWrite, rank).SetPattern(vecMode(vecs), vecs[0].Len)
 	t0 := p.Now()
-	f.span(r)
+	r.Push(telemetry.LevelLibrary, f.label)
 	f.lock(r, rank, int64(len(vecs)))
 	got := f.handle(rank).WriteVec(r, vecs)
 	r.Pop()
@@ -223,7 +218,7 @@ func (f *File) ReadVec(p *sim.Proc, rank int, vecs []fs.IOVec) int64 {
 	}
 	r := f.w.req(p, ioreq.OpRead, rank).SetPattern(vecMode(vecs), vecs[0].Len)
 	t0 := p.Now()
-	f.span(r)
+	r.Push(telemetry.LevelLibrary, f.label)
 	f.lock(r, rank, int64(len(vecs)))
 	got := f.handle(rank).ReadVec(r, vecs)
 	r.Pop()
@@ -236,7 +231,7 @@ func (f *File) ReadVec(p *sim.Proc, rank int, vecs []fs.IOVec) int64 {
 func (f *File) Sync(p *sim.Proc, rank int) {
 	r := f.w.req(p, ioreq.OpMeta, rank)
 	t0 := p.Now()
-	f.span(r)
+	r.Push(telemetry.LevelLibrary, f.label)
 	f.handle(rank).Sync(r)
 	r.Pop()
 	f.w.trace(Event{Rank: rank, Op: OpSync, File: f.path, Offset: -1, Count: 1, T0: t0, T1: p.Now()})
@@ -246,7 +241,7 @@ func (f *File) Sync(p *sim.Proc, rank int) {
 func (f *File) Close(p *sim.Proc, rank int) {
 	r := f.w.req(p, ioreq.OpMeta, rank)
 	t0 := p.Now()
-	f.span(r)
+	r.Push(telemetry.LevelLibrary, f.label)
 	f.handle(rank).Close(r)
 	f.handles[rank] = nil
 	r.Pop()
@@ -270,7 +265,7 @@ func (f *File) ReadAtAll(p *sim.Proc, rank int, off, n int64) int64 {
 func (f *File) WriteVecAll(p *sim.Proc, rank int, vecs []fs.IOVec) int64 {
 	r := f.w.req(p, ioreq.OpWrite, rank).SetPattern(vecMode(vecs), vecBlock(vecs))
 	t0 := p.Now()
-	f.span(r)
+	r.Push(telemetry.LevelLibrary, f.label)
 	n := f.collective(r, rank, vecs, true)
 	r.Pop()
 	// One collective library call counts as one operation regardless
@@ -288,7 +283,7 @@ func (f *File) WriteVecAll(p *sim.Proc, rank int, vecs []fs.IOVec) int64 {
 func (f *File) ReadVecAll(p *sim.Proc, rank int, vecs []fs.IOVec) int64 {
 	r := f.w.req(p, ioreq.OpRead, rank).SetPattern(vecMode(vecs), vecBlock(vecs))
 	t0 := p.Now()
-	f.span(r)
+	r.Push(telemetry.LevelLibrary, f.label)
 	n := f.collective(r, rank, vecs, false)
 	r.Pop()
 	f.w.trace(Event{Rank: rank, Op: OpReadAll, File: f.path, Offset: firstOff(vecs),

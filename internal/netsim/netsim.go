@@ -213,8 +213,8 @@ func (n *Network) Send(r *ioreq.Request, from, to string, nb int64) {
 	if nb < 0 {
 		panic(fmt.Sprintf("netsim %q: negative send size", n.params.Name))
 	}
-	r.Push(telemetry.LevelNetwork, "net:"+n.params.Name)
-	defer r.Pop()
+	r.Enter(n.rec)
+	defer r.Exit()
 	p := r.Proc()
 	src, dst := n.NIC(from), n.NIC(to)
 	n.Stats.Messages++
@@ -229,17 +229,15 @@ func (n *Network) Send(r *ioreq.Request, from, to string, nb int64) {
 	// once, as a write. Busy time is the full message span including
 	// NIC contention — the receiver-observed transfer latency.
 	start := p.Now()
-	n.rec.Enter()
 	src.rec.Enter()
 	dst.rec.Enter()
 	defer func() {
 		el := sim.Duration(p.Now() - start)
-		n.rec.Observe(telemetry.ClassWrite, 1, nb, el)
+		r.Observe(telemetry.ClassWrite, 1, nb)
 		src.rec.Observe(telemetry.ClassWrite, 1, nb, el)
 		dst.rec.Observe(telemetry.ClassRead, 1, nb, el)
 		dst.rec.Exit()
 		src.rec.Exit()
-		n.rec.Exit()
 	}()
 	if from == to {
 		n.rec.Add("loopback_msgs", 1)

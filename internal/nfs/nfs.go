@@ -340,14 +340,9 @@ func (c *Client) metaRPC(r *ioreq.Request, fn func()) {
 	c.rec.Observe(telemetry.ClassMeta, 1, 0, sim.Duration(p.Now()-start))
 }
 
-// span opens the client's global-fs span on r.
-func (c *Client) span(r *ioreq.Request) {
-	r.Push(telemetry.LevelGlobalFS, "nfs:"+c.params.Name)
-}
-
 // Open implements fs.Interface.
 func (c *Client) Open(r *ioreq.Request, path string, flags int) (fs.Handle, error) {
-	c.span(r)
+	r.Push(telemetry.LevelGlobalFS, c.rec.Component())
 	defer r.Pop()
 	var h fs.Handle
 	var err error
@@ -370,7 +365,7 @@ func (c *Client) Open(r *ioreq.Request, path string, flags int) (fs.Handle, erro
 
 // Remove implements fs.Interface.
 func (c *Client) Remove(r *ioreq.Request, path string) error {
-	c.span(r)
+	r.Push(telemetry.LevelGlobalFS, c.rec.Component())
 	defer r.Pop()
 	var err error
 	c.metaRPC(r, func() {
@@ -392,7 +387,7 @@ func (c *Client) Stat(r *ioreq.Request, path string) (fs.FileInfo, error) {
 		c.Stats.AttrCacheHits++
 		return fi, nil
 	}
-	c.span(r)
+	r.Push(telemetry.LevelGlobalFS, c.rec.Component())
 	defer r.Pop()
 	var fi fs.FileInfo
 	var err error
@@ -405,7 +400,7 @@ func (c *Client) Stat(r *ioreq.Request, path string) (fs.FileInfo, error) {
 
 // Sync implements fs.Interface: a COMMIT RPC plus a server-side sync.
 func (c *Client) Sync(r *ioreq.Request) {
-	c.span(r)
+	r.Push(telemetry.LevelGlobalFS, c.rec.Component())
 	defer r.Pop()
 	c.metaRPC(r, func() { c.srv.backend.Sync(r) })
 }
@@ -418,7 +413,7 @@ func (c *Client) LockUnlock(r *ioreq.Request, count int64) {
 	if count <= 0 {
 		return
 	}
-	c.span(r)
+	r.Push(telemetry.LevelGlobalFS, c.rec.Component())
 	defer r.Pop()
 	p := r.Proc()
 	c.awaitServer(r)
@@ -495,20 +490,16 @@ func (c *Client) rpcRead(r *ioreq.Request, srvHandle fs.Handle, off, n int64) in
 func (h *remoteHandle) ReadAt(r *ioreq.Request, off, n int64) int64 {
 	h.check()
 	c := h.c
-	c.span(r)
-	defer r.Pop()
-	p := r.Proc()
-	c.rec.Enter()
-	start := p.Now()
-	defer c.rec.Exit()
+	r.Enter(c.rec)
+	defer r.Exit()
 	if got, ok := h.cachedRead(r, off, n); ok {
 		c.rec.Add("cache_read_bytes", got)
-		c.rec.Observe(telemetry.ClassRead, 1, got, sim.Duration(p.Now()-start))
+		r.Observe(telemetry.ClassRead, 1, got)
 		return got
 	}
 	got := c.rpcRead(r, h.srvHandle, off, n)
 	c.Stats.BytesRead += got
-	c.rec.Observe(telemetry.ClassRead, 1, got, sim.Duration(p.Now()-start))
+	r.Observe(telemetry.ClassRead, 1, got)
 	return got
 }
 
@@ -545,15 +536,12 @@ func (c *Client) rpcWriteUnstable(r *ioreq.Request, srvHandle fs.Handle, off, n 
 func (h *remoteHandle) WriteAt(r *ioreq.Request, off, n int64) int64 {
 	h.check()
 	c := h.c
-	c.span(r)
-	defer r.Pop()
+	r.Enter(c.rec)
+	defer r.Exit()
 	p := r.Proc()
-	c.rec.Enter()
-	start := p.Now()
-	defer c.rec.Exit()
 	if put, ok := h.cachedWrite(r, off, n); ok {
 		c.rec.Add("cache_write_bytes", put)
-		c.rec.Observe(telemetry.ClassWrite, 1, put, sim.Duration(p.Now()-start))
+		r.Observe(telemetry.ClassWrite, 1, put)
 		return put
 	}
 	put := c.rpcWriteUnstable(r, h.srvHandle, off, n)
@@ -561,7 +549,7 @@ func (h *remoteHandle) WriteAt(r *ioreq.Request, off, n int64) int64 {
 	c.srv.gen[h.path]++
 	c.Stats.BytesWritten += put
 	delete(c.attrCache, h.path)
-	c.rec.Observe(telemetry.ClassWrite, 1, put, sim.Duration(p.Now()-start))
+	r.Observe(telemetry.ClassWrite, 1, put)
 	return put
 }
 
@@ -576,12 +564,9 @@ func (h *remoteHandle) ReadVec(r *ioreq.Request, vecs []fs.IOVec) int64 {
 		return 0
 	}
 	c := h.c
-	c.span(r)
-	defer r.Pop()
+	r.Enter(c.rec)
+	defer r.Exit()
 	p := r.Proc()
-	c.rec.Enter()
-	start := p.Now()
-	defer c.rec.Exit()
 	if c.dataCache != nil && !h.direct {
 		var got int64
 		for _, v := range vecs {
@@ -592,7 +577,7 @@ func (h *remoteHandle) ReadVec(r *ioreq.Request, vecs []fs.IOVec) int64 {
 			}
 			got += n
 		}
-		c.rec.Observe(telemetry.ClassRead, int64(len(vecs)), got, sim.Duration(p.Now()-start))
+		r.Observe(telemetry.ClassRead, int64(len(vecs)), got)
 		return got
 	}
 	count := int64(len(vecs))
@@ -612,7 +597,7 @@ func (h *remoteHandle) ReadVec(r *ioreq.Request, vecs []fs.IOVec) int64 {
 	c.net.Send(r, c.srv.node, c.node, rpcHeaderBytes*count+got)
 	c.Stats.BytesRead += got
 	c.srv.Stats.BytesRead += got
-	c.rec.Observe(telemetry.ClassRead, count, got, sim.Duration(p.Now()-start))
+	r.Observe(telemetry.ClassRead, count, got)
 	return got
 }
 
@@ -623,12 +608,9 @@ func (h *remoteHandle) WriteVec(r *ioreq.Request, vecs []fs.IOVec) int64 {
 		return 0
 	}
 	c := h.c
-	c.span(r)
-	defer r.Pop()
+	r.Enter(c.rec)
+	defer r.Exit()
 	p := r.Proc()
-	c.rec.Enter()
-	start := p.Now()
-	defer c.rec.Exit()
 	if c.dataCache != nil && !h.direct {
 		var put int64
 		for _, v := range vecs {
@@ -641,7 +623,7 @@ func (h *remoteHandle) WriteVec(r *ioreq.Request, vecs []fs.IOVec) int64 {
 			}
 			put += n
 		}
-		c.rec.Observe(telemetry.ClassWrite, int64(len(vecs)), put, sim.Duration(p.Now()-start))
+		r.Observe(telemetry.ClassWrite, int64(len(vecs)), put)
 		return put
 	}
 	count := int64(len(vecs))
@@ -665,14 +647,14 @@ func (h *remoteHandle) WriteVec(r *ioreq.Request, vecs []fs.IOVec) int64 {
 	c.Stats.BytesWritten += put
 	c.srv.Stats.BytesWritten += put
 	delete(c.attrCache, h.path)
-	c.rec.Observe(telemetry.ClassWrite, count, put, sim.Duration(p.Now()-start))
+	r.Observe(telemetry.ClassWrite, count, put)
 	return put
 }
 
 // Sync implements fs.Handle: flush write-behind data, then COMMIT.
 func (h *remoteHandle) Sync(r *ioreq.Request) {
 	h.check()
-	h.c.span(r)
+	r.Push(telemetry.LevelGlobalFS, h.c.rec.Component())
 	defer r.Pop()
 	h.flushAndCommit(r)
 	h.c.metaRPC(r, func() { h.srvHandle.Sync(r) })
@@ -684,7 +666,7 @@ func (h *remoteHandle) Sync(r *ioreq.Request) {
 // path on the server).
 func (h *remoteHandle) Close(r *ioreq.Request) {
 	h.check()
-	h.c.span(r)
+	r.Push(telemetry.LevelGlobalFS, h.c.rec.Component())
 	defer r.Pop()
 	h.flushAndCommit(r)
 	h.closed = true

@@ -84,7 +84,8 @@ func (h *pfsHandle) stripeMap(vecs []fs.IOVec) []serverOp {
 // transfer executes the striped request: all touched servers work
 // concurrently; per server the client pays request envelopes, the
 // wire carries the aggregate data, and the server performs the
-// subfile I/O on its local stack.
+// subfile I/O on its local stack. The caller has entered the
+// client's recorder on r; transfer observes the request on it.
 func (h *pfsHandle) transfer(r *ioreq.Request, ops []serverOp, write bool) int64 {
 	c := h.c
 	sys := c.sys
@@ -92,9 +93,6 @@ func (h *pfsHandle) transfer(r *ioreq.Request, ops []serverOp, write bool) int64
 	if write {
 		class = telemetry.ClassWrite
 	}
-	start := r.Now()
-	c.rec.Enter()
-	defer c.rec.Exit()
 	var fns []func(*sim.Proc)
 	var total int64
 	var errs []error
@@ -152,7 +150,7 @@ func (h *pfsHandle) transfer(r *ioreq.Request, ops []serverOp, write bool) int64
 	} else {
 		c.Stats.BytesRead += total
 	}
-	c.rec.Observe(class, 1, total, sim.Duration(r.Now()-start))
+	r.Observe(class, 1, total)
 	return total
 }
 
@@ -162,8 +160,8 @@ func (h *pfsHandle) WriteAt(r *ioreq.Request, off, n int64) int64 {
 	if n == 0 {
 		return 0
 	}
-	h.c.span(r)
-	defer r.Pop()
+	r.Enter(h.c.rec)
+	defer r.Exit()
 	put := h.transfer(r, h.stripeMap([]fs.IOVec{{Off: off, Len: n}}), true)
 	h.grow(off + n)
 	return put
@@ -182,8 +180,8 @@ func (h *pfsHandle) ReadAt(r *ioreq.Request, off, n int64) int64 {
 	if n == 0 {
 		return 0
 	}
-	h.c.span(r)
-	defer r.Pop()
+	r.Enter(h.c.rec)
+	defer r.Exit()
 	return h.transfer(r, h.stripeMap([]fs.IOVec{{Off: off, Len: n}}), false)
 }
 
@@ -193,8 +191,8 @@ func (h *pfsHandle) WriteVec(r *ioreq.Request, vecs []fs.IOVec) int64 {
 	if len(vecs) == 0 {
 		return 0
 	}
-	h.c.span(r)
-	defer r.Pop()
+	r.Enter(h.c.rec)
+	defer r.Exit()
 	var maxEnd int64
 	for _, v := range vecs {
 		if end := v.Off + v.Len; end > maxEnd {
@@ -225,8 +223,8 @@ func (h *pfsHandle) ReadVec(r *ioreq.Request, vecs []fs.IOVec) int64 {
 	if len(clamped) == 0 {
 		return 0
 	}
-	h.c.span(r)
-	defer r.Pop()
+	r.Enter(h.c.rec)
+	defer r.Exit()
 	sort.Slice(clamped, func(i, j int) bool { return clamped[i].Off < clamped[j].Off })
 	return h.transfer(r, h.stripeMap(clamped), false)
 }
@@ -248,7 +246,7 @@ func (h *pfsHandle) Sync(r *ioreq.Request) {
 func (h *pfsHandle) Close(r *ioreq.Request) {
 	h.check()
 	h.closed = true
-	h.c.span(r)
+	r.Push(telemetry.LevelGlobalFS, h.c.rec.Component())
 	defer r.Pop()
 	// A nil-op metadata RPC cannot fail; fs.Handle.Close has no
 	// error to propagate anyway.

@@ -179,11 +179,6 @@ func (c *Client) Node() string { return c.node }
 // metaServer is the metadata daemon (server 0).
 func (c *Client) metaServer() *Server { return c.sys.servers[0] }
 
-// span opens the client's global-fs span on r.
-func (c *Client) span(r *ioreq.Request) {
-	r.Push(telemetry.LevelGlobalFS, "pfs:"+c.sys.params.Name)
-}
-
 // metaRPC performs a metadata request against server 0.
 func (c *Client) metaRPC(r *ioreq.Request, fn func() error) error {
 	srv := c.metaServer()
@@ -210,7 +205,7 @@ func (c *Client) metaRPC(r *ioreq.Request, fn func() error) error {
 
 // Open implements fs.Interface.
 func (c *Client) Open(r *ioreq.Request, path string, flags int) (fs.Handle, error) {
-	c.span(r)
+	r.Push(telemetry.LevelGlobalFS, c.rec.Component())
 	defer r.Pop()
 	err := c.metaRPC(r, func() error {
 		_, exists := c.sys.sizes[path]
@@ -233,7 +228,7 @@ func (c *Client) Open(r *ioreq.Request, path string, flags int) (fs.Handle, erro
 
 // Remove implements fs.Interface.
 func (c *Client) Remove(r *ioreq.Request, path string) error {
-	c.span(r)
+	r.Push(telemetry.LevelGlobalFS, c.rec.Component())
 	defer r.Pop()
 	return c.metaRPC(r, func() error {
 		if _, ok := c.sys.sizes[path]; !ok {
@@ -255,7 +250,7 @@ func (c *Client) Remove(r *ioreq.Request, path string) error {
 
 // Stat implements fs.Interface.
 func (c *Client) Stat(r *ioreq.Request, path string) (fs.FileInfo, error) {
-	c.span(r)
+	r.Push(telemetry.LevelGlobalFS, c.rec.Component())
 	defer r.Pop()
 	var fi fs.FileInfo
 	err := c.metaRPC(r, func() error {
@@ -271,7 +266,7 @@ func (c *Client) Stat(r *ioreq.Request, path string) (fs.FileInfo, error) {
 
 // Sync implements fs.Interface: flush every server's backend.
 func (c *Client) Sync(r *ioreq.Request) {
-	c.span(r)
+	r.Push(telemetry.LevelGlobalFS, c.rec.Component())
 	defer r.Pop()
 	fns := make([]func(*sim.Proc), len(c.sys.servers))
 	for i := range c.sys.servers {

@@ -228,14 +228,9 @@ func (a *Array) ReadAt(r *ioreq.Request, off, n int64) {
 	if n == 0 {
 		return
 	}
-	r.Push(telemetry.LevelBlock, "array:"+a.name)
-	defer r.Pop()
-	a.rec.Enter()
-	start := r.Now()
-	defer func() {
-		a.rec.Observe(telemetry.ClassRead, 1, n, sim.Duration(r.Now()-start))
-		a.rec.Exit()
-	}()
+	r.Enter(a.rec)
+	defer r.Exit()
+	defer r.Observe(telemetry.ClassRead, 1, n)
 	switch a.level {
 	case JBOD:
 		a.runPerDisk(r, mergeSegments(a.mapConcat(off, n)), false)
@@ -256,14 +251,9 @@ func (a *Array) WriteAt(r *ioreq.Request, off, n int64) {
 	if n == 0 {
 		return
 	}
-	r.Push(telemetry.LevelBlock, "array:"+a.name)
-	defer r.Pop()
-	a.rec.Enter()
-	start := r.Now()
-	defer func() {
-		a.rec.Observe(telemetry.ClassWrite, 1, n, sim.Duration(r.Now()-start))
-		a.rec.Exit()
-	}()
+	r.Enter(a.rec)
+	defer r.Exit()
+	defer r.Observe(telemetry.ClassWrite, 1, n)
 	switch a.level {
 	case JBOD:
 		a.runPerDisk(r, mergeSegments(a.mapConcat(off, n)), true)
@@ -288,7 +278,7 @@ func (a *Array) WriteAt(r *ioreq.Request, off, n int64) {
 // Flush implements device.BlockDev: all healthy members flush in
 // parallel.
 func (a *Array) Flush(r *ioreq.Request) {
-	r.Push(telemetry.LevelBlock, "array:"+a.name)
+	r.Push(telemetry.LevelBlock, a.rec.Component())
 	defer r.Pop()
 	start := r.Now()
 	defer func() {
