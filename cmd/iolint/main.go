@@ -1,8 +1,8 @@
 // Command iolint runs the repo-native static-analysis suite
-// (internal/lint) over the module: determinism, lock discipline,
-// unchecked errors, flow-sensitive unit safety, telemetry-probe
-// conformance, request-path signatures, path-sensitive span balance,
-// wall-clock taint tracking and fault-plan hygiene — the invariants
+// (internal/lint) over the module: determinism (wall clock, global
+// rand, map order), lock discipline, unchecked errors, flow-sensitive
+// unit safety, telemetry-probe conformance, request-path signatures,
+// defer-shaped span balance and fault-plan hygiene — the invariants
 // behind the methodology's byte-identical reports.
 //
 // Usage:
@@ -12,7 +12,6 @@
 //	go run ./cmd/iolint -list          # describe the analyzers
 //	go run ./cmd/iolint -json ./...    # findings as a JSON array
 //	go run ./cmd/iolint -fix ./...     # apply suggested fixes in place
-//	go run ./cmd/iolint -facts ./...   # dump the cross-package fact store
 //
 // Exit codes are a contract CI relies on: 0 on a clean tree, 1 when
 // findings are reported, 2 on usage errors or when any package fails
@@ -30,6 +29,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 
 	"ioeval/internal/lint"
@@ -47,7 +47,6 @@ func run(args []string, out, errw io.Writer) int {
 	list := flags.Bool("list", false, "list the analyzers and the invariants they enforce")
 	asJSON := flags.Bool("json", false, "emit findings as a JSON array (file/line/col/check/message/fixable)")
 	fix := flags.Bool("fix", false, "apply suggested fixes in place, then report what remains")
-	facts := flags.Bool("facts", false, "dump the cross-package fact store instead of findings")
 	if err := flags.Parse(args); err != nil {
 		return 2
 	}
@@ -79,13 +78,6 @@ func run(args []string, out, errw io.Writer) int {
 
 	runner := &lint.Runner{Analyzers: analyzers}
 	diags := runner.Run(pkgs)
-	if *facts {
-		report(out, "%s", runner.Facts.Dump())
-		if len(loadErrs) > 0 {
-			return 2
-		}
-		return 0
-	}
 	if *fix {
 		var err error
 		diags, err = applyFixes(modDir, pkgs, runner, diags, out)
@@ -134,6 +126,7 @@ func applyFixes(modDir string, pkgs []*lint.Package, runner *lint.Runner, diags 
 	for name := range res.Files {
 		files = append(files, name)
 	}
+	sort.Strings(files)
 	for _, name := range files {
 		if err := os.WriteFile(name, res.Files[name], 0o644); err != nil {
 			return nil, err

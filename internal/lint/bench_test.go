@@ -5,13 +5,9 @@ import (
 	"testing"
 )
 
-// BenchmarkLintModule prices a whole-repo iolint run (everything
-// after loading: fact computation, CFG construction, analyzer
-// passes, suppression). The facts-cold variant recomputes the
-// module-wide fact store every iteration — the cost a fresh CLI run
-// pays — while facts-warm reuses a pre-computed store, isolating the
-// dataflow passes from the fact fixpoints. The spread between the
-// two is the price of the cross-package fact engine.
+// BenchmarkLintModule prices a whole-repo iolint run: everything after
+// loading (analyzer passes and suppression), as a fresh CLI run pays
+// it.
 func BenchmarkLintModule(b *testing.B) {
 	loader, err := NewLoader(filepath.Join("..", ".."))
 	if err != nil {
@@ -24,24 +20,12 @@ func BenchmarkLintModule(b *testing.B) {
 	if len(pkgs) < 20 {
 		b.Fatalf("LoadAll found only %d packages", len(pkgs))
 	}
-
-	b.Run("facts-cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			runner := &Runner{Analyzers: DefaultAnalyzers()}
-			if diags := runner.Run(pkgs); len(diags) > 0 {
-				b.Fatalf("tree not clean: %d finding(s)", len(diags))
-			}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runner := &Runner{Analyzers: DefaultAnalyzers()}
+		if diags := runner.Run(pkgs); len(diags) > 0 {
+			b.Fatalf("tree not clean: %d finding(s)", len(diags))
 		}
-	})
-
-	b.Run("facts-warm", func(b *testing.B) {
-		facts := ComputeFacts(pkgs, DefaultAnalyzers())
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			runner := &Runner{Analyzers: DefaultAnalyzers(), Facts: facts}
-			if diags := runner.Run(pkgs); len(diags) > 0 {
-				b.Fatalf("tree not clean: %d finding(s)", len(diags))
-			}
-		}
-	})
+	}
 }

@@ -31,8 +31,7 @@ func Determinism() *Analyzer {
 	}
 }
 
-func determinismRun(pass *Pass) []Diagnostic {
-	p := pass.Package
+func determinismRun(p *Package) []Diagnostic {
 	var out []Diagnostic
 	for _, f := range p.Files {
 		funcScopes(f, func(body *ast.BlockStmt) {

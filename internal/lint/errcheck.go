@@ -29,8 +29,7 @@ func ErrCheck() *Analyzer {
 	}
 }
 
-func errCheckRun(pass *Pass) []Diagnostic {
-	p := pass.Package
+func errCheckRun(p *Package) []Diagnostic {
 	var out []Diagnostic
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {

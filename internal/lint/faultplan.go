@@ -1,43 +1,12 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // FaultPlanCheck is the name of the faultplan analyzer.
 const FaultPlanCheck = "faultplan"
-
-// planFactKind keys plan-consumer facts in the store.
-const planFactKind = "faultplan"
-
-// PlanConsumerFact marks which fault.Plan-typed parameters of a
-// function are actually consumed — forwarded toward fault.Apply,
-// stored, or returned — as opposed to merely read. It is exported for
-// every function with a Plan parameter, so for module-internal
-// callees an absent bit is a definitive "not consumed", while callees
-// without any fact (stdlib, function values) get the benefit of the
-// doubt.
-type PlanConsumerFact struct {
-	// Params is the bitmask of consumed parameter indices.
-	Params uint64
-}
-
-// String implements Fact.
-func (f PlanConsumerFact) String() string {
-	var parts []string
-	for i := 0; i < 64; i++ {
-		if f.Params&(1<<i) != 0 {
-			parts = append(parts, fmt.Sprintf("p%d", i))
-		}
-	}
-	if len(parts) == 0 {
-		return "consumes()"
-	}
-	return "consumes(" + strings.Join(parts, ",") + ")"
-}
 
 // FaultPlan returns the analyzer enforcing the fault-plane
 // construction contract: every non-empty fault.Plan literal names
@@ -45,18 +14,27 @@ func (f PlanConsumerFact) String() string {
 // break replay and reporting), NetFlap/NFSStall events carry a
 // Duration (a zero-length outage is a no-op the report still labels
 // degraded), and every constructed plan is eventually armed —
-// reaches fault.Apply, possibly through intermediate functions,
-// tracked via consumer facts.
+// reaches fault.Apply, possibly through intermediate functions of
+// the same package. Callees in other packages get the benefit of the
+// doubt: passing a plan to one counts as arming it.
 func FaultPlan() *Analyzer {
 	return &Analyzer{
 		Name: FaultPlanCheck,
 		Doc: "Reports non-empty fault.Plan literals missing Name or Seed, " +
 			"NetFlap/NFSStall events missing Duration, and plans that are " +
 			"constructed but never reach fault.Apply (directly or through a " +
-			"plan-consuming callee, tracked cross-package via facts).",
-		Facts: faultPlanFacts,
-		Run:   faultPlanRun,
+			"plan-consuming callee; only same-package callees are inspected).",
+		Run: faultPlanRun,
 	}
+}
+
+// planScan is the faultplan view of one package: for every function
+// it declares with fault.Plan-typed parameters, the bitmask of those
+// parameters the function consumes — forwards toward fault.Apply,
+// stores or returns — as opposed to merely reads.
+type planScan struct {
+	p         *Package
+	consumers map[types.Object]uint64
 }
 
 // isFaultPlan matches fault.Plan or *fault.Plan (by package name, so
@@ -73,43 +51,40 @@ func isFaultPlan(t types.Type) bool {
 	return obj.Name() == "Plan" && obj.Pkg() != nil && obj.Pkg().Name() == "fault"
 }
 
-// faultPlanFacts exports a PlanConsumerFact for every function with a
-// Plan-typed parameter, iterating so intra-package forwarding chains
-// converge (imports are already done, courtesy of dependency order).
-func faultPlanFacts(pass *Pass) {
+// scanConsumers fills the consumer masks, iterating so
+// intra-package forwarding chains converge.
+func (ps *planScan) scanConsumers() {
 	for iter := 0; iter < 4; iter++ {
 		changed := false
-		for _, f := range pass.Files {
+		for _, f := range ps.p.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
 					continue
 				}
-				fn, ok := pass.Info.Defs[fd.Name].(*types.Func)
+				fn, ok := ps.p.Info.Defs[fd.Name].(*types.Func)
 				if !ok {
 					continue
 				}
-				sig := fn.Type().(*types.Signature)
+				params := fn.Type().(*types.Signature).Params()
 				tracked := map[types.Object]bool{}
-				var planParams []int
-				for i := 0; i < sig.Params().Len() && i < 64; i++ {
-					if isFaultPlan(sig.Params().At(i).Type()) {
-						tracked[sig.Params().At(i)] = true
-						planParams = append(planParams, i)
+				for i := 0; i < params.Len() && i < 64; i++ {
+					if isFaultPlan(params.At(i).Type()) {
+						tracked[params.At(i)] = true
 					}
 				}
-				if len(planParams) == 0 {
+				if len(tracked) == 0 {
 					continue
 				}
-				consumed := consumedObjects(pass, fd.Body, tracked)
-				fact := PlanConsumerFact{}
-				for _, i := range planParams {
-					if consumed[sig.Params().At(i)] {
-						fact.Params |= 1 << i
+				consumed := ps.consumedObjects(fd.Body, tracked)
+				var mask uint64
+				for i := 0; i < params.Len() && i < 64; i++ {
+					if consumed[params.At(i)] {
+						mask |= 1 << i
 					}
 				}
-				if prev, ok := pass.Facts.Get(fn, planFactKind); !ok || prev.String() != fact.String() {
-					pass.Facts.Export(fn, planFactKind, fact)
+				if prev, ok := ps.consumers[fn]; !ok || prev != mask {
+					ps.consumers[fn] = mask
 					changed = true
 				}
 			}
@@ -120,23 +95,25 @@ func faultPlanFacts(pass *Pass) {
 	}
 }
 
-func faultPlanRun(pass *Pass) []Diagnostic {
+func faultPlanRun(p *Package) []Diagnostic {
+	ps := &planScan{p: p, consumers: map[types.Object]uint64{}}
+	ps.scanConsumers()
 	var out []Diagnostic
-	for _, f := range pass.Files {
+	for _, f := range p.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			out = append(out, faultPlanFunc(pass, fd)...)
+			out = append(out, ps.checkFunc(fd)...)
 		}
 	}
 	return out
 }
 
-// faultPlanFunc checks every fault.Plan literal in one function.
-func faultPlanFunc(pass *Pass, fd *ast.FuncDecl) []Diagnostic {
-	p := pass.Package
+// checkFunc checks every fault.Plan literal in one function.
+func (ps *planScan) checkFunc(fd *ast.FuncDecl) []Diagnostic {
+	p := ps.p
 	var out []Diagnostic
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		lit, ok := n.(*ast.CompositeLit)
@@ -168,7 +145,7 @@ func faultPlanFunc(pass *Pass, fd *ast.FuncDecl) []Diagnostic {
 				out = append(out, checkPlanEvents(p, events)...)
 			}
 		}
-		if !planLiteralConsumed(pass, fd.Body, lit) {
+		if !ps.literalConsumed(fd.Body, lit) {
 			out = append(out, diag(p, lit.Pos(), FaultPlanCheck,
 				"fault.Plan is constructed but never armed; pass it to fault.Apply (directly or through a plan-consuming function) or its events never fire"))
 		}
@@ -221,9 +198,9 @@ func checkPlanEvents(p *Package, events ast.Expr) []Diagnostic {
 	return out
 }
 
-// planLiteralConsumed reports whether the literal itself is consumed
-// at its use site, or flows into a local whose later uses consume it.
-func planLiteralConsumed(pass *Pass, body *ast.BlockStmt, lit *ast.CompositeLit) bool {
+// literalConsumed reports whether the literal itself is consumed at
+// its use site, or flows into a local whose later uses consume it.
+func (ps *planScan) literalConsumed(body *ast.BlockStmt, lit *ast.CompositeLit) bool {
 	tracked := map[types.Object]bool{}
 	litConsumed := false
 	// First pass: classify the literal's own position and collect the
@@ -232,11 +209,11 @@ func planLiteralConsumed(pass *Pass, body *ast.BlockStmt, lit *ast.CompositeLit)
 		if n != lit {
 			return
 		}
-		switch classifyUse(pass, lit, stack) {
+		switch ps.classifyUse(lit, stack) {
 		case useConsumed:
 			litConsumed = true
 		case useAliased:
-			for _, obj := range aliasTargets(pass.Package, lit, stack) {
+			for _, obj := range aliasTargets(ps.p, lit, stack) {
 				tracked[obj] = true
 			}
 		}
@@ -247,7 +224,7 @@ func planLiteralConsumed(pass *Pass, body *ast.BlockStmt, lit *ast.CompositeLit)
 	if len(tracked) == 0 {
 		return false
 	}
-	consumed := consumedObjects(pass, body, tracked)
+	consumed := ps.consumedObjects(body, tracked)
 	armed := false
 	for obj := range tracked {
 		if consumed[obj] {
@@ -260,7 +237,7 @@ func planLiteralConsumed(pass *Pass, body *ast.BlockStmt, lit *ast.CompositeLit)
 // consumedObjects scans a body for consuming uses of the tracked
 // objects, propagating through local aliases, and returns the set of
 // originally tracked objects that are (transitively) consumed.
-func consumedObjects(pass *Pass, body *ast.BlockStmt, tracked map[types.Object]bool) map[types.Object]bool {
+func (ps *planScan) consumedObjects(body *ast.BlockStmt, tracked map[types.Object]bool) map[types.Object]bool {
 	// aliasOf maps a local to the tracked roots flowing into it.
 	roots := map[types.Object]map[types.Object]bool{}
 	for obj := range tracked {
@@ -275,17 +252,17 @@ func consumedObjects(pass *Pass, body *ast.BlockStmt, tracked map[types.Object]b
 			if !ok {
 				return
 			}
-			obj := pass.Info.Uses[id]
+			obj := ps.p.Info.Uses[id]
 			if obj == nil || roots[obj] == nil {
 				return
 			}
-			switch classifyUse(pass, id, stack) {
+			switch ps.classifyUse(id, stack) {
 			case useConsumed:
 				for root := range roots[obj] {
 					consumed[root] = true
 				}
 			case useAliased:
-				for _, target := range aliasTargets(pass.Package, id, stack) {
+				for _, target := range aliasTargets(ps.p, id, stack) {
 					if roots[target] == nil {
 						roots[target] = map[types.Object]bool{}
 					}
@@ -311,9 +288,9 @@ const (
 // classifyUse decides what one occurrence of a plan value does, by
 // climbing its ancestor chain. Wrapping in &, a composite literal, or
 // parens is transparent; landing in a call argument consults the
-// callee's consumer fact; returns and stores consume; selector access
+// callee's consumer mask; returns and stores consume; selector access
 // (pl.Name, pl.Validate()) merely reads.
-func classifyUse(pass *Pass, n ast.Node, stack []ast.Node) useKind {
+func (ps *planScan) classifyUse(n ast.Node, stack []ast.Node) useKind {
 	cur := ast.Node(n)
 	stored := false
 	for i := len(stack) - 1; i >= 0; i-- {
@@ -331,7 +308,7 @@ func classifyUse(pass *Pass, n ast.Node, stack []ast.Node) useKind {
 			// Config{Fault: &plan}).
 			return useConsumed
 		case *ast.CallExpr:
-			if argConsumes(pass, parent, cur) {
+			if ps.argConsumes(parent, cur) {
 				return useConsumed
 			}
 			return useRead
@@ -416,9 +393,9 @@ func aliasTargets(p *Package, n ast.Node, stack []ast.Node) []types.Object {
 }
 
 // argConsumes reports whether placing a value at this argument of the
-// call consumes it: true for callees with no consumer fact (benefit
-// of the doubt), the fact's bit for module functions that have one.
-func argConsumes(pass *Pass, call *ast.CallExpr, arg ast.Node) bool {
+// call consumes it: the mask bit for functions of this package with
+// plan parameters, true for every other callee (benefit of the doubt).
+func (ps *planScan) argConsumes(call *ast.CallExpr, arg ast.Node) bool {
 	idx := -1
 	for i, a := range call.Args {
 		if a == arg {
@@ -430,12 +407,15 @@ func argConsumes(pass *Pass, call *ast.CallExpr, arg ast.Node) bool {
 		// an argument: a method call on the plan, i.e. a read.
 		return false
 	}
-	obj := calleeObj(pass.Package, call)
-	if obj == nil {
-		return true
+	var obj types.Object
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		obj = ps.p.Info.Uses[fun]
+	case *ast.SelectorExpr:
+		obj = ps.p.Info.Uses[fun.Sel]
 	}
-	if f, ok := pass.Facts.Get(obj, planFactKind); ok {
-		return idx < 64 && f.(PlanConsumerFact).Params&(1<<idx) != 0
+	if mask, ok := ps.consumers[obj]; ok {
+		return idx < 64 && mask&(1<<idx) != 0
 	}
 	return true
 }

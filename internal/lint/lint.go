@@ -3,18 +3,18 @@
 // exists because the methodology's core promise — byte-identical
 // characterization tables and sweep reports regardless of worker
 // count — rests on invariants (no wall clock or unseeded randomness
-// in the simulated stack, no map-iteration order leaking into
-// reports, no mutex held across exported calls, balanced spans on
-// every control-flow path) that ordinary tests can only spot-check.
+// anywhere in the module, no map-iteration order leaking into
+// reports, no mutex held across exported calls, every span closed by
+// a defer) that ordinary tests can only spot-check.
 // The analyzers in this package machine-check them on every build.
 //
-// Since iolint v2 the framework is a small dataflow engine rather
-// than a per-statement walker: analyzers can request a per-function
-// control-flow graph (Pass.FuncCFG), export facts about a package's
-// exported API into a module-wide store (Analyzer.Facts, computed in
-// dependency order so callee facts exist before callers are
-// analyzed), and attach SuggestedFixes that cmd/iolint -fix applies
-// as non-overlapping, gofmt-clean textual edits.
+// Every check is a syntactic, type-driven walk of one package, except
+// probeconform, which looks at the whole package set at once. None
+// builds a control-flow graph or keeps facts between packages: span
+// balance holds by construction rather than by path analysis, since
+// each open must be followed by the defer that closes it. Analyzers may
+// attach SuggestedFixes, which cmd/iolint -fix applies as
+// non-overlapping, gofmt-clean textual edits.
 //
 // A finding can be silenced at the site with a justified directive:
 //
@@ -60,55 +60,6 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Check, d.Message)
 }
 
-// Pass is the per-package view handed to an analyzer run: the parsed
-// and type-checked package plus the module-wide fact store and a
-// memoized CFG builder.
-type Pass struct {
-	*Package
-	// Facts is the module-wide store. During Analyzer.Facts hooks it
-	// is being populated in dependency order (facts of imported
-	// packages are already present); during Run it is complete.
-	Facts *Facts
-
-	cfgs map[*ast.FuncDecl]*CFG
-}
-
-// FuncCFG returns the control-flow graph of a declared function's
-// body, memoized per pass. fd.Body must be non-nil.
-func (pass *Pass) FuncCFG(fd *ast.FuncDecl) *CFG {
-	if pass.cfgs == nil {
-		pass.cfgs = map[*ast.FuncDecl]*CFG{}
-	}
-	if g, ok := pass.cfgs[fd]; ok {
-		return g
-	}
-	g := BuildCFG(funcName(fd), fd.Body)
-	pass.cfgs[fd] = g
-	return g
-}
-
-// funcName renders a FuncDecl's name with its receiver type, e.g.
-// "(*Cache).Flush".
-func funcName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return fd.Name.Name
-	}
-	return fmt.Sprintf("(%s).%s", typeText(fd.Recv.List[0].Type), fd.Name.Name)
-}
-
-// typeText renders a receiver type expression compactly.
-func typeText(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.StarExpr:
-		return "*" + typeText(e.X)
-	case *ast.IndexExpr:
-		return typeText(e.X)
-	}
-	return "?"
-}
-
 // Analyzer is one named invariant check.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and ignore
@@ -118,20 +69,15 @@ type Analyzer struct {
 	// analyzer protects.
 	Doc string
 	// AppliesTo, when non-nil, restricts which import paths the
-	// runner feeds to Run and Facts; a nil filter means every package.
+	// runner feeds to Run; a nil filter means every package.
 	AppliesTo func(pkgPath string) bool
-	// Facts, when non-nil, runs over every package in module
-	// dependency order before any Run, exporting facts about the
-	// package's API into the shared store. A package's hook may read
-	// facts its imports exported.
-	Facts func(pass *Pass)
 	// Run inspects one package. Exactly one of Run and RunModule is
 	// set.
-	Run func(pass *Pass) []Diagnostic
+	Run func(p *Package) []Diagnostic
 	// RunModule inspects the whole package set at once, for checks
 	// that need a cross-package view (e.g. "is this probe registered
 	// anywhere?").
-	RunModule func(passes []*Pass) []Diagnostic
+	RunModule func(pkgs []*Package) []Diagnostic
 }
 
 // DirectiveCheck is the pseudo-check name under which malformed
@@ -162,41 +108,26 @@ type directive struct {
 type Runner struct {
 	// Analyzers run in order; diagnostics are merged and sorted.
 	Analyzers []*Analyzer
-	// Facts, when non-nil, is a pre-computed fact store (e.g. cached
-	// from a previous run over the same packages). When nil, Run
-	// computes facts itself.
-	Facts *Facts
 }
 
-// Run executes every analyzer over the packages — fact hooks first,
-// in module dependency order, then the per-package and module-wide
-// runs — drops findings suppressed by well-formed //lint:ignore
-// directives, reports malformed and unused directives, and returns
-// the remainder sorted by position then check name — a deterministic
-// order, as this tool preaches.
+// Run executes every analyzer over the packages — per package, or
+// once over the whole set for module-wide checks — drops findings
+// suppressed by well-formed //lint:ignore directives, reports
+// malformed and unused directives, and returns the remainder sorted
+// by position then check name — a deterministic order, as this tool
+// preaches.
 func (r *Runner) Run(pkgs []*Package) []Diagnostic {
-	facts := r.Facts
-	if facts == nil {
-		facts = ComputeFacts(pkgs, r.Analyzers)
-		// Keep the store for callers that want to inspect it (-facts)
-		// or reuse it over the same packages (the warm-cache bench).
-		r.Facts = facts
-	}
-	passes := make([]*Pass, len(pkgs))
-	for i, p := range pkgs {
-		passes[i] = &Pass{Package: p, Facts: facts}
-	}
 	var diags []Diagnostic
 	for _, az := range r.Analyzers {
 		if az.RunModule != nil {
-			diags = append(diags, az.RunModule(passes)...)
+			diags = append(diags, az.RunModule(pkgs)...)
 			continue
 		}
-		for _, pass := range passes {
-			if az.AppliesTo != nil && !az.AppliesTo(pass.Path) {
+		for _, p := range pkgs {
+			if az.AppliesTo != nil && !az.AppliesTo(p.Path) {
 				continue
 			}
-			diags = append(diags, az.Run(pass)...)
+			diags = append(diags, az.Run(p)...)
 		}
 	}
 	active := map[string]bool{DirectiveCheck: true, DirectiveUnusedCheck: true}

@@ -34,8 +34,7 @@ type lockCall struct {
 	read bool   // RLock rather than Lock
 }
 
-func lockDisciplineRun(pass *Pass) []Diagnostic {
-	p := pass.Package
+func lockDisciplineRun(p *Package) []Diagnostic {
 	var out []Diagnostic
 	for _, f := range p.Files {
 		funcScopes(f, func(body *ast.BlockStmt) {

@@ -37,11 +37,7 @@ func ProbeConform() *Analyzer {
 	}
 }
 
-func probeConformRun(passes []*Pass) []Diagnostic {
-	pkgs := make([]*Package, len(passes))
-	for i, pass := range passes {
-		pkgs[i] = pass.Package
-	}
+func probeConformRun(pkgs []*Package) []Diagnostic {
 	registered := registeredProbeTypes(pkgs)
 	var out []Diagnostic
 	for _, p := range pkgs {

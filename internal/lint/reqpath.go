@@ -36,8 +36,7 @@ func ReqPath() *Analyzer {
 	}
 }
 
-func reqPathRun(pass *Pass) []Diagnostic {
-	p := pass.Package
+func reqPathRun(p *Package) []Diagnostic {
 	base := path.Base(p.Path)
 	if !reqPathPackages[base] {
 		return nil

@@ -3,32 +3,32 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"path"
-	"sort"
-	"strings"
 )
 
 // SpanBalanceCheck is the name of the spanbalance analyzer.
 const SpanBalanceCheck = "spanbalance"
 
-// SpanBalance returns the CFG-based analyzer enforcing that every
-// span opened on an *ioreq.Request (Push, or Enter on a component's
-// recorder) or a *telemetry.Recorder (Enter, the concurrency gauge)
-// is closed by its own pair (Pop, Exit) on every control-flow path
-// out of the function — early returns, panics, and loop back-edges
-// included. Deferred closes count on every exit, which is the
-// idiomatic shape (`defer r.Exit()`). Every function is checked on
-// its own: a helper that only opens a span is itself a leak.
+// SpanBalance returns the analyzer enforcing the one shape a span may
+// take. Every span opened on an *ioreq.Request (Push, or Enter on a
+// component's recorder) or on a *telemetry.Recorder (Enter, the
+// concurrency gauge) must be followed, after nothing but further
+// opens, by a defer that closes it with its own pair (Pop, Exit). The
+// defer calls the close directly or as a top-level statement of a
+// deferred literal. A close anywhere else is a finding, and so is an
+// open inside a loop body. The rule is syntactic and checks each
+// function on its own: a defer right after the open closes the span
+// on every path out, early returns and panics included, so no
+// control-flow analysis is needed.
 func SpanBalance() *Analyzer {
 	return &Analyzer{
 		Name: SpanBalanceCheck,
 		Doc: "Reports spans (ioreq.Request.Push/Enter, telemetry.Recorder.Enter) " +
-			"that some control-flow path leaves open or closes twice. The " +
-			"span stack is shared by every caller above: one unbalanced " +
-			"path corrupts the whole request's attribution. Close on every " +
-			"path, usually with a defer right after the open.",
+			"not closed by a defer right after the open, closes (Pop/Exit) " +
+			"anywhere else, and opens inside loop bodies. The span stack is " +
+			"shared by every caller above: one unbalanced path corrupts the " +
+			"whole request's attribution.",
 		AppliesTo: notSpanPrimitive,
 		Run:       spanBalanceRun,
 	}
@@ -42,305 +42,197 @@ func notSpanPrimitive(pkgPath string) bool {
 	return base != "ioreq" && base != "telemetry"
 }
 
-// spanOp is one open/close operation found in a scanned subtree.
+// spanOp is one open or close call.
 type spanOp struct {
-	pos     token.Pos
-	stmtEnd token.Pos // end of the enclosing top-level node, for fix insertion
-	subject string    // canonical receiver text, e.g. "r" or "srv.rec"
-	// pair keys the depth: subject plus closing method, so a span
-	// opened by r.Enter and closed by r.Pop is a finding on both pairs.
-	pair  string
-	delta int
-	close string // closing method name of the pair
+	call    *ast.CallExpr
+	subject string // canonical receiver text, e.g. "r" or "srv.rec"
+	close   string // closing method of the pair
+	open    bool
 }
 
-// spanMethod classifies a selector call as a span operation: ±1 and
-// the pair's closing method name.
-func spanMethod(p *Package, sel *ast.SelectorExpr) (delta int, closeName string, ok bool) {
-	t := p.Info.TypeOf(sel.X)
-	switch {
-	case isRequestPtr(t):
-		switch sel.Sel.Name {
-		case "Push":
-			return +1, "Pop", true
-		case "Pop":
-			return -1, "Pop", true
-		case "Enter":
-			return +1, "Exit", true
-		case "Exit":
-			return -1, "Exit", true
-		}
-	case isRecorderRef(t):
-		switch sel.Sel.Name {
-		case "Enter":
-			return +1, "Exit", true
-		case "Exit":
-			return -1, "Exit", true
-		}
+// pair keys an op by subject and closing method, so a span opened by
+// r.Enter and closed by r.Pop matches neither.
+func (op spanOp) pair() string { return op.subject + "." + op.close }
+
+// spanCall classifies a node as a span open or close.
+func spanCall(p *Package, n ast.Node) (spanOp, bool) {
+	call, ok := n.(*ast.CallExpr)
+	if !ok {
+		return spanOp{}, false
 	}
-	return 0, "", false
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return spanOp{}, false
+	}
+	op := spanOp{call: call, subject: types.ExprString(sel.X)}
+	t := p.Info.TypeOf(sel.X)
+	switch name := sel.Sel.Name; {
+	case isRequestPtr(t) && (name == "Push" || name == "Pop"):
+		op.close, op.open = "Pop", name == "Push"
+	case (isRequestPtr(t) || isRecorderRef(t)) && (name == "Enter" || name == "Exit"):
+		op.close, op.open = "Exit", name == "Enter"
+	default:
+		return spanOp{}, false
+	}
+	return op, true
 }
 
-func spanBalanceRun(pass *Pass) []Diagnostic {
-	p := pass.Package
-	var out []Diagnostic
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			out = append(out, spanBalanceFunc(pass, funcName(fd), pass.FuncCFG(fd))...)
-			// Function literals are their own scopes with their own
-			// span discipline — except deferred literals, whose ops are
-			// cleanup accounted against the enclosing function's spans
-			// (defer func() { rec.Exit(..); r.Pop() }()).
-			deferredLits := map[*ast.FuncLit]bool{}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if ds, ok := n.(*ast.DeferStmt); ok {
-					if lit, ok := ds.Call.Fun.(*ast.FuncLit); ok {
-						deferredLits[lit] = true
-					}
-				}
-				return true
-			})
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok && !deferredLits[lit] {
-					g := BuildCFG(funcName(fd)+".func", lit.Body)
-					out = append(out, spanBalanceFunc(pass, g.Name, g)...)
-				}
-				return true
-			})
+// stmtSpan classifies a statement that is a bare span call.
+func stmtSpan(p *Package, s ast.Stmt) (spanOp, bool) {
+	es, ok := s.(*ast.ExprStmt)
+	if !ok {
+		return spanOp{}, false
+	}
+	return spanCall(p, es.X)
+}
+
+// deferredCloses returns the closes a defer statement runs: its own
+// call, or the top-level statements of a deferred literal.
+func deferredCloses(p *Package, ds *ast.DeferStmt) []spanOp {
+	stmts := []ast.Stmt{&ast.ExprStmt{X: ds.Call}}
+	if lit, ok := ds.Call.Fun.(*ast.FuncLit); ok {
+		stmts = lit.Body.List
+	}
+	var out []spanOp
+	for _, s := range stmts {
+		if op, ok := stmtSpan(p, s); ok && !op.open {
+			out = append(out, op)
 		}
 	}
 	return out
 }
 
-// collectOps scans one CFG node (not descending into function
-// literals) for span operations, in source order.
-func collectOps(pass *Pass, n ast.Node) []spanOp {
-	p := pass.Package
-	var ops []spanOp
-	stmtEnd := n.End()
-	ast.Inspect(n, func(c ast.Node) bool {
-		if _, isLit := c.(*ast.FuncLit); isLit {
-			return false
-		}
-		call, ok := c.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-			if delta, closeName, ok := spanMethod(p, sel); ok {
-				subject := types.ExprString(sel.X)
-				ops = append(ops, spanOp{pos: call.Pos(), stmtEnd: stmtEnd,
-					subject: subject, pair: subject + "." + closeName, delta: delta, close: closeName})
-			}
+func spanBalanceRun(p *Package) []Diagnostic {
+	var out []Diagnostic
+	for _, f := range p.Files {
+		// claimed holds the closes of defers that follow their opens.
+		// funcScopes visits an enclosing body before the literals in
+		// it, so a deferred literal's closes are claimed before the
+		// literal is checked as a scope of its own.
+		claimed := map[*ast.CallExpr]bool{}
+		funcScopes(f, func(body *ast.BlockStmt) {
+			out = append(out, spanScope(p, body, claimed)...)
+		})
+	}
+	return out
+}
+
+// spanScope checks one function body. Nested literals are scopes of
+// their own.
+func spanScope(p *Package, body *ast.BlockStmt, claimed map[*ast.CallExpr]bool) []Diagnostic {
+	var out []Diagnostic
+	placed := map[*ast.CallExpr]bool{} // opens standing as statements
+	var loops []ast.Node
+	walkScope(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.ForStmt:
+			loops = append(loops, n.Body)
+		case *ast.RangeStmt:
+			loops = append(loops, n.Body)
+		case *ast.BlockStmt:
+			out = append(out, spanRuns(p, body, n.List, placed, claimed)...)
+		case *ast.CaseClause:
+			out = append(out, spanRuns(p, body, n.Body, placed, claimed)...)
+		case *ast.CommClause:
+			out = append(out, spanRuns(p, body, n.Body, placed, claimed)...)
 		}
 		return true
 	})
-	return ops
-}
-
-// calleeObj resolves the called function object of a call, if any.
-func calleeObj(p *Package, call *ast.CallExpr) types.Object {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		return p.Info.Uses[fun]
-	case *ast.SelectorExpr:
-		return p.Info.Uses[fun.Sel]
-	}
-	return nil
-}
-
-// spanBalanceFunc walks every control-flow path of one function,
-// tracking per-pair span depth, and reports paths that leave a
-// span open, close a span that is not open, or grow the depth around
-// a loop. Defers are path-sensitive: a deferred close (directly or
-// inside a deferred literal) is accumulated when the path actually
-// executes the defer statement, and applied at every exit that path
-// reaches — an early return before the defer gets no credit for it.
-func spanBalanceFunc(pass *Pass, name string, g *CFG) []Diagnostic {
-	p := pass.Package
-	// Per-block op lists (immediate vs deferred) and whole-function
-	// bookkeeping.
-	blockImm := make([][]spanOp, len(g.Blocks))
-	blockDef := make([][]spanOp, len(g.Blocks))
-	firstOpen := map[string]spanOp{}
-	closeCount := map[string]int{}
-	anyOps := false
-	for _, blk := range g.Blocks {
-		for _, n := range blk.Nodes {
-			var ops []spanOp
-			deferredNode := false
-			if ds, ok := n.(*ast.DeferStmt); ok {
-				deferredNode = true
-				ops = deferredOps(pass, ds.Call)
-			} else {
-				ops = collectOps(pass, n)
-			}
-			if deferredNode {
-				blockDef[blk.Index] = append(blockDef[blk.Index], ops...)
-			} else {
-				blockImm[blk.Index] = append(blockImm[blk.Index], ops...)
-			}
-			for _, op := range ops {
-				anyOps = true
-				if op.delta > 0 {
-					if _, ok := firstOpen[op.pair]; !ok {
-						firstOpen[op.pair] = op
-					}
-				} else {
-					closeCount[op.pair]++
-				}
-			}
+	walkScope(body, func(n ast.Node) bool {
+		op, ok := spanCall(p, n)
+		switch {
+		case !ok:
+		case !op.open && !claimed[op.call]:
+			out = append(out, diag(p, op.call.Pos(), SpanBalanceCheck,
+				"%s.%s() is not a deferred close right after its open; close spans only with a defer that follows the open, so every path closes them exactly once",
+				op.subject, op.close))
+		case op.open && !placed[op.call]:
+			out = append(out, unclosed(p, op))
+		case op.open && within(op.call, loops):
+			out = append(out, diag(p, op.call.Pos(), SpanBalanceCheck,
+				"span opened on %s inside a loop body; each iteration stacks another span until the function returns — move the body into a function",
+				op.subject))
 		}
-	}
-	if !anyOps {
-		return nil
-	}
+		return true
+	})
+	return out
+}
 
+// spanRuns checks the runs of opens in one statement list: each run
+// must be followed by a defer that closes every span in it. It marks
+// the opens it sees as placed and the closes that match as claimed.
+func spanRuns(p *Package, body *ast.BlockStmt, list []ast.Stmt, placed, claimed map[*ast.CallExpr]bool) []Diagnostic {
 	var out []Diagnostic
-	reported := map[string]bool{} // finding class + subject
-	report := func(key string, d Diagnostic) {
-		if !reported[key] {
-			reported[key] = true
-			out = append(out, d)
-		}
-	}
-
-	type state struct {
-		blk      *Block
-		depth    map[string]int
-		deferred map[string]int
-	}
-	key := func(depth, deferred map[string]int) string {
-		parts := make([]string, 0, len(depth)+len(deferred))
-		for s, d := range depth {
-			if d != 0 {
-				parts = append(parts, fmt.Sprintf("%s=%d", s, d))
+	for i := 0; i < len(list); i++ {
+		var opens []spanOp
+		for ; i < len(list); i++ {
+			op, ok := stmtSpan(p, list[i])
+			if !ok || !op.open {
+				break
 			}
+			placed[op.call] = true
+			opens = append(opens, op)
 		}
-		for s, d := range deferred {
-			if d != 0 {
-				parts = append(parts, fmt.Sprintf("defer:%s=%d", s, d))
-			}
-		}
-		sort.Strings(parts)
-		return strings.Join(parts, ";")
-	}
-	copyMap := func(m map[string]int) map[string]int {
-		out := make(map[string]int, len(m))
-		for s, d := range m {
-			out[s] = d
-		}
-		return out
-	}
-	seen := make([]map[string]bool, len(g.Blocks)+1)
-	for i := range seen {
-		seen[i] = map[string]bool{}
-	}
-	stack := []state{{blk: g.Entry, depth: map[string]int{}, deferred: map[string]int{}}}
-	steps := 0
-	for len(stack) > 0 && steps < 4096 {
-		steps++
-		st := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		depth := copyMap(st.depth)
-		deferred := copyMap(st.deferred)
-		overgrown := false
-		for _, op := range blockImm[st.blk.Index] {
-			depth[op.pair] += op.delta
-			if depth[op.pair] < 0 {
-				report("neg:"+op.pair, diag(p, op.pos, SpanBalanceCheck,
-					"%s closes a span on %s that is not open on every path reaching this point; a double close corrupts the span stack for every caller above",
-					name, op.subject))
-				depth[op.pair] = 0
-			}
-			if depth[op.pair] > 3 {
-				op := firstOpen[op.pair]
-				report("loop:"+op.pair, diag(p, op.pos, SpanBalanceCheck,
-					"%s opens a span on %s inside a loop without closing it in the same iteration; the depth grows with the trip count",
-					name, op.subject))
-				overgrown = true
-			}
-		}
-		for _, op := range blockDef[st.blk.Index] {
-			deferred[op.pair] += op.delta
-		}
-		if overgrown {
+		if len(opens) == 0 {
 			continue
 		}
-		for _, succ := range st.blk.Succs {
-			if succ == g.Exit {
-				// Check the union of open and deferred pairs, so a
-				// deferred close with no matching open is caught too.
-				total := copyMap(depth)
-				for pair, d := range deferred {
-					total[pair] += d
-				}
-				for pair, d := range total {
-					if d > 0 {
-						op := firstOpen[pair]
-						exitLine := ""
-						if t := st.blk.Term(); t != nil {
-							exitLine = fmt.Sprintf(" (e.g. the path through line %d)", p.Position(t.Pos()).Line)
-						}
-						d := diag(p, op.pos, SpanBalanceCheck,
-							"%s opens a span on %s that is not closed on every path%s; close it on all paths or defer the close right after the open",
-							name, op.subject, exitLine)
-						if closeCount[pair] == 0 {
-							d = withFix(d, fmt.Sprintf("insert `defer %s.%s()` after the open", op.subject, op.close),
-								TextEdit{Pos: op.stmtEnd, End: op.stmtEnd,
-									NewText: fmt.Sprintf("\ndefer %s.%s()", op.subject, op.close)})
-						}
-						report("open:"+pair, d)
-					} else if d < 0 {
-						cl := firstClose(blockImm, blockDef, g, pair)
-						report("negexit:"+pair, diag(p, cl.pos, SpanBalanceCheck,
-							"%s closes more spans on %s than it opens on at least one path",
-							name, cl.subject))
+		open := map[string]int{}
+		for _, op := range opens {
+			open[op.pair()]++
+		}
+		if i < len(list) {
+			if ds, ok := list[i].(*ast.DeferStmt); ok {
+				for _, cl := range deferredCloses(p, ds) {
+					if open[cl.pair()] > 0 {
+						open[cl.pair()]--
+						claimed[cl.call] = true
 					}
 				}
+			}
+		}
+		for _, op := range opens {
+			if open[op.pair()] == 0 {
 				continue
 			}
-			k := key(depth, deferred)
-			if !seen[succ.Index][k] {
-				if len(seen[succ.Index]) < 8 {
-					seen[succ.Index][k] = true
-					stack = append(stack, state{blk: succ, depth: depth, deferred: deferred})
-				}
+			open[op.pair()]--
+			d := unclosed(p, op)
+			if !closesAnywhere(p, body, op.pair()) {
+				at := op.call.End()
+				d = withFix(d, fmt.Sprintf("insert `defer %s.%s()` after the open", op.subject, op.close),
+					TextEdit{Pos: at, End: at, NewText: fmt.Sprintf("\ndefer %s.%s()", op.subject, op.close)})
 			}
+			out = append(out, d)
 		}
 	}
 	return out
 }
 
-// firstClose finds the first closing op of a pair, for anchoring
-// over-close findings. A pair with a negative total always has one.
-func firstClose(blockImm, blockDef [][]spanOp, g *CFG, pair string) spanOp {
-	for _, ops := range [][][]spanOp{blockImm, blockDef} {
-		for _, blk := range g.Blocks {
-			for _, op := range ops[blk.Index] {
-				if op.pair == pair && op.delta < 0 {
-					return op
-				}
-			}
-		}
-	}
-	panic("lint: over-close with no closing op for " + pair)
+// unclosed reports an open that no defer right after it closes.
+func unclosed(p *Package, op spanOp) Diagnostic {
+	return diag(p, op.call.Pos(), SpanBalanceCheck,
+		"span opened on %s is not closed by a defer right after the open; a hand-placed close is skipped by early returns and panics",
+		op.subject)
 }
 
-// deferredOps extracts the span operations a deferred call performs:
-// a direct close (defer r.Pop()) or the net ops of a deferred function
-// literal.
-func deferredOps(pass *Pass, call *ast.CallExpr) []spanOp {
-	if lit, ok := call.Fun.(*ast.FuncLit); ok {
-		var ops []spanOp
-		for _, stmt := range lit.Body.List {
-			ops = append(ops, collectOps(pass, stmt)...)
+// closesAnywhere reports whether the body closes the pair anywhere,
+// nested literals included; inserting a defer would then double-close.
+func closesAnywhere(p *Package, body *ast.BlockStmt, pair string) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if op, ok := spanCall(p, n); ok && !op.open && op.pair() == pair {
+			found = true
 		}
-		return ops
+		return !found
+	})
+	return found
+}
+
+// within reports whether n lies inside any of the nodes.
+func within(n ast.Node, nodes []ast.Node) bool {
+	for _, m := range nodes {
+		if n.Pos() >= m.Pos() && n.End() <= m.End() {
+			return true
+		}
 	}
-	return collectOps(pass, call)
+	return false
 }

@@ -26,12 +26,12 @@ func (c *Cache) WriteAt(p *sim.Proc, off, n int64) int64 { // want reqpath "take
 
 // Flush opens a span but forgets to close it.
 func (c *Cache) Flush(r *ioreq.Request) {
-	r.Push(3, c.name) // want spanbalance "not closed on every path"
+	r.Push(3, c.name) // want spanbalance "not closed by a defer"
 	c.Resize(0)
 }
 
-// Drop closes inside a deferred literal — the path-sensitive check
-// credits the deferred Pop on every exit the defer is scheduled on.
+// Drop closes inside a deferred literal that follows the open, which
+// closes the span on every exit.
 func (c *Cache) Drop(r *ioreq.Request) {
 	r.Push(3, c.name)
 	defer func() { r.Pop() }()

@@ -1,7 +1,7 @@
 // Package fault is a miniature stand-in for the fault-injection
 // plane — enough surface (Plan, Event, Kind, Apply) for the
-// faultplan fixtures to type-check and for the analyzer to compute
-// plan-consumer facts the same way it does on the real module.
+// faultplan fixtures to type-check and for the analyzer to check it
+// the same way it does the real module.
 package fault
 
 // Kind is the fault class of one event.
@@ -36,7 +36,7 @@ type Cluster struct{}
 type Injector struct{ plan Plan }
 
 // Apply arms the plan on the cluster (stores it — the base consumer
-// the inductive consumes-facts bottom out on).
+// every forwarding chain ends in).
 func Apply(c *Cluster, pl Plan) *Injector {
 	return &Injector{plan: pl}
 }

@@ -1,50 +1,45 @@
-// Package seedflow exercises the wall-clock taint analyzer: values
-// reaching the report plane (the telemetry package) must not derive
-// from time.Now, however many assignments, intermediate functions,
-// and package boundaries sit between source and sink.
 package seedflow
 
-import (
-	"fixture/internal/seedsrc"
-	"fixture/internal/telemetry"
-)
+import "time"
 
-// relay is a same-package intermediate; its fact says "result 0
-// carries whatever parameter 0 carried".
-func relay(v float64) float64 { return v }
+// The cases below launder a wall-clock value through locals,
+// arithmetic and helpers before it reaches a report sink. None of the
+// sinks is a finding: the clock is caught once, where it is read, and
+// everything derived from it goes with that read.
 
-// record forwards its parameter to a sink; its fact marks parameter
-// 0 as sink-reaching.
-func record(v float64) {
-	telemetry.Observe(v)
+var observed []float64
+
+// observe stands in for a report-plane sink.
+func observe(v float64) { observed = append(observed, v) }
+
+// wallStamp is the one source every laundering case below shares.
+func wallStamp() float64 {
+	return float64(time.Now().UnixNano()) // want determinism "time.Now"
 }
 
-// GoodTick records a deterministic value.
-func GoodTick() {
-	telemetry.Observe(relay(seedsrc.Tick()))
+// launderedStamp hides the read behind a local and a helper.
+func launderedStamp() float64 {
+	v := wallStamp()
+	return passthrough(v)
 }
 
-// BadDirect records the wall clock outright.
-func BadDirect() {
-	telemetry.Observe(seedsrc.Stamp()) // want seedflow "wall-clock-tainted"
-}
+func passthrough(v float64) float64 { return v }
 
-// BadLaundered records a wall-clock value laundered through an
-// intermediate function in another package — the cross-package fact
-// chain (Stamp → passthrough → LaunderedStamp) keeps the taint.
-func BadLaundered() {
-	telemetry.Observe(relay(seedsrc.LaunderedStamp())) // want seedflow "wall-clock-tainted"
-}
+// record forwards its parameter to the sink.
+func record(v float64) { observe(v) }
 
-// BadAssigned launders through locals and arithmetic.
-func BadAssigned() {
-	t := seedsrc.Stamp()
+// LaunderDirect records the clock outright.
+func LaunderDirect() { observe(wallStamp()) }
+
+// LaunderHelpers records the clock through two helpers.
+func LaunderHelpers() { observe(passthrough(launderedStamp())) }
+
+// LaunderAssigned records the clock through locals and arithmetic.
+func LaunderAssigned() {
+	t := wallStamp()
 	u := t/1e9 + 1
-	telemetry.Observe(u) // want seedflow "wall-clock-tainted"
+	observe(u)
 }
 
-// BadViaSinkParam reaches the sink inside a callee: record's fact
-// says its parameter lands in the report plane.
-func BadViaSinkParam() {
-	record(seedsrc.Stamp()) // want seedflow "wall-clock-tainted"
-}
+// LaunderSinkParam reaches the sink inside a callee.
+func LaunderSinkParam() { record(wallStamp()) }

@@ -22,14 +22,14 @@ type Layer struct {
 
 // LeakDirect never closes the span it opens.
 func (l *Layer) LeakDirect(r *ioreq.Request, n int64) int64 {
-	r.Push(3, l.name) // want spanbalance "not closed on every path"
+	r.Push(3, l.name) // want spanbalance "not closed by a defer"
 	return n
 }
 
 // LeakEnter opens a span on the recorder and never exits, on either
 // path.
 func (l *Layer) LeakEnter(r *ioreq.Request, fail bool) error {
-	r.Enter(l.rec) // want spanbalance "not closed on every path"
+	r.Enter(l.rec) // want spanbalance "not closed by a defer"
 	if fail {
 		return errFail
 	}
@@ -38,6 +38,6 @@ func (l *Layer) LeakEnter(r *ioreq.Request, fail bool) error {
 
 // LeakGauge raises the concurrency gauge and forgets to lower it.
 func (l *Layer) LeakGauge(n int) int {
-	l.rec.Enter() // want spanbalance "not closed on every path"
+	l.rec.Enter() // want spanbalance "not closed by a defer"
 	return n * 2
 }

@@ -21,7 +21,7 @@ func (r *Recorder) Enter() {}
 // Exit lowers the gauge (span close).
 func (r *Recorder) Exit() {}
 
-// Observe records one report-plane value (a seedflow sink).
+// Observe records one report-plane value (a report-plane sink).
 func Observe(v float64) {}
 
 // Registry is an ordered probe collection.

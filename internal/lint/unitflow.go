@@ -49,8 +49,7 @@ func UnitFlow() *Analyzer {
 	}
 }
 
-func unitFlowRun(pass *Pass) []Diagnostic {
-	p := pass.Package
+func unitFlowRun(p *Package) []Diagnostic {
 	var out []Diagnostic
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {

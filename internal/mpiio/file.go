@@ -135,9 +135,9 @@ func (f *File) Open(p *sim.Proc, rank int) error {
 	r := f.w.req(p, ioreq.OpMeta, rank)
 	t0 := p.Now()
 	r.Push(telemetry.LevelLibrary, f.label)
+	defer r.Pop()
 	h, err := f.mounts[rank].Open(r, f.path, f.flags)
 	if err != nil {
-		r.Pop()
 		return err
 	}
 	if f.w.Size() > 1 {
@@ -146,7 +146,6 @@ func (f *File) Open(p *sim.Proc, rank int) error {
 		}
 	}
 	f.handles[rank] = h
-	r.Pop()
 	f.w.trace(Event{Rank: rank, Op: OpOpen, File: f.path, Offset: -1, Count: 1, T0: t0, T1: p.Now()})
 	return nil
 }
@@ -175,9 +174,9 @@ func (f *File) WriteAt(p *sim.Proc, rank int, off, n int64) int64 {
 	r := f.w.req(p, ioreq.OpWrite, rank).SetPattern(ioreq.ModeSequential, n)
 	t0 := p.Now()
 	r.Push(telemetry.LevelLibrary, f.label)
+	defer r.Pop()
 	f.lock(r, rank, 1)
 	got := f.handle(rank).WriteAt(r, off, n)
-	r.Pop()
 	f.w.trace(Event{Rank: rank, Op: OpWrite, File: f.path, Offset: off, Bytes: got, Count: 1, Span: got, T0: t0, T1: p.Now()})
 	return got
 }
@@ -187,9 +186,9 @@ func (f *File) ReadAt(p *sim.Proc, rank int, off, n int64) int64 {
 	r := f.w.req(p, ioreq.OpRead, rank).SetPattern(ioreq.ModeSequential, n)
 	t0 := p.Now()
 	r.Push(telemetry.LevelLibrary, f.label)
+	defer r.Pop()
 	f.lock(r, rank, 1)
 	got := f.handle(rank).ReadAt(r, off, n)
-	r.Pop()
 	f.w.trace(Event{Rank: rank, Op: OpRead, File: f.path, Offset: off, Bytes: got, Count: 1, Span: got, T0: t0, T1: p.Now()})
 	return got
 }
@@ -203,9 +202,9 @@ func (f *File) WriteVec(p *sim.Proc, rank int, vecs []fs.IOVec) int64 {
 	r := f.w.req(p, ioreq.OpWrite, rank).SetPattern(vecMode(vecs), vecs[0].Len)
 	t0 := p.Now()
 	r.Push(telemetry.LevelLibrary, f.label)
+	defer r.Pop()
 	f.lock(r, rank, int64(len(vecs)))
 	got := f.handle(rank).WriteVec(r, vecs)
-	r.Pop()
 	f.w.trace(Event{Rank: rank, Op: OpWrite, File: f.path, Offset: vecs[0].Off,
 		Bytes: got, Count: len(vecs), Stride: vecStride(vecs), Span: vecSpan(vecs), T0: t0, T1: p.Now()})
 	return got
@@ -219,9 +218,9 @@ func (f *File) ReadVec(p *sim.Proc, rank int, vecs []fs.IOVec) int64 {
 	r := f.w.req(p, ioreq.OpRead, rank).SetPattern(vecMode(vecs), vecs[0].Len)
 	t0 := p.Now()
 	r.Push(telemetry.LevelLibrary, f.label)
+	defer r.Pop()
 	f.lock(r, rank, int64(len(vecs)))
 	got := f.handle(rank).ReadVec(r, vecs)
-	r.Pop()
 	f.w.trace(Event{Rank: rank, Op: OpRead, File: f.path, Offset: vecs[0].Off,
 		Bytes: got, Count: len(vecs), Stride: vecStride(vecs), Span: vecSpan(vecs), T0: t0, T1: p.Now()})
 	return got
@@ -232,8 +231,8 @@ func (f *File) Sync(p *sim.Proc, rank int) {
 	r := f.w.req(p, ioreq.OpMeta, rank)
 	t0 := p.Now()
 	r.Push(telemetry.LevelLibrary, f.label)
+	defer r.Pop()
 	f.handle(rank).Sync(r)
-	r.Pop()
 	f.w.trace(Event{Rank: rank, Op: OpSync, File: f.path, Offset: -1, Count: 1, T0: t0, T1: p.Now()})
 }
 
@@ -242,9 +241,9 @@ func (f *File) Close(p *sim.Proc, rank int) {
 	r := f.w.req(p, ioreq.OpMeta, rank)
 	t0 := p.Now()
 	r.Push(telemetry.LevelLibrary, f.label)
+	defer r.Pop()
 	f.handle(rank).Close(r)
 	f.handles[rank] = nil
-	r.Pop()
 	f.w.trace(Event{Rank: rank, Op: OpClose, File: f.path, Offset: -1, Count: 1, T0: t0, T1: p.Now()})
 }
 
@@ -266,8 +265,8 @@ func (f *File) WriteVecAll(p *sim.Proc, rank int, vecs []fs.IOVec) int64 {
 	r := f.w.req(p, ioreq.OpWrite, rank).SetPattern(vecMode(vecs), vecBlock(vecs))
 	t0 := p.Now()
 	r.Push(telemetry.LevelLibrary, f.label)
+	defer r.Pop()
 	n := f.collective(r, rank, vecs, true)
-	r.Pop()
 	// One collective library call counts as one operation regardless
 	// of how many file regions the rank contributed (the paper's
 	// Table II counts 640 = ranks × dumps for the full subtype).
@@ -284,8 +283,8 @@ func (f *File) ReadVecAll(p *sim.Proc, rank int, vecs []fs.IOVec) int64 {
 	r := f.w.req(p, ioreq.OpRead, rank).SetPattern(vecMode(vecs), vecBlock(vecs))
 	t0 := p.Now()
 	r.Push(telemetry.LevelLibrary, f.label)
+	defer r.Pop()
 	n := f.collective(r, rank, vecs, false)
-	r.Pop()
 	f.w.trace(Event{Rank: rank, Op: OpReadAll, File: f.path, Offset: firstOff(vecs),
 		Bytes: n, Count: 1, Span: n, T0: t0, T1: p.Now()})
 	return n

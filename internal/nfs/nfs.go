@@ -155,13 +155,13 @@ func (s *Server) handle(r *ioreq.Request, path string, flags int) (fs.Handle, er
 // for the CPU cost of nRPCs plus the backend work done inside fn.
 func (s *Server) serve(p *sim.Proc, nRPCs int64, fn func()) {
 	s.rec.Enter()
+	defer s.rec.Exit()
 	s.threads.Acquire(p, 1)
 	p.Sleep(s.params.RPCCost * sim.Duration(nRPCs))
 	if fn != nil {
 		fn()
 	}
 	s.threads.Release(1)
-	s.rec.Exit()
 }
 
 // commit charges the stable-storage commit cost for n application
@@ -172,10 +172,10 @@ func (s *Server) commit(p *sim.Proc, n int64) {
 	}
 	start := p.Now()
 	s.rec.Enter()
+	defer s.rec.Exit()
 	s.threads.Acquire(p, 1)
 	p.Sleep(s.params.CommitCost * sim.Duration(n))
 	s.threads.Release(1)
-	s.rec.Exit()
 	s.rec.Observe(telemetry.ClassMeta, n, 0, sim.Duration(p.Now()-start))
 	s.rec.Add("commits", n)
 }

@@ -11,6 +11,7 @@ import (
 	"ioeval/internal/ioreq"
 	"ioeval/internal/netsim"
 	"ioeval/internal/sim"
+	"ioeval/internal/telemetry"
 )
 
 const (
@@ -284,4 +285,49 @@ func BenchmarkNFSWrite(b *testing.B) {
 	})
 	b.ResetTimer()
 	r.eng.Run()
+}
+
+// TestServerGaugesBalance drives the server through a failing
+// metadata RPC and, on the default sync export, direct writes that
+// commit, from two clients at once; every recorder's queue gauge must
+// be back at zero once the engine drains.
+func TestServerGaugesBalance(t *testing.T) {
+	r := newRig(2, 64*mb)
+	if !r.srv.params.SyncExport {
+		t.Fatal("default export is not sync; the commit path is not exercised")
+	}
+	for i, c := range r.clients {
+		c := c
+		r.eng.Spawn(fmt.Sprintf("c%d", i), func(p *sim.Proc) {
+			if _, err := c.Open(ioreq.Meta(p), "/ghost", fs.ORead); !errors.Is(err, fs.ErrNotExist) {
+				t.Errorf("open missing: err = %v", err)
+			}
+			h, err := c.Open(ioreq.Meta(p), "/shared", fs.OWrite|fs.OCreate)
+			if err != nil {
+				t.Errorf("open: %v", err)
+				return
+			}
+			h.(*remoteHandle).SetDirectIO(true)
+			h.WriteAt(ioreq.Writer(p), int64(i)*mb, 256*kb)
+			h.WriteVec(ioreq.Writer(p), []fs.IOVec{{Off: 2 * mb, Len: 4 * kb}, {Off: 3 * mb, Len: 4 * kb}})
+			h.Sync(ioreq.Meta(p))
+			h.Close(ioreq.Meta(p))
+		})
+	}
+	r.eng.Run()
+	if r.srv.rec.AuxVal("commits") == 0 {
+		t.Error("no commits recorded; the sync-export path did not run")
+	}
+	recs := []*telemetry.Recorder{r.srv.Telemetry()}
+	for _, c := range r.clients {
+		recs = append(recs, c.Telemetry())
+	}
+	for _, rec := range recs {
+		if d := rec.Snapshot().Counters.QueueDepth; d != 0 {
+			t.Errorf("%s: queue depth %d, want 0 after a drained run", rec.Component(), d)
+		}
+	}
+	if r.srv.Telemetry().Snapshot().Counters.MaxQueueDepth == 0 {
+		t.Error("server gauge never rose; the server sections did not run")
+	}
 }

@@ -114,25 +114,24 @@ func (h *pfsHandle) transfer(r *ioreq.Request, ops []serverOp, write bool) int64
 			}
 			c.net.Send(cr, c.node, srv.node, req)
 			srvStart := child.Now()
-			srv.rec.Enter()
-			srv.threads.Acquire(child, 1)
-			child.Sleep(sys.params.RPCCost * sim.Duration(op.ops))
-			sh, err := sys.subfile(cr, i, h.path)
+			err := sys.serve(child, srv, op.ops, func() error {
+				sh, err := sys.subfile(cr, i, h.path)
+				if err != nil {
+					return err
+				}
+				if write {
+					sh.WriteVec(cr, op.vecs)
+					srv.Stats.BytesWritten += op.bytes
+				} else {
+					sh.ReadVec(cr, op.vecs)
+					srv.Stats.BytesRead += op.bytes
+				}
+				return nil
+			})
 			if err != nil {
 				errs = append(errs, err)
-				srv.threads.Release(1)
-				srv.rec.Exit()
 				return
 			}
-			if write {
-				sh.WriteVec(cr, op.vecs)
-				srv.Stats.BytesWritten += op.bytes
-			} else {
-				sh.ReadVec(cr, op.vecs)
-				srv.Stats.BytesRead += op.bytes
-			}
-			srv.threads.Release(1)
-			srv.rec.Exit()
 			srv.rec.Observe(class, op.ops, op.bytes, sim.Duration(child.Now()-srvStart))
 			resp := rpcHeaderBytes * op.ops
 			if !write {

@@ -132,6 +132,24 @@ func (sys *System) subfile(r *ioreq.Request, i int, path string) (fs.Handle, err
 	return h, nil
 }
 
+// serve holds one of srv's threads, inside its recorder's gauge, for
+// the processing cost of nRPCs requests plus the backend work fn does
+// (fn may be nil). Release and Exit are deferred, so they run on every
+// return, before the caller observes the interval and sends the reply.
+func (sys *System) serve(p *sim.Proc, srv *Server, nRPCs int64, fn func() error) error {
+	srv.rec.Enter()
+	defer srv.rec.Exit()
+	srv.threads.Acquire(p, 1)
+	defer srv.threads.Release(1)
+	if nRPCs > 0 {
+		p.Sleep(sys.params.RPCCost * sim.Duration(nRPCs))
+	}
+	if fn == nil {
+		return nil
+	}
+	return fn()
+}
+
 // Client is a node's view of the parallel filesystem. It implements
 // fs.Interface. Note the absence of ByteRangeLocker and of any data
 // cache: PVFS does neither.
@@ -188,15 +206,7 @@ func (c *Client) metaRPC(r *ioreq.Request, fn func() error) error {
 	start := p.Now()
 	c.net.Send(r, c.node, srv.node, rpcHeaderBytes)
 	srvStart := p.Now()
-	srv.rec.Enter()
-	srv.threads.Acquire(p, 1)
-	p.Sleep(c.sys.params.RPCCost)
-	var err error
-	if fn != nil {
-		err = fn()
-	}
-	srv.threads.Release(1)
-	srv.rec.Exit()
+	err := c.sys.serve(p, srv, 1, fn)
 	srv.rec.Observe(telemetry.ClassMeta, 1, 0, sim.Duration(p.Now()-srvStart))
 	c.net.Send(r, srv.node, c.node, rpcHeaderBytes)
 	c.rec.Observe(telemetry.ClassMeta, 1, 0, sim.Duration(p.Now()-start))
@@ -275,11 +285,11 @@ func (c *Client) Sync(r *ioreq.Request) {
 			cr := r.WithProc(child)
 			c.net.Send(cr, c.node, srv.node, rpcHeaderBytes)
 			srvStart := child.Now()
-			srv.rec.Enter()
-			srv.threads.Acquire(child, 1)
-			srv.backend.Sync(cr)
-			srv.threads.Release(1)
-			srv.rec.Exit()
+			// A sync charges no RPC cost and cannot fail.
+			_ = c.sys.serve(child, srv, 0, func() error {
+				srv.backend.Sync(cr)
+				return nil
+			})
 			srv.rec.Observe(telemetry.ClassMeta, 1, 0, sim.Duration(child.Now()-srvStart))
 			c.net.Send(cr, srv.node, c.node, rpcHeaderBytes)
 		}

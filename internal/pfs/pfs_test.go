@@ -230,3 +230,60 @@ func TestQuickStripeMapCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// failOpen is a backend whose Open always fails, which drives
+// transfer's subfile error path.
+type failOpen struct{ fs.Interface }
+
+func (failOpen) Open(*ioreq.Request, string, int) (fs.Handle, error) {
+	return nil, errors.New("backend down")
+}
+
+// TestServerGaugesBalance runs the server sections through their
+// error paths — a metadata RPC whose fn fails and a transfer whose
+// subfile open fails — and through Sync, then checks that every
+// recorder's queue gauge is back at zero once the engine drains.
+func TestServerGaugesBalance(t *testing.T) {
+	r := newRig(2)
+	srv1 := r.sys.Servers()[1]
+	run(t, r.eng, func(p *sim.Proc) {
+		if _, err := r.client.Open(ioreq.Meta(p), "/ghost", fs.ORead); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("open missing: err = %v", err)
+		}
+		if _, err := r.client.Stat(ioreq.Meta(p), "/ghost"); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("stat missing: err = %v", err)
+		}
+		h, err := r.client.Open(ioreq.Meta(p), "/f", fs.OWrite|fs.OCreate)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		h.WriteAt(ioreq.Writer(p), 0, 1*mb)
+		h.Sync(ioreq.Meta(p))
+		h.Close(ioreq.Meta(p))
+		// Server 1 opens subfiles lazily, so a new path reaches its
+		// failing backend.
+		srv1.backend = failOpen{srv1.backend}
+		g, err := r.client.Open(ioreq.Meta(p), "/g", fs.OWrite|fs.OCreate)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("write to a failing subfile did not panic")
+				}
+			}()
+			g.WriteAt(ioreq.Writer(p), 0, 1*mb)
+		}()
+	})
+	for _, srv := range r.sys.Servers() {
+		c := srv.Telemetry().Snapshot().Counters
+		if c.QueueDepth != 0 || c.MaxQueueDepth == 0 {
+			t.Errorf("%s: queue depth %d (max %d), want 0 after a drained run that used the server",
+				srv.Telemetry().Component(), c.QueueDepth, c.MaxQueueDepth)
+		}
+	}
+	if d := r.client.Telemetry().Snapshot().Counters.QueueDepth; d != 0 {
+		t.Errorf("client queue depth %d, want 0", d)
+	}
+}
