@@ -58,15 +58,15 @@ func TestWriteBackDefersDeviceWrite(t *testing.T) {
 	c, d := newStack(e, 256*mb)
 	run(e, func(p *sim.Proc) {
 		c.WriteAt(ioreq.Writer(p), 0, 8*mb) // well under dirty threshold
-		if d.Stats.BytesWritten != 0 {
-			t.Errorf("device saw %d bytes before flush", d.Stats.BytesWritten)
+		if got := d.Telemetry().Snapshot().Counters.Write.Bytes; got != 0 {
+			t.Errorf("device saw %d bytes before flush", got)
 		}
 		if c.DirtyBytes() != 8*mb {
 			t.Errorf("dirty = %d, want 8MB", c.DirtyBytes())
 		}
 		c.Flush(ioreq.Meta(p))
-		if d.Stats.BytesWritten != 8*mb {
-			t.Errorf("device wrote %d after flush, want 8MB", d.Stats.BytesWritten)
+		if got := d.Telemetry().Snapshot().Counters.Write.Bytes; got != 8*mb {
+			t.Errorf("device wrote %d after flush, want 8MB", got)
 		}
 		if c.DirtyBytes() != 0 {
 			t.Errorf("dirty = %d after flush", c.DirtyBytes())
@@ -82,8 +82,8 @@ func TestWriteThroughHitsDeviceImmediately(t *testing.T) {
 	c := New(e, params, d)
 	run(e, func(p *sim.Proc) {
 		c.WriteAt(ioreq.Writer(p), 0, 4*mb)
-		if d.Stats.BytesWritten != 4*mb {
-			t.Errorf("write-through device bytes = %d, want 4MB", d.Stats.BytesWritten)
+		if got := d.Telemetry().Snapshot().Counters.Write.Bytes; got != 4*mb {
+			t.Errorf("write-through device bytes = %d, want 4MB", got)
 		}
 		if c.DirtyBytes() != 0 {
 			t.Errorf("write-through left dirty pages: %d", c.DirtyBytes())
@@ -102,7 +102,7 @@ func TestDirtyThrottling(t *testing.T) {
 	if c.Stats.ThrottleStalls == 0 {
 		t.Fatal("no throttle stalls despite writing 40MB through a 64MB cache")
 	}
-	if d.Stats.BytesWritten == 0 {
+	if d.Telemetry().Snapshot().Counters.Write.Bytes == 0 {
 		t.Fatal("throttling produced no device write-back")
 	}
 	limit := int64(0.20 * float64(c.Params().Capacity))
@@ -147,7 +147,7 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 	if c.Stats.DirtyEvict == 0 {
 		t.Fatal("no dirty evictions")
 	}
-	if d.Stats.BytesWritten == 0 {
+	if d.Telemetry().Snapshot().Counters.Write.Bytes == 0 {
 		t.Fatal("dirty evictions never reached the device")
 	}
 }

@@ -28,8 +28,8 @@ func TestReadRunsHitMissAccounting(t *testing.T) {
 			t.Errorf("miss bytes = %d", c.Stats.MissBytes-m0)
 		}
 	})
-	if d.Stats.BytesRead < 14*mb {
-		t.Fatalf("device read %d", d.Stats.BytesRead)
+	if got := d.Telemetry().Snapshot().Counters.Read.Bytes; got < 14*mb {
+		t.Fatalf("device read %d", got)
 	}
 }
 
@@ -45,8 +45,8 @@ func TestReadRunsMergesAdjacentMisses(t *testing.T) {
 		}
 		c.ReadRuns(ioreq.Reader(p), runs)
 	})
-	if d.Stats.Reads > 2 {
-		t.Fatalf("device ops = %d, want merged (≤2)", d.Stats.Reads)
+	if got := d.Telemetry().Snapshot().Counters.Read.Ops; got > 2 {
+		t.Fatalf("device ops = %d, want merged (≤2)", got)
 	}
 }
 
@@ -65,7 +65,7 @@ func TestWriteRunsDirtiesAndThrottles(t *testing.T) {
 	}
 	// 32 MB dirtied through a 64 MB cache (12.8 MB dirty limit): the
 	// throttle must have pushed data to the device.
-	if d.Stats.BytesWritten == 0 {
+	if d.Telemetry().Snapshot().Counters.Write.Bytes == 0 {
 		t.Fatal("no throttled write-back")
 	}
 }
@@ -79,8 +79,8 @@ func TestWriteRunsWriteThrough(t *testing.T) {
 	run(e, func(p *sim.Proc) {
 		c.WriteRuns(ioreq.Writer(p), []device.Run{{Off: 0, Len: mb}, {Off: mb, Len: mb}})
 	})
-	if d.Stats.BytesWritten != 2*mb {
-		t.Fatalf("write-through device bytes = %d", d.Stats.BytesWritten)
+	if got := d.Telemetry().Snapshot().Counters.Write.Bytes; got != 2*mb {
+		t.Fatalf("write-through device bytes = %d", got)
 	}
 	if c.DirtyBytes() != 0 {
 		t.Fatal("write-through left dirty pages")
@@ -126,8 +126,8 @@ func TestPopulate(t *testing.T) {
 			t.Error("populated range missed")
 		}
 	})
-	if d.Stats.BytesRead != 0 {
-		t.Fatalf("populate touched the device: %d", d.Stats.BytesRead)
+	if got := d.Telemetry().Snapshot().Counters.Read.Bytes; got != 0 {
+		t.Fatalf("populate touched the device: %d", got)
 	}
 }
 

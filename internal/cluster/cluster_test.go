@@ -62,7 +62,7 @@ func TestEndToEndNFSTrafficFlows(t *testing.T) {
 	// Data must have reached the member disks, with parity overhead.
 	var total int64
 	for _, d := range c.IODisks {
-		total += d.Stats.BytesWritten
+		total += d.Telemetry().Snapshot().Counters.Write.Bytes
 	}
 	if total < 64*mb {
 		t.Fatalf("member disks saw %d bytes, want ≥64MB", total)
@@ -78,10 +78,10 @@ func TestLocalAndNFSAreIndependentPaths(t *testing.T) {
 		h.Close(ioreq.Meta(p))
 	})
 	c.Eng.Run()
-	if c.Nodes[2].Disk.Stats.BytesWritten < 8*mb {
+	if c.Nodes[2].Disk.Telemetry().Snapshot().Counters.Write.Bytes < 8*mb {
 		t.Fatal("local write did not reach the node's own disk")
 	}
-	if c.IODisks[0].Stats.BytesWritten != 0 {
+	if c.IODisks[0].Telemetry().Snapshot().Counters.Write.Bytes != 0 {
 		t.Fatal("local write leaked to the I/O node")
 	}
 	if c.DataNet.Stats.Bytes != 0 {
@@ -157,7 +157,7 @@ func TestPFSDeployment(t *testing.T) {
 	c.Eng.Run()
 	var total int64
 	for _, d := range c.PFSDisks {
-		total += d.Stats.BytesWritten
+		total += d.Telemetry().Snapshot().Counters.Write.Bytes
 	}
 	if total < 16*mb {
 		t.Fatalf("PFS disks saw %d bytes", total)

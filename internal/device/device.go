@@ -82,17 +82,6 @@ type Disk struct {
 	// a healthy drive, >1 models a degraded one (media retries, grown
 	// defects, a failing head). See SetSlowFactor.
 	slow float64
-
-	// Stats accumulates operation counts and byte totals.
-	Stats DevStats
-}
-
-// DevStats counts traffic through a device.
-type DevStats struct {
-	Reads, Writes           int64
-	BytesRead, BytesWritten int64
-	SeqHits, RandomOps      int64
-	BusyTime                sim.Duration
 }
 
 // NewDisk constructs a Disk on the given engine.
@@ -230,22 +219,15 @@ func (d *Disk) WriteAt(r *ioreq.Request, off, n int64) {
 func (d *Disk) afterOp(off, n int64, seq, write bool, t sim.Duration) {
 	d.nextSeq = off + n
 	if seq {
-		d.Stats.SeqHits++
 		d.rec.Add("seq_ops", 1)
 	} else {
-		d.Stats.RandomOps++
 		d.rec.Add("random_ops", 1)
 	}
 	if write {
-		d.Stats.Writes++
-		d.Stats.BytesWritten += n
 		d.rec.Observe(telemetry.ClassWrite, 1, n, t)
 	} else {
-		d.Stats.Reads++
-		d.Stats.BytesRead += n
 		d.rec.Observe(telemetry.ClassRead, 1, n, t)
 	}
-	d.Stats.BusyTime += t
 }
 
 // Flush drains the volatile write cache. WriteAt already charges media
@@ -264,7 +246,6 @@ func (d *Disk) Flush(r *ioreq.Request) {
 	d.res.Acquire(p, 1)
 	t := d.scaled(d.rotLatency())
 	p.Sleep(t)
-	d.Stats.BusyTime += t
 	d.rec.Observe(telemetry.ClassMeta, 1, 0, t)
 	d.dirty = 0
 	d.res.Release(1)

@@ -58,8 +58,8 @@ func TestRandomSmallReadsAreSlow(t *testing.T) {
 	if perOp < 12*sim.Millisecond || perOp > 14*sim.Millisecond {
 		t.Fatalf("random 4K read = %v per op, want ~12.8ms", perOp)
 	}
-	if d.Stats.RandomOps != int64(n) {
-		t.Fatalf("RandomOps = %d, want %d", d.Stats.RandomOps, n)
+	if got := d.Telemetry().AuxVal("random_ops"); got != int64(n) {
+		t.Fatalf("random_ops = %d, want %d", got, n)
 	}
 }
 
@@ -107,8 +107,8 @@ func TestSequentialDetection(t *testing.T) {
 		d.ReadAt(ioreq.Reader(p), 100*mb, mb) // random
 	})
 	e.Run()
-	if d.Stats.SeqHits != 2 || d.Stats.RandomOps != 2 {
-		t.Fatalf("seq=%d random=%d, want 2/2", d.Stats.SeqHits, d.Stats.RandomOps)
+	if seq, random := d.Telemetry().AuxVal("seq_ops"), d.Telemetry().AuxVal("random_ops"); seq != 2 || random != 2 {
+		t.Fatalf("seq=%d random=%d, want 2/2", seq, random)
 	}
 }
 
@@ -179,11 +179,12 @@ func TestStatsAccounting(t *testing.T) {
 		d.WriteAt(ioreq.Writer(p), 10*gb, 3*mb)
 	})
 	e.Run()
-	if d.Stats.Reads != 1 || d.Stats.BytesRead != 2*mb {
-		t.Fatalf("read stats: %+v", d.Stats)
+	c := d.Telemetry().Snapshot().Counters
+	if c.Read.Ops != 1 || c.Read.Bytes != 2*mb {
+		t.Fatalf("read counters: %d ops, %d bytes", c.Read.Ops, c.Read.Bytes)
 	}
-	if d.Stats.Writes != 1 || d.Stats.BytesWritten != 3*mb {
-		t.Fatalf("write stats: %+v", d.Stats)
+	if c.Write.Ops != 1 || c.Write.Bytes != 3*mb {
+		t.Fatalf("write counters: %d ops, %d bytes", c.Write.Ops, c.Write.Bytes)
 	}
 }
 

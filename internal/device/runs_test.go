@@ -47,11 +47,12 @@ func TestReadWriteRunsFallback(t *testing.T) {
 		WriteRuns(ioreq.Writer(p), d, []Run{{Off: 0, Len: mb}})
 	})
 	e.Run()
-	if d.Stats.Reads != 2 || d.Stats.Writes != 1 {
-		t.Fatalf("ops: %+v", d.Stats)
+	c := d.Telemetry().Snapshot().Counters
+	if c.Read.Ops != 2 || c.Write.Ops != 1 {
+		t.Fatalf("ops: read %d write %d", c.Read.Ops, c.Write.Ops)
 	}
-	if d.Stats.BytesRead != 2*mb || d.Stats.BytesWritten != mb {
-		t.Fatalf("bytes: %+v", d.Stats)
+	if c.Read.Bytes != 2*mb || c.Write.Bytes != mb {
+		t.Fatalf("bytes: read %d write %d", c.Read.Bytes, c.Write.Bytes)
 	}
 }
 

@@ -111,11 +111,10 @@ type fileData struct {
 	opens   int
 }
 
-// Stats counts filesystem operations.
+// Stats counts the metadata operations the recorder lumps together
+// as ClassMeta; data calls and bytes are on the recorder.
 type Stats struct {
 	Opens, Creates, Removes, Stats, Closes int64
-	ReadCalls, WriteCalls                  int64
-	BytesRead, BytesWritten                int64
 }
 
 // Mount is a local filesystem on a block device.
@@ -332,7 +331,6 @@ func (h *localHandle) ReadAt(r *ioreq.Request, off, n int64) int64 {
 	defer r.Exit()
 	p := r.Proc()
 	p.Sleep(h.m.params.SyscallCost)
-	h.m.Stats.ReadCalls++
 	if off >= h.f.size {
 		r.Observe(telemetry.ClassRead, 1, 0)
 		return 0
@@ -343,7 +341,6 @@ func (h *localHandle) ReadAt(r *ioreq.Request, off, n int64) int64 {
 	for _, piece := range h.f.mapRange(off, n) {
 		h.m.dev.ReadAt(r, piece.Off, piece.Len)
 	}
-	h.m.Stats.BytesRead += n
 	r.Observe(telemetry.ClassRead, 1, n)
 	return n
 }
@@ -354,7 +351,6 @@ func (h *localHandle) WriteAt(r *ioreq.Request, off, n int64) int64 {
 	defer r.Exit()
 	p := r.Proc()
 	p.Sleep(h.m.params.SyscallCost)
-	h.m.Stats.WriteCalls++
 	if n == 0 {
 		r.Observe(telemetry.ClassWrite, 1, 0)
 		return 0
@@ -366,7 +362,6 @@ func (h *localHandle) WriteAt(r *ioreq.Request, off, n int64) int64 {
 	if off+n > h.f.size {
 		h.f.size = off + n
 	}
-	h.m.Stats.BytesWritten += n
 	r.Observe(telemetry.ClassWrite, 1, n)
 	return n
 }
@@ -384,7 +379,6 @@ func (h *localHandle) ReadVec(r *ioreq.Request, vecs []IOVec) int64 {
 	defer r.Exit()
 	p := r.Proc()
 	p.Sleep(h.m.params.SyscallCost * sim.Duration(len(vecs)))
-	h.m.Stats.ReadCalls += int64(len(vecs))
 	var runs []device.Run
 	var total int64
 	for _, v := range vecs {
@@ -399,7 +393,6 @@ func (h *localHandle) ReadVec(r *ioreq.Request, vecs []IOVec) int64 {
 		total += n
 	}
 	device.ReadRuns(r, h.m.dev, runs)
-	h.m.Stats.BytesRead += total
 	r.Observe(telemetry.ClassRead, int64(len(vecs)), total)
 	return total
 }
@@ -414,7 +407,6 @@ func (h *localHandle) WriteVec(r *ioreq.Request, vecs []IOVec) int64 {
 	defer r.Exit()
 	p := r.Proc()
 	p.Sleep(h.m.params.SyscallCost * sim.Duration(len(vecs)))
-	h.m.Stats.WriteCalls += int64(len(vecs))
 	maxEnd := h.f.size
 	for _, v := range vecs {
 		if end := v.Off + v.Len; end > maxEnd {
@@ -437,7 +429,6 @@ func (h *localHandle) WriteVec(r *ioreq.Request, vecs []IOVec) int64 {
 	if maxEnd > h.f.size {
 		h.f.size = maxEnd
 	}
-	h.m.Stats.BytesWritten += total
 	r.Observe(telemetry.ClassWrite, int64(len(vecs)), total)
 	return total
 }

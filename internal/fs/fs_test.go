@@ -162,8 +162,9 @@ func TestStreamingWriteIsSequentialOnDisk(t *testing.T) {
 	})
 	// The bump allocator must produce contiguous extents: all but the
 	// first device write continue a sequential run.
-	if d.Stats.SeqHits < d.Stats.Writes-1 {
-		t.Fatalf("writes not sequential: seq=%d of %d", d.Stats.SeqHits, d.Stats.Writes)
+	seq, writes := d.Telemetry().AuxVal("seq_ops"), d.Telemetry().Snapshot().Counters.Write.Ops
+	if seq < writes-1 {
+		t.Fatalf("writes not sequential: seq=%d of %d", seq, writes)
 	}
 }
 
@@ -209,8 +210,9 @@ func TestVecMatchesLoopTotals(t *testing.T) {
 		}
 		h.Close(ioreq.Meta(p))
 	})
-	if m.Stats.WriteCalls != 100 || m.Stats.ReadCalls != 100 {
-		t.Fatalf("per-op accounting: %+v", m.Stats)
+	c := m.Telemetry().Snapshot().Counters
+	if c.Write.Ops != 100 || c.Read.Ops != 100 {
+		t.Fatalf("per-op accounting: %d writes, %d reads", c.Write.Ops, c.Read.Ops)
 	}
 }
 
@@ -273,12 +275,12 @@ func TestSyncFlushesToDevice(t *testing.T) {
 	run(t, e, func(p *sim.Proc) {
 		h, _ := m.Open(ioreq.Meta(p), "/f", OWrite|OCreate)
 		h.WriteAt(ioreq.Writer(p), 0, 8*mb)
-		if d.Stats.BytesWritten != 0 {
-			t.Fatalf("device written %d before sync", d.Stats.BytesWritten)
+		if w := d.Telemetry().Snapshot().Counters.Write.Bytes; w != 0 {
+			t.Fatalf("device written %d before sync", w)
 		}
 		h.Sync(ioreq.Meta(p))
-		if d.Stats.BytesWritten < 8*mb {
-			t.Fatalf("device written %d after sync, want ≥8MB", d.Stats.BytesWritten)
+		if w := d.Telemetry().Snapshot().Counters.Write.Bytes; w < 8*mb {
+			t.Fatalf("device written %d after sync, want ≥8MB", w)
 		}
 		h.Close(ioreq.Meta(p))
 	})

@@ -116,8 +116,8 @@ func TestIndependentWriteRead(t *testing.T) {
 		}
 		f.Close(p, rank)
 	})
-	if tc.srv.Stats.BytesWritten != 4*mb {
-		t.Fatalf("server wrote %d, want 4MB", tc.srv.Stats.BytesWritten)
+	if got := tc.srv.Telemetry().Snapshot().Counters.Write.Bytes; got != 4*mb {
+		t.Fatalf("server wrote %d, want 4MB", got)
 	}
 }
 
@@ -136,13 +136,13 @@ func TestCollectiveWriteAggregatesData(t *testing.T) {
 	})
 	// All 8 MB must have reached the server, written only by the
 	// aggregator ranks in large chunks.
-	if tc.srv.Stats.BytesWritten != 8*mb {
-		t.Fatalf("server wrote %d, want 8MB", tc.srv.Stats.BytesWritten)
+	if got := tc.srv.Telemetry().Snapshot().Counters.Write.Bytes; got != 8*mb {
+		t.Fatalf("server wrote %d, want 8MB", got)
 	}
 	// 4 aggregators × 2 MB partitions in 16 MB buffers ⇒ exactly 4
 	// write batches (one WriteVec per partition per round).
-	if tc.srv.Stats.WriteRPCs > 4*8+4 {
-		t.Fatalf("write RPCs = %d, want few large writes", tc.srv.Stats.WriteRPCs)
+	if got := tc.srv.Telemetry().Snapshot().Counters.Write.Ops; got > 4*8+4 {
+		t.Fatalf("write RPCs = %d, want few large writes", got)
 	}
 }
 
@@ -212,8 +212,8 @@ func TestCollectiveBufferingOffDegradesToIndependent(t *testing.T) {
 		f.WriteVecAll(p, rank, []fs.IOVec{{Off: int64(rank) * mb, Len: mb}})
 		f.Close(p, rank)
 	})
-	if tc.srv.Stats.BytesWritten != 4*mb {
-		t.Fatalf("server wrote %d", tc.srv.Stats.BytesWritten)
+	if got := tc.srv.Telemetry().Snapshot().Counters.Write.Bytes; got != 4*mb {
+		t.Fatalf("server wrote %d", got)
 	}
 }
 

@@ -84,8 +84,8 @@ func TestViewIO(t *testing.T) {
 		f.Close(p, rank)
 	})
 	// All ranks interleaved: the file is dense, 4 ranks × 4 blocks.
-	if tc.srv.Stats.BytesWritten != 16*block {
-		t.Fatalf("server wrote %d, want %d", tc.srv.Stats.BytesWritten, 16*block)
+	if got := tc.srv.Telemetry().Snapshot().Counters.Write.Bytes; got != 16*block {
+		t.Fatalf("server wrote %d, want %d", got, 16*block)
 	}
 }
 
@@ -99,8 +99,8 @@ func TestViewCollective(t *testing.T) {
 		f.WriteAll(p, rank, 8*block)
 		f.Close(p, rank)
 	})
-	if tc.srv.Stats.BytesWritten != 32*block {
-		t.Fatalf("server wrote %d, want %d", tc.srv.Stats.BytesWritten, 32*block)
+	if got := tc.srv.Telemetry().Snapshot().Counters.Write.Bytes; got != 32*block {
+		t.Fatalf("server wrote %d, want %d", got, 32*block)
 	}
 }
 

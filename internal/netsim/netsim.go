@@ -77,9 +77,6 @@ type NIC struct {
 	slow      float64
 	downUntil sim.Time
 
-	// Stats accumulates per-NIC counters.
-	Stats Stats
-
 	rec *telemetry.Recorder
 }
 
@@ -219,10 +216,6 @@ func (n *Network) Send(r *ioreq.Request, from, to string, nb int64) {
 	src, dst := n.NIC(from), n.NIC(to)
 	n.Stats.Messages++
 	n.Stats.Bytes += nb
-	src.Stats.Messages++
-	src.Stats.Bytes += nb
-	dst.Stats.Messages++
-	dst.Stats.Bytes += nb
 
 	// Telemetry convention: a message is a write on the sender's NIC
 	// and a read on the receiver's; the network aggregate records it

@@ -166,7 +166,6 @@ func (h *remoteHandle) cachedRead(r *ioreq.Request, off, n int64) (int64, bool) 
 	}
 	base := c.slot(h.path) * slotBytes
 	c.dataCache.ReadAt(r, base+off, n)
-	c.Stats.BytesRead += n
 	return n, true
 }
 
@@ -185,7 +184,6 @@ func (h *remoteHandle) cachedWrite(r *ioreq.Request, off, n int64) (int64, bool)
 	base := c.slot(h.path) * slotBytes
 	c.dataCache.WriteAt(r, base+off, n)
 	c.noteOwnWrite(h.path)
-	c.Stats.BytesWritten += n
 	delete(c.attrCache, h.path)
 	return n, true
 }

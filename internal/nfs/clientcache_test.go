@@ -49,12 +49,12 @@ func TestWriteBehindDefersRPCs(t *testing.T) {
 		if c.Stats.WriteRPCs != 0 {
 			t.Errorf("write-behind issued %d RPCs before flush", c.Stats.WriteRPCs)
 		}
-		if r.srv.Stats.BytesWritten != 0 {
-			t.Errorf("server saw %d bytes before flush", r.srv.Stats.BytesWritten)
+		if w := r.srv.Telemetry().Snapshot().Counters.Write.Bytes; w != 0 {
+			t.Errorf("server saw %d bytes before flush", w)
 		}
 		h.Close(ioreq.Meta(p)) // close-to-open: flush
-		if r.srv.Stats.BytesWritten != 8*mb {
-			t.Errorf("server saw %d bytes after close, want 8MB", r.srv.Stats.BytesWritten)
+		if w := r.srv.Telemetry().Snapshot().Counters.Write.Bytes; w != 8*mb {
+			t.Errorf("server saw %d bytes after close, want 8MB", w)
 		}
 	})
 }

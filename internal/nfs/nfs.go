@@ -81,16 +81,7 @@ type Server struct {
 	// it out through their retry/timeout machinery (awaitServer).
 	downUntil sim.Time
 
-	// Stats counts RPCs served by kind.
-	Stats ServerStats
-
 	rec *telemetry.Recorder
-}
-
-// ServerStats counts server-side RPC activity.
-type ServerStats struct {
-	ReadRPCs, WriteRPCs, MetaRPCs int64
-	BytesRead, BytesWritten       int64
 }
 
 // NewServer creates a server on the given node exporting backend.
@@ -151,17 +142,22 @@ func (s *Server) handle(r *ioreq.Request, path string, flags int) (fs.Handle, er
 	return h, nil
 }
 
-// serve charges server-side RPC processing: a server thread is held
-// for the CPU cost of nRPCs plus the backend work done inside fn.
-func (s *Server) serve(p *sim.Proc, nRPCs int64, fn func()) {
+// serve is one server section: a server thread is held for cost plus
+// the backend work done inside fn (which may be nil and returns the
+// bytes it moved). The section records itself as ops operations of
+// class, busy from just before it queues for a thread to its exit.
+func (s *Server) serve(p *sim.Proc, class telemetry.OpClass, ops int64, cost sim.Duration, fn func() int64) {
+	start := p.Now()
 	s.rec.Enter()
 	defer s.rec.Exit()
 	s.threads.Acquire(p, 1)
-	p.Sleep(s.params.RPCCost * sim.Duration(nRPCs))
+	p.Sleep(cost)
+	var bytes int64
 	if fn != nil {
-		fn()
+		bytes = fn()
 	}
 	s.threads.Release(1)
+	s.rec.Observe(class, ops, bytes, sim.Duration(p.Now()-start))
 }
 
 // commit charges the stable-storage commit cost for n application
@@ -170,13 +166,7 @@ func (s *Server) commit(p *sim.Proc, n int64) {
 	if !s.params.SyncExport || n == 0 {
 		return
 	}
-	start := p.Now()
-	s.rec.Enter()
-	defer s.rec.Exit()
-	s.threads.Acquire(p, 1)
-	p.Sleep(s.params.CommitCost * sim.Duration(n))
-	s.threads.Release(1)
-	s.rec.Observe(telemetry.ClassMeta, n, 0, sim.Duration(p.Now()-start))
+	s.serve(p, telemetry.ClassMeta, n, s.params.CommitCost*sim.Duration(n), nil)
 	s.rec.Add("commits", n)
 }
 
@@ -235,12 +225,12 @@ type Client struct {
 	rec *telemetry.Recorder
 }
 
-// ClientStats counts client-side traffic.
+// ClientStats counts client-side data RPCs and attribute-cache hits;
+// bytes, metadata RPCs, timeouts and retries are on the client's
+// recorder.
 type ClientStats struct {
-	ReadRPCs, WriteRPCs, MetaRPCs int64
-	BytesRead, BytesWritten       int64
-	AttrCacheHits                 int64
-	Timeouts, Retries             int64 // RPC attempts timed out / retransmits sent
+	ReadRPCs, WriteRPCs int64
+	AttrCacheHits       int64
 }
 
 var _ fs.Interface = (*Client)(nil)
@@ -304,14 +294,12 @@ func (c *Client) awaitServer(r *ioreq.Request) {
 	backoff := c.params.RetryBackoff
 	for p.Now() < c.srv.downUntil {
 		p.Sleep(c.params.RetryTimeout) // in-flight attempt times out
-		c.Stats.Timeouts++
 		c.rec.Add("timeouts", 1)
 		p.Sleep(backoff) // back off before retransmitting
 		backoff *= 2
 		if backoff > c.params.RetryBackoffMax {
 			backoff = c.params.RetryBackoffMax
 		}
-		c.Stats.Retries++
 		c.rec.Add("retries", 1)
 	}
 }
@@ -329,13 +317,14 @@ func (c *Client) InvalidateCaches() {
 func (c *Client) metaRPC(r *ioreq.Request, fn func()) {
 	p := r.Proc()
 	c.awaitServer(r)
-	c.Stats.MetaRPCs++
-	c.srv.Stats.MetaRPCs++
 	start := p.Now()
 	c.net.Send(r, c.node, c.srv.node, rpcHeaderBytes)
-	srvStart := p.Now()
-	c.srv.serve(p, 1, fn)
-	c.srv.rec.Observe(telemetry.ClassMeta, 1, 0, sim.Duration(p.Now()-srvStart))
+	c.srv.serve(p, telemetry.ClassMeta, 1, c.srv.params.RPCCost, func() int64 {
+		if fn != nil {
+			fn()
+		}
+		return 0
+	})
 	c.net.Send(r, c.srv.node, c.node, rpcHeaderBytes)
 	c.rec.Observe(telemetry.ClassMeta, 1, 0, sim.Duration(p.Now()-start))
 }
@@ -417,17 +406,13 @@ func (c *Client) LockUnlock(r *ioreq.Request, count int64) {
 	defer r.Pop()
 	p := r.Proc()
 	c.awaitServer(r)
-	c.Stats.MetaRPCs += 2 * count
-	c.srv.Stats.MetaRPCs += 2 * count
 	c.rec.Add("lock_pairs", count)
 	start := p.Now()
 	// Two round trips per pair plus the lockd (NLM) processing cost,
 	// pipelined with the op stream: charged serially on the client,
 	// plus server CPU on a thread.
 	p.Sleep(sim.Duration(count) * (4*c.net.Params().Latency + c.srv.params.LockCost))
-	srvStart := p.Now()
-	c.srv.serve(p, 2*count, nil)
-	c.srv.rec.Observe(telemetry.ClassMeta, 2*count, 0, sim.Duration(p.Now()-srvStart))
+	c.srv.serve(p, telemetry.ClassMeta, 2*count, c.srv.params.RPCCost*sim.Duration(2*count), nil)
 	c.rec.Observe(telemetry.ClassMeta, 2*count, 0, sim.Duration(p.Now()-start))
 }
 
@@ -467,12 +452,12 @@ func (c *Client) rpcRead(r *ioreq.Request, srvHandle fs.Handle, off, n int64) in
 		}
 		c.awaitServer(r)
 		c.Stats.ReadRPCs++
-		c.srv.Stats.ReadRPCs++
 		c.net.Send(r, c.node, c.srv.node, rpcHeaderBytes)
 		var nr int64
-		srvStart := p.Now()
-		c.srv.serve(p, 1, func() { nr = srvHandle.ReadAt(r, off, chunk) })
-		c.srv.rec.Observe(telemetry.ClassRead, 1, nr, sim.Duration(p.Now()-srvStart))
+		c.srv.serve(p, telemetry.ClassRead, 1, c.srv.params.RPCCost, func() int64 {
+			nr = srvHandle.ReadAt(r, off, chunk)
+			return nr
+		})
 		c.net.Send(r, c.srv.node, c.node, rpcHeaderBytes+nr)
 		got += nr
 		off += chunk
@@ -481,7 +466,6 @@ func (c *Client) rpcRead(r *ioreq.Request, srvHandle fs.Handle, off, n int64) in
 			break // EOF
 		}
 	}
-	c.srv.Stats.BytesRead += got
 	return got
 }
 
@@ -498,7 +482,6 @@ func (h *remoteHandle) ReadAt(r *ioreq.Request, off, n int64) int64 {
 		return got
 	}
 	got := c.rpcRead(r, h.srvHandle, off, n)
-	c.Stats.BytesRead += got
 	r.Observe(telemetry.ClassRead, 1, got)
 	return got
 }
@@ -515,17 +498,16 @@ func (c *Client) rpcWriteUnstable(r *ioreq.Request, srvHandle fs.Handle, off, n 
 		}
 		c.awaitServer(r)
 		c.Stats.WriteRPCs++
-		c.srv.Stats.WriteRPCs++
 		c.net.Send(r, c.node, c.srv.node, rpcHeaderBytes+chunk)
-		srvStart := p.Now()
-		c.srv.serve(p, 1, func() { srvHandle.WriteAt(r, off, chunk) })
-		c.srv.rec.Observe(telemetry.ClassWrite, 1, chunk, sim.Duration(p.Now()-srvStart))
+		c.srv.serve(p, telemetry.ClassWrite, 1, c.srv.params.RPCCost, func() int64 {
+			srvHandle.WriteAt(r, off, chunk)
+			return chunk
+		})
 		c.net.Send(r, c.srv.node, c.node, rpcHeaderBytes)
 		put += chunk
 		off += chunk
 		n -= chunk
 	}
-	c.srv.Stats.BytesWritten += put
 	return put
 }
 
@@ -547,7 +529,6 @@ func (h *remoteHandle) WriteAt(r *ioreq.Request, off, n int64) int64 {
 	put := c.rpcWriteUnstable(r, h.srvHandle, off, n)
 	c.srv.commit(p, 1)
 	c.srv.gen[h.path]++
-	c.Stats.BytesWritten += put
 	delete(c.attrCache, h.path)
 	r.Observe(telemetry.ClassWrite, 1, put)
 	return put
@@ -573,7 +554,6 @@ func (h *remoteHandle) ReadVec(r *ioreq.Request, vecs []fs.IOVec) int64 {
 			n, ok := h.cachedRead(r, v.Off, v.Len)
 			if !ok {
 				n = c.rpcRead(r, h.srvHandle, v.Off, v.Len)
-				c.Stats.BytesRead += n
 			}
 			got += n
 		}
@@ -583,7 +563,6 @@ func (h *remoteHandle) ReadVec(r *ioreq.Request, vecs []fs.IOVec) int64 {
 	count := int64(len(vecs))
 	c.awaitServer(r)
 	c.Stats.ReadRPCs += count
-	c.srv.Stats.ReadRPCs += count
 	// Request stream: headers only (one per op).
 	c.net.Send(r, c.node, c.srv.node, rpcHeaderBytes*count)
 	// Per-RPC round-trip latencies beyond the first pipeline poorly for
@@ -591,12 +570,11 @@ func (h *remoteHandle) ReadVec(r *ioreq.Request, vecs []fs.IOVec) int64 {
 	extra := count - 1
 	p.Sleep(sim.Duration(extra) * 2 * c.net.Params().Latency)
 	var got int64
-	srvStart := p.Now()
-	c.srv.serve(p, count, func() { got = h.srvHandle.ReadVec(r, vecs) })
-	c.srv.rec.Observe(telemetry.ClassRead, count, got, sim.Duration(p.Now()-srvStart))
+	c.srv.serve(p, telemetry.ClassRead, count, c.srv.params.RPCCost*sim.Duration(count), func() int64 {
+		got = h.srvHandle.ReadVec(r, vecs)
+		return got
+	})
 	c.net.Send(r, c.srv.node, c.node, rpcHeaderBytes*count+got)
-	c.Stats.BytesRead += got
-	c.srv.Stats.BytesRead += got
 	r.Observe(telemetry.ClassRead, count, got)
 	return got
 }
@@ -619,7 +597,6 @@ func (h *remoteHandle) WriteVec(r *ioreq.Request, vecs []fs.IOVec) int64 {
 				n = c.rpcWriteUnstable(r, h.srvHandle, v.Off, v.Len)
 				c.srv.commit(p, 1)
 				c.srv.gen[h.path]++
-				c.Stats.BytesWritten += n
 			}
 			put += n
 		}
@@ -633,19 +610,17 @@ func (h *remoteHandle) WriteVec(r *ioreq.Request, vecs []fs.IOVec) int64 {
 	}
 	c.awaitServer(r)
 	c.Stats.WriteRPCs += count
-	c.srv.Stats.WriteRPCs += count
 	c.net.Send(r, c.node, c.srv.node, rpcHeaderBytes*count+total)
 	extra := count - 1
 	p.Sleep(sim.Duration(extra) * 2 * c.net.Params().Latency)
 	var put int64
-	srvStart := p.Now()
-	c.srv.serve(p, count, func() { put = h.srvHandle.WriteVec(r, vecs) })
-	c.srv.rec.Observe(telemetry.ClassWrite, count, put, sim.Duration(p.Now()-srvStart))
+	c.srv.serve(p, telemetry.ClassWrite, count, c.srv.params.RPCCost*sim.Duration(count), func() int64 {
+		put = h.srvHandle.WriteVec(r, vecs)
+		return put
+	})
 	c.srv.commit(p, count)
 	c.srv.gen[h.path]++
 	c.net.Send(r, c.srv.node, c.node, rpcHeaderBytes*count)
-	c.Stats.BytesWritten += put
-	c.srv.Stats.BytesWritten += put
 	delete(c.attrCache, h.path)
 	r.Observe(telemetry.ClassWrite, count, put)
 	return put

@@ -69,8 +69,8 @@ func TestRemoteWriteReadRoundTrip(t *testing.T) {
 		}
 		h.Close(ioreq.Meta(p))
 	})
-	if r.srv.Stats.BytesWritten != 4*mb || r.srv.Stats.BytesRead != 4*mb {
-		t.Fatalf("server stats: %+v", r.srv.Stats)
+	if c := r.srv.Telemetry().Snapshot().Counters; c.Write.Bytes != 4*mb || c.Read.Bytes != 4*mb {
+		t.Fatalf("server moved %d bytes written, %d read", c.Write.Bytes, c.Read.Bytes)
 	}
 }
 
@@ -144,9 +144,9 @@ func TestAttrCache(t *testing.T) {
 		h2, _ := c.Open(ioreq.Meta(p), "/f", fs.OWrite)
 		h2.WriteAt(ioreq.Writer(p), 0, kb)
 		h2.Close(ioreq.Meta(p))
-		meta0 := c.Stats.MetaRPCs
+		meta0 := c.Telemetry().Snapshot().Counters.Meta.Ops
 		c.Stat(ioreq.Meta(p), "/f")
-		if c.Stats.MetaRPCs != meta0+1 {
+		if c.Telemetry().Snapshot().Counters.Meta.Ops != meta0+1 {
 			t.Error("stat after write did not go to server")
 		}
 	})

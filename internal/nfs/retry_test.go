@@ -45,9 +45,6 @@ func TestRetryBackoffArithmetic(t *testing.T) {
 		h.Close(ioreq.Meta(p))
 	})
 
-	if c.Stats.Timeouts != 3 || c.Stats.Retries != 3 {
-		t.Fatalf("timeouts=%d retries=%d, want 3/3", c.Stats.Timeouts, c.Stats.Retries)
-	}
 	if got := c.Telemetry().AuxVal("timeouts"); got != 3 {
 		t.Fatalf("telemetry timeouts = %d", got)
 	}
@@ -80,8 +77,8 @@ func TestBackoffCapsAtMax(t *testing.T) {
 	// Rounds: 0.2, 0.5, 0.8, 1.1, 1.4, 1.7, 2.0, 2.3 s — with the cap,
 	// each round after the first costs 0.3 s, so 7 rounds; without it,
 	// doubling would finish in 5.
-	if c.Stats.Retries != 7 {
-		t.Fatalf("retries = %d, want 7 (capped backoff)", c.Stats.Retries)
+	if got := c.Telemetry().AuxVal("retries"); got != 7 {
+		t.Fatalf("retries = %d, want 7 (capped backoff)", got)
 	}
 }
 
@@ -95,8 +92,8 @@ func TestHealthyPathCountsNothing(t *testing.T) {
 		h.WriteVec(ioreq.Writer(p), []fs.IOVec{{Off: 0, Len: 4 * mb}})
 		h.Close(ioreq.Meta(p))
 	})
-	if c.Stats.Timeouts != 0 || c.Stats.Retries != 0 {
-		t.Fatalf("healthy run counted timeouts=%d retries=%d", c.Stats.Timeouts, c.Stats.Retries)
+	if to, re := c.Telemetry().AuxVal("timeouts"), c.Telemetry().AuxVal("retries"); to != 0 || re != 0 {
+		t.Fatalf("healthy run counted timeouts=%d retries=%d", to, re)
 	}
 }
 

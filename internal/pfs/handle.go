@@ -113,18 +113,15 @@ func (h *pfsHandle) transfer(r *ioreq.Request, ops []serverOp, write bool) int64
 				req += op.bytes
 			}
 			c.net.Send(cr, c.node, srv.node, req)
-			srvStart := child.Now()
-			err := sys.serve(child, srv, op.ops, func() error {
+			err := sys.serve(child, srv, class, op.ops, op.bytes, sys.params.RPCCost*sim.Duration(op.ops), func() error {
 				sh, err := sys.subfile(cr, i, h.path)
 				if err != nil {
 					return err
 				}
 				if write {
 					sh.WriteVec(cr, op.vecs)
-					srv.Stats.BytesWritten += op.bytes
 				} else {
 					sh.ReadVec(cr, op.vecs)
-					srv.Stats.BytesRead += op.bytes
 				}
 				return nil
 			})
@@ -132,7 +129,6 @@ func (h *pfsHandle) transfer(r *ioreq.Request, ops []serverOp, write bool) int64
 				errs = append(errs, err)
 				return
 			}
-			srv.rec.Observe(class, op.ops, op.bytes, sim.Duration(child.Now()-srvStart))
 			resp := rpcHeaderBytes * op.ops
 			if !write {
 				resp += op.bytes
@@ -143,11 +139,6 @@ func (h *pfsHandle) transfer(r *ioreq.Request, ops []serverOp, write bool) int64
 	sim.Fork(r.Proc(), "pfs-xfer", fns...)
 	if len(errs) > 0 {
 		panic(fmt.Sprintf("pfs: subfile error: %v", errs[0]))
-	}
-	if write {
-		c.Stats.BytesWritten += total
-	} else {
-		c.Stats.BytesRead += total
 	}
 	r.Observe(class, 1, total)
 	return total

@@ -61,10 +61,10 @@ type Server struct {
 	rec *telemetry.Recorder
 }
 
-// ServerStats counts per-server activity.
+// ServerStats counts the requests a server charged for; bytes are on
+// the server's recorder.
 type ServerStats struct {
-	Requests                int64
-	BytesRead, BytesWritten int64
+	Requests int64
 }
 
 // System is a deployed parallel filesystem: the server group plus
@@ -132,22 +132,23 @@ func (sys *System) subfile(r *ioreq.Request, i int, path string) (fs.Handle, err
 	return h, nil
 }
 
-// serve holds one of srv's threads, inside its recorder's gauge, for
-// the processing cost of nRPCs requests plus the backend work fn does
-// (fn may be nil). Release and Exit are deferred, so they run on every
-// return, before the caller observes the interval and sends the reply.
-func (sys *System) serve(p *sim.Proc, srv *Server, nRPCs int64, fn func() error) error {
+// serve is one server section on srv: a thread is held for cost plus
+// the backend work fn does (fn may be nil). The section records itself
+// as ops operations of class moving bytes, busy from just before it
+// queues for a thread to its exit, whether or not fn fails.
+func (sys *System) serve(p *sim.Proc, srv *Server, class telemetry.OpClass, ops, bytes int64, cost sim.Duration, fn func() error) error {
+	start := p.Now()
 	srv.rec.Enter()
 	defer srv.rec.Exit()
 	srv.threads.Acquire(p, 1)
-	defer srv.threads.Release(1)
-	if nRPCs > 0 {
-		p.Sleep(sys.params.RPCCost * sim.Duration(nRPCs))
+	p.Sleep(cost)
+	var err error
+	if fn != nil {
+		err = fn()
 	}
-	if fn == nil {
-		return nil
-	}
-	return fn()
+	srv.threads.Release(1)
+	srv.rec.Observe(class, ops, bytes, sim.Duration(p.Now()-start))
+	return err
 }
 
 // Client is a node's view of the parallel filesystem. It implements
@@ -165,10 +166,10 @@ type Client struct {
 	rec *telemetry.Recorder
 }
 
-// ClientStats counts client-side activity.
+// ClientStats counts the requests a client sent; bytes are on the
+// client's recorder.
 type ClientStats struct {
-	Requests                int64
-	BytesRead, BytesWritten int64
+	Requests int64
 }
 
 var _ fs.Interface = (*Client)(nil)
@@ -205,9 +206,7 @@ func (c *Client) metaRPC(r *ioreq.Request, fn func() error) error {
 	srv.Stats.Requests++
 	start := p.Now()
 	c.net.Send(r, c.node, srv.node, rpcHeaderBytes)
-	srvStart := p.Now()
-	err := c.sys.serve(p, srv, 1, fn)
-	srv.rec.Observe(telemetry.ClassMeta, 1, 0, sim.Duration(p.Now()-srvStart))
+	err := c.sys.serve(p, srv, telemetry.ClassMeta, 1, 0, c.sys.params.RPCCost, fn)
 	c.net.Send(r, srv.node, c.node, rpcHeaderBytes)
 	c.rec.Observe(telemetry.ClassMeta, 1, 0, sim.Duration(p.Now()-start))
 	return err
@@ -284,13 +283,11 @@ func (c *Client) Sync(r *ioreq.Request) {
 		fns[i] = func(child *sim.Proc) {
 			cr := r.WithProc(child)
 			c.net.Send(cr, c.node, srv.node, rpcHeaderBytes)
-			srvStart := child.Now()
 			// A sync charges no RPC cost and cannot fail.
-			_ = c.sys.serve(child, srv, 0, func() error {
+			_ = c.sys.serve(child, srv, telemetry.ClassMeta, 1, 0, 0, func() error {
 				srv.backend.Sync(cr)
 				return nil
 			})
-			srv.rec.Observe(telemetry.ClassMeta, 1, 0, sim.Duration(child.Now()-srvStart))
 			c.net.Send(cr, srv.node, c.node, rpcHeaderBytes)
 		}
 	}

@@ -82,8 +82,8 @@ func TestStripingDistributesEvenly(t *testing.T) {
 		h.Close(ioreq.Meta(p))
 	})
 	for i, srv := range r.sys.Servers() {
-		if srv.Stats.BytesWritten != 2*mb {
-			t.Fatalf("server %d got %d bytes, want 2MB", i, srv.Stats.BytesWritten)
+		if got := srv.Telemetry().Snapshot().Counters.Write.Bytes; got != 2*mb {
+			t.Fatalf("server %d got %d bytes, want 2MB", i, got)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package raid
 
 import (
+	"reflect"
 	"testing"
 
 	"ioeval/internal/ioreq"
@@ -27,7 +28,7 @@ func TestDegradedRAID5ReadReconstructs(t *testing.T) {
 	var degraded sim.Duration
 	var before [5]int64
 	for i, d := range ds {
-		before[i] = d.Stats.BytesRead
+		before[i] = counters(d).Read.Bytes
 	}
 	e.Spawn("read", func(p *sim.Proc) {
 		t0 := p.Now()
@@ -38,13 +39,13 @@ func TestDegradedRAID5ReadReconstructs(t *testing.T) {
 	if degraded <= healthy {
 		t.Fatalf("degraded read (%v) not slower than healthy (%v)", degraded, healthy)
 	}
-	if got := ds[2].Stats.BytesRead - before[2]; got != 0 {
+	if got := counters(ds[2]).Read.Bytes - before[2]; got != 0 {
 		t.Fatalf("failed disk read %d bytes", got)
 	}
 	// Survivors must have read MORE than their data share (reconstruction).
 	var total int64
 	for i, d := range ds {
-		total += d.Stats.BytesRead - before[i]
+		total += counters(d).Read.Bytes - before[i]
 	}
 	if total <= 16*mb {
 		t.Fatalf("reconstruction amplification missing: %d bytes read for 16MB", total)
@@ -63,13 +64,13 @@ func TestDegradedRAID1ServesFromSurvivor(t *testing.T) {
 		a.WriteAt(ioreq.Writer(p), 0, 4*mb)
 		a.Flush(ioreq.Meta(p))
 	})
-	before := ds[0].Stats
+	before := counters(ds[0])
 	e.Run()
-	if ds[0].Stats != before {
+	if !reflect.DeepEqual(counters(ds[0]), before) {
 		t.Fatal("failed mirror still receiving traffic")
 	}
-	if ds[1].Stats.BytesRead < 8*mb {
-		t.Fatalf("survivor served %d bytes read", ds[1].Stats.BytesRead)
+	if counters(ds[1]).Read.Bytes < 8*mb {
+		t.Fatalf("survivor served %d bytes read", counters(ds[1]).Read.Bytes)
 	}
 }
 
@@ -107,10 +108,10 @@ func TestDegradedRAID5WritesStillLand(t *testing.T) {
 	e.Run()
 	var landed int64
 	for i, d := range ds {
-		if i == 1 && d.Stats.BytesWritten != 0 {
+		if i == 1 && counters(d).Write.Bytes != 0 {
 			t.Fatal("failed member written")
 		}
-		landed += d.Stats.BytesWritten
+		landed += counters(d).Write.Bytes
 	}
 	if landed < 4*mb {
 		t.Fatalf("only %d bytes landed for a 4MB degraded write", landed)

@@ -7,6 +7,7 @@ import (
 	"ioeval/internal/device"
 	"ioeval/internal/ioreq"
 	"ioeval/internal/sim"
+	"ioeval/internal/telemetry"
 )
 
 const (
@@ -22,6 +23,9 @@ func disks(e *sim.Engine, n int) []*device.Disk {
 	}
 	return ds
 }
+
+// counters returns a member disk's recorder counters.
+func counters(d *device.Disk) telemetry.Counters { return d.Telemetry().Snapshot().Counters }
 
 func asBlockDevs(ds []*device.Disk) []device.BlockDev {
 	out := make([]device.BlockDev, len(ds))
@@ -83,9 +87,9 @@ func TestJBODConcatSplit(t *testing.T) {
 	// Read straddling the member boundary.
 	boundary := ds[0].Capacity()
 	run(e, func(p *sim.Proc) { a.ReadAt(ioreq.Reader(p), boundary-mb, 2*mb) })
-	if ds[0].Stats.BytesRead != mb || ds[1].Stats.BytesRead != mb {
+	if counters(ds[0]).Read.Bytes != mb || counters(ds[1]).Read.Bytes != mb {
 		t.Fatalf("boundary split: d0=%d d1=%d, want 1MB each",
-			ds[0].Stats.BytesRead, ds[1].Stats.BytesRead)
+			counters(ds[0]).Read.Bytes, counters(ds[1]).Read.Bytes)
 	}
 	// Second half must start at physical offset 0 of disk 1 — i.e. it
 	// stays in range even though the logical offset exceeds d1's size.
@@ -97,8 +101,8 @@ func TestRAID0DistributesEvenly(t *testing.T) {
 	a := NewRAID0(e, "r0", 256*kb, asBlockDevs(ds)...)
 	run(e, func(p *sim.Proc) { a.WriteAt(ioreq.Writer(p), 0, 8*mb) })
 	for i, d := range ds {
-		if d.Stats.BytesWritten != 2*mb {
-			t.Fatalf("disk %d wrote %d, want 2MB", i, d.Stats.BytesWritten)
+		if counters(d).Write.Bytes != 2*mb {
+			t.Fatalf("disk %d wrote %d, want 2MB", i, counters(d).Write.Bytes)
 		}
 	}
 }
@@ -123,8 +127,8 @@ func TestRAID1WritesAllMirrors(t *testing.T) {
 	a := NewRAID1(e, "r1", asBlockDevs(ds)...)
 	run(e, func(p *sim.Proc) { a.WriteAt(ioreq.Writer(p), 0, 4*mb) })
 	for i, d := range ds {
-		if d.Stats.BytesWritten != 4*mb {
-			t.Fatalf("mirror %d wrote %d, want 4MB", i, d.Stats.BytesWritten)
+		if counters(d).Write.Bytes != 4*mb {
+			t.Fatalf("mirror %d wrote %d, want 4MB", i, counters(d).Write.Bytes)
 		}
 	}
 }
@@ -134,11 +138,11 @@ func TestRAID1LargeReadUsesBothSpindles(t *testing.T) {
 	ds := disks(e, 2)
 	a := NewRAID1(e, "r1", asBlockDevs(ds)...)
 	run(e, func(p *sim.Proc) { a.ReadAt(ioreq.Reader(p), 0, 8*mb) })
-	if ds[0].Stats.BytesRead == 0 || ds[1].Stats.BytesRead == 0 {
-		t.Fatalf("read not balanced: d0=%d d1=%d", ds[0].Stats.BytesRead, ds[1].Stats.BytesRead)
+	if counters(ds[0]).Read.Bytes == 0 || counters(ds[1]).Read.Bytes == 0 {
+		t.Fatalf("read not balanced: d0=%d d1=%d", counters(ds[0]).Read.Bytes, counters(ds[1]).Read.Bytes)
 	}
-	if ds[0].Stats.BytesRead+ds[1].Stats.BytesRead != 8*mb {
-		t.Fatalf("read bytes total %d, want 8MB", ds[0].Stats.BytesRead+ds[1].Stats.BytesRead)
+	if counters(ds[0]).Read.Bytes+counters(ds[1]).Read.Bytes != 8*mb {
+		t.Fatalf("read bytes total %d, want 8MB", counters(ds[0]).Read.Bytes+counters(ds[1]).Read.Bytes)
 	}
 }
 
@@ -151,8 +155,8 @@ func TestRAID1SmallReadsRoundRobin(t *testing.T) {
 			a.ReadAt(ioreq.Reader(p), int64(i)*64*kb, 64*kb)
 		}
 	})
-	if ds[0].Stats.Reads != 5 || ds[1].Stats.Reads != 5 {
-		t.Fatalf("round robin: d0=%d d1=%d ops, want 5/5", ds[0].Stats.Reads, ds[1].Stats.Reads)
+	if counters(ds[0]).Read.Ops != 5 || counters(ds[1]).Read.Ops != 5 {
+		t.Fatalf("round robin: d0=%d d1=%d ops, want 5/5", counters(ds[0]).Read.Ops, counters(ds[1]).Read.Ops)
 	}
 }
 
@@ -164,7 +168,7 @@ func TestRAID5ReadSkipsParity(t *testing.T) {
 	run(e, func(p *sim.Proc) { a.ReadAt(ioreq.Reader(p), 0, 2*mb) })
 	var total int64
 	for _, d := range ds {
-		total += d.Stats.BytesRead
+		total += counters(d).Read.Bytes
 	}
 	if total != 2*mb {
 		t.Fatalf("read touched %d bytes, want exactly 2MB (no parity reads)", total)
@@ -179,8 +183,8 @@ func TestRAID5FullStripeWriteParityOverhead(t *testing.T) {
 	run(e, func(p *sim.Proc) { a.WriteAt(ioreq.Writer(p), 0, 4*mb) })
 	var total, reads int64
 	for _, d := range ds {
-		total += d.Stats.BytesWritten
-		reads += d.Stats.BytesRead
+		total += counters(d).Write.Bytes
+		reads += counters(d).Read.Bytes
 	}
 	if total != 5*mb {
 		t.Fatalf("media writes = %d, want 5MB (data+parity)", total)
@@ -199,10 +203,10 @@ func TestRAID5SmallWriteRMW(t *testing.T) {
 	run(e, func(p *sim.Proc) { a.WriteAt(ioreq.Writer(p), 0, 4*kb) })
 	var reads, writes, bRead, bWritten int64
 	for _, d := range ds {
-		reads += d.Stats.Reads
-		writes += d.Stats.Writes
-		bRead += d.Stats.BytesRead
-		bWritten += d.Stats.BytesWritten
+		reads += counters(d).Read.Ops
+		writes += counters(d).Write.Ops
+		bRead += counters(d).Read.Bytes
+		bWritten += counters(d).Write.Bytes
 	}
 	if reads != 2 || writes != 2 {
 		t.Fatalf("RMW ops: %d reads, %d writes, want 2/2", reads, writes)

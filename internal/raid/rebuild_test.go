@@ -50,23 +50,23 @@ func TestRebuildRAID5RestoresArray(t *testing.T) {
 		t.Fatalf("rebuilds_completed = %d", got)
 	}
 	// The spare took the full member extent of writes.
-	if sp.Stats.BytesWritten != extent {
-		t.Fatalf("spare written %d, want %d", sp.Stats.BytesWritten, extent)
+	if counters(sp).Write.Bytes != extent {
+		t.Fatalf("spare written %d, want %d", counters(sp).Write.Bytes, extent)
 	}
 	// Every survivor contributed reads for the XOR reconstruction.
 	for i, d := range ds {
 		if i == 1 {
 			continue
 		}
-		if d.Stats.BytesRead != extent {
-			t.Fatalf("survivor %d read %d, want %d", i, d.Stats.BytesRead, extent)
+		if counters(d).Read.Bytes != extent {
+			t.Fatalf("survivor %d read %d, want %d", i, counters(d).Read.Bytes, extent)
 		}
 	}
 	// Post-rebuild I/O must serve healthy (no reconstruction on reads).
-	before := ds[0].Stats.BytesRead
+	before := counters(ds[0]).Read.Bytes
 	e.Spawn("io", func(p *sim.Proc) { a.ReadAt(ioreq.Reader(p), 0, mb) })
 	e.Run()
-	if amp := ds[0].Stats.BytesRead - before; amp > mb {
+	if amp := counters(ds[0]).Read.Bytes - before; amp > mb {
 		t.Fatalf("healthy read amplified: member 0 read %d for %d", amp, mb)
 	}
 }

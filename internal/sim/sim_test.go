@@ -128,6 +128,29 @@ func TestProcSequentialSleeps(t *testing.T) {
 	}
 }
 
+// TestSleepZeroDoesNotYield pins that Sleep(0) returns without
+// scheduling anything: a second process runnable at the same instant
+// (its start event is already on the calendar) must not run in
+// between. Server sections charge p.Sleep(cost) with cost possibly
+// zero and rely on this to stay a single uninterrupted step.
+func TestSleepZeroDoesNotYield(t *testing.T) {
+	e := NewEngine()
+	var log []string
+	e.Spawn("a", func(p *Proc) {
+		log = append(log, "a:before")
+		p.Sleep(0)
+		log = append(log, fmt.Sprintf("a:after@%d", p.Now()))
+	})
+	e.Spawn("b", func(p *Proc) {
+		log = append(log, "b")
+	})
+	e.Run()
+	want := []string{"a:before", "a:after@0", "b"}
+	if fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Fatalf("log = %v, want %v", log, want)
+	}
+}
+
 func TestProcInterleavingDeterministic(t *testing.T) {
 	run := func() []string {
 		e := NewEngine()

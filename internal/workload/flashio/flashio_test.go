@@ -59,13 +59,13 @@ func TestCollectiveWritesAreSequentialAtServer(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 	total := a.CheckpointBytes() + 2*a.PlotVarBytesPerProc()*4*8
-	if c.Server.Stats.BytesWritten != total {
-		t.Fatalf("server bytes = %d, want %d", c.Server.Stats.BytesWritten, total)
+	if got := c.Server.Telemetry().Snapshot().Counters.Write.Bytes; got != total {
+		t.Fatalf("server bytes = %d, want %d", got, total)
 	}
 	// With two-phase aggregation, ops per dataset ≈ aggregators, not
 	// procs × blocks.
-	if c.Server.Stats.WriteRPCs > 3000 {
-		t.Fatalf("write RPCs = %d, aggregation not effective", c.Server.Stats.WriteRPCs)
+	if got := c.Server.Telemetry().Snapshot().Counters.Write.Ops; got > 3000 {
+		t.Fatalf("write RPCs = %d, aggregation not effective", got)
 	}
 }
 

@@ -125,7 +125,7 @@ func TestUniqueLocalRunsOnNodeDisks(t *testing.T) {
 	// in the write-back page cache rather than reaching the platters).
 	var nodeBytes int64
 	for _, n := range c.Nodes {
-		nodeBytes += n.Local.Stats.BytesWritten
+		nodeBytes += n.Local.Telemetry().Snapshot().Counters.Write.Bytes
 	}
 	if nodeBytes == 0 {
 		t.Fatal("no traffic reached node-local filesystems")
