@@ -44,8 +44,8 @@ func RunBonnie(eng *sim.Engine, fsi fs.Interface, cfg BonnieConfig) (BonnieResul
 	var runErr error
 	eng.Spawn("bonnie", func(p *sim.Proc) {
 		const chunk = 1 << 20
-		wr := ioreq.Writer(p).SetPattern(ioreq.ModeSequential, chunk)
-		rd := ioreq.Reader(p).SetPattern(ioreq.ModeSequential, chunk)
+		wr := ioreq.Writer(p)
+		rd := ioreq.Reader(p)
 		mt := ioreq.Meta(p)
 		path := cfg.Dir + "/big"
 		h, err := fsi.Open(mt, path, fs.ORead|fs.OWrite|fs.OCreate|fs.OTrunc)

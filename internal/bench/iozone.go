@@ -56,17 +56,6 @@ func (m Mode) IsSequential() bool { return m == SeqWrite || m == SeqRead }
 // (IOzone -j: the access touches every other block).
 func (m Mode) IsStrided() bool { return m == StrideWrite || m == StrideRead }
 
-// access maps the IOzone mode onto the request-context pattern.
-func (m Mode) access() ioreq.Mode {
-	switch {
-	case m.IsSequential():
-		return ioreq.ModeSequential
-	case m.IsStrided():
-		return ioreq.ModeStrided
-	}
-	return ioreq.ModeRandom
-}
-
 // IOzoneConfig parameterizes a sweep. The paper's rule: FileSize is
 // twice the node's RAM so the page cache cannot satisfy the run, and
 // the block size sweeps 32 KB – 16 MB.
@@ -82,36 +71,10 @@ type IOzoneConfig struct {
 	// BetweenRuns, when set, is invoked before each measurement —
 	// the hook the methodology uses to drop caches for cold runs.
 	BetweenRuns func(p *sim.Proc)
-	// Seed for the random-mode offset sequence.
+	// Seed for the random-mode offset sequence. Each measurement
+	// shuffles with its own source seeded from Seed, the block size
+	// and the mode, so sweeps are reproducible.
 	Seed int64
-	// NewRand, when set, supplies the RNG for one measurement's
-	// offset shuffle; the seed passed in is derived deterministically
-	// from Seed, the block size and the mode. When nil, a math/rand
-	// source seeded with exactly that value is used, so sweeps are
-	// reproducible either way (the determinism invariant iolint
-	// enforces: no draws from the global source).
-	NewRand func(seed int64) *rand.Rand
-	// Clock, when set, overrides the timestamp source for the timed
-	// pass; the default reads the process's simulated clock. Tests
-	// use it to make measurement timing itself injectable — wall
-	// clocks never enter the benchmark.
-	Clock func(p *sim.Proc) sim.Time
-}
-
-// rng returns the measurement RNG for a derived seed.
-func (cfg IOzoneConfig) rng(seed int64) *rand.Rand {
-	if cfg.NewRand != nil {
-		return cfg.NewRand(seed)
-	}
-	return rand.New(rand.NewSource(seed))
-}
-
-// now reads the measurement clock.
-func (cfg IOzoneConfig) now(p *sim.Proc) sim.Time {
-	if cfg.Clock != nil {
-		return cfg.Clock(p)
-	}
-	return p.Now()
 }
 
 // DefaultBlockSizes is the paper's 32 KB … 16 MB sweep.
@@ -206,7 +169,7 @@ func iozoneOnce(p *sim.Proc, fsi fs.Interface, cfg IOzoneConfig, mode Mode, bs i
 	// Reads and random modes need the file populated; write it
 	// untimed if the previous mode has not already.
 	if mode != SeqWrite && h.Size() < cfg.FileSize {
-		fill := ioreq.Writer(p).SetPattern(ioreq.ModeSequential, 8<<20)
+		fill := ioreq.Writer(p)
 		for off := h.Size(); off < cfg.FileSize; off += 8 << 20 {
 			n := min64(8<<20, cfg.FileSize-off)
 			h.WriteAt(fill, off, n)
@@ -231,7 +194,7 @@ func iozoneOnce(p *sim.Proc, fsi fs.Interface, cfg IOzoneConfig, mode Mode, bs i
 		}
 	}
 	if !mode.IsSequential() && !mode.IsStrided() {
-		rng := cfg.rng(cfg.Seed + bs + int64(mode))
+		rng := rand.New(rand.NewSource(cfg.Seed + bs + int64(mode)))
 		rng.Shuffle(len(offsets), func(i, j int) { offsets[i], offsets[j] = offsets[j], offsets[i] })
 		if cfg.RandomOps > 0 && len(offsets) > cfg.RandomOps {
 			offsets = offsets[:cfg.RandomOps]
@@ -246,8 +209,8 @@ func iozoneOnce(p *sim.Proc, fsi fs.Interface, cfg IOzoneConfig, mode Mode, bs i
 	if mode.IsWrite() {
 		op = ioreq.OpWrite
 	}
-	r := ioreq.New(p, op).SetPattern(mode.access(), bs)
-	t0 := cfg.now(p)
+	r := ioreq.New(p, op)
+	t0 := p.Now()
 	var moved int64
 	for i := 0; i < len(offsets); i += batch {
 		end := i + batch
@@ -267,7 +230,7 @@ func iozoneOnce(p *sim.Proc, fsi fs.Interface, cfg IOzoneConfig, mode Mode, bs i
 	if mode.IsWrite() {
 		h.Sync(r) // IOzone -e: include fsync in the timing
 	}
-	elapsed := sim.Duration(cfg.now(p) - t0)
+	elapsed := sim.Duration(p.Now() - t0)
 
 	ops := int64(len(offsets))
 	res := IOzoneResult{Mode: mode, BlockSize: bs, Ops: ops}

@@ -41,7 +41,3 @@ func WriteRuns(r *ioreq.Request, dev BlockDev, runs []Run) {
 		dev.WriteAt(r, run.Off, run.Len)
 	}
 }
-
-// MergeRuns coalesces sorted runs that overlap or touch, returning a
-// minimal cover. Input must be sorted by Off.
-func MergeRuns(runs []Run) []Run { return ioreq.Merge(runs) }

@@ -16,7 +16,7 @@ func TestMergeRuns(t *testing.T) {
 		{Off: 200, Len: 10},  // gap: new run
 		{Off: 205, Len: 100}, // overlaps previous: merge/extend
 	}
-	out := MergeRuns(in)
+	out := ioreq.Merge(in)
 	want := []Run{{Off: 0, Len: 150}, {Off: 200, Len: 105}}
 	if len(out) != len(want) {
 		t.Fatalf("out = %+v", out)
@@ -29,11 +29,11 @@ func TestMergeRuns(t *testing.T) {
 }
 
 func TestMergeRunsDegenerate(t *testing.T) {
-	if out := MergeRuns(nil); len(out) != 0 {
+	if out := ioreq.Merge(nil); len(out) != 0 {
 		t.Fatal("nil input")
 	}
 	one := []Run{{Off: 5, Len: 5}}
-	if out := MergeRuns(one); len(out) != 1 || out[0] != one[0] {
+	if out := ioreq.Merge(one); len(out) != 1 || out[0] != one[0] {
 		t.Fatal("single input")
 	}
 }
@@ -72,7 +72,7 @@ func TestDiskAccessors(t *testing.T) {
 	}
 }
 
-// Property: MergeRuns of sorted runs preserves total coverage (union
+// Property: ioreq.Merge of sorted runs preserves total coverage (union
 // of byte ranges) and outputs strictly ascending disjoint runs.
 func TestQuickMergeRuns(t *testing.T) {
 	f := func(raw []uint16) bool {
@@ -91,7 +91,7 @@ func TestQuickMergeRuns(t *testing.T) {
 				covered[b/64] = true
 			}
 		}
-		out := MergeRuns(append([]Run{}, in...))
+		out := ioreq.Merge(append([]Run{}, in...))
 		lastEnd := int64(-1)
 		var outCover int
 		for _, r := range out {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"ioeval/internal/bench"
@@ -149,17 +148,4 @@ func libFigure(id, title string, pts []Fig6Point) Artifact {
 			fmt.Sprintf("%.1f MB/s", p.WriteMBs), fmt.Sprintf("%.1f MB/s", p.ReadMBs))
 	}
 	return Artifact{ID: id, Title: title, Text: tb.String()}
-}
-
-// PerfTables renders the full Table-I-style performance tables of a
-// platform (all levels), for completeness of the characterization
-// phase output.
-func PerfTables(pl Platform, org cluster.Organization) string {
-	ch := Characterization(pl, org)
-	var b strings.Builder
-	for _, level := range core.Levels() {
-		b.WriteString(core.FormatPerfTable(ch.Table(level)))
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

@@ -155,9 +155,6 @@ func (m *Mount) Telemetry() *telemetry.Recorder { return m.rec }
 // Name implements Interface.
 func (m *Mount) Name() string { return m.params.Name }
 
-// Device returns the underlying block device stack.
-func (m *Mount) Device() device.BlockDev { return m.dev }
-
 // Params returns the mount configuration.
 func (m *Mount) Params() MountParams { return m.params }
 

@@ -1,12 +1,13 @@
 // Package ioreq defines the per-request context threaded through
 // every layer of the simulated I/O stack. A Request carries what the
 // bare (proc, offset, length) signatures could not: the operation
-// class, the application-level access pattern, the originating rank
-// and phase, fault tags, and — centrally — a span stack stamped on
-// the simulated clock. Each layer opens a span on entry and closes it
-// on exit; a data entry point opens it on the component's telemetry
-// Recorder (Enter/Observe/Exit), so one interval feeds both the path
-// profile and the component's counters. A completed request knows
+// class, the span collector, fault tags, and — centrally — a span
+// stack stamped on the simulated clock. Access facts (mode, block
+// size, rank, phase) come from the MPI-IO trace, the one event stream
+// the trace package classifies. Each layer opens a span on entry and
+// closes it on exit; a data entry point opens it on the component's
+// telemetry Recorder (Enter/Observe/Exit), so one interval feeds both
+// the path profile and the component's counters. A completed request knows
 // exactly how long it spent in the MPI-IO library, the global
 // filesystem, the local filesystem, the page cache, the RAID
 // organization, the disks, and the network.
@@ -62,31 +63,6 @@ func (o Op) Class() telemetry.OpClass {
 	}
 }
 
-// Mode is the application-level access pattern stamped on the
-// request. It mirrors (but does not import) trace.AccessMode, so the
-// layer packages need no dependency on the tracing plane.
-type Mode int
-
-// Access patterns.
-const (
-	ModeUnknown Mode = iota
-	ModeSequential
-	ModeStrided
-	ModeRandom
-)
-
-func (m Mode) String() string {
-	switch m {
-	case ModeSequential:
-		return "sequential"
-	case ModeStrided:
-		return "strided"
-	case ModeRandom:
-		return "random"
-	}
-	return "unknown"
-}
-
 // span is one open interval on a request's path. Spans form a tree:
 // a child's [start, end] nests inside its parent's. covered/coverEnd
 // incrementally accumulate the union of completed children, so the
@@ -127,25 +103,16 @@ func (s *span) label() string {
 	return s.comp
 }
 
-// shared is the per-request state common to every proc view.
-type shared struct {
-	op    Op
-	mode  Mode
-	block int64
-	rank  int
-	phase int
-	col   *Collector
-}
-
 // Request is a per-request context. It wraps the simulated process
 // executing the request, so layer methods take a *Request where they
 // used to take a *sim.Proc. A Request is a lightweight view: WithProc
-// creates sibling views over the same shared state for sim.Fork
+// creates sibling views with the same op and collector for sim.Fork
 // children, giving each proc its own strictly-LIFO span stack while
 // all spans aggregate into one tree.
 type Request struct {
 	p   *sim.Proc
-	d   *shared
+	op  Op
+	col *Collector
 	cur *span
 }
 
@@ -154,7 +121,7 @@ func New(p *sim.Proc, op Op) *Request {
 	if p == nil {
 		panic("ioreq: New with nil proc")
 	}
-	return &Request{p: p, d: &shared{op: op, rank: -1, phase: -1}}
+	return &Request{p: p, op: op}
 }
 
 // Reader is shorthand for New(p, OpRead).
@@ -166,25 +133,11 @@ func Writer(p *sim.Proc) *Request { return New(p, OpWrite) }
 // Meta is shorthand for New(p, OpMeta).
 func Meta(p *sim.Proc) *Request { return New(p, OpMeta) }
 
-// SetPattern stamps the application-level access pattern and block
-// size. Returns r for chaining at construction sites.
-func (r *Request) SetPattern(mode Mode, block int64) *Request {
-	r.d.mode = mode
-	r.d.block = block
-	return r
-}
-
-// SetOrigin stamps the originating MPI rank and workload phase.
-func (r *Request) SetOrigin(rank, phase int) *Request {
-	r.d.rank = rank
-	r.d.phase = phase
-	return r
-}
-
 // SetCollector attaches the aggregation target for popped spans and
-// fault tags. A nil collector (the default) discards both.
+// fault tags. A nil collector (the default) discards both. Views
+// made by WithProc keep the collector set when they were made.
 func (r *Request) SetCollector(c *Collector) *Request {
-	r.d.col = c
+	r.col = c
 	return r
 }
 
@@ -196,30 +149,18 @@ func (r *Request) Proc() *sim.Proc { return r.p }
 func (r *Request) Now() sim.Time { return r.p.Now() }
 
 // Op returns the request's operation class.
-func (r *Request) Op() Op { return r.d.op }
+func (r *Request) Op() Op { return r.op }
 
 // Class returns the telemetry class of the request's op.
-func (r *Request) Class() telemetry.OpClass { return r.d.op.Class() }
-
-// Mode returns the access pattern stamped on the request.
-func (r *Request) Mode() Mode { return r.d.mode }
-
-// Block returns the application block size stamped on the request.
-func (r *Request) Block() int64 { return r.d.block }
-
-// Rank returns the originating MPI rank (-1 if not an MPI request).
-func (r *Request) Rank() int { return r.d.rank }
-
-// Phase returns the originating workload phase (-1 if unset).
-func (r *Request) Phase() int { return r.d.phase }
+func (r *Request) Class() telemetry.OpClass { return r.op.Class() }
 
 // WithProc returns a view of the request executed by child. The view
-// shares the request's identity and collector; its span stack starts
+// copies the request's op and collector; its span stack starts
 // at the caller's current span, so spans the child pushes nest under
 // the span that was open when the fork happened. Use at every
 // sim.Fork fan-out that continues a request on child procs.
 func (r *Request) WithProc(child *sim.Proc) *Request {
-	return &Request{p: child, d: r.d, cur: r.cur}
+	return &Request{p: child, op: r.op, col: r.col, cur: r.cur}
 }
 
 // Push opens a span at the given level. Every layer entry point opens
@@ -288,7 +229,7 @@ func (r *Request) Pop() {
 		// negative self time.
 		panic(fmt.Sprintf("ioreq: span %s/%s self time negative", s.level, s.label()))
 	}
-	r.d.col.record(s, r.d.op.Class(), dur, self)
+	r.col.record(s, r.op.Class(), dur, self)
 	if par := s.parent; par != nil {
 		if s.start >= par.coverEnd {
 			par.covered += dur
@@ -317,5 +258,5 @@ func (r *Request) Depth() int {
 // component (slow disk, failed RAID member, stalled server, flapping
 // link), so degraded-path traffic is visible in the PathProfile.
 func (r *Request) Tag(name string) {
-	r.d.col.tag(name)
+	r.col.tag(name)
 }

@@ -258,26 +258,41 @@ func TestPopWithoutPushPanics(t *testing.T) {
 	e.Run()
 }
 
-// TestRequestStamps checks the constructor chain carries op, pattern,
-// origin, and defaults.
+// TestRequestStamps checks the constructor chain carries the op and
+// its telemetry class, and that WithProc views keep them.
 func TestRequestStamps(t *testing.T) {
 	e := sim.NewEngine()
 	e.Spawn("req", func(p *sim.Proc) {
-		r := New(p, OpWrite).SetPattern(ModeStrided, 4096).SetOrigin(3, 7)
+		r := New(p, OpWrite)
 		if r.Op() != OpWrite || r.Class() != telemetry.ClassWrite {
 			t.Errorf("op=%v class=%v, want write/write", r.Op(), r.Class())
 		}
-		if r.Mode() != ModeStrided || r.Block() != 4096 {
-			t.Errorf("mode=%v block=%d, want strided/4096", r.Mode(), r.Block())
+		if v := r.WithProc(p); v.Op() != OpWrite || v.Class() != telemetry.ClassWrite {
+			t.Errorf("view op=%v class=%v, want write/write", v.Op(), v.Class())
 		}
-		if r.Rank() != 3 || r.Phase() != 7 {
-			t.Errorf("rank=%d phase=%d, want 3/7", r.Rank(), r.Phase())
-		}
-		if d := Reader(p); d.Rank() != -1 || d.Phase() != -1 {
-			t.Errorf("default rank=%d phase=%d, want -1/-1", d.Rank(), d.Phase())
+		if m := Meta(p); m.Op() != OpMeta || m.Class() != telemetry.ClassMeta {
+			t.Errorf("meta op=%v class=%v, want meta/meta", m.Op(), m.Class())
 		}
 	})
 	e.Run()
+}
+
+// newSink keeps TestNewAllocs' requests reachable, so escape analysis
+// cannot move them to the stack and hide their allocation.
+var newSink *Request
+
+// TestNewAllocs pins the request constructor on the hot path to one
+// allocation: the Request itself.
+func TestNewAllocs(t *testing.T) {
+	e := sim.NewEngine()
+	var allocs float64
+	e.Spawn("req", func(p *sim.Proc) {
+		allocs = testing.AllocsPerRun(1000, func() { newSink = New(p, OpRead) })
+	})
+	e.Run()
+	if allocs > 1 {
+		t.Errorf("New allocates %.1f objects per call, want <= 1", allocs)
+	}
 }
 
 // TestVecOps checks the shared vector bookkeeping: Total, Sort, and

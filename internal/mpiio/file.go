@@ -61,8 +61,6 @@ type File struct {
 	aggs    []int // aggregator ranks
 
 	pending *collOp // rendezvous for the in-flight collective
-
-	views map[int]*viewState // per-rank file views (view.go)
 }
 
 // OpenFile describes a file to the world; every rank must then call
@@ -132,7 +130,7 @@ func (f *File) Path() string { return f.path }
 // it (the NFS client): ROMIO cannot rely on close-to-open caching for
 // shared files.
 func (f *File) Open(p *sim.Proc, rank int) error {
-	r := f.w.req(p, ioreq.OpMeta, rank)
+	r := f.w.req(p, ioreq.OpMeta)
 	t0 := p.Now()
 	r.Push(telemetry.LevelLibrary, f.label)
 	defer r.Pop()
@@ -171,7 +169,7 @@ func (f *File) handle(rank int) fs.Handle {
 
 // WriteAt is an independent write.
 func (f *File) WriteAt(p *sim.Proc, rank int, off, n int64) int64 {
-	r := f.w.req(p, ioreq.OpWrite, rank).SetPattern(ioreq.ModeSequential, n)
+	r := f.w.req(p, ioreq.OpWrite)
 	t0 := p.Now()
 	r.Push(telemetry.LevelLibrary, f.label)
 	defer r.Pop()
@@ -183,7 +181,7 @@ func (f *File) WriteAt(p *sim.Proc, rank int, off, n int64) int64 {
 
 // ReadAt is an independent read.
 func (f *File) ReadAt(p *sim.Proc, rank int, off, n int64) int64 {
-	r := f.w.req(p, ioreq.OpRead, rank).SetPattern(ioreq.ModeSequential, n)
+	r := f.w.req(p, ioreq.OpRead)
 	t0 := p.Now()
 	r.Push(telemetry.LevelLibrary, f.label)
 	defer r.Pop()
@@ -199,7 +197,7 @@ func (f *File) WriteVec(p *sim.Proc, rank int, vecs []fs.IOVec) int64 {
 	if len(vecs) == 0 {
 		return 0
 	}
-	r := f.w.req(p, ioreq.OpWrite, rank).SetPattern(vecMode(vecs), vecs[0].Len)
+	r := f.w.req(p, ioreq.OpWrite)
 	t0 := p.Now()
 	r.Push(telemetry.LevelLibrary, f.label)
 	defer r.Pop()
@@ -215,7 +213,7 @@ func (f *File) ReadVec(p *sim.Proc, rank int, vecs []fs.IOVec) int64 {
 	if len(vecs) == 0 {
 		return 0
 	}
-	r := f.w.req(p, ioreq.OpRead, rank).SetPattern(vecMode(vecs), vecs[0].Len)
+	r := f.w.req(p, ioreq.OpRead)
 	t0 := p.Now()
 	r.Push(telemetry.LevelLibrary, f.label)
 	defer r.Pop()
@@ -228,7 +226,7 @@ func (f *File) ReadVec(p *sim.Proc, rank int, vecs []fs.IOVec) int64 {
 
 // Sync flushes the rank's view of the file.
 func (f *File) Sync(p *sim.Proc, rank int) {
-	r := f.w.req(p, ioreq.OpMeta, rank)
+	r := f.w.req(p, ioreq.OpMeta)
 	t0 := p.Now()
 	r.Push(telemetry.LevelLibrary, f.label)
 	defer r.Pop()
@@ -238,7 +236,7 @@ func (f *File) Sync(p *sim.Proc, rank int) {
 
 // Close closes the rank's handle.
 func (f *File) Close(p *sim.Proc, rank int) {
-	r := f.w.req(p, ioreq.OpMeta, rank)
+	r := f.w.req(p, ioreq.OpMeta)
 	t0 := p.Now()
 	r.Push(telemetry.LevelLibrary, f.label)
 	defer r.Pop()
@@ -262,7 +260,7 @@ func (f *File) ReadAtAll(p *sim.Proc, rank int, off, n int64) int64 {
 // data over the communication network, rearrange it, and write large
 // contiguous chunks.
 func (f *File) WriteVecAll(p *sim.Proc, rank int, vecs []fs.IOVec) int64 {
-	r := f.w.req(p, ioreq.OpWrite, rank).SetPattern(vecMode(vecs), vecBlock(vecs))
+	r := f.w.req(p, ioreq.OpWrite)
 	t0 := p.Now()
 	r.Push(telemetry.LevelLibrary, f.label)
 	defer r.Pop()
@@ -280,7 +278,7 @@ func (f *File) WriteVecAll(p *sim.Proc, rank int, vecs []fs.IOVec) int64 {
 
 // ReadVecAll is the collective (two-phase) read.
 func (f *File) ReadVecAll(p *sim.Proc, rank int, vecs []fs.IOVec) int64 {
-	r := f.w.req(p, ioreq.OpRead, rank).SetPattern(vecMode(vecs), vecBlock(vecs))
+	r := f.w.req(p, ioreq.OpRead)
 	t0 := p.Now()
 	r.Push(telemetry.LevelLibrary, f.label)
 	defer r.Pop()
@@ -307,27 +305,6 @@ func vecSpan(vecs []fs.IOVec) int64 {
 	return last.Off + last.Len - vecs[0].Off
 }
 
-// vecMode classifies the vector's access pattern: one extent is
-// sequential, evenly spaced extents are strided, anything else is
-// random.
-func vecMode(vecs []fs.IOVec) ioreq.Mode {
-	switch {
-	case len(vecs) <= 1:
-		return ioreq.ModeSequential
-	case vecStride(vecs) != 0:
-		return ioreq.ModeStrided
-	}
-	return ioreq.ModeRandom
-}
-
-// vecBlock returns the leading element length (0 for empty vectors).
-func vecBlock(vecs []fs.IOVec) int64 {
-	if len(vecs) == 0 {
-		return 0
-	}
-	return vecs[0].Len
-}
-
 // vecStride returns the constant offset stride of the vector, or 0 if
 // the elements are not evenly spaced (or there are fewer than two).
 func vecStride(vecs []fs.IOVec) int64 {
@@ -345,9 +322,9 @@ func vecStride(vecs []fs.IOVec) int64 {
 
 // collOp is the rendezvous state of one in-flight collective.
 type collOp struct {
-	rendezvous oneShotBarrier
-	afterXchg  oneShotBarrier
-	afterIO    oneShotBarrier
+	rendezvous genBarrier
+	afterXchg  genBarrier
+	afterIO    genBarrier
 	vecs       [][]fs.IOVec
 	write      bool
 
@@ -417,18 +394,11 @@ func (c *collOp) computePlan(f *File) {
 	for _, vs := range c.vecs {
 		all = append(all, vs...)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Off < all[j].Off })
+	ioreq.Sort(all)
 	var merged []fs.IOVec
 	for _, v := range all {
-		if v.Len == 0 {
-			continue
-		}
-		if m := len(merged); m > 0 && v.Off <= merged[m-1].Off+merged[m-1].Len {
-			if end := v.Off + v.Len; end > merged[m-1].Off+merged[m-1].Len {
-				merged[m-1].Len = end - merged[m-1].Off
-			}
-		} else {
-			merged = append(merged, v)
+		if v.Len > 0 {
+			merged = ioreq.AppendMerged(merged, v)
 		}
 	}
 	var total int64

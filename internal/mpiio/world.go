@@ -98,7 +98,6 @@ type World struct {
 	tracer Tracer
 	rec    *telemetry.Recorder
 	col    *ioreq.Collector
-	phase  int
 
 	barrier genBarrier
 }
@@ -109,7 +108,7 @@ func NewWorld(e *sim.Engine, net *netsim.Network, rankNodes []string) *World {
 	if len(rankNodes) == 0 {
 		panic("mpiio: empty world")
 	}
-	w := &World{eng: e, net: net, nodes: append([]string{}, rankNodes...), phase: -1}
+	w := &World{eng: e, net: net, nodes: append([]string{}, rankNodes...)}
 	w.barrier.n = len(rankNodes)
 	w.rec = telemetry.NewRecorder(e, "mpiio", telemetry.LevelLibrary, int64(len(rankNodes)))
 	return w
@@ -134,15 +133,10 @@ func (w *World) SetCollector(c *ioreq.Collector) { w.col = c }
 // Collector returns the installed span collector (possibly nil).
 func (w *World) Collector() *ioreq.Collector { return w.col }
 
-// SetPhase stamps the current workload phase onto subsequent requests
-// (-1, the default, means no phase structure).
-func (w *World) SetPhase(ph int) { w.phase = ph }
-
 // req builds the per-request context for one library call: the
-// operation class, the originating rank and phase, and the world's
-// span collector.
-func (w *World) req(p *sim.Proc, op ioreq.Op, rank int) *ioreq.Request {
-	return ioreq.New(p, op).SetOrigin(rank, w.phase).SetCollector(w.col)
+// operation class and the world's span collector.
+func (w *World) req(p *sim.Proc, op ioreq.Op) *ioreq.Request {
+	return ioreq.New(p, op).SetCollector(w.col)
 }
 
 // Size returns the number of ranks.
@@ -153,9 +147,6 @@ func (w *World) Node(rank int) string { return w.nodes[rank] }
 
 // Engine returns the simulation engine.
 func (w *World) Engine() *sim.Engine { return w.eng }
-
-// Net returns the communication network.
-func (w *World) Net() *netsim.Network { return w.net }
 
 // SetTracer installs tr for all subsequent operations.
 func (w *World) SetTracer(tr Tracer) { w.tracer = tr }
@@ -240,25 +231,6 @@ func (b *genBarrier) wait(p *sim.Proc) {
 		for _, wk := range ws {
 			wk()
 		}
-		return
-	}
-	b.waiters = append(b.waiters, p.PrepareWait())
-	p.Wait()
-}
-
-// oneShotBarrier synchronizes exactly n arrivals once.
-type oneShotBarrier struct {
-	n, count int
-	waiters  []func()
-}
-
-func (b *oneShotBarrier) wait(p *sim.Proc) {
-	b.count++
-	if b.count == b.n {
-		for _, wk := range b.waiters {
-			wk()
-		}
-		b.waiters = nil
 		return
 	}
 	b.waiters = append(b.waiters, p.PrepareWait())

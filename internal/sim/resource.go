@@ -44,9 +44,6 @@ func (r *Resource) Capacity() int64 { return r.capacity }
 // InUse returns the currently held units.
 func (r *Resource) InUse() int64 { return r.inUse }
 
-// QueueLen returns the number of claims waiting.
-func (r *Resource) QueueLen() int { return len(r.queue) }
-
 func (r *Resource) stamp() {
 	now := r.eng.now
 	r.busy += Duration(now-r.lastStamp) * Duration(r.inUse)

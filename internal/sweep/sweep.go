@@ -126,9 +126,6 @@ func (e *Engine) Workers() int { return e.workers }
 // any size. Set it before the first Characterization/Run call.
 func (e *Engine) SetCharWorkers(n int) { e.charPool = core.NewCharPool(n) }
 
-// CharWorkers returns the characterization pool's concurrency bound.
-func (e *Engine) CharWorkers() int { return e.charPool.Workers() }
-
 // SetStore attaches a persistent characterization store: missing
 // characterizations are looked up there before being measured and
 // written back after. Set it before the first Characterization/Run

@@ -120,18 +120,6 @@ var bucketBounds = [NumBuckets - 1]sim.Duration{
 	sim.Second,
 }
 
-// BucketLabel returns a human-readable label for bucket i.
-func BucketLabel(i int) string {
-	switch {
-	case i == 0:
-		return "<" + bucketBounds[0].String()
-	case i < NumBuckets-1:
-		return "<" + bucketBounds[i].String()
-	default:
-		return "≥" + bucketBounds[NumBuckets-2].String()
-	}
-}
-
 // Histogram is a fixed-bucket latency histogram. Counts[i] holds the
 // number of operations whose per-operation latency fell in bucket i.
 type Histogram struct {

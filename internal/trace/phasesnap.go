@@ -14,12 +14,13 @@ import (
 // phase (Tables III/IV/VIII) measured per-level counters instead of
 // run-wide averages.
 //
-// Boundary classification mirrors Tracer.Phases: a phase is a maximal
-// run of same-kind I/O events; compute, communication, barriers and
-// closes end it; opens and syncs are neutral. Because events are
-// reported at their end time, a boundary snapshot is taken at the end
-// of the event that revealed the boundary, so that event's own time
-// smears into the interval it closes — the price of online detection.
+// Boundary classification is Tracer.Phases's rule (phaseStepOf): a
+// phase is a maximal run of same-kind I/O events; compute,
+// communication, barriers and closes end it; opens and syncs are
+// neutral. Because events are reported at their end time, a boundary
+// snapshot is taken at the end of the event that revealed the
+// boundary, so that event's own time smears into the interval it
+// closes — the price of online detection.
 //
 // The emitted intervals are contiguous from t=0 to the last Finish or
 // boundary: with monotonic counters, the per-component deltas of all
@@ -54,12 +55,8 @@ func (ps *PhaseSnapshotter) Record(ev mpiio.Event) {
 	if ev.Rank != ps.rank {
 		return
 	}
-	switch ev.Op {
-	case mpiio.OpRead, mpiio.OpReadAll, mpiio.OpWrite, mpiio.OpWriteAll:
-		kind := mpiio.OpWrite
-		if ev.Op == mpiio.OpRead || ev.Op == mpiio.OpReadAll {
-			kind = mpiio.OpRead
-		}
+	switch step, kind := phaseStepOf(ev.Op); step {
+	case stepData:
 		if ps.inPhase && kind != ps.curKind {
 			ps.emit(ps.phaseLabel(), ps.phaseKind())
 		}
@@ -68,10 +65,7 @@ func (ps *PhaseSnapshotter) Record(ev mpiio.Event) {
 			ps.curKind = kind
 			ps.nPhases++
 		}
-	case mpiio.OpOpen, mpiio.OpSync:
-		// Neutral: neither extend nor break a phase.
-	default:
-		// Compute, communication, barrier, close: phase boundary.
+	case stepBoundary:
 		if ps.inPhase {
 			ps.emit(ps.phaseLabel(), ps.phaseKind())
 			ps.inPhase = false

@@ -202,12 +202,8 @@ func (t *Tracer) Phases(rank int) []Phase {
 		if ev.Rank != rank {
 			continue
 		}
-		switch ev.Op {
-		case mpiio.OpRead, mpiio.OpReadAll, mpiio.OpWrite, mpiio.OpWriteAll:
-			kind := mpiio.OpWrite
-			if ev.Op == mpiio.OpRead || ev.Op == mpiio.OpReadAll {
-				kind = mpiio.OpRead
-			}
+		switch step, kind := phaseStepOf(ev.Op); step {
+		case stepData:
 			mode := classify(ev, lastEnd)
 			if cur == nil || cur.Kind != kind {
 				flush()
@@ -221,16 +217,37 @@ func (t *Tracer) Phases(rank int) []Phase {
 			cur.Bytes += ev.Bytes
 			cur.End = ev.T1
 			lastEnd = ev.Offset + ev.Bytes
-		case mpiio.OpOpen, mpiio.OpSync:
-			// Neutral events: neither extend nor break a phase.
-		default:
-			// Compute, communication, barrier, close: phase boundary.
+		case stepBoundary:
 			flush()
 			lastEnd = -1
 		}
 	}
 	flush()
 	return phases
+}
+
+// phaseStep is how one event moves phase detection.
+type phaseStep int
+
+const (
+	stepData     phaseStep = iota // data op: extends or starts a phase of its kind
+	stepNeutral                   // open, sync: neither extends nor ends a phase
+	stepBoundary                  // compute, comm, barrier, close: ends the phase
+)
+
+// phaseStepOf classifies op for phase detection, the one rule both
+// Tracer.Phases and PhaseSnapshotter apply. For data ops it also
+// returns the phase kind, with collectives folded into OpRead/OpWrite.
+func phaseStepOf(op mpiio.Op) (phaseStep, mpiio.Op) {
+	switch op {
+	case mpiio.OpRead, mpiio.OpReadAll:
+		return stepData, mpiio.OpRead
+	case mpiio.OpWrite, mpiio.OpWriteAll:
+		return stepData, mpiio.OpWrite
+	case mpiio.OpOpen, mpiio.OpSync:
+		return stepNeutral, 0
+	}
+	return stepBoundary, 0
 }
 
 // classify derives an access mode for a single event given the end of
