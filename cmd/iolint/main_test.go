@@ -16,7 +16,7 @@ func TestListExitsZero(t *testing.T) {
 	}
 	for _, name := range []string{
 		"determinism", "lockdiscipline", "errcheck", "unitflow",
-		"probeconform", "reqpath", "spanbalance", "faultplan",
+		"probeconform", "reqpath", "spanbalance",
 	} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output lacks analyzer %q", name)

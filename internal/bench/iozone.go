@@ -13,6 +13,7 @@ import (
 	"ioeval/internal/fs"
 	"ioeval/internal/ioreq"
 	"ioeval/internal/sim"
+	"ioeval/internal/telemetry"
 )
 
 // Mode is an IOzone access mode.
@@ -205,11 +206,11 @@ func iozoneOnce(p *sim.Proc, fsi fs.Interface, cfg IOzoneConfig, mode Mode, bs i
 	// per-operation costs are charged identically to a syscall loop,
 	// but the simulation stays event-efficient for large sweeps.
 	const batch = 64
-	op := ioreq.OpRead
+	class := telemetry.ClassRead
 	if mode.IsWrite() {
-		op = ioreq.OpWrite
+		class = telemetry.ClassWrite
 	}
-	r := ioreq.New(p, op)
+	r := ioreq.New(p, class)
 	t0 := p.Now()
 	var moved int64
 	for i := 0; i < len(offsets); i += batch {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -90,8 +91,8 @@ func TestClusterTelemetryRegistry(t *testing.T) {
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	got, err := telemetry.ReadReportJSON(&buf)
-	if err != nil {
+	var got telemetry.Report
+	if err := json.NewDecoder(&buf).Decode(&got); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if len(got.Components) != len(rep.Components) {

@@ -5,7 +5,6 @@ import (
 
 	"ioeval/internal/bench"
 	"ioeval/internal/cluster"
-	"ioeval/internal/fault"
 )
 
 // CharacterizeConfig controls the system-characterization phase.
@@ -35,13 +34,6 @@ type CharacterizeConfig struct {
 	// PFS server node's filesystem (the cluster must be built with
 	// Config.PFSIONodes > 0).
 	UsePFS bool
-
-	// Fault, when non-nil, arms the plan on every cluster built during
-	// characterization, so the tables measure the degraded path — a
-	// RAID 5 serving reconstructed reads, an NFS server that stalls
-	// mid-benchmark. The resulting Characterization carries the
-	// scenario name.
-	Fault *fault.Plan
 }
 
 // withDefaults returns the config with every unset field filled in:
@@ -77,9 +69,6 @@ func (cfg CharacterizeConfig) withDefaults(probe *cluster.Cluster) CharacterizeC
 	if cfg.GlobalFileSize == 0 {
 		cfg.GlobalFileSize = 2 * probe.Cfg.NodeRAM
 	}
-	if cfg.Fault != nil && cfg.Fault.Empty() {
-		cfg.Fault = nil
-	}
 	return cfg
 }
 
@@ -104,10 +93,7 @@ func DefaultCharacterizeConfig() CharacterizeConfig {
 // phase: one performance table per I/O-path level.
 type Characterization struct {
 	Config string
-	// Scenario names the fault plan the tables were measured under
-	// ("" = healthy system).
-	Scenario string
-	Tables   map[Level]*PerfTable
+	Tables map[Level]*PerfTable
 }
 
 // Table returns the table of a level.
@@ -131,21 +117,10 @@ func characterize(build func() *cluster.Cluster, cfg CharacterizeConfig, pool *C
 		name = fmt.Sprintf("%s/pfs-%d", probe.Cfg.Name, probe.Cfg.PFSIONodes)
 	}
 
-	var scenario string
-	if cfg.Fault != nil && !cfg.Fault.Empty() {
-		// Validate once against the probe cluster; the plan rides on
-		// every unit, armed on each unit's fresh cluster, so the
-		// tables measure the degraded path.
-		if err := cfg.Fault.Validate(probe); err != nil {
-			return nil, fmt.Errorf("characterize: %w", err)
-		}
-		scenario = cfg.Fault.Name
-	}
-
 	units := charPlan(cfg)
 	rows, err := runPlan(reuseProbe(probe, build), cfg, units, pool)
 	if err != nil {
 		return nil, err
 	}
-	return mergeUnits(name, scenario, units, rows), nil
+	return mergeUnits(name, units, rows), nil
 }

@@ -5,21 +5,15 @@ import (
 	"testing"
 
 	"ioeval/internal/bench"
-	"ioeval/internal/fault"
-	"ioeval/internal/sim"
 )
 
 // TestWithDefaults pins the normalization that feeds Fingerprint (and
 // the shard-plan builder): unset fields fill with the paper's values
 // or the probe cluster's stress-rule sizes, set fields pass through
-// untouched, and an empty fault plan normalizes to nil.
+// untouched.
 func TestWithDefaults(t *testing.T) {
 	probe := goldenCluster() // IONodeRAM = NodeRAM = 256 MB
 	ram := probe.Cfg.NodeRAM
-
-	emptyFault := &fault.Plan{Name: "noop", Seed: 7}
-	realFault := &fault.Plan{Name: "slow", Seed: 1,
-		Events: []fault.Event{{Kind: fault.DiskSlow, At: sim.Second, Factor: 2}}}
 
 	cases := []struct {
 		name  string
@@ -86,24 +80,6 @@ func TestWithDefaults(t *testing.T) {
 				}
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("got %+v, want %+v", got, want)
-				}
-			},
-		},
-		{
-			name: "empty fault plan normalizes to nil",
-			in:   CharacterizeConfig{Fault: emptyFault},
-			check: func(t *testing.T, got CharacterizeConfig) {
-				if got.Fault != nil {
-					t.Errorf("Fault = %+v, want nil (empty plan)", got.Fault)
-				}
-			},
-		},
-		{
-			name: "armed fault plan passes through",
-			in:   CharacterizeConfig{Fault: realFault},
-			check: func(t *testing.T, got CharacterizeConfig) {
-				if got.Fault != realFault {
-					t.Error("armed fault plan did not pass through")
 				}
 			},
 		},

@@ -17,9 +17,7 @@ import (
 	"ioeval/internal/bench"
 	"ioeval/internal/cluster"
 	"ioeval/internal/core"
-	"ioeval/internal/fault"
 	"ioeval/internal/nfs"
-	"ioeval/internal/sim"
 	"ioeval/internal/store"
 	"ioeval/internal/workload/btio"
 )
@@ -133,31 +131,5 @@ func TestCharWorkerConformance(t *testing.T) {
 		if name != name1 {
 			t.Errorf("workers=%d: store entry name %s, want %s (fingerprint drift)", workers, name, name1)
 		}
-	}
-}
-
-// TestCharWorkerConformanceFaulted: with a characterization-side fault
-// plan the shard plan degrades to one unit per level (fault timelines
-// anchor at cluster birth), and the degraded tables must stay byte-
-// identical across worker counts too.
-func TestCharWorkerConformanceFaulted(t *testing.T) {
-	plan, err := fault.Builtin("nfs-stall")
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan.Events[0].At = 100 * sim.Millisecond
-	cfg := conformCharCfg()
-	cfg.Fault = &plan
-
-	char1, telem1, entry1, _ := conformOutputs(t, cfg, 1)
-	char4, telem4, entry4, _ := conformOutputs(t, cfg, 4)
-	if !bytes.Equal(char4, char1) {
-		t.Error("faulted characterization bytes differ between workers=1 and workers=4")
-	}
-	if !bytes.Equal(telem4, telem1) {
-		t.Error("faulted telemetry bytes differ between workers=1 and workers=4")
-	}
-	if !bytes.Equal(entry4, entry1) {
-		t.Error("faulted store entry bytes differ between workers=1 and workers=4")
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"ioeval/internal/bench"
 	"ioeval/internal/cluster"
-	"ioeval/internal/fault"
 	"ioeval/internal/fs"
 	"ioeval/internal/ioreq"
 	"ioeval/internal/sim"
@@ -27,41 +26,31 @@ import (
 // which other units it runs — so the merged tables are byte-identical
 // at any worker count by construction.
 //
-// Granularity: on a healthy system one unit covers one (level × block
-// size) point with the level's full mode list inside — modes at one
-// block size share file contents (a write mode populates what the
-// paired read mode consumes), so they stay ordered within the unit,
-// while distinct block sizes re-create their file from scratch and
-// shard cleanly. Under a characterization-side fault plan the plan
-// degrades to one unit per level: fault timelines are armed at
-// cluster birth (fault.Apply requires a virgin clock), so splitting a
-// level across clusters would re-anchor the fault at every block size
-// instead of letting it play out across the level's sweep.
+// Granularity: one unit covers one (level × block size) point with the
+// level's full mode list inside — modes at one block size share file
+// contents (a write mode populates what the paired read mode
+// consumes), so they stay ordered within the unit, while distinct
+// block sizes re-create their file from scratch and shard cleanly.
+// Characterization always measures the healthy system; fault plans
+// are an evaluation-side what-if (Session's WithFaultPlan).
 
 // charUnit is one self-describing measurement unit of the shard plan.
 type charUnit struct {
-	Level      Level
-	Modes      []bench.Mode // filesystem levels; nil for the library level
-	BlockSizes []int64
-	FileSize   int64
-	Fault      *fault.Plan // armed on the unit's fresh cluster before measuring
+	Level     Level
+	Modes     []bench.Mode // filesystem levels; nil for the library level
+	BlockSize int64
+	FileSize  int64
 }
 
 // charPlan builds the shard plan for a withDefaults-normalized config.
 // Plan order is the canonical merge order: levels in the fixed
 // local → global → library sequence, block sizes in sweep order.
 func charPlan(cfg CharacterizeConfig) []charUnit {
-	perLevel := cfg.Fault != nil && !cfg.Fault.Empty()
 	var units []charUnit
 	add := func(level Level, modes []bench.Mode, sizes []int64, fileSize int64) {
-		if perLevel {
-			units = append(units, charUnit{Level: level, Modes: modes,
-				BlockSizes: sizes, FileSize: fileSize, Fault: cfg.Fault})
-			return
-		}
 		for _, bs := range sizes {
 			units = append(units, charUnit{Level: level, Modes: modes,
-				BlockSizes: []int64{bs}, FileSize: fileSize})
+				BlockSize: bs, FileSize: fileSize})
 		}
 	}
 	add(LevelLocalFS, cfg.FSModes, cfg.FSBlockSizes, cfg.LocalFileSize)
@@ -73,8 +62,8 @@ func charPlan(cfg CharacterizeConfig) []charUnit {
 // mergeUnits assembles per-unit rows into the level tables in plan
 // order — the single place table row order is decided, which is what
 // the merge property test exercises.
-func mergeUnits(name, scenario string, units []charUnit, rows [][]Row) *Characterization {
-	ch := &Characterization{Config: name, Scenario: scenario, Tables: map[Level]*PerfTable{}}
+func mergeUnits(name string, units []charUnit, rows [][]Row) *Characterization {
+	ch := &Characterization{Config: name, Tables: map[Level]*PerfTable{}}
 	for i, u := range units {
 		t := ch.Tables[u.Level]
 		if t == nil {
@@ -89,12 +78,8 @@ func mergeUnits(name, scenario string, units []charUnit, rows [][]Row) *Characte
 }
 
 // measureUnit runs one unit on a fresh cluster and returns its table
-// rows. The cluster must be virgin: the unit arms its fault plan (if
-// any) and then owns the cluster's engine for the whole measurement.
+// rows. The unit owns the cluster's engine for the whole measurement.
 func measureUnit(c *cluster.Cluster, cfg CharacterizeConfig, u charUnit) ([]Row, error) {
-	if u.Fault != nil {
-		fault.MustApply(c, *u.Fault)
-	}
 	switch u.Level {
 	case LevelLocalFS:
 		// Local filesystem level: IOzone on the I/O node's own mount,
@@ -142,49 +127,37 @@ func measureUnit(c *cluster.Cluster, cfg CharacterizeConfig, u charUnit) ([]Row,
 			UsePFS:       cfg.UsePFS,
 			BetweenRuns:  drop,
 		}
-		var rows []Row
-		for _, bs := range u.BlockSizes {
-			r, err := bench.RunIORPoint(c, iorCfg, bs)
-			if err != nil {
-				return nil, fmt.Errorf("library characterization: %w", err)
-			}
-			// Library-level IOPS/latency derive from the transfer size
-			// (IOR issues one library call per transfer).
-			ts := float64(cfg.LibTransfer)
-			rows = append(rows,
-				Row{Op: Write, BlockSize: r.BlockSize, Access: Global, Mode: trace.Sequential,
-					Rate: r.WriteRate, IOPS: r.WriteRate / ts,
-					Latency: sim.DurationFromSeconds(ts / r.WriteRate)},
-				Row{Op: Read, BlockSize: r.BlockSize, Access: Global, Mode: trace.Sequential,
-					Rate: r.ReadRate, IOPS: r.ReadRate / ts,
-					Latency: sim.DurationFromSeconds(ts / r.ReadRate)})
+		r, err := bench.RunIORPoint(c, iorCfg, u.BlockSize)
+		if err != nil {
+			return nil, fmt.Errorf("library characterization: %w", err)
 		}
-		return rows, nil
+		// Library-level IOPS/latency derive from the transfer size
+		// (IOR issues one library call per transfer).
+		ts := float64(cfg.LibTransfer)
+		return []Row{
+			{Op: Write, BlockSize: r.BlockSize, Access: Global, Mode: trace.Sequential,
+				Rate: r.WriteRate, IOPS: r.WriteRate / ts,
+				Latency: sim.DurationFromSeconds(ts / r.WriteRate)},
+			{Op: Read, BlockSize: r.BlockSize, Access: Global, Mode: trace.Sequential,
+				Rate: r.ReadRate, IOPS: r.ReadRate / ts,
+				Latency: sim.DurationFromSeconds(ts / r.ReadRate)},
+		}, nil
 	}
 	return nil, fmt.Errorf("characterize: unknown level %v", u.Level)
 }
 
-// runIOzoneUnit sweeps the unit's block sizes through the per-block
-// bench entry point, preserving the within-unit (block size × mode)
-// order the measurements depend on.
+// runIOzoneUnit runs the unit's block size through the per-block bench
+// entry point, preserving the within-unit mode order the measurements
+// depend on.
 func runIOzoneUnit(c *cluster.Cluster, fsi fs.Interface, path string,
 	cfg CharacterizeConfig, u charUnit, drop func(p *sim.Proc)) ([]bench.IOzoneResult, error) {
-	ioCfg := bench.IOzoneConfig{
+	return bench.RunIOzoneBlock(c.Eng, fsi, bench.IOzoneConfig{
 		Path:        path,
 		FileSize:    u.FileSize,
 		Modes:       u.Modes,
 		RandomOps:   cfg.RandomOps,
 		BetweenRuns: drop,
-	}
-	var results []bench.IOzoneResult
-	for _, bs := range u.BlockSizes {
-		rs, err := bench.RunIOzoneBlock(c.Eng, fsi, ioCfg, bs)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, rs...)
-	}
-	return results, nil
+	}, u.BlockSize)
 }
 
 func rowsFromIOzone(access AccessType, results []bench.IOzoneResult) []Row {
@@ -275,8 +248,8 @@ func runPlan(build func() *cluster.Cluster, cfg CharacterizeConfig,
 
 // reuseProbe wraps build so the first call is served by the probe
 // cluster withDefaults already built: the probe is still virgin
-// (withDefaults and Plan.Validate only read configuration), so it is
-// indistinguishable from a fresh build and need not be thrown away.
+// (withDefaults only reads configuration), so it is indistinguishable
+// from a fresh build and need not be thrown away.
 func reuseProbe(probe *cluster.Cluster, build func() *cluster.Cluster) func() *cluster.Cluster {
 	var used atomic.Bool
 	return func() *cluster.Cluster {

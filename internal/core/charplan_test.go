@@ -8,21 +8,14 @@ import (
 
 	"ioeval/internal/bench"
 	"ioeval/internal/cluster"
-	"ioeval/internal/fault"
-	"ioeval/internal/sim"
 	"ioeval/internal/trace"
 )
 
-// TestCharPlanShape pins the shard-plan granularity contract: healthy
-// configs shard per (level × block size) with the full mode list
-// inside a unit; configs with a characterization-side fault plan get
-// exactly one unit per level (fault timelines anchor at cluster
-// birth), reproducing the monolithic per-level blocks.
+// TestCharPlanShape pins the shard-plan granularity contract: configs
+// shard per (level × block size) with the full mode list inside a
+// unit.
 func TestCharPlanShape(t *testing.T) {
 	base := goldenCharCfg() // 2 FS block sizes, 1 library point
-	faulted := goldenCharCfg()
-	plan := fault.Plan{Name: "x", Seed: 1, Events: []fault.Event{{Kind: fault.DiskSlow, At: sim.Second, Factor: 2}}}
-	faulted.Fault = &plan
 
 	t.Run("healthy", func(t *testing.T) {
 		units := charPlan(base)
@@ -37,44 +30,23 @@ func TestCharPlanShape(t *testing.T) {
 			for _, bs := range base.FSBlockSizes {
 				u := units[idx]
 				idx++
-				if u.Level != level || len(u.BlockSizes) != 1 || u.BlockSizes[0] != bs {
+				if u.Level != level || u.BlockSize != bs {
 					t.Fatalf("unit %d = %+v, want level %v bs %d", idx-1, u, level, bs)
 				}
 				if len(u.Modes) != len(base.FSModes) {
 					t.Fatalf("unit %d carries %d modes, want the full list (%d)", idx-1, len(u.Modes), len(base.FSModes))
-				}
-				if u.Fault != nil {
-					t.Fatalf("healthy unit %d carries a fault plan", idx-1)
 				}
 			}
 		}
 		for _, bs := range base.LibBlockSizes {
 			u := units[idx]
 			idx++
-			if u.Level != LevelIOLib || len(u.BlockSizes) != 1 || u.BlockSizes[0] != bs {
+			if u.Level != LevelIOLib || u.BlockSize != bs {
 				t.Fatalf("unit %d = %+v, want library bs %d", idx-1, u, bs)
 			}
 		}
 		if units[0].FileSize != base.LocalFileSize || units[len(units)-1].FileSize != base.LibFileSize {
 			t.Fatal("unit file sizes do not follow their level")
-		}
-	})
-
-	t.Run("faulted", func(t *testing.T) {
-		units := charPlan(faulted)
-		if len(units) != 3 {
-			t.Fatalf("len(units) = %d, want one per level", len(units))
-		}
-		for i, level := range []Level{LevelLocalFS, LevelNFS, LevelIOLib} {
-			if units[i].Level != level {
-				t.Fatalf("unit %d level = %v, want %v", i, units[i].Level, level)
-			}
-			if units[i].Fault != faulted.Fault {
-				t.Fatalf("unit %d does not carry the fault plan", i)
-			}
-		}
-		if got := units[0].BlockSizes; len(got) != len(faulted.FSBlockSizes) {
-			t.Fatalf("faulted FS unit has %d block sizes, want the full sweep (%d)", len(got), len(faulted.FSBlockSizes))
 		}
 	})
 }
@@ -105,27 +77,20 @@ func TestCharPlanMergePermutation(t *testing.T) {
 			LibFileSize:    16 << 20,
 			RandomOps:      64,
 		}
-		if rng.Intn(3) == 0 {
-			cfg.Fault = &fault.Plan{Name: "perm", Seed: 1, Events: []fault.Event{{Kind: fault.DiskSlow, At: sim.Second, Factor: 2}}}
-		}
 		units := charPlan(cfg)
 
 		// Synthetic rows: a deterministic function of the unit's plan
 		// index, so a misplaced merge shows up as misplaced rates.
 		rowsFor := func(i int) []Row {
-			u := units[i]
-			var rows []Row
-			for _, bs := range u.BlockSizes {
-				rows = append(rows, Row{Op: Write, BlockSize: bs, Access: Global,
-					Mode: trace.Sequential, Rate: float64(1000*i) + float64(bs%997)})
-			}
-			return rows
+			bs := units[i].BlockSize
+			return []Row{{Op: Write, BlockSize: bs, Access: Global,
+				Mode: trace.Sequential, Rate: float64(1000*i) + float64(bs%997)}}
 		}
 		reference := make([][]Row, len(units))
 		for i := range units {
 			reference[i] = rowsFor(i)
 		}
-		want := mergeUnits("perm", "", units, reference)
+		want := mergeUnits("perm", units, reference)
 
 		for p := 0; p < 20; p++ {
 			// Simulate an arbitrary completion order: workers finish
@@ -134,7 +99,7 @@ func TestCharPlanMergePermutation(t *testing.T) {
 			for _, i := range rng.Perm(len(units)) {
 				rows[i] = rowsFor(i)
 			}
-			got := mergeUnits("perm", "", units, rows)
+			got := mergeUnits("perm", units, rows)
 			if !sameTables(t, got, want) {
 				t.Fatalf("trial %d perm %d: merged tables differ from canonical order", trial, p)
 			}

@@ -41,10 +41,8 @@ type fingerprintEnvelope struct {
 // Two calls agree exactly when they would measure the same tables:
 // defaults are filled before hashing, so an explicit
 // LibProcs: 8 and a zero LibProcs fingerprint identically. The
-// session-level fault plan is not part of the key — evaluation
-// scenarios run against the healthy characterization — but a
-// CharacterizeConfig.Fault plan is: degraded tables are a different
-// measurement.
+// session-level fault plan is not part of the key: evaluation
+// scenarios run against the healthy characterization.
 func Fingerprint(build func() *cluster.Cluster, cfg CharacterizeConfig) (string, error) {
 	if build == nil {
 		return "", fmt.Errorf("core: Fingerprint needs a cluster builder")

@@ -34,8 +34,8 @@ type PathLevelSelf struct {
 }
 
 // PathReportFormat and PathReportVersion are the path report's
-// versioned envelope when exported standalone. WriteJSON stamps them
-// and ReadPathReportJSON checks them; a PathReport nested inside
+// versioned envelope when exported standalone. WriteJSON stamps them;
+// a PathReport nested inside
 // another document (a sweep cell) stays unstamped — the outer
 // envelope covers it.
 const (
@@ -149,23 +149,6 @@ func (pr PathReport) WriteJSON(w io.Writer) error {
 		return fmt.Errorf("core: encode path report: %w", err)
 	}
 	return nil
-}
-
-// ReadPathReportJSON parses a standalone path report written by
-// WriteJSON, rejecting documents whose envelope names another format
-// or version.
-func ReadPathReportJSON(rd io.Reader) (*PathReport, error) {
-	var pr PathReport
-	if err := json.NewDecoder(rd).Decode(&pr); err != nil {
-		return nil, fmt.Errorf("core: decode path report: %w", err)
-	}
-	if pr.Format != PathReportFormat {
-		return nil, fmt.Errorf("core: unexpected format %q", pr.Format)
-	}
-	if pr.Version != PathReportVersion {
-		return nil, fmt.Errorf("core: unsupported version %d", pr.Version)
-	}
-	return &pr, nil
 }
 
 // FormatPathReport renders the span attribution and its cross-checks

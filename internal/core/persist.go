@@ -17,11 +17,10 @@ import (
 // rarely-repeated phase).
 
 type persistedChar struct {
-	Format   string               `json:"format"`
-	Version  int                  `json:"version"`
-	Config   string               `json:"config"`
-	Scenario string               `json:"scenario,omitempty"`
-	Tables   map[string][]persRow `json:"tables"`
+	Format  string               `json:"format"`
+	Version int                  `json:"version"`
+	Config  string               `json:"config"`
+	Tables  map[string][]persRow `json:"tables"`
 }
 
 type persRow struct {
@@ -39,11 +38,10 @@ const charFormat = "ioeval-characterization"
 // WriteJSON serializes the characterization.
 func (c *Characterization) WriteJSON(w io.Writer) error {
 	out := persistedChar{
-		Format:   charFormat,
-		Version:  1,
-		Config:   c.Config,
-		Scenario: c.Scenario,
-		Tables:   map[string][]persRow{},
+		Format:  charFormat,
+		Version: 1,
+		Config:  c.Config,
+		Tables:  map[string][]persRow{},
 	}
 	for level, t := range c.Tables {
 		rows := make([]persRow, 0, len(t.Rows))
@@ -77,7 +75,7 @@ func ReadCharacterizationJSON(r io.Reader) (*Characterization, error) {
 	if in.Version != 1 {
 		return nil, fmt.Errorf("core: unsupported version %d", in.Version)
 	}
-	ch := &Characterization{Config: in.Config, Scenario: in.Scenario, Tables: map[Level]*PerfTable{}}
+	ch := &Characterization{Config: in.Config, Tables: map[Level]*PerfTable{}}
 	// Iterate level names in sorted order so which malformed entry's
 	// error surfaces is deterministic, not a map-order pick.
 	levelNames := make([]string, 0, len(in.Tables))

@@ -26,43 +26,6 @@ import (
 	"ioeval/internal/telemetry"
 )
 
-// Op is the request's operation class, fixed at creation: it names
-// what the application asked for, so lower-layer work done on its
-// behalf (a read-modify-write inside RAID-5, a writeback forced by a
-// read's eviction) is attributed to the operation that caused it.
-type Op int
-
-// Request operation classes.
-const (
-	OpRead Op = iota
-	OpWrite
-	OpMeta
-)
-
-func (o Op) String() string {
-	switch o {
-	case OpRead:
-		return "read"
-	case OpWrite:
-		return "write"
-	case OpMeta:
-		return "meta"
-	}
-	return fmt.Sprintf("Op(%d)", int(o))
-}
-
-// Class maps the op onto the telemetry operation class.
-func (o Op) Class() telemetry.OpClass {
-	switch o {
-	case OpRead:
-		return telemetry.ClassRead
-	case OpWrite:
-		return telemetry.ClassWrite
-	default:
-		return telemetry.ClassMeta
-	}
-}
-
 // span is one open interval on a request's path. Spans form a tree:
 // a child's [start, end] nests inside its parent's. covered/coverEnd
 // incrementally accumulate the union of completed children, so the
@@ -106,32 +69,36 @@ func (s *span) label() string {
 // Request is a per-request context. It wraps the simulated process
 // executing the request, so layer methods take a *Request where they
 // used to take a *sim.Proc. A Request is a lightweight view: WithProc
-// creates sibling views with the same op and collector for sim.Fork
+// creates sibling views with the same class and collector for sim.Fork
 // children, giving each proc its own strictly-LIFO span stack while
 // all spans aggregate into one tree.
 type Request struct {
-	p   *sim.Proc
-	op  Op
-	col *Collector
-	cur *span
+	p     *sim.Proc
+	class telemetry.OpClass
+	col   *Collector
+	cur   *span
 }
 
-// New creates a request executed by p.
-func New(p *sim.Proc, op Op) *Request {
+// New creates a request executed by p. The operation class is fixed
+// at creation: it names what the application asked for, so
+// lower-layer work done on its behalf (a read-modify-write inside
+// RAID-5, a writeback forced by a read's eviction) is attributed to
+// the operation that caused it.
+func New(p *sim.Proc, class telemetry.OpClass) *Request {
 	if p == nil {
 		panic("ioreq: New with nil proc")
 	}
-	return &Request{p: p, op: op}
+	return &Request{p: p, class: class}
 }
 
-// Reader is shorthand for New(p, OpRead).
-func Reader(p *sim.Proc) *Request { return New(p, OpRead) }
+// Reader is shorthand for New(p, telemetry.ClassRead).
+func Reader(p *sim.Proc) *Request { return New(p, telemetry.ClassRead) }
 
-// Writer is shorthand for New(p, OpWrite).
-func Writer(p *sim.Proc) *Request { return New(p, OpWrite) }
+// Writer is shorthand for New(p, telemetry.ClassWrite).
+func Writer(p *sim.Proc) *Request { return New(p, telemetry.ClassWrite) }
 
-// Meta is shorthand for New(p, OpMeta).
-func Meta(p *sim.Proc) *Request { return New(p, OpMeta) }
+// Meta is shorthand for New(p, telemetry.ClassMeta).
+func Meta(p *sim.Proc) *Request { return New(p, telemetry.ClassMeta) }
 
 // SetCollector attaches the aggregation target for popped spans and
 // fault tags. A nil collector (the default) discards both. Views
@@ -148,19 +115,16 @@ func (r *Request) Proc() *sim.Proc { return r.p }
 // Now returns the current simulated time.
 func (r *Request) Now() sim.Time { return r.p.Now() }
 
-// Op returns the request's operation class.
-func (r *Request) Op() Op { return r.op }
-
-// Class returns the telemetry class of the request's op.
-func (r *Request) Class() telemetry.OpClass { return r.op.Class() }
+// Class returns the request's operation class.
+func (r *Request) Class() telemetry.OpClass { return r.class }
 
 // WithProc returns a view of the request executed by child. The view
-// copies the request's op and collector; its span stack starts
+// copies the request's class and collector; its span stack starts
 // at the caller's current span, so spans the child pushes nest under
 // the span that was open when the fork happened. Use at every
 // sim.Fork fan-out that continues a request on child procs.
 func (r *Request) WithProc(child *sim.Proc) *Request {
-	return &Request{p: child, op: r.op, col: r.col, cur: r.cur}
+	return &Request{p: child, class: r.class, col: r.col, cur: r.cur}
 }
 
 // Push opens a span at the given level. Every layer entry point opens
@@ -188,7 +152,7 @@ func (r *Request) Enter(rec *telemetry.Recorder) {
 
 // Observe records ops operations of class moving bytes on the
 // recorder of the open span, timed from the span's start to now. The
-// class need not be the request's op: lower-layer work done on the
+// class need not be the request's own: lower-layer work done on the
 // request's behalf (a RAID-5 read-modify-write's reads) records as
 // what it is.
 func (r *Request) Observe(class telemetry.OpClass, ops, bytes int64) {
@@ -229,7 +193,7 @@ func (r *Request) Pop() {
 		// negative self time.
 		panic(fmt.Sprintf("ioreq: span %s/%s self time negative", s.level, s.label()))
 	}
-	r.col.record(s, r.op.Class(), dur, self)
+	r.col.record(s, r.class, dur, self)
 	if par := s.parent; par != nil {
 		if s.start >= par.coverEnd {
 			par.covered += dur

@@ -138,7 +138,7 @@ func TestNilCollectorSafe(t *testing.T) {
 
 // TestEnterObserveExit checks the recorder-bound span: the recorder
 // receives exactly the class, ops and bytes passed, busy for the
-// span's whole interval, even when the class is not the request's op
+// span's whole interval, even when the class is not the request's own
 // (a write request's RAID-5 read-modify-write reads); the collector
 // sees the same interval as a span at the recorder's level.
 func TestEnterObserveExit(t *testing.T) {
@@ -258,20 +258,20 @@ func TestPopWithoutPushPanics(t *testing.T) {
 	e.Run()
 }
 
-// TestRequestStamps checks the constructor chain carries the op and
-// its telemetry class, and that WithProc views keep them.
+// TestRequestStamps checks the constructor chain carries the
+// operation class, and that WithProc views keep it.
 func TestRequestStamps(t *testing.T) {
 	e := sim.NewEngine()
 	e.Spawn("req", func(p *sim.Proc) {
-		r := New(p, OpWrite)
-		if r.Op() != OpWrite || r.Class() != telemetry.ClassWrite {
-			t.Errorf("op=%v class=%v, want write/write", r.Op(), r.Class())
+		r := New(p, telemetry.ClassWrite)
+		if r.Class() != telemetry.ClassWrite {
+			t.Errorf("class=%v, want write", r.Class())
 		}
-		if v := r.WithProc(p); v.Op() != OpWrite || v.Class() != telemetry.ClassWrite {
-			t.Errorf("view op=%v class=%v, want write/write", v.Op(), v.Class())
+		if v := r.WithProc(p); v.Class() != telemetry.ClassWrite {
+			t.Errorf("view class=%v, want write", v.Class())
 		}
-		if m := Meta(p); m.Op() != OpMeta || m.Class() != telemetry.ClassMeta {
-			t.Errorf("meta op=%v class=%v, want meta/meta", m.Op(), m.Class())
+		if m := Meta(p); m.Class() != telemetry.ClassMeta {
+			t.Errorf("meta class=%v, want meta", m.Class())
 		}
 	})
 	e.Run()
@@ -287,7 +287,7 @@ func TestNewAllocs(t *testing.T) {
 	e := sim.NewEngine()
 	var allocs float64
 	e.Spawn("req", func(p *sim.Proc) {
-		allocs = testing.AllocsPerRun(1000, func() { newSink = New(p, OpRead) })
+		allocs = testing.AllocsPerRun(1000, func() { newSink = New(p, telemetry.ClassRead) })
 	})
 	e.Run()
 	if allocs > 1 {

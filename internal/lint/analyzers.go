@@ -11,6 +11,5 @@ func DefaultAnalyzers() []*Analyzer {
 		ProbeConform(),
 		ReqPath(),
 		SpanBalance(),
-		FaultPlan(),
 	}
 }

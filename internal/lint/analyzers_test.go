@@ -130,10 +130,6 @@ func TestSpanBalanceAnalyzer(t *testing.T) {
 	checkFixture(t, []*Analyzer{SpanBalance()}, "spanbalance")
 }
 
-func TestFaultPlanAnalyzer(t *testing.T) {
-	checkFixture(t, []*Analyzer{FaultPlan()}, "fault", "faultplan")
-}
-
 // TestSynthPlaneFixture pins the analyzers' view of the synthetic-
 // workload layer: reqpath must not flag *sim.Proc on application-layer
 // entry points (the engine's Run/rank procedures are the MPI idiom),

@@ -130,7 +130,7 @@ func (f *File) Path() string { return f.path }
 // it (the NFS client): ROMIO cannot rely on close-to-open caching for
 // shared files.
 func (f *File) Open(p *sim.Proc, rank int) error {
-	r := f.w.req(p, ioreq.OpMeta)
+	r := f.w.req(p, telemetry.ClassMeta)
 	t0 := p.Now()
 	r.Push(telemetry.LevelLibrary, f.label)
 	defer r.Pop()
@@ -169,7 +169,7 @@ func (f *File) handle(rank int) fs.Handle {
 
 // WriteAt is an independent write.
 func (f *File) WriteAt(p *sim.Proc, rank int, off, n int64) int64 {
-	r := f.w.req(p, ioreq.OpWrite)
+	r := f.w.req(p, telemetry.ClassWrite)
 	t0 := p.Now()
 	r.Push(telemetry.LevelLibrary, f.label)
 	defer r.Pop()
@@ -181,7 +181,7 @@ func (f *File) WriteAt(p *sim.Proc, rank int, off, n int64) int64 {
 
 // ReadAt is an independent read.
 func (f *File) ReadAt(p *sim.Proc, rank int, off, n int64) int64 {
-	r := f.w.req(p, ioreq.OpRead)
+	r := f.w.req(p, telemetry.ClassRead)
 	t0 := p.Now()
 	r.Push(telemetry.LevelLibrary, f.label)
 	defer r.Pop()
@@ -197,7 +197,7 @@ func (f *File) WriteVec(p *sim.Proc, rank int, vecs []fs.IOVec) int64 {
 	if len(vecs) == 0 {
 		return 0
 	}
-	r := f.w.req(p, ioreq.OpWrite)
+	r := f.w.req(p, telemetry.ClassWrite)
 	t0 := p.Now()
 	r.Push(telemetry.LevelLibrary, f.label)
 	defer r.Pop()
@@ -213,7 +213,7 @@ func (f *File) ReadVec(p *sim.Proc, rank int, vecs []fs.IOVec) int64 {
 	if len(vecs) == 0 {
 		return 0
 	}
-	r := f.w.req(p, ioreq.OpRead)
+	r := f.w.req(p, telemetry.ClassRead)
 	t0 := p.Now()
 	r.Push(telemetry.LevelLibrary, f.label)
 	defer r.Pop()
@@ -226,7 +226,7 @@ func (f *File) ReadVec(p *sim.Proc, rank int, vecs []fs.IOVec) int64 {
 
 // Sync flushes the rank's view of the file.
 func (f *File) Sync(p *sim.Proc, rank int) {
-	r := f.w.req(p, ioreq.OpMeta)
+	r := f.w.req(p, telemetry.ClassMeta)
 	t0 := p.Now()
 	r.Push(telemetry.LevelLibrary, f.label)
 	defer r.Pop()
@@ -236,7 +236,7 @@ func (f *File) Sync(p *sim.Proc, rank int) {
 
 // Close closes the rank's handle.
 func (f *File) Close(p *sim.Proc, rank int) {
-	r := f.w.req(p, ioreq.OpMeta)
+	r := f.w.req(p, telemetry.ClassMeta)
 	t0 := p.Now()
 	r.Push(telemetry.LevelLibrary, f.label)
 	defer r.Pop()
@@ -260,7 +260,7 @@ func (f *File) ReadAtAll(p *sim.Proc, rank int, off, n int64) int64 {
 // data over the communication network, rearrange it, and write large
 // contiguous chunks.
 func (f *File) WriteVecAll(p *sim.Proc, rank int, vecs []fs.IOVec) int64 {
-	r := f.w.req(p, ioreq.OpWrite)
+	r := f.w.req(p, telemetry.ClassWrite)
 	t0 := p.Now()
 	r.Push(telemetry.LevelLibrary, f.label)
 	defer r.Pop()
@@ -278,7 +278,7 @@ func (f *File) WriteVecAll(p *sim.Proc, rank int, vecs []fs.IOVec) int64 {
 
 // ReadVecAll is the collective (two-phase) read.
 func (f *File) ReadVecAll(p *sim.Proc, rank int, vecs []fs.IOVec) int64 {
-	r := f.w.req(p, ioreq.OpRead)
+	r := f.w.req(p, telemetry.ClassRead)
 	t0 := p.Now()
 	r.Push(telemetry.LevelLibrary, f.label)
 	defer r.Pop()

@@ -135,8 +135,8 @@ func (w *World) Collector() *ioreq.Collector { return w.col }
 
 // req builds the per-request context for one library call: the
 // operation class and the world's span collector.
-func (w *World) req(p *sim.Proc, op ioreq.Op) *ioreq.Request {
-	return ioreq.New(p, op).SetCollector(w.col)
+func (w *World) req(p *sim.Proc, class telemetry.OpClass) *ioreq.Request {
+	return ioreq.New(p, class).SetCollector(w.col)
 }
 
 // Size returns the number of ranks.

@@ -154,7 +154,7 @@ type BestPick struct {
 }
 
 // ReportFormat and ReportVersion are the sweep report's versioned
-// envelope, stamped by WriteJSON and checked by ReadReportJSON.
+// envelope, stamped by WriteJSON.
 const (
 	ReportFormat  = "ioeval-sweep-report"
 	ReportVersion = 1
@@ -260,22 +260,6 @@ func (r *Report) WriteJSON(w io.Writer) error {
 		return fmt.Errorf("sweep: encode report: %w", err)
 	}
 	return nil
-}
-
-// ReadReportJSON parses a report written by WriteJSON, rejecting
-// documents whose envelope names another format or version.
-func ReadReportJSON(rd io.Reader) (*Report, error) {
-	var r Report
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, fmt.Errorf("sweep: decode report: %w", err)
-	}
-	if r.Format != ReportFormat {
-		return nil, fmt.Errorf("sweep: unexpected format %q", r.Format)
-	}
-	if r.Version != ReportVersion {
-		return nil, fmt.Errorf("sweep: unsupported version %d", r.Version)
-	}
-	return &r, nil
 }
 
 // WriteFile writes the report to path as JSON.

@@ -74,9 +74,9 @@ type Engine struct {
 	charPool *core.CharPool
 
 	mu    sync.Mutex
-	fps   map[string]*fpEntry
-	chars map[string]*charEntry
-	evals map[string]*evalEntry
+	fps   map[string]*flight[string]
+	chars map[string]*flight[*core.Characterization]
+	evals map[string]*flight[*core.Evaluation]
 
 	nChar    atomic.Int64
 	nCharHit atomic.Int64
@@ -84,22 +84,38 @@ type Engine struct {
 	nEvalHit atomic.Int64
 }
 
-type fpEntry struct {
+// flight is one single-flight slot: the first caller computes the
+// value on the slot's sync.Once, and every later caller reads the
+// cached result, errors included.
+type flight[T any] struct {
 	once sync.Once
-	fp   string
+	val  T
 	err  error
 }
 
-type charEntry struct {
-	once sync.Once
-	ch   *core.Characterization
-	err  error
+// do runs fn on the first call and reports whether the result was
+// already cached (hit) rather than computed by this caller.
+func (f *flight[T]) do(fn func() (T, error)) (hit bool) {
+	hit = true
+	f.once.Do(func() {
+		hit = false
+		f.val, f.err = fn()
+	})
+	return hit
 }
 
-type evalEntry struct {
-	once sync.Once
-	ev   *core.Evaluation
-	err  error
+// flightFor returns (creating if needed) the single-flight slot for
+// key in m. The engine lock scopes exactly this map access — the
+// expensive work runs outside it, on the slot's sync.Once.
+func flightFor[T any](e *Engine, m map[string]*flight[T], key string) *flight[T] {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	f, ok := m[key]
+	if !ok {
+		f = &flight[T]{}
+		m[key] = f
+	}
+	return f
 }
 
 // NewEngine returns an engine with the given worker-pool size;
@@ -111,9 +127,9 @@ func NewEngine(workers int) *Engine {
 	return &Engine{
 		workers:  workers,
 		charPool: core.NewCharPool(workers),
-		fps:      map[string]*fpEntry{},
-		chars:    map[string]*charEntry{},
-		evals:    map[string]*evalEntry{},
+		fps:      map[string]*flight[string]{},
+		chars:    map[string]*flight[*core.Characterization]{},
+		evals:    map[string]*flight[*core.Evaluation]{},
 	}
 }
 
@@ -136,54 +152,9 @@ func (e *Engine) SetStore(st core.CharStore) { e.store = st }
 // (single-flight per configuration name — computing one builds a
 // probe cluster, so it is worth sharing across the config's cells).
 func (e *Engine) fingerprintFor(cfg Config) (string, error) {
-	ent := e.fpEntryFor(cfg.Name)
-	ent.once.Do(func() {
-		ent.fp, ent.err = core.Fingerprint(cfg.Build, cfg.Char)
-	})
-	return ent.fp, ent.err
-}
-
-// fpEntryFor returns (creating if needed) the fingerprint entry for
-// one configuration name, under the same locking discipline as
-// charEntryFor.
-func (e *Engine) fpEntryFor(name string) *fpEntry {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	ent, ok := e.fps[name]
-	if !ok {
-		ent = &fpEntry{}
-		e.fps[name] = ent
-	}
-	return ent
-}
-
-// charEntryFor returns (creating if needed) the single-flight entry
-// for one characterization fingerprint. The lock scopes exactly this
-// map access — the expensive work runs outside it, on the entry's
-// sync.Once.
-func (e *Engine) charEntryFor(fingerprint string) *charEntry {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	ent, ok := e.chars[fingerprint]
-	if !ok {
-		ent = &charEntry{}
-		e.chars[fingerprint] = ent
-	}
-	return ent
-}
-
-// evalEntryFor returns (creating if needed) the single-flight entry
-// for one (config, app) cell key, under the same locking discipline
-// as charEntryFor.
-func (e *Engine) evalEntryFor(key string) *evalEntry {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	ent, ok := e.evals[key]
-	if !ok {
-		ent = &evalEntry{}
-		e.evals[key] = ent
-	}
-	return ent
+	f := flightFor(e, e.fps, cfg.Name)
+	f.do(func() (string, error) { return core.Fingerprint(cfg.Build, cfg.Char) })
+	return f.val, f.err
 }
 
 // Characterization returns the memoized characterization of cfg.
@@ -201,10 +172,8 @@ func (e *Engine) Characterization(cfg Config) (*core.Characterization, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sweep: fingerprint %s: %w", cfg.Name, err)
 	}
-	ent := e.charEntryFor(fp)
-	hit := true
-	ent.once.Do(func() {
-		hit = false
+	f := flightFor(e, e.chars, fp)
+	hit := f.do(func() (*core.Characterization, error) {
 		compute := func() (*core.Characterization, error) {
 			e.nChar.Add(1)
 			sess := core.NewSession(cfg.Build,
@@ -213,18 +182,17 @@ func (e *Engine) Characterization(cfg Config) (*core.Characterization, error) {
 			return sess.Characterization()
 		}
 		if e.store != nil {
-			ent.ch, ent.err = e.store.GetOrCompute(fp, compute)
-			return
+			return e.store.GetOrCompute(fp, compute)
 		}
-		ent.ch, ent.err = compute()
+		return compute()
 	})
 	if hit {
 		e.nCharHit.Add(1)
 	}
-	if ent.err != nil {
-		return nil, fmt.Errorf("sweep: characterize %s: %w", cfg.Name, ent.err)
+	if f.err != nil {
+		return nil, fmt.Errorf("sweep: characterize %s: %w", cfg.Name, f.err)
 	}
-	return ent.ch, nil
+	return f.val, nil
 }
 
 // Evaluate returns the memoized evaluation of one (config, app) cell,
@@ -234,33 +202,27 @@ func (e *Engine) Evaluate(cfg Config, app AppSpec) (*core.Evaluation, error) {
 	if app.New == nil {
 		return nil, fmt.Errorf("sweep: app %q needs a New function", app.Name)
 	}
-	ent := e.evalEntryFor(cfg.Name + "\x00" + app.Name)
-	hit := true
-	ent.once.Do(func() {
-		hit = false
+	f := flightFor(e, e.evals, cfg.Name+"\x00"+app.Name)
+	hit := f.do(func() (*core.Evaluation, error) {
 		e.nEval.Add(1)
 		ch, err := e.Characterization(cfg)
 		if err != nil {
-			ent.err = err
-			return
+			return nil, err
 		}
 		opts := []core.SessionOption{core.WithCharacterization(ch)}
 		if cfg.Fault != nil && !cfg.Fault.Empty() {
 			opts = append(opts, core.WithFaultPlan(*cfg.Fault))
-			sess := core.NewSession(cfg.Build, opts...)
-			ent.ev, ent.err = sess.EvaluateScenario(app.New())
-			return
+			return core.NewSession(cfg.Build, opts...).EvaluateScenario(app.New())
 		}
-		sess := core.NewSession(cfg.Build, opts...)
-		ent.ev, ent.err = sess.Evaluate(app.New())
+		return core.NewSession(cfg.Build, opts...).Evaluate(app.New())
 	})
 	if hit {
 		e.nEvalHit.Add(1)
 	}
-	if ent.err != nil {
-		return nil, fmt.Errorf("sweep: evaluate %s on %s: %w", app.Name, cfg.Name, ent.err)
+	if f.err != nil {
+		return nil, fmt.Errorf("sweep: evaluate %s on %s: %w", app.Name, cfg.Name, f.err)
 	}
-	return ent.ev, nil
+	return f.val, nil
 }
 
 var _ telemetry.Probe = (*Engine)(nil)

@@ -44,8 +44,7 @@ const (
 
 // Report is the exported telemetry document: whole-run component
 // snapshots, per-level rate rows, and optional per-phase deltas.
-// Format/Version are stamped by WriteJSON and checked by
-// ReadReportJSON.
+// Format/Version are stamped by WriteJSON.
 type Report struct {
 	Format     string          `json:"format,omitempty"`
 	Version    int             `json:"version,omitempty"`
@@ -79,20 +78,4 @@ func (r *Report) WriteFile(path string) error {
 		return fmt.Errorf("telemetry: encode %s: %w", path, err)
 	}
 	return f.Close()
-}
-
-// ReadReportJSON parses a report written by WriteJSON, rejecting
-// documents whose envelope names another format or version.
-func ReadReportJSON(rd io.Reader) (*Report, error) {
-	var r Report
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, fmt.Errorf("telemetry: decode report: %w", err)
-	}
-	if r.Format != ReportFormat {
-		return nil, fmt.Errorf("telemetry: unexpected format %q", r.Format)
-	}
-	if r.Version != ReportVersion {
-		return nil, fmt.Errorf("telemetry: unsupported version %d", r.Version)
-	}
-	return &r, nil
 }

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -220,8 +221,8 @@ func TestReportJSONRoundtrip(t *testing.T) {
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	got, err := ReadReportJSON(&buf)
-	if err != nil {
+	got := new(Report)
+	if err := json.NewDecoder(&buf).Decode(got); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	// WriteJSON stamps the versioned envelope; the in-memory report

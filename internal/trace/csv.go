@@ -4,10 +4,8 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"strconv"
 
 	"ioeval/internal/mpiio"
-	"ioeval/internal/sim"
 )
 
 // WriteCSV exports the I/O events as CSV for external plotting
@@ -36,97 +34,6 @@ func (t *Tracer) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// csvHeader is the event-log column set WriteCSV emits and ReadCSV
-// requires. The format does not carry Stride/Span, so vector access
-// detail is lost on a round trip; Profile and Phases still work.
-var csvHeader = []string{"rank", "op", "file", "offset", "bytes", "count", "t0_ns", "t1_ns"}
-
-// ParseOp parses an operation name as printed by mpiio.Op.String.
-func ParseOp(s string) (mpiio.Op, error) {
-	for op := mpiio.OpWrite; op <= mpiio.OpBarrier; op++ {
-		if op.String() == s {
-			return op, nil
-		}
-	}
-	return 0, fmt.Errorf("trace: unknown op %q", s)
-}
-
-// ReadCSV parses an event log written by WriteCSV back into a Tracer,
-// so traces captured in one session (or produced by external tools in
-// the same format) can be re-analyzed — profiles, phases, timelines —
-// without rerunning the application. Malformed input returns an
-// error; it never panics.
-func ReadCSV(r io.Reader) (*Tracer, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = len(csvHeader)
-	header, err := cr.Read()
-	if err == io.EOF {
-		return nil, fmt.Errorf("trace: read csv: empty input")
-	}
-	if err != nil {
-		return nil, fmt.Errorf("trace: read csv header: %w", err)
-	}
-	for i, want := range csvHeader {
-		if header[i] != want {
-			return nil, fmt.Errorf("trace: csv column %d is %q, want %q", i, header[i], want)
-		}
-	}
-	t := New()
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			return t, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("trace: read csv: %w", err)
-		}
-		ev, err := parseEvent(rec)
-		if err != nil {
-			return nil, fmt.Errorf("trace: csv line %d: %w", line, err)
-		}
-		t.Record(ev)
-	}
-}
-
-func parseEvent(rec []string) (mpiio.Event, error) {
-	var ev mpiio.Event
-	rank, err := strconv.Atoi(rec[0])
-	if err != nil {
-		return ev, fmt.Errorf("rank: %w", err)
-	}
-	if rank < 0 {
-		return ev, fmt.Errorf("negative rank %d", rank)
-	}
-	op, err := ParseOp(rec[1])
-	if err != nil {
-		return ev, err
-	}
-	ints := [5]int64{}
-	for i, name := range [5]string{"offset", "bytes", "count", "t0_ns", "t1_ns"} {
-		v, err := strconv.ParseInt(rec[3+i], 10, 64)
-		if err != nil {
-			return ev, fmt.Errorf("%s: %w", name, err)
-		}
-		ints[i] = v
-	}
-	offset, bytes, count, t0, t1 := ints[0], ints[1], ints[2], ints[3], ints[4]
-	switch {
-	case offset < -1:
-		return ev, fmt.Errorf("offset %d below -1", offset)
-	case bytes < 0:
-		return ev, fmt.Errorf("negative bytes %d", bytes)
-	case count < 0 || count > int64(int(^uint(0)>>1)):
-		return ev, fmt.Errorf("count %d out of range", count)
-	case t0 < 0 || t1 < t0:
-		return ev, fmt.Errorf("bad time span [%d, %d]", t0, t1)
-	}
-	return mpiio.Event{
-		Rank: rank, Op: op, File: rec[2],
-		Offset: offset, Bytes: bytes, Count: int(count),
-		T0: sim.Time(t0), T1: sim.Time(t1),
-	}, nil
 }
 
 // PhaseCSV exports the detected phases of every rank

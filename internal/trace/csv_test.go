@@ -29,65 +29,6 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
-func TestCSVRoundTrip(t *testing.T) {
-	tr := New()
-	tr.Record(mk(0, mpiio.OpOpen, -1, 0, 0, 0, 0, 1))
-	tr.Record(mk(0, mpiio.OpWrite, 0, mb, 1, 0, 1, 10))
-	tr.Record(mk(1, mpiio.OpReadAll, mb, 2*mb, 4, 0, 2, 12))
-	tr.Record(mk(1, mpiio.OpCompute, -1, 0, 0, 0, 12, 20))
-	var buf bytes.Buffer
-	if err := tr.WriteCSV(&buf); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	if len(got.Events()) != len(tr.Events()) {
-		t.Fatalf("events = %d, want %d", len(got.Events()), len(tr.Events()))
-	}
-	for i, ev := range got.Events() {
-		want := tr.Events()[i]
-		want.Stride, want.Span = 0, 0 // not carried by the CSV format
-		if ev != want {
-			t.Fatalf("event %d = %+v, want %+v", i, ev, want)
-		}
-	}
-	// The re-parsed trace must profile identically (modulo vector
-	// stride detail the format does not carry).
-	gp, wp := got.Profile(), tr.Profile()
-	if gp.NumReads != wp.NumReads || gp.NumWrites != wp.NumWrites ||
-		gp.BytesRead != wp.BytesRead || gp.BytesWritten != wp.BytesWritten ||
-		gp.ExecTime != wp.ExecTime || gp.IOTime != wp.IOTime {
-		t.Fatalf("profile drifted: %+v vs %+v", gp, wp)
-	}
-}
-
-func TestReadCSVRejectsMalformed(t *testing.T) {
-	cases := map[string]string{
-		"empty":         "",
-		"bad header":    "rank,op,file\n",
-		"renamed col":   "rank,operation,file,offset,bytes,count,t0_ns,t1_ns\n",
-		"bad rank":      header() + "x,write,/f,0,1,1,0,1\n",
-		"negative rank": header() + "-1,write,/f,0,1,1,0,1\n",
-		"unknown op":    header() + "0,wrote,/f,0,1,1,0,1\n",
-		"bad offset":    header() + "0,write,/f,oops,1,1,0,1\n",
-		"low offset":    header() + "0,write,/f,-2,1,1,0,1\n",
-		"neg bytes":     header() + "0,write,/f,0,-1,1,0,1\n",
-		"neg count":     header() + "0,write,/f,0,1,-1,0,1\n",
-		"t1 before t0":  header() + "0,write,/f,0,1,1,5,4\n",
-		"short row":     header() + "0,write,/f,0,1\n",
-		"long row":      header() + "0,write,/f,0,1,1,0,1,9,9\n",
-	}
-	for name, in := range cases {
-		if _, err := ReadCSV(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: no error for %q", name, in)
-		}
-	}
-}
-
-func header() string { return "rank,op,file,offset,bytes,count,t0_ns,t1_ns\n" }
-
 func TestPhaseCSV(t *testing.T) {
 	tr := New()
 	tr.Record(mk(0, mpiio.OpWrite, 0, mb, 1, 0, 0, 10))

@@ -39,7 +39,9 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadJSON loads a serialized trace.
+// ReadJSON loads a serialized trace. The header's event count is
+// checked against the events actually read, never trusted up front:
+// malformed input returns an error; it never panics.
 func ReadJSON(r io.Reader) (*Tracer, error) {
 	dec := json.NewDecoder(bufio.NewReader(r))
 	var hdr traceHeader
@@ -53,9 +55,6 @@ func ReadJSON(r io.Reader) (*Tracer, error) {
 		return nil, fmt.Errorf("trace: unsupported version %d", hdr.Version)
 	}
 	t := New()
-	if hdr.Events > 0 {
-		t.events = make([]mpiio.Event, 0, hdr.Events)
-	}
 	for {
 		var ev mpiio.Event
 		if err := dec.Decode(&ev); err == io.EOF {
