@@ -180,13 +180,14 @@ func OpenStore(dir string) (*store.Store, error) {
 // the commands print after a run.
 func StoreSummary(st *store.Store) string {
 	s := st.Stats()
-	return fmt.Sprintf("store %s: %d hits (%d in-process), %d misses, %d writes, %d evictions, %d quarantined",
-		st.Dir(), s.Hits, s.MemHits, s.Misses, s.Puts, s.Evictions, s.Quarantined)
+	return fmt.Sprintf("store %s: %d hits, %d misses, %d writes, %d quarantined",
+		st.Dir(), s.Hits, s.Misses, s.Puts, s.Quarantined)
 }
 
 // AddStoreSnapshot appends the store's telemetry probe to the
 // report's component snapshots, so store behavior (hits, misses,
-// evictions) is visible in the exported TelemetryReport.
+// writes, quarantined entries) is visible in the exported
+// TelemetryReport.
 func AddStoreSnapshot(rep *telemetry.Report, st *store.Store) {
 	if rep == nil || st == nil {
 		return

@@ -488,12 +488,9 @@ func (c *Cache) throttle(r *ioreq.Request) {
 // Flush implements device.BlockDev: write out every dirty page and
 // flush the device below.
 func (c *Cache) Flush(r *ioreq.Request) {
-	r.Push(telemetry.LevelCache, c.rec.Component())
+	r.PushOn(c.rec)
 	defer r.Pop()
-	start0 := r.Now()
-	defer func() {
-		c.rec.Observe(telemetry.ClassMeta, 1, 0, sim.Duration(r.Now()-start0))
-	}()
+	defer r.Observe(telemetry.ClassMeta, 1, 0)
 	var dirtyIdx []int64
 	for idx, pg := range c.pages {
 		if pg.dirty {

@@ -5,7 +5,6 @@ import (
 
 	"ioeval/internal/device"
 	"ioeval/internal/ioreq"
-	"ioeval/internal/telemetry"
 )
 
 var _ device.RunDev = (*Cache)(nil)
@@ -19,7 +18,7 @@ func (c *Cache) ReadRuns(r *ioreq.Request, runs []device.Run) {
 	if len(runs) == 0 {
 		return
 	}
-	r.Push(telemetry.LevelCache, c.rec.Component())
+	r.PushOn(c.rec)
 	defer r.Pop()
 	c.Stats.ReadOps += int64(len(runs))
 	ps := c.params.PageSize
@@ -114,7 +113,7 @@ func (c *Cache) WriteRuns(r *ioreq.Request, runs []device.Run) {
 	if len(runs) == 0 {
 		return
 	}
-	r.Push(telemetry.LevelCache, c.rec.Component())
+	r.PushOn(c.rec)
 	defer r.Pop()
 	c.Stats.WriteOps += int64(len(runs))
 	var totalBytes int64

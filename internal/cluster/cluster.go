@@ -115,14 +115,15 @@ type Cluster struct {
 
 	// Telemetry holds every instrumented component's probe, in stack
 	// order (library → global FS → local FS → cache → block → device →
-	// network). LibRec is the shared MPI-IO library recorder installed
-	// into worlds built via NewWorld.
+	// network). New always builds it: every evaluation snapshots it
+	// per phase. LibRec is the shared MPI-IO library recorder installed
+	// into worlds built via NewWorld; the library's spans open on it.
 	Telemetry *telemetry.Registry
 	LibRec    *telemetry.Recorder
 
 	// Path aggregates per-request spans across every world built on
 	// this cluster: the span-side counterpart of the Telemetry
-	// registry's used-% inputs.
+	// registry's used-% inputs. New always builds it.
 	Path *ioreq.Collector
 }
 

@@ -183,12 +183,12 @@ type Evaluation struct {
 	trace    *trace.Tracer // the captured trace (timelines, phases)
 
 	// Telemetry plane: final per-component snapshots and per-phase
-	// interval deltas (nil on clusters without a telemetry registry).
+	// interval deltas, from the cluster's registry.
 	components []telemetry.Snapshot
 	phases     []telemetry.PhaseInterval
 
 	// Span plane: the per-request path profile aggregated over the run
-	// (zero value on clusters without a span collector).
+	// by the cluster's span collector.
 	path telemetry.PathProfile
 }
 
@@ -243,24 +243,19 @@ func evaluate(c *cluster.Cluster, app workload.App, ch *Characterization) (*Eval
 // report. Reached through Session.EvaluateScenario.
 func evaluateScenario(c *cluster.Cluster, app workload.App, ch *Characterization, scenario string) (*Evaluation, error) {
 	tr := trace.New()
-	var runTracer mpiio.Tracer = tr
-	var ps *trace.PhaseSnapshotter
-	if c.Telemetry != nil {
-		// Rank 0's phase boundaries drive the per-phase snapshots —
-		// BT-IO and MadBench phases are globally synchronized, so one
-		// observer rank suffices.
-		ps = trace.NewPhaseSnapshotter(c.Eng, c.Telemetry, tr, 0)
-		runTracer = ps
-	}
+	// Rank 0's phase boundaries drive the per-phase snapshots — BT-IO
+	// and MadBench phases are globally synchronized, so one observer
+	// rank suffices.
+	ps := trace.NewPhaseSnapshotter(c.Eng, c.Telemetry, tr, 0)
 	// The span collector may hold characterization-phase spans; the
 	// evaluation profile covers exactly this run.
 	c.Path.Reset()
-	res, err := app.Run(c, runTracer)
+	res, err := app.Run(c, ps)
 	if err != nil {
 		return nil, fmt.Errorf("evaluate %s: %w", app.Name(), err)
 	}
 	ms := MeasurementsFromTrace(tr, Global)
-	ev := &Evaluation{
+	return &Evaluation{
 		appName:  app.Name(),
 		config:   ch.Config,
 		scenario: scenario,
@@ -269,13 +264,11 @@ func evaluateScenario(c *cluster.Cluster, app workload.App, ch *Characterization
 		meas:     ms,
 		used:     UsedTable(ms, ch),
 		trace:    tr,
-	}
-	if ps != nil {
-		ev.phases = ps.Finish()
-		ev.components = c.Telemetry.Snapshots()
-	}
-	ev.path = c.Path.Profile()
-	return ev, nil
+
+		phases:     ps.Finish(),
+		components: c.Telemetry.Snapshots(),
+		path:       c.Path.Profile(),
+	}, nil
 }
 
 // TelemetryReport packages the evaluation as a structured, exportable

@@ -39,10 +39,13 @@ type Session struct {
 
 // CharStore is a persistent characterization cache keyed by content
 // fingerprint (see Fingerprint). GetOrCompute returns the stored
-// characterization for the fingerprint, or calls compute exactly once
-// per process to fill the entry. internal/store provides the on-disk
-// implementation; the interface lives here so core does not depend on
-// the store's mechanics.
+// characterization for the fingerprint, or calls compute to fill the
+// entry. Callers ask once per fingerprint at a time — a Session
+// resolves its characterization once, the sweep engine once per
+// fingerprint — so an implementation need not deduplicate concurrent
+// fills. internal/store provides the on-disk implementation; the
+// interface lives here so core does not depend on the store's
+// mechanics.
 type CharStore interface {
 	GetOrCompute(fingerprint string, compute func() (*Characterization, error)) (*Characterization, error)
 }

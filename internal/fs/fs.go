@@ -111,12 +111,6 @@ type fileData struct {
 	opens   int
 }
 
-// Stats counts the metadata operations the recorder lumps together
-// as ClassMeta; data calls and bytes are on the recorder.
-type Stats struct {
-	Opens, Creates, Removes, Stats, Closes int64
-}
-
 // Mount is a local filesystem on a block device.
 type Mount struct {
 	eng    *sim.Engine
@@ -126,9 +120,6 @@ type Mount struct {
 	files    map[string]*fileData
 	nextFree int64
 	freeList []extent // physOff/length used; logOff ignored
-
-	// Stats accumulates operation counters.
-	Stats Stats
 
 	rec *telemetry.Recorder
 }
@@ -187,25 +178,22 @@ func (m *Mount) allocate(n int64) extent {
 
 // Open implements Interface.
 func (m *Mount) Open(r *ioreq.Request, path string, flags int) (Handle, error) {
-	r.Push(telemetry.LevelLocalFS, m.rec.Component())
+	r.PushOn(m.rec)
 	defer r.Pop()
+	defer r.Observe(telemetry.ClassMeta, 1, 0)
 	p := r.Proc()
-	start := p.Now()
-	defer func() { m.rec.Observe(telemetry.ClassMeta, 1, 0, sim.Duration(p.Now()-start)) }()
 	p.Sleep(m.params.MetaOpCost)
 	f, ok := m.files[path]
 	if !ok {
 		if flags&OCreate == 0 {
 			return nil, fmt.Errorf("open %q: %w", path, ErrNotExist)
 		}
-		m.Stats.Creates++
 		p.Sleep(m.params.MetaOpCost) // inode allocation + journal
 		f = &fileData{path: path}
 		m.files[path] = f
 	} else if flags&OTrunc != 0 {
 		m.truncate(f)
 	}
-	m.Stats.Opens++
 	f.opens++
 	return &localHandle{m: m, f: f}, nil
 }
@@ -220,7 +208,7 @@ func (m *Mount) truncate(f *fileData) {
 
 // Remove implements Interface.
 func (m *Mount) Remove(r *ioreq.Request, path string) error {
-	r.Push(telemetry.LevelLocalFS, m.rec.Component())
+	r.PushOn(m.rec)
 	defer r.Pop()
 	m.rec.Observe(telemetry.ClassMeta, 1, 0, m.params.MetaOpCost)
 	r.Proc().Sleep(m.params.MetaOpCost)
@@ -230,17 +218,15 @@ func (m *Mount) Remove(r *ioreq.Request, path string) error {
 	}
 	m.truncate(f)
 	delete(m.files, path)
-	m.Stats.Removes++
 	return nil
 }
 
 // Stat implements Interface.
 func (m *Mount) Stat(r *ioreq.Request, path string) (FileInfo, error) {
-	r.Push(telemetry.LevelLocalFS, m.rec.Component())
+	r.PushOn(m.rec)
 	defer r.Pop()
 	m.rec.Observe(telemetry.ClassMeta, 1, 0, m.params.MetaOpCost)
 	r.Proc().Sleep(m.params.MetaOpCost)
-	m.Stats.Stats++
 	f, ok := m.files[path]
 	if !ok {
 		return FileInfo{}, fmt.Errorf("stat %q: %w", path, ErrNotExist)
@@ -251,7 +237,7 @@ func (m *Mount) Stat(r *ioreq.Request, path string) (FileInfo, error) {
 // Sync implements Interface: flush the whole device stack (page cache
 // write-back plus device cache).
 func (m *Mount) Sync(r *ioreq.Request) {
-	r.Push(telemetry.LevelLocalFS, m.rec.Component())
+	r.PushOn(m.rec)
 	defer r.Pop()
 	m.dev.Flush(r)
 }
@@ -432,18 +418,17 @@ func (h *localHandle) WriteVec(r *ioreq.Request, vecs []IOVec) int64 {
 
 func (h *localHandle) Sync(r *ioreq.Request) {
 	h.check()
-	r.Push(telemetry.LevelLocalFS, h.m.rec.Component())
+	r.PushOn(h.m.rec)
 	defer r.Pop()
 	h.m.dev.Flush(r)
 }
 
 func (h *localHandle) Close(r *ioreq.Request) {
 	h.check()
-	r.Push(telemetry.LevelLocalFS, h.m.rec.Component())
+	r.PushOn(h.m.rec)
 	defer r.Pop()
 	h.closed = true
 	h.f.opens--
-	h.m.Stats.Closes++
 	h.m.rec.Observe(telemetry.ClassMeta, 1, 0, h.m.params.MetaOpCost/2)
 	r.Proc().Sleep(h.m.params.MetaOpCost / 2)
 }

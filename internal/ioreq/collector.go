@@ -6,10 +6,9 @@ import (
 )
 
 // Collector aggregates the spans of completed requests into a
-// telemetry.PathProfile. Like telemetry.Recorder it is strictly
-// passive and nil-safe: a nil *Collector discards everything, so
-// requests can be built without an aggregation plane (unit tests,
-// MPI communication that is not I/O).
+// telemetry.PathProfile. It is strictly passive and nil-safe: a nil
+// *Collector discards everything, so requests can be built without an
+// aggregation plane (unit tests, MPI communication that is not I/O).
 type Collector struct {
 	prof telemetry.PathProfile
 }
@@ -22,7 +21,7 @@ func (c *Collector) record(s *span, class telemetry.OpClass, busy, self sim.Dura
 	if c == nil {
 		return
 	}
-	c.prof.Observe(s.level, class, busy, self, s.parent == nil, s.remote())
+	c.prof.Observe(s.rec.Level(), class, busy, self, s.parent == nil, s.remote())
 }
 
 // tag counts a fault-plane mark.

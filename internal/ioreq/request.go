@@ -4,10 +4,12 @@
 // class, the span collector, fault tags, and — centrally — a span
 // stack stamped on the simulated clock. Access facts (mode, block
 // size, rank, phase) come from the MPI-IO trace, the one event stream
-// the trace package classifies. Each layer opens a span on entry and
-// closes it on exit; a data entry point opens it on the component's
-// telemetry Recorder (Enter/Observe/Exit), so one interval feeds both
-// the path profile and the component's counters. A completed request knows
+// the trace package classifies. Each layer opens a span on its
+// component's telemetry Recorder on entry and closes it on exit, so
+// one interval feeds both the path profile and the component's
+// counters: PushOn/Pop for a span that feeds no queue gauge,
+// Enter/Exit for one that does, and Observe on either records on the
+// span's recorder over the span's interval. A completed request knows
 // exactly how long it spent in the MPI-IO library, the global
 // filesystem, the local filesystem, the page cache, the RAID
 // organization, the disks, and the network.
@@ -30,17 +32,16 @@ import (
 // a child's [start, end] nests inside its parent's. covered/coverEnd
 // incrementally accumulate the union of completed children, so the
 // parent's self time (time not inside any child) is exact even when
-// sim.Fork runs children in parallel. A span opened by Enter carries
-// its component's recorder; one opened by Push carries a label.
+// sim.Fork runs children in parallel. Every span belongs to its
+// component's recorder, which gives it its level and name.
 type span struct {
 	parent *span
 	rec    *telemetry.Recorder
-	comp   string
-	level  telemetry.Level
 	start  sim.Time
 
 	coverEnd sim.Time     // right edge of the children union so far
 	covered  sim.Duration // total length of the children union
+	gauged   bool         // opened by Enter: counted in rec's queue-depth gauge
 }
 
 // remote reports whether s was opened beneath a global-filesystem
@@ -51,19 +52,11 @@ type span struct {
 // the compute node's local-FS level.
 func (s *span) remote() bool {
 	for a := s.parent; a != nil; a = a.parent {
-		if a.level == telemetry.LevelGlobalFS {
+		if a.rec.Level() == telemetry.LevelGlobalFS {
 			return true
 		}
 	}
 	return false
-}
-
-// label names the span's component for diagnostics.
-func (s *span) label() string {
-	if s.rec != nil {
-		return s.rec.Component()
-	}
-	return s.comp
 }
 
 // Request is a per-request context. It wraps the simulated process
@@ -127,27 +120,36 @@ func (r *Request) WithProc(child *sim.Proc) *Request {
 	return &Request{p: child, class: r.class, col: r.col, cur: r.cur}
 }
 
-// Push opens a span at the given level. Every layer entry point opens
-// a span (Push or Enter) and defers its close (Pop or Exit), so the
-// open-span chain at any instant is the request's current position on
-// the I/O path. Push is for spans that feed no queue gauge; comp
-// should be a label the component stores once, not one built per
-// request.
+// PushOn opens a span on rec, at rec's level, that feeds no queue
+// gauge. Every layer entry point opens a span on its component's
+// recorder (PushOn or Enter) and defers its close (Pop or Exit), so
+// the open-span chain at any instant is the request's current position
+// on the I/O path.
+func (r *Request) PushOn(rec *telemetry.Recorder) { r.open(rec, false) }
+
+// Push opens a span at level on a recorder of its own named comp.
+//
+// Deprecated: layers open spans on their component's recorder with
+// PushOn. Push stays for the benchmark's span probe, and builds one
+// recorder per call.
 func (r *Request) Push(level telemetry.Level, comp string) {
-	r.cur = &span{parent: r.cur, level: level, comp: comp, start: r.p.Now()}
+	r.PushOn(telemetry.NewRecorder(nil, comp, level, 1))
 }
 
-// Enter opens a span at rec's level bound to rec and counts the
-// request in rec's queue-depth gauge. Observe then records on rec
-// over the span's interval, and Exit leaves the gauge and pops: one
+// Enter opens a span on rec, at rec's level, and counts the request
+// in rec's queue-depth gauge. Exit leaves the gauge and pops: one
 // recording point per layer boundary for both the path profile and
 // the component's counters.
 func (r *Request) Enter(rec *telemetry.Recorder) {
-	if rec == nil {
-		panic("ioreq: Enter with nil recorder")
-	}
-	r.cur = &span{parent: r.cur, rec: rec, level: rec.Level(), start: r.p.Now()}
+	r.open(rec, true)
 	rec.Enter()
+}
+
+func (r *Request) open(rec *telemetry.Recorder, gauged bool) {
+	if rec == nil {
+		panic("ioreq: span opened on a nil recorder")
+	}
+	r.cur = &span{parent: r.cur, rec: rec, start: r.p.Now(), gauged: gauged}
 }
 
 // Observe records ops operations of class moving bytes on the
@@ -156,23 +158,21 @@ func (r *Request) Enter(rec *telemetry.Recorder) {
 // request's behalf (a RAID-5 read-modify-write's reads) records as
 // what it is.
 func (r *Request) Observe(class telemetry.OpClass, ops, bytes int64) {
-	s := r.entered("Observe")
+	s := r.cur
+	if s == nil {
+		panic("ioreq: Observe with no open span")
+	}
 	s.rec.Observe(class, ops, bytes, sim.Duration(r.p.Now()-s.start))
 }
 
 // Exit closes a span opened by Enter: the request leaves the
 // recorder's queue-depth gauge and the span pops.
 func (r *Request) Exit() {
-	r.entered("Exit").rec.Exit()
-	r.Pop()
-}
-
-// entered returns the open span, which must have been opened by Enter.
-func (r *Request) entered(op string) *span {
-	if r.cur == nil || r.cur.rec == nil {
-		panic("ioreq: " + op + " without a span opened by Enter")
+	if r.cur == nil || !r.cur.gauged {
+		panic("ioreq: Exit without a span opened by Enter")
 	}
-	return r.cur
+	r.cur.rec.Exit()
+	r.Pop()
 }
 
 // Pop closes the current span, records it into the collector, and
@@ -191,7 +191,7 @@ func (r *Request) Pop() {
 		// Cannot happen while children nest inside their parent; guard
 		// so a future layer bug surfaces as a loud failure, not a
 		// negative self time.
-		panic(fmt.Sprintf("ioreq: span %s/%s self time negative", s.level, s.label()))
+		panic(fmt.Sprintf("ioreq: span %s/%s self time negative", s.rec.Level(), s.rec.Component()))
 	}
 	r.col.record(s, r.class, dur, self)
 	if par := s.parent; par != nil {

@@ -10,6 +10,11 @@ import (
 
 const ms = 1000 * sim.Microsecond
 
+// recAt builds a recorder at level for spans to open on.
+func recAt(e *sim.Engine, level telemetry.Level) *telemetry.Recorder {
+	return telemetry.NewRecorder(e, level.String(), level, 1)
+}
+
 // TestSpanSelfTime checks the self-time arithmetic on a simple nest:
 // a parent span whose child covers part of its interval attributes
 // only the uncovered remainder to itself.
@@ -18,9 +23,9 @@ func TestSpanSelfTime(t *testing.T) {
 	col := NewCollector()
 	e.Spawn("req", func(p *sim.Proc) {
 		r := Writer(p).SetCollector(col)
-		r.Push(telemetry.LevelLibrary, "lib")
+		r.PushOn(recAt(e, telemetry.LevelLibrary))
 		p.Sleep(2 * ms)
-		r.Push(telemetry.LevelGlobalFS, "gfs")
+		r.PushOn(recAt(e, telemetry.LevelGlobalFS))
 		p.Sleep(5 * ms)
 		r.Pop()
 		p.Sleep(3 * ms)
@@ -52,19 +57,19 @@ func TestForkCoverageUnion(t *testing.T) {
 	col := NewCollector()
 	e.Spawn("req", func(p *sim.Proc) {
 		r := Reader(p).SetCollector(col)
-		r.Push(telemetry.LevelGlobalFS, "gfs")
+		r.PushOn(recAt(e, telemetry.LevelGlobalFS))
 		// Two children overlap fully in [t, t+4ms) and one runs longer:
 		// the union is 6ms, not the 10ms sum.
 		sim.Fork(p, "xfer",
 			func(c *sim.Proc) {
 				cr := r.WithProc(c)
-				cr.Push(telemetry.LevelNetwork, "net")
+				cr.PushOn(recAt(e, telemetry.LevelNetwork))
 				c.Sleep(4 * ms)
 				cr.Pop()
 			},
 			func(c *sim.Proc) {
 				cr := r.WithProc(c)
-				cr.Push(telemetry.LevelDevice, "disk")
+				cr.PushOn(recAt(e, telemetry.LevelDevice))
 				c.Sleep(6 * ms)
 				cr.Pop()
 			},
@@ -94,15 +99,15 @@ func TestRemoteAttribution(t *testing.T) {
 	e.Spawn("req", func(p *sim.Proc) {
 		r := Writer(p).SetCollector(col)
 		// Local write: cache span with no global-FS ancestor.
-		r.Push(telemetry.LevelLocalFS, "local")
-		r.Push(telemetry.LevelCache, "page")
+		r.PushOn(recAt(e, telemetry.LevelLocalFS))
+		r.PushOn(recAt(e, telemetry.LevelCache))
 		p.Sleep(2 * ms)
 		r.Pop()
 		r.Pop()
 		// Remote write: the same lower levels beneath an NFS span.
-		r.Push(telemetry.LevelGlobalFS, "nfs")
-		r.Push(telemetry.LevelLocalFS, "backend")
-		r.Push(telemetry.LevelCache, "page")
+		r.PushOn(recAt(e, telemetry.LevelGlobalFS))
+		r.PushOn(recAt(e, telemetry.LevelLocalFS))
+		r.PushOn(recAt(e, telemetry.LevelCache))
 		p.Sleep(3 * ms)
 		r.Pop()
 		r.Pop()
@@ -128,7 +133,7 @@ func TestNilCollectorSafe(t *testing.T) {
 	e := sim.NewEngine()
 	e.Spawn("req", func(p *sim.Proc) {
 		r := Meta(p)
-		r.Push(telemetry.LevelLibrary, "lib")
+		r.PushOn(recAt(e, telemetry.LevelLibrary))
 		r.Tag("slow_disk")
 		p.Sleep(ms)
 		r.Pop()
@@ -210,37 +215,71 @@ func TestEnterNilCollector(t *testing.T) {
 	}
 }
 
-// TestObserveOnPushedSpanPanics pins that Observe and Exit need a span
-// opened by Enter: on a Push span they would drop the counters.
-func TestObserveOnPushedSpanPanics(t *testing.T) {
+// TestObserveOnPushedSpan checks that Observe on a gauge-free span
+// records on that span's recorder over the span's interval and leaves
+// the queue-depth gauge alone.
+func TestObserveOnPushedSpan(t *testing.T) {
 	e := sim.NewEngine()
-	for _, tc := range []struct {
-		name string
-		call func(*Request)
-	}{
-		{"Observe", func(r *Request) { r.Observe(telemetry.ClassRead, 1, 0) }},
-		{"Exit", func(r *Request) { r.Exit() }},
-	} {
-		e.Spawn(tc.name, func(p *sim.Proc) {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s on a pushed span did not panic", tc.name)
-				}
-			}()
-			r := Reader(p)
-			r.Push(telemetry.LevelCache, "cache:c")
-			tc.call(r)
-		})
+	rec := recAt(e, telemetry.LevelCache)
+	e.Spawn("req", func(p *sim.Proc) {
+		r := Meta(p)
+		p.Sleep(ms)
+		r.PushOn(rec)
+		defer r.Pop()
+		defer r.Observe(telemetry.ClassMeta, 1, 0)
+		p.Sleep(2 * ms)
+	})
+	e.Run()
+	c := rec.Snapshot().Counters
+	if c.Meta.Ops != 1 || c.Meta.Busy != 2*ms {
+		t.Errorf("recorder meta = %+v, want 1 op, 2ms busy", c.Meta)
 	}
+	if c.QueueDepth != 0 || c.MaxQueueDepth != 0 {
+		t.Errorf("queue depth=%d max=%d, want 0/0 on a gauge-free span", c.QueueDepth, c.MaxQueueDepth)
+	}
+}
+
+// TestExitOnPushedSpanPanics pins that Exit needs a span opened by
+// Enter: on a gauge-free span it would drive the gauge negative.
+func TestExitOnPushedSpanPanics(t *testing.T) {
+	e := sim.NewEngine()
+	e.Spawn("req", func(p *sim.Proc) {
+		defer func() {
+			if recover() == nil {
+				t.Error("Exit on a pushed span did not panic")
+			}
+		}()
+		r := Reader(p)
+		r.PushOn(recAt(e, telemetry.LevelCache))
+		r.Exit()
+	})
 	e.Run()
 }
 
-// TestSpanSize pins the span at one 64-byte allocation: every layer
+// TestPushOwnRecorder checks the level-and-name form of Push: each
+// span lands in the collector at the given level.
+func TestPushOwnRecorder(t *testing.T) {
+	e := sim.NewEngine()
+	col := NewCollector()
+	e.Spawn("req", func(p *sim.Proc) {
+		r := Reader(p).SetCollector(col)
+		for i := 0; i < 3; i++ {
+			r.Push(telemetry.LevelCache, "probe")
+			r.Pop()
+		}
+	})
+	e.Run()
+	if n := col.Profile().Cell(telemetry.LevelCache, telemetry.ClassRead).Spans; n != 3 {
+		t.Errorf("collector holds %d cache spans, want 3", n)
+	}
+}
+
+// TestSpanSize pins the span at one 48-byte allocation: every layer
 // boundary allocates one, so a larger span shows in the benchmark's
 // allocated bytes.
 func TestSpanSize(t *testing.T) {
-	if n := unsafe.Sizeof(span{}); n > 64 {
-		t.Errorf("span is %d bytes, want <= 64", n)
+	if n := unsafe.Sizeof(span{}); n > 48 {
+		t.Errorf("span is %d bytes, want <= 48", n)
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 const SpanBalanceCheck = "spanbalance"
 
 // SpanBalance returns the analyzer enforcing the one shape a span may
-// take. Every span opened on an *ioreq.Request (Push, or Enter on a
-// component's recorder) or on a *telemetry.Recorder (Enter, the
+// take. Every span opened on an *ioreq.Request (Push/PushOn, or Enter
+// on a component's recorder) or on a *telemetry.Recorder (Enter, the
 // concurrency gauge) must be followed, after nothing but further
 // opens, by a defer that closes it with its own pair (Pop, Exit). The
 // defer calls the close directly or as a top-level statement of a
@@ -24,7 +24,7 @@ const SpanBalanceCheck = "spanbalance"
 func SpanBalance() *Analyzer {
 	return &Analyzer{
 		Name: SpanBalanceCheck,
-		Doc: "Reports spans (ioreq.Request.Push/Enter, telemetry.Recorder.Enter) " +
+		Doc: "Reports spans (ioreq.Request.Push/PushOn/Enter, telemetry.Recorder.Enter) " +
 			"not closed by a defer right after the open, closes (Pop/Exit) " +
 			"anywhere else, and opens inside loop bodies. The span stack is " +
 			"shared by every caller above: one unbalanced path corrupts the " +
@@ -67,8 +67,8 @@ func spanCall(p *Package, n ast.Node) (spanOp, bool) {
 	op := spanOp{call: call, subject: types.ExprString(sel.X)}
 	t := p.Info.TypeOf(sel.X)
 	switch name := sel.Sel.Name; {
-	case isRequestPtr(t) && (name == "Push" || name == "Pop"):
-		op.close, op.open = "Pop", name == "Push"
+	case isRequestPtr(t) && (name == "Push" || name == "PushOn" || name == "Pop"):
+		op.close, op.open = "Pop", name != "Pop"
 	case (isRequestPtr(t) || isRecorderRef(t)) && (name == "Enter" || name == "Exit"):
 		op.close, op.open = "Exit", name == "Enter"
 	default:

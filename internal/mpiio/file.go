@@ -53,7 +53,6 @@ type DirectIOSetter interface {
 type File struct {
 	w       *World
 	path    string
-	label   string // root span label, pushed and popped on the trace event's clock reads
 	flags   int
 	mounts  []fs.Interface
 	handles []fs.Handle
@@ -76,7 +75,6 @@ func OpenFile(w *World, path string, flags int, mounts []fs.Interface, hints Hin
 	f := &File{
 		w:       w,
 		path:    path,
-		label:   "mpiio:" + path,
 		flags:   flags,
 		mounts:  mounts,
 		handles: make([]fs.Handle, w.Size()),
@@ -132,7 +130,7 @@ func (f *File) Path() string { return f.path }
 func (f *File) Open(p *sim.Proc, rank int) error {
 	r := f.w.req(p, telemetry.ClassMeta)
 	t0 := p.Now()
-	r.Push(telemetry.LevelLibrary, f.label)
+	r.PushOn(f.w.rec)
 	defer r.Pop()
 	h, err := f.mounts[rank].Open(r, f.path, f.flags)
 	if err != nil {
@@ -171,7 +169,7 @@ func (f *File) handle(rank int) fs.Handle {
 func (f *File) WriteAt(p *sim.Proc, rank int, off, n int64) int64 {
 	r := f.w.req(p, telemetry.ClassWrite)
 	t0 := p.Now()
-	r.Push(telemetry.LevelLibrary, f.label)
+	r.PushOn(f.w.rec)
 	defer r.Pop()
 	f.lock(r, rank, 1)
 	got := f.handle(rank).WriteAt(r, off, n)
@@ -183,7 +181,7 @@ func (f *File) WriteAt(p *sim.Proc, rank int, off, n int64) int64 {
 func (f *File) ReadAt(p *sim.Proc, rank int, off, n int64) int64 {
 	r := f.w.req(p, telemetry.ClassRead)
 	t0 := p.Now()
-	r.Push(telemetry.LevelLibrary, f.label)
+	r.PushOn(f.w.rec)
 	defer r.Pop()
 	f.lock(r, rank, 1)
 	got := f.handle(rank).ReadAt(r, off, n)
@@ -199,7 +197,7 @@ func (f *File) WriteVec(p *sim.Proc, rank int, vecs []fs.IOVec) int64 {
 	}
 	r := f.w.req(p, telemetry.ClassWrite)
 	t0 := p.Now()
-	r.Push(telemetry.LevelLibrary, f.label)
+	r.PushOn(f.w.rec)
 	defer r.Pop()
 	f.lock(r, rank, int64(len(vecs)))
 	got := f.handle(rank).WriteVec(r, vecs)
@@ -215,7 +213,7 @@ func (f *File) ReadVec(p *sim.Proc, rank int, vecs []fs.IOVec) int64 {
 	}
 	r := f.w.req(p, telemetry.ClassRead)
 	t0 := p.Now()
-	r.Push(telemetry.LevelLibrary, f.label)
+	r.PushOn(f.w.rec)
 	defer r.Pop()
 	f.lock(r, rank, int64(len(vecs)))
 	got := f.handle(rank).ReadVec(r, vecs)
@@ -228,7 +226,7 @@ func (f *File) ReadVec(p *sim.Proc, rank int, vecs []fs.IOVec) int64 {
 func (f *File) Sync(p *sim.Proc, rank int) {
 	r := f.w.req(p, telemetry.ClassMeta)
 	t0 := p.Now()
-	r.Push(telemetry.LevelLibrary, f.label)
+	r.PushOn(f.w.rec)
 	defer r.Pop()
 	f.handle(rank).Sync(r)
 	f.w.trace(Event{Rank: rank, Op: OpSync, File: f.path, Offset: -1, Count: 1, T0: t0, T1: p.Now()})
@@ -238,7 +236,7 @@ func (f *File) Sync(p *sim.Proc, rank int) {
 func (f *File) Close(p *sim.Proc, rank int) {
 	r := f.w.req(p, telemetry.ClassMeta)
 	t0 := p.Now()
-	r.Push(telemetry.LevelLibrary, f.label)
+	r.PushOn(f.w.rec)
 	defer r.Pop()
 	f.handle(rank).Close(r)
 	f.handles[rank] = nil
@@ -262,7 +260,7 @@ func (f *File) ReadAtAll(p *sim.Proc, rank int, off, n int64) int64 {
 func (f *File) WriteVecAll(p *sim.Proc, rank int, vecs []fs.IOVec) int64 {
 	r := f.w.req(p, telemetry.ClassWrite)
 	t0 := p.Now()
-	r.Push(telemetry.LevelLibrary, f.label)
+	r.PushOn(f.w.rec)
 	defer r.Pop()
 	n := f.collective(r, rank, vecs, true)
 	// One collective library call counts as one operation regardless
@@ -280,7 +278,7 @@ func (f *File) WriteVecAll(p *sim.Proc, rank int, vecs []fs.IOVec) int64 {
 func (f *File) ReadVecAll(p *sim.Proc, rank int, vecs []fs.IOVec) int64 {
 	r := f.w.req(p, telemetry.ClassRead)
 	t0 := p.Now()
-	r.Push(telemetry.LevelLibrary, f.label)
+	r.PushOn(f.w.rec)
 	defer r.Pop()
 	n := f.collective(r, rank, vecs, false)
 	f.w.trace(Event{Rank: rank, Op: OpReadAll, File: f.path, Offset: firstOff(vecs),

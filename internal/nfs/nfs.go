@@ -331,7 +331,7 @@ func (c *Client) metaRPC(r *ioreq.Request, fn func()) {
 
 // Open implements fs.Interface.
 func (c *Client) Open(r *ioreq.Request, path string, flags int) (fs.Handle, error) {
-	r.Push(telemetry.LevelGlobalFS, c.rec.Component())
+	r.PushOn(c.rec)
 	defer r.Pop()
 	var h fs.Handle
 	var err error
@@ -354,7 +354,7 @@ func (c *Client) Open(r *ioreq.Request, path string, flags int) (fs.Handle, erro
 
 // Remove implements fs.Interface.
 func (c *Client) Remove(r *ioreq.Request, path string) error {
-	r.Push(telemetry.LevelGlobalFS, c.rec.Component())
+	r.PushOn(c.rec)
 	defer r.Pop()
 	var err error
 	c.metaRPC(r, func() {
@@ -376,7 +376,7 @@ func (c *Client) Stat(r *ioreq.Request, path string) (fs.FileInfo, error) {
 		c.Stats.AttrCacheHits++
 		return fi, nil
 	}
-	r.Push(telemetry.LevelGlobalFS, c.rec.Component())
+	r.PushOn(c.rec)
 	defer r.Pop()
 	var fi fs.FileInfo
 	var err error
@@ -389,7 +389,7 @@ func (c *Client) Stat(r *ioreq.Request, path string) (fs.FileInfo, error) {
 
 // Sync implements fs.Interface: a COMMIT RPC plus a server-side sync.
 func (c *Client) Sync(r *ioreq.Request) {
-	r.Push(telemetry.LevelGlobalFS, c.rec.Component())
+	r.PushOn(c.rec)
 	defer r.Pop()
 	c.metaRPC(r, func() { c.srv.backend.Sync(r) })
 }
@@ -402,7 +402,7 @@ func (c *Client) LockUnlock(r *ioreq.Request, count int64) {
 	if count <= 0 {
 		return
 	}
-	r.Push(telemetry.LevelGlobalFS, c.rec.Component())
+	r.PushOn(c.rec)
 	defer r.Pop()
 	p := r.Proc()
 	c.awaitServer(r)
@@ -629,7 +629,7 @@ func (h *remoteHandle) WriteVec(r *ioreq.Request, vecs []fs.IOVec) int64 {
 // Sync implements fs.Handle: flush write-behind data, then COMMIT.
 func (h *remoteHandle) Sync(r *ioreq.Request) {
 	h.check()
-	r.Push(telemetry.LevelGlobalFS, h.c.rec.Component())
+	r.PushOn(h.c.rec)
 	defer r.Pop()
 	h.flushAndCommit(r)
 	h.c.metaRPC(r, func() { h.srvHandle.Sync(r) })
@@ -641,7 +641,7 @@ func (h *remoteHandle) Sync(r *ioreq.Request) {
 // path on the server).
 func (h *remoteHandle) Close(r *ioreq.Request) {
 	h.check()
-	r.Push(telemetry.LevelGlobalFS, h.c.rec.Component())
+	r.PushOn(h.c.rec)
 	defer r.Pop()
 	h.flushAndCommit(r)
 	h.closed = true

@@ -106,8 +106,6 @@ func (h *pfsHandle) transfer(r *ioreq.Request, ops []serverOp, write bool) int64
 		srv := sys.servers[i]
 		fns = append(fns, func(child *sim.Proc) {
 			cr := r.WithProc(child)
-			c.Stats.Requests += op.ops
-			srv.Stats.Requests += op.ops
 			req := rpcHeaderBytes * op.ops
 			if write {
 				req += op.bytes
@@ -236,7 +234,7 @@ func (h *pfsHandle) Sync(r *ioreq.Request) {
 func (h *pfsHandle) Close(r *ioreq.Request) {
 	h.check()
 	h.closed = true
-	r.Push(telemetry.LevelGlobalFS, h.c.rec.Component())
+	r.PushOn(h.c.rec)
 	defer r.Pop()
 	// A nil-op metadata RPC cannot fail; fs.Handle.Close has no
 	// error to propagate anyway.

@@ -55,16 +55,7 @@ type Server struct {
 	threads *sim.Resource
 	handles map[string]fs.Handle
 
-	// Stats counts server traffic.
-	Stats ServerStats
-
 	rec *telemetry.Recorder
-}
-
-// ServerStats counts the requests a server charged for; bytes are on
-// the server's recorder.
-type ServerStats struct {
-	Requests int64
 }
 
 // System is a deployed parallel filesystem: the server group plus
@@ -160,16 +151,7 @@ type Client struct {
 	net  *netsim.Network
 	sys  *System
 
-	// Stats counts client traffic.
-	Stats ClientStats
-
 	rec *telemetry.Recorder
-}
-
-// ClientStats counts the requests a client sent; bytes are on the
-// client's recorder.
-type ClientStats struct {
-	Requests int64
 }
 
 var _ fs.Interface = (*Client)(nil)
@@ -202,8 +184,6 @@ func (c *Client) metaServer() *Server { return c.sys.servers[0] }
 func (c *Client) metaRPC(r *ioreq.Request, fn func() error) error {
 	srv := c.metaServer()
 	p := r.Proc()
-	c.Stats.Requests++
-	srv.Stats.Requests++
 	start := p.Now()
 	c.net.Send(r, c.node, srv.node, rpcHeaderBytes)
 	err := c.sys.serve(p, srv, telemetry.ClassMeta, 1, 0, c.sys.params.RPCCost, fn)
@@ -214,7 +194,7 @@ func (c *Client) metaRPC(r *ioreq.Request, fn func() error) error {
 
 // Open implements fs.Interface.
 func (c *Client) Open(r *ioreq.Request, path string, flags int) (fs.Handle, error) {
-	r.Push(telemetry.LevelGlobalFS, c.rec.Component())
+	r.PushOn(c.rec)
 	defer r.Pop()
 	err := c.metaRPC(r, func() error {
 		_, exists := c.sys.sizes[path]
@@ -237,7 +217,7 @@ func (c *Client) Open(r *ioreq.Request, path string, flags int) (fs.Handle, erro
 
 // Remove implements fs.Interface.
 func (c *Client) Remove(r *ioreq.Request, path string) error {
-	r.Push(telemetry.LevelGlobalFS, c.rec.Component())
+	r.PushOn(c.rec)
 	defer r.Pop()
 	return c.metaRPC(r, func() error {
 		if _, ok := c.sys.sizes[path]; !ok {
@@ -259,7 +239,7 @@ func (c *Client) Remove(r *ioreq.Request, path string) error {
 
 // Stat implements fs.Interface.
 func (c *Client) Stat(r *ioreq.Request, path string) (fs.FileInfo, error) {
-	r.Push(telemetry.LevelGlobalFS, c.rec.Component())
+	r.PushOn(c.rec)
 	defer r.Pop()
 	var fi fs.FileInfo
 	err := c.metaRPC(r, func() error {
@@ -275,7 +255,7 @@ func (c *Client) Stat(r *ioreq.Request, path string) (fs.FileInfo, error) {
 
 // Sync implements fs.Interface: flush every server's backend.
 func (c *Client) Sync(r *ioreq.Request) {
-	r.Push(telemetry.LevelGlobalFS, c.rec.Component())
+	r.PushOn(c.rec)
 	defer r.Pop()
 	fns := make([]func(*sim.Proc), len(c.sys.servers))
 	for i := range c.sys.servers {

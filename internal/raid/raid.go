@@ -278,12 +278,9 @@ func (a *Array) WriteAt(r *ioreq.Request, off, n int64) {
 // Flush implements device.BlockDev: all healthy members flush in
 // parallel.
 func (a *Array) Flush(r *ioreq.Request) {
-	r.Push(telemetry.LevelBlock, a.rec.Component())
+	r.PushOn(a.rec)
 	defer r.Pop()
-	start := r.Now()
-	defer func() {
-		a.rec.Observe(telemetry.ClassMeta, 1, 0, sim.Duration(r.Now()-start))
-	}()
+	defer r.Observe(telemetry.ClassMeta, 1, 0)
 	fns := make([]func(*sim.Proc), 0, len(a.members))
 	for i := range a.members {
 		if a.failed[i] {

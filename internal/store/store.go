@@ -31,7 +31,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 
@@ -61,29 +60,14 @@ type entry struct {
 	Payload     json.RawMessage `json:"payload"`
 }
 
-// Option configures a Store at Open.
-type Option func(*Store)
-
-// WithMaxBytes bounds the store's entry bytes on disk: after every
-// write-back, oldest entries (mtime ascending, name as tiebreak) are
-// evicted until the total fits. Zero (the default) disables GC.
-func WithMaxBytes(n int64) Option {
-	return func(s *Store) { s.maxBytes = n }
-}
-
 // Stats are the store's monotonic counters.
 type Stats struct {
-	// Hits is the number of lookups served from disk; MemHits the
-	// number served from this process's memo (an earlier hit or
-	// write-back in the same process).
-	Hits    int64
-	MemHits int64
+	// Hits is the number of lookups served from disk.
+	Hits int64
 	// Misses counts lookups that had to characterize.
 	Misses int64
 	// Puts counts successful write-backs.
 	Puts int64
-	// Evictions counts entries removed by the size-bounded GC.
-	Evictions int64
 	// Quarantined counts corrupt/mismatched entries moved aside.
 	Quarantined int64
 
@@ -92,43 +76,27 @@ type Stats struct {
 }
 
 // Store is an on-disk characterization store rooted at one directory.
-// It is safe for concurrent use; a missing entry requested by many
-// goroutines at once is computed exactly once (in-process
-// single-flight).
+// It is safe for concurrent use. It does not single-flight: callers
+// (core.Session, the sweep engine) already ask once per fingerprint,
+// and two concurrent fills of one entry would only both measure and
+// write the same bytes.
 type Store struct {
-	dir      string
-	maxBytes int64
+	dir string
 
-	mu      sync.Mutex
-	flights map[string]*flight
-	memo    map[string]*core.Characterization
-	stats   Stats
-}
-
-// flight is one in-progress fill; waiters block on done.
-type flight struct {
-	done chan struct{}
-	ch   *core.Characterization
-	err  error
+	mu    sync.Mutex
+	stats Stats
 }
 
 // Open opens (creating if needed) the store rooted at dir. Leftover
 // temporary files from a crashed writer are removed.
-func Open(dir string, opts ...Option) (*Store, error) {
+func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty directory")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{
-		dir:     dir,
-		flights: map[string]*flight{},
-		memo:    map[string]*core.Characterization{},
-	}
-	for _, opt := range opts {
-		opt(s)
-	}
+	s := &Store{dir: dir}
 	// Crash recovery: a writer that died between CreateTemp and rename
 	// leaves a tmp file no reader will ever match; sweep them.
 	if names, err := os.ReadDir(dir); err == nil {
@@ -166,93 +134,14 @@ func validFingerprint(fp string) error {
 }
 
 // GetOrCompute returns the characterization stored under fingerprint,
-// filling the entry via compute on a miss. Concurrent callers for the
-// same fingerprint share one compute call; every caller receives the
-// same round-tripped characterization. Implements core.CharStore.
+// filling the entry via compute on a miss: the computed tables are
+// encoded, persisted best-effort, and their decoding returned, so the
+// caller sees exactly what a warm run will read back. Implements
+// core.CharStore.
 func (s *Store) GetOrCompute(fp string, compute func() (*core.Characterization, error)) (*core.Characterization, error) {
 	if err := validFingerprint(fp); err != nil {
 		return nil, err
 	}
-	ch, theirs, mine := s.lookup(fp)
-	if mine == nil {
-		if theirs == nil {
-			return ch, nil // in-process memo hit
-		}
-		<-theirs.done
-		return theirs.ch, theirs.err
-	}
-	mine.ch, mine.err = s.fill(fp, compute)
-	s.land(fp, mine)
-	close(mine.done)
-	return mine.ch, mine.err
-}
-
-// lookup resolves one fingerprint under the lock: a memo hit, an
-// in-progress flight to wait on, or a fresh flight registered for this
-// caller to fill (exactly one of the three is non-nil/non-zero).
-func (s *Store) lookup(fp string) (ch *core.Characterization, theirs, mine *flight) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ch, ok := s.memo[fp]; ok {
-		s.stats.MemHits++
-		return ch, nil, nil
-	}
-	if f, ok := s.flights[fp]; ok {
-		return nil, f, nil
-	}
-	f := &flight{done: make(chan struct{})}
-	s.flights[fp] = f
-	return nil, nil, f
-}
-
-// land deregisters a completed flight, memoizing its result on
-// success (a failed compute must stay retryable).
-func (s *Store) land(fp string, f *flight) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.flights, fp)
-	if f.err == nil {
-		s.memo[fp] = f.ch
-	}
-}
-
-// memoize records a disk hit in the in-process memo.
-func (s *Store) memoize(fp string, ch *core.Characterization) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.memo[fp] = ch
-}
-
-// memoized consults the in-process memo only.
-func (s *Store) memoized(fp string) (*core.Characterization, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ch, ok := s.memo[fp]
-	if ok {
-		s.stats.MemHits++
-	}
-	return ch, ok
-}
-
-// Get returns the stored characterization for fingerprint, or false
-// on a miss. It never computes.
-func (s *Store) Get(fp string) (*core.Characterization, bool) {
-	if validFingerprint(fp) != nil {
-		return nil, false
-	}
-	if ch, ok := s.memoized(fp); ok {
-		return ch, true
-	}
-	ch, ok := s.load(fp)
-	if ok {
-		s.memoize(fp, ch)
-	}
-	return ch, ok
-}
-
-// fill resolves one missing memo slot: disk first, compute on a miss,
-// write-back best-effort.
-func (s *Store) fill(fp string, compute func() (*core.Characterization, error)) (*core.Characterization, error) {
 	if ch, ok := s.load(fp); ok {
 		return ch, nil
 	}
@@ -261,8 +150,6 @@ func (s *Store) fill(fp string, compute func() (*core.Characterization, error)) 
 	if err != nil {
 		return nil, err
 	}
-	// Encode once; persist the bytes and return their decoding, so the
-	// caller sees exactly what a warm run will read back.
 	var payload bytes.Buffer
 	if err := ch.WriteJSON(&payload); err != nil {
 		// Unencodable tables cannot be stored; serve the computed copy.
@@ -274,6 +161,15 @@ func (s *Store) fill(fp string, compute func() (*core.Characterization, error)) 
 	}
 	s.put(fp, payload.Bytes())
 	return rt, nil
+}
+
+// Get returns the stored characterization for fingerprint, or false
+// on a miss. It never computes.
+func (s *Store) Get(fp string) (*core.Characterization, bool) {
+	if validFingerprint(fp) != nil {
+		return nil, false
+	}
+	return s.load(fp)
 }
 
 // load reads and verifies one entry. Every failure mode — unreadable
@@ -341,7 +237,7 @@ func payloadChecksum(payload []byte) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// put writes one entry atomically (temp file + rename) and runs GC.
+// put writes one entry atomically (temp file + rename).
 // Write failures are dropped: the store is a cache, and a session
 // that could not persist its tables still evaluated correctly.
 func (s *Store) put(fp string, payload []byte) {
@@ -382,62 +278,6 @@ func (s *Store) put(fp string, payload []byte) {
 		st.Puts++
 		st.BytesWritten += int64(len(raw))
 	})
-	s.gc(fp)
-}
-
-// gc evicts oldest entries (mtime ascending, name ascending on ties —
-// a fully deterministic order) until the store fits maxBytes. The
-// entry named keep — the one just written — is never evicted, so a
-// put always survives its own GC pass.
-func (s *Store) gc(keep string) {
-	if s.maxBytes <= 0 {
-		return
-	}
-	type ent struct {
-		name  string
-		size  int64
-		mtime int64
-	}
-	des, err := os.ReadDir(s.dir)
-	if err != nil {
-		return
-	}
-	var ents []ent
-	var total int64
-	for _, de := range des {
-		name := de.Name()
-		if de.IsDir() || !strings.HasSuffix(name, entryExt) || strings.HasPrefix(name, tmpPrefix) {
-			continue
-		}
-		info, err := de.Info()
-		if err != nil {
-			continue
-		}
-		ents = append(ents, ent{name: name, size: info.Size(), mtime: info.ModTime().UnixNano()})
-		total += info.Size()
-	}
-	if total <= s.maxBytes {
-		return
-	}
-	sort.Slice(ents, func(i, j int) bool {
-		if ents[i].mtime != ents[j].mtime {
-			return ents[i].mtime < ents[j].mtime
-		}
-		return ents[i].name < ents[j].name
-	})
-	for _, e := range ents {
-		if total <= s.maxBytes {
-			break
-		}
-		if e.name == keep+entryExt {
-			continue
-		}
-		if err := os.Remove(filepath.Join(s.dir, e.name)); err != nil {
-			continue
-		}
-		total -= e.size
-		s.addStat(func(st *Stats) { st.Evictions++ })
-	}
 }
 
 // quarantine moves a bad entry aside (removing it if the move fails)
@@ -463,8 +303,8 @@ func (s *Store) addStat(f func(*Stats)) {
 
 // Snapshot exposes the store as a telemetry probe on LevelStore:
 // lookups served land in the read class, write-backs in the write
-// class, and the cache-behaviour counters (hits split by source,
-// misses, evictions, quarantined entries) ride in Aux.
+// class, and the cache-behaviour counters (hits, misses, puts,
+// quarantined entries) ride in Aux.
 func (s *Store) Snapshot() telemetry.Snapshot {
 	st := s.Stats()
 	return telemetry.Snapshot{
@@ -476,10 +316,8 @@ func (s *Store) Snapshot() telemetry.Snapshot {
 			Write: telemetry.OpCounters{Ops: st.Puts, Bytes: st.BytesWritten},
 			Aux: map[string]int64{
 				"hits":        st.Hits,
-				"mem_hits":    st.MemHits,
 				"misses":      st.Misses,
 				"puts":        st.Puts,
-				"evictions":   st.Evictions,
 				"quarantined": st.Quarantined,
 			},
 		},

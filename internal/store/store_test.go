@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"ioeval/internal/bench"
 	"ioeval/internal/cluster"
@@ -94,9 +93,9 @@ func charBytes(t *testing.T, ch *core.Characterization) []byte {
 	return buf.Bytes()
 }
 
-func open(t *testing.T, dir string, opts ...Option) *Store {
+func open(t *testing.T, dir string) *Store {
 	t.Helper()
-	s, err := Open(dir, opts...)
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatalf("open %s: %v", dir, err)
 	}
@@ -177,14 +176,6 @@ func TestColdThenWarm(t *testing.T) {
 	if !bytes.Equal(charBytes(t, got), charBytes(t, wgot)) {
 		t.Fatal("cold and warm characterizations differ")
 	}
-
-	// Second lookup on the same store is a memo hit, not a disk read.
-	if _, err := warm.GetOrCompute(fp, nil); err != nil {
-		t.Fatalf("memo: %v", err)
-	}
-	if st := warm.Stats(); st.MemHits != 1 || st.Hits != 1 {
-		t.Fatalf("memo stats = %+v", st)
-	}
 }
 
 // TestGetNeverComputes pins Get's read-only contract.
@@ -202,50 +193,6 @@ func TestGetNeverComputes(t *testing.T) {
 	got, ok := warm.Get(fp)
 	if !ok || got == nil {
 		t.Fatal("Get after a put must hit")
-	}
-}
-
-// TestSingleFlight hammers one fingerprint from many goroutines: the
-// compute must run exactly once and every caller must observe the same
-// result (run with -race).
-func TestSingleFlight(t *testing.T) {
-	fp, ch := testChar(t)
-	s := open(t, t.TempDir())
-
-	var computes atomic.Int64
-	const callers = 16
-	results := make([]*core.Characterization, callers)
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			got, err := s.GetOrCompute(fp, func() (*core.Characterization, error) {
-				computes.Add(1)
-				return ch, nil
-			})
-			if err != nil {
-				t.Errorf("caller %d: %v", i, err)
-				return
-			}
-			results[i] = got
-		}(i)
-	}
-	close(start)
-	wg.Wait()
-	if computes.Load() != 1 {
-		t.Fatalf("computes = %d, want 1 (single-flight)", computes.Load())
-	}
-	for i, got := range results {
-		if got != results[0] {
-			t.Fatalf("caller %d saw a different characterization pointer", i)
-		}
-	}
-	st := s.Stats()
-	if st.Misses != 1 || st.Puts != 1 {
-		t.Fatalf("stats = %+v", st)
 	}
 }
 
@@ -368,53 +315,6 @@ func TestFingerprintMismatchQuarantined(t *testing.T) {
 	}
 	if st := warm.Stats(); st.Quarantined != 1 {
 		t.Fatalf("stats = %+v", st)
-	}
-}
-
-// TestGCDeterministic drives the size-bounded GC through put directly:
-// eviction order is mtime-ascending with name-ascending tie-break, and
-// the just-written entry always survives.
-func TestGCDeterministic(t *testing.T) {
-	dir := t.TempDir()
-	payload := []byte(`"` + strings.Repeat("x", 1000) + `"`)
-	// Entry overhead (envelope + checksum) is ~200 bytes; three entries
-	// land around 3.6 KB, so a 2.6 KB budget keeps exactly two.
-	s := open(t, dir, WithMaxBytes(2600))
-
-	names := []string{"aa11", "bb22", "cc33"}
-	s.put(names[0], payload)
-	s.put(names[1], payload)
-	// Age both below any later write; equal mtimes force the name
-	// tie-break.
-	old := time.Unix(1_000_000_000, 0)
-	for _, n := range names[:2] {
-		if err := os.Chtimes(filepath.Join(dir, n+entryExt), old, old); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.put(names[2], payload)
-
-	if st := s.Stats(); st.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", st.Evictions)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "aa11"+entryExt)); !os.IsNotExist(err) {
-		t.Fatal("aa11 (oldest mtime, smallest name) must be evicted first")
-	}
-	for _, keep := range []string{"bb22", "cc33"} {
-		if _, err := os.Stat(filepath.Join(dir, keep+entryExt)); err != nil {
-			t.Fatalf("%s must survive: %v", keep, err)
-		}
-	}
-}
-
-// TestGCNeverEvictsJustWritten: even a budget smaller than one entry
-// must keep the entry just written.
-func TestGCNeverEvictsJustWritten(t *testing.T) {
-	dir := t.TempDir()
-	s := open(t, dir, WithMaxBytes(10))
-	s.put("dd44", []byte(`"`+strings.Repeat("y", 500)+`"`))
-	if _, err := os.Stat(filepath.Join(dir, "dd44"+entryExt)); err != nil {
-		t.Fatalf("just-written entry evicted by its own GC pass: %v", err)
 	}
 }
 

@@ -10,32 +10,14 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
-// Register adds probes to the registry. A nil Registry ignores the
-// call, mirroring the nil-*Recorder convention.
-func (g *Registry) Register(ps ...Probe) {
-	if g == nil {
-		return
-	}
-	for _, p := range ps {
-		if p != nil {
-			g.probes = append(g.probes, p)
-		}
-	}
-}
+// Register adds probes to the registry.
+func (g *Registry) Register(ps ...Probe) { g.probes = append(g.probes, ps...) }
 
 // Len returns the number of registered probes.
-func (g *Registry) Len() int {
-	if g == nil {
-		return 0
-	}
-	return len(g.probes)
-}
+func (g *Registry) Len() int { return len(g.probes) }
 
 // Snapshots observes every probe, in registration order.
 func (g *Registry) Snapshots() []Snapshot {
-	if g == nil {
-		return nil
-	}
 	out := make([]Snapshot, 0, len(g.probes))
 	for _, p := range g.probes {
 		out = append(out, p.Snapshot())

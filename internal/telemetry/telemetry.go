@@ -302,9 +302,8 @@ type Probe interface {
 }
 
 // Recorder accumulates Counters for one component. All layer
-// packages record through Recorders; a nil *Recorder is valid and
-// ignores all recording calls, so components can be built without a
-// telemetry plane (unit tests, hand-assembled stacks).
+// packages record through Recorders, and every layer constructor
+// builds its own, so a component is never without one.
 type Recorder struct {
 	eng       *sim.Engine
 	component string
@@ -325,27 +324,17 @@ func NewRecorder(eng *sim.Engine, component string, level Level, units int64) *R
 }
 
 // Component returns the component name.
-func (r *Recorder) Component() string {
-	if r == nil {
-		return ""
-	}
-	return r.component
-}
+func (r *Recorder) Component() string { return r.component }
 
 // Level returns the component's I/O-path level.
-func (r *Recorder) Level() Level {
-	if r == nil {
-		return 0
-	}
-	return r.level
-}
+func (r *Recorder) Level() Level { return r.level }
 
 // Observe records ops operations of class moving bytes in busy total
 // service time. The latency histogram receives ops samples of the
 // mean per-operation latency busy/ops (layers batching many small
 // operations into one simulated event cannot time them individually).
 func (r *Recorder) Observe(class OpClass, ops, bytes int64, busy sim.Duration) {
-	if r == nil || ops <= 0 {
+	if ops <= 0 {
 		return
 	}
 	var o *OpCounters
@@ -366,9 +355,6 @@ func (r *Recorder) Observe(class OpClass, ops, bytes int64, busy sim.Duration) {
 // Enter marks a request entering the component (queued or in
 // service), maintaining the queue-depth gauge and high-water mark.
 func (r *Recorder) Enter() {
-	if r == nil {
-		return
-	}
 	r.inFlight++
 	r.c.QueueDepth = r.inFlight
 	if r.inFlight > r.c.MaxQueueDepth {
@@ -378,18 +364,12 @@ func (r *Recorder) Enter() {
 
 // Exit marks a request leaving the component.
 func (r *Recorder) Exit() {
-	if r == nil {
-		return
-	}
 	r.inFlight--
 	r.c.QueueDepth = r.inFlight
 }
 
 // Add increments an auxiliary counter.
 func (r *Recorder) Add(key string, delta int64) {
-	if r == nil {
-		return
-	}
 	if r.c.Aux == nil {
 		r.c.Aux = map[string]int64{}
 	}
@@ -397,12 +377,7 @@ func (r *Recorder) Add(key string, delta int64) {
 }
 
 // AuxVal returns the current value of an auxiliary counter.
-func (r *Recorder) AuxVal(key string) int64 {
-	if r == nil {
-		return 0
-	}
-	return r.c.Aux[key]
-}
+func (r *Recorder) AuxVal(key string) int64 { return r.c.Aux[key] }
 
 // Snapshot implements Probe: a copy of the counters stamped with the
 // engine's current time. The interval of a raw snapshot runs from

@@ -72,22 +72,6 @@ func TestRecorderQueueDepth(t *testing.T) {
 	}
 }
 
-func TestNilRecorderSafe(t *testing.T) {
-	var r *Recorder
-	r.Observe(ClassRead, 1, 1, 1)
-	r.Enter()
-	r.Exit()
-	r.Add("k", 1)
-	if r.AuxVal("k") != 0 || r.Component() != "" {
-		t.Fatal("nil recorder must be inert")
-	}
-	var g *Registry
-	g.Register(nil)
-	if g.Len() != 0 || g.Snapshots() != nil {
-		t.Fatal("nil registry must be inert")
-	}
-}
-
 func TestSnapshotSubDeltas(t *testing.T) {
 	eng := sim.NewEngine()
 	r := NewRecorder(eng, "c", LevelLocalFS, 2)

@@ -40,7 +40,8 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 }
 
 // ReadJSON loads a serialized trace. The header's event count is
-// checked against the events actually read, never trusted up front:
+// checked against the events actually read, never trusted up front,
+// and every event must be one a run could have recorded (checkEvent):
 // malformed input returns an error; it never panics.
 func ReadJSON(r io.Reader) (*Tracer, error) {
 	dec := json.NewDecoder(bufio.NewReader(r))
@@ -62,10 +63,33 @@ func ReadJSON(r io.Reader) (*Tracer, error) {
 		} else if err != nil {
 			return nil, fmt.Errorf("trace: read event %d: %w", len(t.events), err)
 		}
+		if err := checkEvent(ev); err != nil {
+			return nil, fmt.Errorf("trace: event %d: %w", len(t.events), err)
+		}
 		t.events = append(t.events, ev)
 	}
 	if hdr.Events != len(t.events) {
 		return nil, fmt.Errorf("trace: header says %d events, read %d", hdr.Events, len(t.events))
 	}
 	return t, nil
+}
+
+// checkEvent rejects an event no run records: a negative rank, an
+// unknown operation, an interval that ends before it starts, or a
+// negative byte or operation count. The analyses downstream (rank
+// rows, timelines, profiles) assume none of these.
+func checkEvent(ev mpiio.Event) error {
+	switch {
+	case ev.Rank < 0:
+		return fmt.Errorf("negative rank %d", ev.Rank)
+	case ev.Op < mpiio.OpWrite || ev.Op > mpiio.OpBarrier:
+		return fmt.Errorf("unknown op %d", int(ev.Op))
+	case ev.T1 < ev.T0:
+		return fmt.Errorf("ends at %d before it starts at %d", ev.T1, ev.T0)
+	case ev.Bytes < 0:
+		return fmt.Errorf("negative bytes %d", ev.Bytes)
+	case ev.Count < 0:
+		return fmt.Errorf("negative count %d", ev.Count)
+	}
+	return nil
 }

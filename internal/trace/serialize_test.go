@@ -46,6 +46,35 @@ func TestReadJSONRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestReadJSONRejectsBadEvents checks that an event no run records is
+// refused rather than loaded into the rank rows and timeline.
+func TestReadJSONRejectsBadEvents(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ev   mpiio.Event
+	}{
+		{"negative rank", mk(-1, mpiio.OpWrite, 0, kb, 1, 0, 0, 10)},
+		{"ends before start", mk(0, mpiio.OpWrite, 0, kb, 1, 0, 50, 10)},
+		{"op below range", mk(0, mpiio.OpWrite-1, 0, kb, 1, 0, 0, 10)},
+		{"op above range", mk(0, mpiio.OpBarrier+1, 0, kb, 1, 0, 0, 10)},
+		{"negative bytes", mk(0, mpiio.OpRead, 0, -kb, 1, 0, 0, 10)},
+		{"negative count", mk(0, mpiio.OpRead, 0, kb, -1, 0, 0, 10)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := New()
+			tr.Record(mk(0, mpiio.OpOpen, -1, 0, 1, 0, 0, 5))
+			tr.Record(tc.ev)
+			var buf bytes.Buffer
+			if err := tr.WriteJSON(&buf); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			if _, err := ReadJSON(&buf); err == nil {
+				t.Fatalf("accepted %+v", tc.ev)
+			}
+		})
+	}
+}
+
 func TestReadJSONDetectsTruncation(t *testing.T) {
 	tr := New()
 	tr.Record(mk(0, mpiio.OpWrite, 0, mb, 1, 0, 0, 10))
