@@ -14,7 +14,7 @@ package cache
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"ioeval/internal/device"
 	"ioeval/internal/ioreq"
@@ -331,7 +331,7 @@ func (c *Cache) writeOut(r *ioreq.Request, idxs []int64) {
 	if len(claimed) == 0 {
 		return
 	}
-	sort.Slice(claimed, func(i, j int) bool { return claimed[i] < claimed[j] })
+	slices.Sort(claimed)
 	ps := c.params.PageSize
 	runStart := claimed[0]
 	runLen := int64(1)
@@ -499,7 +499,7 @@ func (c *Cache) Flush(r *ioreq.Request) {
 	}
 	// Write back in page order: map iteration order must not reach
 	// the device-level event sequence (run-to-run determinism).
-	sort.Slice(dirtyIdx, func(i, j int) bool { return dirtyIdx[i] < dirtyIdx[j] })
+	slices.Sort(dirtyIdx)
 	c.writeOut(r, dirtyIdx)
 	c.under.Flush(r)
 }

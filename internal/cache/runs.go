@@ -1,7 +1,7 @@
 package cache
 
 import (
-	"sort"
+	"slices"
 
 	"ioeval/internal/device"
 	"ioeval/internal/ioreq"
@@ -62,7 +62,7 @@ func (c *Cache) ReadRuns(r *ioreq.Request, runs []device.Run) {
 	}
 
 	if len(missing) > 0 {
-		sort.Slice(missing, func(i, j int) bool { return missing[i] < missing[j] })
+		slices.Sort(missing)
 		// Dedup (two runs can touch the same page).
 		uniq := missing[:1]
 		for _, idx := range missing[1:] {

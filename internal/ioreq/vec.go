@@ -1,6 +1,9 @@
 package ioreq
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Vec is one extent of a vectored request: a half-open byte range
 // [Off, Off+Len). It is the single offset/length bookkeeping type of
@@ -25,9 +28,12 @@ func Total(vecs []Vec) int64 {
 
 // Sort orders extents by ascending offset (stable not required: equal
 // offsets cannot both carry data in a well-formed vector).
-func Sort(vecs []Vec) {
-	sort.Slice(vecs, func(i, j int) bool { return vecs[i].Off < vecs[j].Off })
-}
+func Sort(vecs []Vec) { slices.SortFunc(vecs, byOff) }
+
+// IsSorted reports whether extents are in ascending offset order.
+func IsSorted(vecs []Vec) bool { return slices.IsSortedFunc(vecs, byOff) }
+
+func byOff(a, b Vec) int { return cmp.Compare(a.Off, b.Off) }
 
 // Merge coalesces sorted extents that overlap or touch, returning a
 // minimal cover. Input must be sorted by Off; the result aliases the

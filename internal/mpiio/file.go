@@ -2,6 +2,7 @@ package mpiio
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ioeval/internal/fs"
@@ -388,17 +389,12 @@ func (f *File) collective(r *ioreq.Request, rank int, vecs []fs.IOVec, write boo
 // computePlan merges all contributions into a minimal contiguous
 // cover and partitions it evenly across aggregators.
 func (c *collOp) computePlan(f *File) {
-	var all []fs.IOVec
-	for _, vs := range c.vecs {
-		all = append(all, vs...)
-	}
-	ioreq.Sort(all)
-	var merged []fs.IOVec
-	for _, v := range all {
-		if v.Len > 0 {
-			merged = ioreq.AppendMerged(merged, v)
-		}
-	}
+	c.partition(f, mergeCover(c.vecs))
+}
+
+// partition splits the cover into one contiguous share per
+// aggregator, in offset order.
+func (c *collOp) partition(f *File, merged []fs.IOVec) {
 	var total int64
 	for _, m := range merged {
 		total += m.Len
@@ -437,6 +433,67 @@ func (c *collOp) computePlan(f *File) {
 	if cur.size > 0 || len(c.parts) == 0 {
 		c.parts = append(c.parts, cur)
 	}
+}
+
+// mergeCover folds the ranks' extent lists into their minimal
+// contiguous cover, skipping zero-length extents. Each list is
+// normally sorted by offset already (synth emits them so), so a P-way
+// merge over a min-heap of ranks, keyed by each rank's next offset,
+// replaces sorting the concatenation. A list that is not sorted is
+// sorted on a copy, since the caller still owns it.
+func mergeCover(vecs [][]fs.IOVec) []fs.IOVec {
+	type head struct {
+		off  int64 // offset of the rank's next extent
+		rank int
+	}
+	lists := make([][]fs.IOVec, len(vecs))
+	next := make([]int, len(vecs)) // per-rank cursor into lists
+	heap := make([]head, 0, len(vecs))
+	for r, vs := range vecs {
+		if !ioreq.IsSorted(vs) {
+			vs = slices.Clone(vs)
+			ioreq.Sort(vs)
+		}
+		lists[r] = vs
+		if len(vs) > 0 {
+			heap = append(heap, head{vs[0].Off, r})
+		}
+	}
+	down := func(i int) {
+		for {
+			m := i
+			if l := 2*i + 1; l < len(heap) && heap[l].off < heap[m].off {
+				m = l
+			}
+			if r := 2*i + 2; r < len(heap) && heap[r].off < heap[m].off {
+				m = r
+			}
+			if m == i {
+				return
+			}
+			heap[i], heap[m] = heap[m], heap[i]
+			i = m
+		}
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	var merged []fs.IOVec
+	for len(heap) > 0 {
+		r := heap[0].rank
+		if v := lists[r][next[r]]; v.Len > 0 {
+			merged = ioreq.AppendMerged(merged, v)
+		}
+		next[r]++
+		if next[r] < len(lists[r]) {
+			heap[0].off = lists[r][next[r]].Off
+		} else {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+		}
+		down(0)
+	}
+	return merged
 }
 
 // exchange moves each rank's bytes between the rank and the

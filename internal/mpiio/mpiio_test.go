@@ -2,11 +2,16 @@ package mpiio
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"ioeval/internal/cache"
 	"ioeval/internal/device"
 	"ioeval/internal/fs"
+	"ioeval/internal/ioreq"
 	"ioeval/internal/netsim"
 	"ioeval/internal/nfs"
 	"ioeval/internal/sim"
@@ -302,6 +307,82 @@ func TestCollectivePartitionCoversEverything(t *testing.T) {
 	}
 	if partTotal != c.totalBytes || c.totalBytes != 4000*kb {
 		t.Fatalf("partition total %d vs union %d (want %d)", partTotal, c.totalBytes, 4000*kb)
+	}
+}
+
+// refCover is the reference cover: concatenate every rank's extents,
+// sort the concatenation, fold it.
+func refCover(vecs [][]fs.IOVec) []fs.IOVec {
+	var all []fs.IOVec
+	for _, vs := range vecs {
+		all = append(all, vs...)
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].Off < all[j].Off })
+	var merged []fs.IOVec
+	for _, v := range all {
+		if v.Len > 0 {
+			merged = ioreq.AppendMerged(merged, v)
+		}
+	}
+	return merged
+}
+
+// randomRankVecs draws one rank's extents on a coarse grid, so
+// zero-length, overlapping and touching extents and duplicate offsets
+// are all common; a seventh of the ranks are empty and half the rest
+// unsorted.
+func randomRankVecs(rng *rand.Rand) []fs.IOVec {
+	if rng.Intn(7) == 0 {
+		return nil
+	}
+	vs := make([]fs.IOVec, rng.Intn(40)+1)
+	for i := range vs {
+		switch {
+		case i > 0 && rng.Intn(8) == 0:
+			vs[i] = vs[rng.Intn(i)] // exact duplicate
+		default:
+			vs[i] = fs.IOVec{Off: 64 * rng.Int63n(64), Len: 64*rng.Int63n(4) + rng.Int63n(2)*rng.Int63n(64)}
+		}
+	}
+	if rng.Intn(2) == 0 {
+		ioreq.Sort(vs)
+	}
+	return vs
+}
+
+func TestCollectivePlanMatchesSortedConcatenation(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 400; trial++ {
+		nRanks := []int{1, 64, 1 + rng.Intn(16)}[trial%3]
+		vecs := make([][]fs.IOVec, nRanks)
+		before := make([][]fs.IOVec, nRanks)
+		for r := range vecs {
+			vecs[r] = randomRankVecs(rng)
+			before[r] = slices.Clone(vecs[r])
+		}
+		aggs := make([]int, 1+rng.Intn(min(nRanks, 8)))
+		for i := range aggs {
+			aggs[i] = i
+		}
+		f := &File{aggs: aggs}
+
+		cover := refCover(vecs)
+		want := &collOp{}
+		want.partition(f, cover)
+		got := &collOp{vecs: vecs}
+		got.computePlan(f)
+
+		if c := mergeCover(vecs); !slices.Equal(c, cover) {
+			t.Fatalf("trial %d: cover %v, want %v", trial, c, cover)
+		}
+		if got.totalBytes != want.totalBytes || !reflect.DeepEqual(got.parts, want.parts) {
+			t.Fatalf("trial %d: plan (%d, %v), want (%d, %v)", trial, got.totalBytes, got.parts, want.totalBytes, want.parts)
+		}
+		for r := range vecs {
+			if !slices.Equal(vecs[r], before[r]) {
+				t.Fatalf("trial %d: rank %d's list mutated: %v, was %v", trial, r, vecs[r], before[r])
+			}
+		}
 	}
 }
 

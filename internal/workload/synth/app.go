@@ -66,7 +66,11 @@ func (st *StepSpec) Vecs(rank, iter int) []fs.IOVec {
 		accs = st.PerRankAccess[rank]
 	}
 	base := int64(iter)*st.LoopStrideBytes + int64(rank)*st.RankStrideBytes
-	var vecs []fs.IOVec
+	var n int64
+	for _, a := range accs {
+		n += a.Elements()
+	}
+	vecs := make([]fs.IOVec, 0, n)
 	for _, a := range accs {
 		expandAccess(&vecs, a, base+a.OffsetBytes, 0)
 	}
