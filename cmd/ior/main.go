@@ -27,7 +27,7 @@ func main() {
 	orgName := flag.String("org", "raid5", "Aohyper device organization")
 	procs := flag.Int("procs", 8, "processes")
 	fileMB := flag.Int64("file", 32768, "total file size in MiB (paper: 32 GiB)")
-	xferKB := flag.Int64("xfer", 256, "transfer size in KiB")
+	xferKB := flag.Int64("xfer", 256, "transfer size in KiB (must divide every block size)")
 	collective := flag.Bool("collective", false, "use collective (two-phase) I/O")
 	storeDir := cliutil.StoreFlag(flag.CommandLine)
 	charWorkers := cliutil.CharWorkersFlag(flag.CommandLine)

@@ -2,12 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"math"
 
 	"ioeval/internal/cluster"
-	"ioeval/internal/fs"
-	"ioeval/internal/mpiio"
-	"ioeval/internal/sim"
+	"ioeval/internal/workload/synth"
 )
 
 // b_eff_io (Rabenseifner & Koniges), the paper's second option for
@@ -46,7 +43,8 @@ func (p BeffPattern) String() string {
 type BeffIOConfig struct {
 	Procs         int
 	TransferSizes []int64 // per-op sizes (default 32 KiB and 1 MiB)
-	// BytesPerRank per (pattern, size) measurement.
+	// BytesPerRank per (pattern, size) measurement, rounded down to
+	// whole transfers; it must hold at least one.
 	BytesPerRank int64
 	Patterns     []BeffPattern
 }
@@ -68,11 +66,11 @@ type BeffIOSummary struct {
 }
 
 // RunBeffIO measures effective parallel I/O bandwidth on the
-// cluster's shared storage through the MPI-IO layer.
+// cluster's shared storage through the MPI-IO layer. Measurements run
+// back to back on one engine; each write window opens when its run
+// starts, each read window at the first rank's read, and both close at
+// the last rank's end.
 func RunBeffIO(c *cluster.Cluster, cfg BeffIOConfig) (BeffIOSummary, error) {
-	if cfg.Procs <= 0 {
-		panic("bench: b_eff_io needs processes")
-	}
 	if len(cfg.TransferSizes) == 0 {
 		cfg.TransferSizes = []int64{32 << 10, 1 << 20}
 	}
@@ -86,11 +84,20 @@ func RunBeffIO(c *cluster.Cluster, cfg BeffIOConfig) (BeffIOSummary, error) {
 	var sum BeffIOSummary
 	for _, pattern := range cfg.Patterns {
 		for _, ts := range cfg.TransferSizes {
-			res, err := beffOnce(c, cfg, pattern, ts)
+			spec, err := beffSpec(cfg, pattern, ts)
 			if err != nil {
 				return BeffIOSummary{}, err
 			}
-			sum.Results = append(sum.Results, res)
+			win, err := runSpec(c, spec, nil)
+			if err != nil {
+				return BeffIOSummary{}, err
+			}
+			sum.Results = append(sum.Results, BeffIOResult{
+				Pattern:      pattern,
+				TransferSize: ts,
+				WriteRate:    rate(win.wrote, win.firstOpen, win.writeEnd),
+				ReadRate:     rate(win.read, win.firstRead, win.readEnd),
+			})
 		}
 	}
 	// Reduce: arithmetic mean of the per-measurement mean of write
@@ -105,102 +112,39 @@ func RunBeffIO(c *cluster.Cluster, cfg BeffIOConfig) (BeffIOSummary, error) {
 	return sum, nil
 }
 
-func beffOnce(c *cluster.Cluster, cfg BeffIOConfig, pattern BeffPattern, ts int64) (BeffIOResult, error) {
-	np := cfg.Procs
-	perRank := cfg.BytesPerRank / ts * ts // whole ops only
-	w := c.NewWorld(c.RankNodes(np))
-
-	path := func(rank int) string {
-		if pattern == BeffSeparate {
-			return fmt.Sprintf("/beff-%v-%d.%04d", pattern, ts, rank)
-		}
-		return fmt.Sprintf("/beff-%v-%d", pattern, ts)
+// beffSpec is one (pattern, transfer size) measurement as a synth
+// spec: every rank writes BytesPerRank in whole transfers, meets the
+// others at a barrier, and reads the same transfers back. Separate
+// files are PerRank (one-rank worlds, like MADbench2 UNIQUE), so their
+// paths gain the rank suffix.
+func beffSpec(cfg BeffIOConfig, pattern BeffPattern, ts int64) (*synth.Spec, error) {
+	if ts <= 0 {
+		return nil, fmt.Errorf("bench: b_eff_io transfer size %d is not positive", ts)
 	}
-	vecsFor := func(rank int) []fs.IOVec {
-		n := perRank / ts
-		vecs := make([]fs.IOVec, 0, n)
-		for i := int64(0); i < n; i++ {
-			var off int64
-			switch pattern {
-			case BeffScatter:
-				off = (i*int64(np) + int64(rank)) * ts
-			case BeffSegmented:
-				off = int64(rank)*perRank + i*ts
-			case BeffSeparate:
-				off = i * ts
-			}
-			vecs = append(vecs, fs.IOVec{Off: off, Len: ts})
-		}
-		return vecs
+	n := cfg.BytesPerRank / ts
+	acc := synth.AccessSpec{BlockBytes: ts, Dims: []synth.DimSpec{{Count: int(n), StrideBytes: ts}}}
+	file := synth.FileSpec{Name: "beff", Path: fmt.Sprintf("/beff-%v-%d", pattern, ts)}
+	var rankStride int64
+	switch pattern {
+	case BeffScatter:
+		acc.Dims[0].StrideBytes = int64(cfg.Procs) * ts
+		rankStride = ts
+	case BeffSegmented:
+		rankStride = n * ts
+	case BeffSeparate:
+		file.PerRank = true
+	default:
+		return nil, fmt.Errorf("bench: unknown b_eff_io pattern %v", pattern)
 	}
-
-	// Separate files need per-rank worlds (communicator-of-self), like
-	// MADbench2 UNIQUE; shared patterns use the common world.
-	files := make([]*mpiio.File, np)
-	mounts := c.NFSMounts(np)
-	if pattern != BeffSeparate {
-		shared := mpiio.OpenFile(w, path(0), fs.ORead|fs.OWrite|fs.OCreate|fs.OTrunc,
-			mounts, mpiio.Hints{})
-		for r := range files {
-			files[r] = shared
-		}
+	io := func(op string) synth.StepSpec {
+		return synth.StepSpec{Op: op, File: "beff", Access: []synth.AccessSpec{acc}, RankStrideBytes: rankStride}
 	}
-
-	var errs []error
-	start := c.Eng.Now() // measurements run back to back on one engine
-	var writeEnd, readEnd, readStart sim.Time
-	barrier := sim.NewCompletion(c.Eng, np)
-	var wrote, read int64
-	for rank := 0; rank < np; rank++ {
-		rank := rank
-		c.Eng.Spawn(fmt.Sprintf("beff-r%d", rank), func(p *sim.Proc) {
-			f := files[rank]
-			fRank := rank
-			if f == nil {
-				sub := c.NewWorld([]string{w.Node(rank)})
-				f = mpiio.OpenFile(sub, path(rank), fs.ORead|fs.OWrite|fs.OCreate|fs.OTrunc,
-					[]fs.Interface{mounts[rank]}, mpiio.Hints{})
-				fRank = 0
-			}
-			if err := f.Open(p, fRank); err != nil {
-				errs = append(errs, err)
-				barrier.Done()
-				return
-			}
-			vecs := vecsFor(rank)
-			wrote += f.WriteVec(p, fRank, vecs)
-			if p.Now() > writeEnd {
-				writeEnd = p.Now()
-			}
-			barrier.Done()
-			barrier.WaitFor(p)
-			if readStart == 0 {
-				readStart = p.Now()
-			}
-			read += f.ReadVec(p, fRank, vecs)
-			if p.Now() > readEnd {
-				readEnd = p.Now()
-			}
-			f.Close(p, fRank)
-		})
-	}
-	c.Eng.Run()
-	if len(errs) > 0 {
-		return BeffIOResult{}, errs[0]
-	}
-	want := perRank * int64(np)
-	if wrote != want || read != want {
-		return BeffIOResult{}, fmt.Errorf("b_eff_io %v/%d: moved %d/%d, want %d", pattern, ts, wrote, read, want)
-	}
-	res := BeffIOResult{Pattern: pattern, TransferSize: ts}
-	if d := sim.Duration(writeEnd - start).Seconds(); d > 0 {
-		res.WriteRate = float64(wrote) / d
-	}
-	if d := sim.Duration(readEnd - readStart).Seconds(); d > 0 {
-		res.ReadRate = float64(read) / d
-	}
-	if math.IsNaN(res.WriteRate) || math.IsNaN(res.ReadRate) {
-		return BeffIOResult{}, fmt.Errorf("b_eff_io %v/%d: degenerate rates", pattern, ts)
-	}
-	return res, nil
+	return &synth.Spec{
+		Name:  fmt.Sprintf("b_eff_io %v/%d", pattern, ts),
+		Procs: cfg.Procs,
+		Files: []synth.FileSpec{file},
+		Phases: []synth.PhaseSpec{{Name: "beff", Steps: []synth.StepSpec{
+			io(synth.OpWrite), {Op: synth.OpBarrier}, io(synth.OpRead),
+		}}},
+	}, nil
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strings"
 	"testing"
 
 	"ioeval/internal/cluster"
@@ -216,4 +217,68 @@ func TestIOzoneBadConfigPanics(t *testing.T) {
 		}
 	}()
 	RunIOzone(c.Eng, c.ServerFS, IOzoneConfig{})
+}
+
+// TestLibraryBenchBadConfigErrors: configurations IOR and b_eff_io
+// cannot run come back as errors naming the fault, never as panics.
+func TestLibraryBenchBadConfigErrors(t *testing.T) {
+	ior := IORConfig{Procs: 2, FileSize: 8 * mb, BlockSizes: []int64{mb}, TransferSize: 256 * kb}
+	beff := BeffIOConfig{Procs: 2, TransferSizes: []int64{32 * kb}, BytesPerRank: mb}
+	runIOR := func(edit func(*IORConfig)) func(*cluster.Cluster) error {
+		return func(c *cluster.Cluster) error {
+			cfg := ior
+			edit(&cfg)
+			_, err := RunIOR(c, cfg)
+			return err
+		}
+	}
+	runPoint := func(procs int, bs int64) func(*cluster.Cluster) error {
+		return func(c *cluster.Cluster) error {
+			cfg := ior
+			cfg.Procs = procs
+			_, err := RunIORPoint(c, cfg, bs)
+			return err
+		}
+	}
+	runBeff := func(edit func(*BeffIOConfig)) func(*cluster.Cluster) error {
+		return func(c *cluster.Cluster) error {
+			cfg := beff
+			edit(&cfg)
+			_, err := RunBeffIO(c, cfg)
+			return err
+		}
+	}
+	cases := []struct {
+		name, want string
+		run        func(*cluster.Cluster) error
+	}{
+		{"ior no procs", "IOR needs processes, got 0",
+			runIOR(func(cfg *IORConfig) { cfg.Procs = 0 })},
+		{"ior point negative procs", "IOR needs processes, got -1", runPoint(-1, mb)},
+		// Rejected by spec validation before any rank starts.
+		{"ior procs over the spec cap", "procs 5000 outside",
+			runIOR(func(cfg *IORConfig) { cfg.Procs = 5000 })},
+		{"ior block not a whole number of transfers", "block size 1052672 is not a positive multiple",
+			runIOR(func(cfg *IORConfig) { cfg.BlockSizes = []int64{mb + 4*kb} })},
+		{"ior point block smaller than a transfer", "block size 65536 is not a positive multiple", runPoint(2, 64*kb)},
+		{"ior point zero block", "block size 0 is not a positive multiple", runPoint(2, 0)},
+		{"ior pfs without a parallel filesystem", "no parallel filesystem",
+			runIOR(func(cfg *IORConfig) { cfg.UsePFS = true })},
+		{"beffio no procs", "procs 0 outside",
+			runBeff(func(cfg *BeffIOConfig) { cfg.Procs = 0 })},
+		{"beffio zero transfer size", "transfer size 0 is not positive",
+			runBeff(func(cfg *BeffIOConfig) { cfg.TransferSizes = []int64{0} })},
+		{"beffio less than one transfer per rank", "dim count 0 outside",
+			runBeff(func(cfg *BeffIOConfig) { cfg.BytesPerRank = 16 * kb })},
+		{"beffio unknown pattern", "unknown b_eff_io pattern",
+			runBeff(func(cfg *BeffIOConfig) { cfg.Patterns = []BeffPattern{BeffSeparate + 1} })},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.run(cluster.Aohyper(cluster.JBOD))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
 }

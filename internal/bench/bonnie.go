@@ -62,7 +62,7 @@ func RunBonnie(eng *sim.Engine, fsi fs.Interface, cfg BonnieConfig) (BonnieResul
 
 		d := timeIt(func() {
 			for off := int64(0); off < cfg.FileSize; off += chunk {
-				h.WriteAt(wr, off, min64(chunk, cfg.FileSize-off))
+				h.WriteAt(wr, off, min(chunk, cfg.FileSize-off))
 			}
 			h.Sync(wr)
 		})
@@ -70,7 +70,7 @@ func RunBonnie(eng *sim.Engine, fsi fs.Interface, cfg BonnieConfig) (BonnieResul
 
 		d = timeIt(func() {
 			for off := int64(0); off < cfg.FileSize; off += chunk {
-				h.ReadAt(rd, off, min64(chunk, cfg.FileSize-off))
+				h.ReadAt(rd, off, min(chunk, cfg.FileSize-off))
 			}
 		})
 		res.BlockRead = float64(cfg.FileSize) / d
@@ -78,7 +78,7 @@ func RunBonnie(eng *sim.Engine, fsi fs.Interface, cfg BonnieConfig) (BonnieResul
 		// Rewrite: read + write back each chunk.
 		d = timeIt(func() {
 			for off := int64(0); off < cfg.FileSize; off += chunk {
-				n := min64(chunk, cfg.FileSize-off)
+				n := min(chunk, cfg.FileSize-off)
 				h.ReadAt(rd, off, n)
 				h.WriteAt(wr, off, n)
 			}

@@ -4,9 +4,8 @@ import (
 	"fmt"
 
 	"ioeval/internal/cluster"
-	"ioeval/internal/fs"
-	"ioeval/internal/mpiio"
 	"ioeval/internal/sim"
+	"ioeval/internal/workload/synth"
 )
 
 // IORConfig parameterizes the library-level characterization (the
@@ -27,7 +26,8 @@ type IORConfig struct {
 	// UsePFS runs against the cluster's parallel filesystem instead
 	// of NFS.
 	UsePFS bool
-	// BetweenRuns drops caches (see IOzoneConfig).
+	// BetweenRuns, when set, runs on rank 0 before it opens the file
+	// (the characterization plan drops the I/O node's caches there).
 	BetweenRuns func(p *sim.Proc)
 }
 
@@ -47,13 +47,14 @@ type IORResult struct {
 	ReadRate  float64
 }
 
-// withDefaults fills the paper's parameters for unset fields.
-func (cfg IORConfig) withDefaults() IORConfig {
+// withDefaults fills the paper's parameters for unset fields and
+// rejects a run without processes.
+func (cfg IORConfig) withDefaults() (IORConfig, error) {
 	if cfg.Path == "" {
 		cfg.Path = "/ior.tmp"
 	}
-	if cfg.Procs <= 0 {
-		panic("bench: IOR needs processes")
+	if cfg.Procs < 1 {
+		return cfg, fmt.Errorf("bench: IOR needs processes, got %d", cfg.Procs)
 	}
 	if cfg.TransferSize <= 0 {
 		cfg.TransferSize = 256 << 10
@@ -64,14 +65,31 @@ func (cfg IORConfig) withDefaults() IORConfig {
 	if len(cfg.BlockSizes) == 0 {
 		cfg.BlockSizes = DefaultIORBlockSizes()
 	}
-	return cfg
+	return cfg, nil
+}
+
+// checkBlock applies IOR's rule that a block is a whole number of
+// transfers.
+func (cfg IORConfig) checkBlock(bs int64) error {
+	if bs <= 0 || bs%cfg.TransferSize != 0 {
+		return fmt.Errorf("bench: IOR block size %d is not a positive multiple of the transfer size %d", bs, cfg.TransferSize)
+	}
+	return nil
 }
 
 // RunIOR measures MPI-IO library-level rates on the cluster's shared
 // storage: every rank writes then reads its own BlockSize segment of
 // one shared file in TransferSize operations.
 func RunIOR(c *cluster.Cluster, cfg IORConfig) ([]IORResult, error) {
-	cfg = cfg.withDefaults()
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	for _, bs := range cfg.BlockSizes {
+		if err := cfg.checkBlock(bs); err != nil {
+			return nil, err
+		}
+	}
 	var results []IORResult
 	for _, bs := range cfg.BlockSizes {
 		res, err := RunIORPoint(c, cfg, bs)
@@ -86,100 +104,52 @@ func RunIOR(c *cluster.Cluster, cfg IORConfig) ([]IORResult, error) {
 // RunIORPoint measures a single block-size point — the per-unit entry
 // point of the characterization shard plan (see internal/core). The
 // write pass populates the shared file the read pass consumes, so a
-// point is self-contained on a freshly built cluster.
+// point is self-contained on a freshly built cluster. The write window
+// opens at rank 0's write and the read window at the first rank's
+// read; both close at the last rank's end.
 func RunIORPoint(c *cluster.Cluster, cfg IORConfig, bs int64) (IORResult, error) {
-	cfg = cfg.withDefaults()
-	return iorOnce(c, cfg, bs)
+	cfg, err := cfg.withDefaults()
+	if err == nil {
+		err = cfg.checkBlock(bs)
+	}
+	if err != nil {
+		return IORResult{}, err
+	}
+	win, err := runSpec(c, iorSpec(cfg, bs), cfg.BetweenRuns)
+	if err != nil {
+		return IORResult{}, err
+	}
+	return IORResult{
+		BlockSize: bs,
+		WriteRate: rate(win.wrote, win.rank0Write, win.writeEnd),
+		ReadRate:  rate(win.read, win.firstRead, win.readEnd),
+	}, nil
 }
 
-func iorOnce(c *cluster.Cluster, cfg IORConfig, bs int64) (IORResult, error) {
-	np := cfg.Procs
-	w := c.NewWorld(c.RankNodes(np))
-	hints := mpiio.Hints{CollectiveBuffering: cfg.Collective}
-	mounts := c.NFSMounts(np)
+// iorSpec is one IOR point as a synth spec. The shared file is
+// segments × (np × block); rank r owns block r of every segment and
+// moves it in TransferSize operations: a write step, a barrier, then a
+// read step.
+func iorSpec(cfg IORConfig, bs int64) *synth.Spec {
+	np := int64(cfg.Procs)
+	segments := max(cfg.FileSize/(np*bs), 1)
+	mount := "nfs"
 	if cfg.UsePFS {
-		mounts = c.PFSMounts(np)
+		mount = "pfs"
 	}
-	f := mpiio.OpenFile(w, cfg.Path, fs.ORead|fs.OWrite|fs.OCreate|fs.OTrunc,
-		mounts, hints)
-
-	var errs []error
-	var writeEnd, readEnd sim.Time
-	var start, readStart sim.Time
-	var wrote, read int64
-	done := sim.NewCompletion(c.Eng, np)
-	barrier := sim.NewCompletion(c.Eng, np) // between write and read pass
-
-	for rank := 0; rank < np; rank++ {
-		rank := rank
-		c.Eng.Spawn(fmt.Sprintf("ior-r%d", rank), func(p *sim.Proc) {
-			defer done.Done()
-			if cfg.BetweenRuns != nil && rank == 0 {
-				cfg.BetweenRuns(p)
-			}
-			if err := f.Open(p, rank); err != nil {
-				errs = append(errs, err)
-				barrier.Done()
-				return
-			}
-			// IOR segment layout: the file is segments × (np × block);
-			// rank r owns block r of every segment and issues it in
-			// TransferSize operations.
-			segments := cfg.FileSize / (int64(np) * bs)
-			if segments < 1 {
-				segments = 1
-			}
-			vecs := make([]fs.IOVec, 0, segments*bs/cfg.TransferSize)
-			for seg := int64(0); seg < segments; seg++ {
-				base := (seg*int64(np) + int64(rank)) * bs
-				for off := int64(0); off < bs; off += cfg.TransferSize {
-					vecs = append(vecs, fs.IOVec{Off: base + off, Len: min64(cfg.TransferSize, bs-off)})
-				}
-			}
-			if rank == 0 {
-				start = p.Now()
-			}
-			if cfg.Collective {
-				wrote += f.WriteVecAll(p, rank, vecs)
-			} else {
-				wrote += f.WriteVec(p, rank, vecs)
-			}
-			if p.Now() > writeEnd {
-				writeEnd = p.Now()
-			}
-			barrier.Done()
-			barrier.WaitFor(p)
-			if readStart == 0 {
-				readStart = p.Now()
-			}
-			if cfg.Collective {
-				read += f.ReadVecAll(p, rank, vecs)
-			} else {
-				read += f.ReadVec(p, rank, vecs)
-			}
-			if p.Now() > readEnd {
-				readEnd = p.Now()
-			}
-			f.Close(p, rank)
-		})
+	acc := []synth.AccessSpec{{BlockBytes: cfg.TransferSize, Dims: []synth.DimSpec{
+		{Count: int(segments), StrideBytes: np * bs},
+		{Count: int(bs / cfg.TransferSize), StrideBytes: cfg.TransferSize},
+	}}}
+	io := func(op string) synth.StepSpec {
+		return synth.StepSpec{Op: op, File: "ior", Collective: cfg.Collective, Access: acc, RankStrideBytes: bs}
 	}
-	c.Eng.Run()
-	if len(errs) > 0 {
-		return IORResult{}, errs[0]
+	return &synth.Spec{
+		Name:  "IOR",
+		Procs: cfg.Procs,
+		Files: []synth.FileSpec{{Name: "ior", Path: cfg.Path, Mount: mount, CollectiveBuffering: cfg.Collective}},
+		Phases: []synth.PhaseSpec{{Name: "ior", Steps: []synth.StepSpec{
+			io(synth.OpWrite), {Op: synth.OpBarrier}, io(synth.OpRead),
+		}}},
 	}
-	segments := cfg.FileSize / (int64(np) * bs)
-	if segments < 1 {
-		segments = 1
-	}
-	if want := segments * bs * int64(np); wrote != want || read != want {
-		return IORResult{}, fmt.Errorf("ior: moved %d written / %d read bytes, want %d", wrote, read, want)
-	}
-	res := IORResult{BlockSize: bs}
-	if d := sim.Duration(writeEnd - start).Seconds(); d > 0 {
-		res.WriteRate = float64(wrote) / d
-	}
-	if d := sim.Duration(readEnd - readStart).Seconds(); d > 0 {
-		res.ReadRate = float64(read) / d
-	}
-	return res, nil
 }

@@ -172,7 +172,7 @@ func iozoneOnce(p *sim.Proc, fsi fs.Interface, cfg IOzoneConfig, mode Mode, bs i
 	if mode != SeqWrite && h.Size() < cfg.FileSize {
 		fill := ioreq.Writer(p)
 		for off := h.Size(); off < cfg.FileSize; off += 8 << 20 {
-			n := min64(8<<20, cfg.FileSize-off)
+			n := min(8<<20, cfg.FileSize-off)
 			h.WriteAt(fill, off, n)
 		}
 		h.Sync(fill)
@@ -243,11 +243,4 @@ func iozoneOnce(p *sim.Proc, fsi fs.Interface, cfg IOzoneConfig, mode Mode, bs i
 		res.Latency = elapsed / sim.Duration(ops)
 	}
 	return res, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -426,11 +426,11 @@ func (c *Cache) ReadAt(r *ioreq.Request, off, n int64) {
 		c.Stats.ReadAheadBytes += extra * ps
 	}
 
-	hitBytes := n - min64(missBytes, n)
+	hitBytes := n - min(missBytes, n)
 	c.Stats.HitBytes += hitBytes
-	c.Stats.MissBytes += min64(missBytes, n)
+	c.Stats.MissBytes += min(missBytes, n)
 	c.rec.Add("hit_bytes", hitBytes)
-	c.rec.Add("miss_bytes", min64(missBytes, n))
+	c.rec.Add("miss_bytes", min(missBytes, n))
 	c.memCopy(p, n)
 }
 
@@ -540,11 +540,4 @@ func (c *Cache) Populate(r *ioreq.Request, off, n int64) {
 	for idx := first; idx < last; idx++ {
 		c.insert(r, idx, false)
 	}
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

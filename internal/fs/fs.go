@@ -266,9 +266,9 @@ func (m *Mount) ensureAllocated(f *fileData, size int64) {
 	f.extents = append(f.extents, e)
 }
 
-// mapRange converts a logical range into physical extents.
-func (f *fileData) mapRange(off, n int64) []ioreq.Vec {
-	var out []ioreq.Vec
+// appendRange appends the physical extents of a logical range to dst
+// and returns the extended slice.
+func (f *fileData) appendRange(dst []ioreq.Vec, off, n int64) []ioreq.Vec {
 	i := sort.Search(len(f.extents), func(i int) bool {
 		e := f.extents[i]
 		return e.logOff+e.length > off
@@ -283,14 +283,14 @@ func (f *fileData) mapRange(off, n int64) []ioreq.Vec {
 		if take > n {
 			take = n
 		}
-		out = append(out, ioreq.Vec{Off: e.physOff + within, Len: take})
+		dst = append(dst, ioreq.Vec{Off: e.physOff + within, Len: take})
 		off += take
 		n -= take
 	}
 	if n > 0 {
 		panic(fmt.Sprintf("fs: range beyond allocation in %q (short %d)", f.path, n))
 	}
-	return out
+	return dst
 }
 
 type localHandle struct {
@@ -321,7 +321,7 @@ func (h *localHandle) ReadAt(r *ioreq.Request, off, n int64) int64 {
 	if off+n > h.f.size {
 		n = h.f.size - off
 	}
-	for _, piece := range h.f.mapRange(off, n) {
+	for _, piece := range h.f.appendRange(nil, off, n) {
 		h.m.dev.ReadAt(r, piece.Off, piece.Len)
 	}
 	r.Observe(telemetry.ClassRead, 1, n)
@@ -339,7 +339,7 @@ func (h *localHandle) WriteAt(r *ioreq.Request, off, n int64) int64 {
 		return 0
 	}
 	h.m.ensureAllocated(h.f, off+n)
-	for _, piece := range h.f.mapRange(off, n) {
+	for _, piece := range h.f.appendRange(nil, off, n) {
 		h.m.dev.WriteAt(r, piece.Off, piece.Len)
 	}
 	if off+n > h.f.size {
@@ -362,7 +362,7 @@ func (h *localHandle) ReadVec(r *ioreq.Request, vecs []IOVec) int64 {
 	defer r.Exit()
 	p := r.Proc()
 	p.Sleep(h.m.params.SyscallCost * sim.Duration(len(vecs)))
-	var runs []device.Run
+	runs := make([]device.Run, 0, len(vecs))
 	var total int64
 	for _, v := range vecs {
 		off, n := v.Off, v.Len
@@ -372,7 +372,7 @@ func (h *localHandle) ReadVec(r *ioreq.Request, vecs []IOVec) int64 {
 		if off+n > h.f.size {
 			n = h.f.size - off
 		}
-		runs = append(runs, h.f.mapRange(off, n)...)
+		runs = h.f.appendRange(runs, off, n)
 		total += n
 	}
 	device.ReadRuns(r, h.m.dev, runs)
@@ -397,13 +397,13 @@ func (h *localHandle) WriteVec(r *ioreq.Request, vecs []IOVec) int64 {
 		}
 	}
 	h.m.ensureAllocated(h.f, maxEnd)
-	var runs []device.Run
+	runs := make([]device.Run, 0, len(vecs))
 	var total int64
 	for _, v := range vecs {
 		if v.Len == 0 {
 			continue
 		}
-		runs = append(runs, h.f.mapRange(v.Off, v.Len)...)
+		runs = h.f.appendRange(runs, v.Off, v.Len)
 		total += v.Len
 	}
 	device.WriteRuns(r, h.m.dev, runs)

@@ -299,8 +299,8 @@ func (a *Array) mapConcat(off, n int64) []segment {
 	for i, m := range a.members {
 		c := m.Capacity()
 		if off < base+c && off+n > base {
-			s := max64(off, base)
-			e := min64(off+n, base+c)
+			s := max(off, base)
+			e := min(off+n, base+c)
 			segs = append(segs, segment{disk: i, off: s - base, len: e - s})
 		}
 		base += c
@@ -317,7 +317,7 @@ func (a *Array) mapStripe(off, n int64, nData int) []segment {
 	for n > 0 {
 		chunk := off / u
 		within := off % u
-		take := min64(u-within, n)
+		take := min(u-within, n)
 		row := chunk / int64(nData)
 		col := int(chunk % int64(nData))
 		segs = append(segs, segment{disk: col, off: row*u + within, len: take})
@@ -343,7 +343,7 @@ func (a *Array) mapMirrorRead(off, n int64) [][]segment {
 	i := a.rrNext % len(healthy)
 	a.rrNext = (a.rrNext + 1) % len(healthy)
 	for n > 0 {
-		take := min64(slice, n)
+		take := min(slice, n)
 		d := healthy[i]
 		perDisk[d] = append(perDisk[d], segment{disk: d, off: off, len: take})
 		off += take
@@ -387,7 +387,7 @@ func (a *Array) mapRAID5Data(off, n int64) []segment {
 	for n > 0 {
 		chunk := off / u
 		within := off % u
-		take := min64(u-within, n)
+		take := min(u-within, n)
 		d, phys := a.raid5Pos(chunk)
 		segs = append(segs, segment{disk: d, off: phys + within, len: take})
 		off += take
@@ -414,7 +414,7 @@ func (a *Array) writeRAID5(r *ioreq.Request, off, n int64) {
 	for n > 0 {
 		row := off / rowBytes
 		within := off % rowBytes
-		take := min64(rowBytes-within, n)
+		take := min(rowBytes-within, n)
 		if within == 0 && take == rowBytes {
 			// Full row: data chunks + parity chunk, all written.
 			fullSegs = append(fullSegs, a.mapRAID5Data(off, take)...)
@@ -473,18 +473,4 @@ func paritySpan(segs []segment, u int64) span {
 		hi = u
 	}
 	return span{off: lo, len: hi - lo}
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -78,7 +78,7 @@ func (a *Array) Rebuild(p *sim.Proc, spare device.BlockDev, cfg RebuildConfig) e
 	r := ioreq.Writer(p)
 	start := p.Now()
 	for done := int64(0); done < total; {
-		n := min64(chunk, total-done)
+		n := min(chunk, total-done)
 		off := done
 		a.reconstructChunk(r, idx, off, n)
 		spare.WriteAt(r, off, n)

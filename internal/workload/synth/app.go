@@ -113,6 +113,19 @@ func (a *App) mounts(c *cluster.Cluster, f *FileSpec) ([]fs.Interface, error) {
 // through the standard request path, so spans, telemetry, traces, and
 // fault scenarios all apply to synthetic workloads unchanged.
 func (a *App) Run(c *cluster.Cluster, tr mpiio.Tracer) (workload.Result, error) {
+	return a.RunWithPrologue(c, tr, nil)
+}
+
+// RunWithPrologue is Run with a hook that rank 0 calls, on its own
+// proc, before it opens any file; a nil prologue is Run. IOR's
+// characterization unit drops the I/O node's caches there. On a fresh
+// cluster the drop has nothing to evict, but its fork yield still puts
+// rank 0's open behind the other ranks' opens, and the library-level
+// table depends on that order: running the drop on a proc of its own
+// before the rank loop, or not at all, changes the table. The hook is
+// Go-only, not a spec field, because it carries measurement-harness
+// code rather than an access pattern.
+func (a *App) RunWithPrologue(c *cluster.Cluster, tr mpiio.Tracer, prologue func(*sim.Proc)) (workload.Result, error) {
 	s := a.spec
 	np := s.Procs
 	w := c.NewWorld(c.RankNodes(np))
@@ -159,6 +172,9 @@ func (a *App) Run(c *cluster.Cluster, tr mpiio.Tracer) (workload.Result, error) 
 	for rank := 0; rank < np; rank++ {
 		rank := rank
 		c.Eng.Spawn(fmt.Sprintf("synth-r%d", rank), func(p *sim.Proc) {
+			if prologue != nil && rank == 0 {
+				prologue(p)
+			}
 			// Per-rank files get a one-rank sub-world (no shared-file
 			// locking) with events relabelled to the true rank —
 			// MADbench2's UNIQUE layout.

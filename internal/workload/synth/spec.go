@@ -5,12 +5,14 @@
 // workload.App that runs through the ioreq/span/telemetry path.
 //
 // App.Run is the one rank loop in the repository. The application
-// packages (btio, madbench, flashio) are spec generators: each derives
+// packages (btio, madbench, flashio) and the library-level benchmarks
+// IOR and b_eff_io (internal/bench) are spec generators: each derives
 // its phase graph from its configuration and runs the compiled spec,
 // so the spec is the single description of what the workload does.
 // Their runs are pinned by digests recorded from the hand-coded rank
-// loops the generators replaced. New workloads therefore cost a spec
-// file, not a Go package.
+// loops the generators replaced (testdata/workloads.sha256 here,
+// internal/bench/testdata/library.sha256 for the benchmarks). New
+// workloads therefore cost a spec file, not a Go package.
 package synth
 
 import (
