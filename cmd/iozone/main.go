@@ -63,6 +63,10 @@ func main() {
 		}
 	}
 
+	// An empty list would silently run the default sweep instead.
+	if *minKB <= 0 || *maxKB < *minKB {
+		cliutil.Fatal(fmt.Errorf("block sizes need 0 < -min <= -max, got -min %d -max %d", *minKB, *maxKB))
+	}
 	var blockSizes []int64
 	for bs := *minKB << 10; bs <= *maxKB<<10; bs *= 2 {
 		blockSizes = append(blockSizes, bs)

@@ -209,14 +209,52 @@ func TestBonnie(t *testing.T) {
 	}
 }
 
-func TestIOzoneBadConfigPanics(t *testing.T) {
-	c := cluster.Aohyper(cluster.JBOD)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on zero file size")
+// TestFSBenchBadConfigErrors: configurations IOzone and bonnie cannot
+// run come back as errors naming the fault, never as panics.
+func TestFSBenchBadConfigErrors(t *testing.T) {
+	iozone := func(cfg IOzoneConfig) func(*cluster.Cluster) error {
+		return func(c *cluster.Cluster) error {
+			_, err := RunIOzone(c.Eng, c.ServerFS, cfg)
+			return err
 		}
-	}()
-	RunIOzone(c.Eng, c.ServerFS, IOzoneConfig{})
+	}
+	iozoneBlock := func(bs int64) func(*cluster.Cluster) error {
+		return func(c *cluster.Cluster) error {
+			_, err := RunIOzoneBlock(c.Eng, c.ServerFS, IOzoneConfig{FileSize: mb}, bs)
+			return err
+		}
+	}
+	bonnie := func(size int64) func(*cluster.Cluster) error {
+		return func(c *cluster.Cluster) error {
+			_, err := RunBonnie(c.Eng, c.ServerFS, BonnieConfig{FileSize: size})
+			return err
+		}
+	}
+	cases := []struct {
+		name, want string
+		run        func(*cluster.Cluster) error
+	}{
+		{"iozone zero file size", "IOzone needs a positive file size, got 0", iozone(IOzoneConfig{})},
+		{"iozone negative file size", "IOzone needs a positive file size, got -1", iozone(IOzoneConfig{FileSize: -1})},
+		// Checked before the first block size runs.
+		{"iozone zero block size", "IOzone needs a positive block size, got 0",
+			iozone(IOzoneConfig{FileSize: mb, BlockSizes: []int64{64 * kb, 0}})},
+		{"iozone point negative block size", "IOzone needs a positive block size, got -4096", iozoneBlock(-4 * kb)},
+		{"bonnie zero file size", "bonnie needs a positive file size, got 0", bonnie(0)},
+		{"bonnie negative file size", "bonnie needs a positive file size, got -1048576", bonnie(-mb)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := cluster.Aohyper(cluster.JBOD)
+			err := tc.run(c)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v, want one containing %q", err, tc.want)
+			}
+			if now := c.Eng.Now(); now != 0 {
+				t.Fatalf("rejected config ran to t=%d", now)
+			}
+		})
+	}
 }
 
 // TestLibraryBenchBadConfigErrors: configurations IOR and b_eff_io

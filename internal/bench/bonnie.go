@@ -35,7 +35,7 @@ func RunBonnie(eng *sim.Engine, fsi fs.Interface, cfg BonnieConfig) (BonnieResul
 		cfg.Dir = "/bonnie"
 	}
 	if cfg.FileSize <= 0 {
-		panic("bench: bonnie needs a positive file size")
+		return BonnieResult{}, fmt.Errorf("bench: bonnie needs a positive file size, got %d", cfg.FileSize)
 	}
 	if cfg.MetaFiles <= 0 {
 		cfg.MetaFiles = 1024

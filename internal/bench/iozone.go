@@ -104,6 +104,11 @@ func RunIOzone(eng *sim.Engine, fsi fs.Interface, cfg IOzoneConfig) ([]IOzoneRes
 	if len(cfg.BlockSizes) == 0 {
 		cfg.BlockSizes = DefaultBlockSizes()
 	}
+	for _, bs := range cfg.BlockSizes {
+		if err := checkIOzone(cfg, bs); err != nil {
+			return nil, err
+		}
+	}
 	var results []IOzoneResult
 	for _, bs := range cfg.BlockSizes {
 		rs, err := RunIOzoneBlock(eng, fsi, cfg, bs)
@@ -126,8 +131,8 @@ func RunIOzoneBlock(eng *sim.Engine, fsi fs.Interface, cfg IOzoneConfig, bs int6
 	if cfg.Path == "" {
 		cfg.Path = "/iozone.tmp"
 	}
-	if cfg.FileSize <= 0 {
-		panic("bench: IOzone needs a positive file size")
+	if err := checkIOzone(cfg, bs); err != nil {
+		return nil, err
 	}
 	if len(cfg.Modes) == 0 {
 		cfg.Modes = []Mode{SeqWrite, SeqRead}
@@ -153,6 +158,17 @@ func RunIOzoneBlock(eng *sim.Engine, fsi fs.Interface, cfg IOzoneConfig, bs int6
 		}
 	}
 	return results, nil
+}
+
+// checkIOzone rejects a sweep point IOzone cannot run.
+func checkIOzone(cfg IOzoneConfig, bs int64) error {
+	if cfg.FileSize <= 0 {
+		return fmt.Errorf("bench: IOzone needs a positive file size, got %d", cfg.FileSize)
+	}
+	if bs <= 0 {
+		return fmt.Errorf("bench: IOzone needs a positive block size, got %d", bs)
+	}
+	return nil
 }
 
 func iozoneOnce(p *sim.Proc, fsi fs.Interface, cfg IOzoneConfig, mode Mode, bs int64) (IOzoneResult, error) {

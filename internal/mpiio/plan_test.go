@@ -30,7 +30,7 @@ func BenchmarkComputePlan(b *testing.B) {
 	nodes := make([]string, procs)
 	extents := 0
 	for r := range vecs {
-		vecs[r] = dump.Vecs(r, 0)
+		vecs[r] = dump.AppendVecs(nil, r, 0)
 		nodes[r] = fmt.Sprintf("n%d", r%8)
 		extents += len(vecs[r])
 	}

@@ -8,6 +8,16 @@
 // is sequential and fully deterministic: at any instant exactly one
 // goroutine — the engine or a single process — is running.
 //
+// A handoff costs two channel operations and a trip through the Go
+// scheduler, so the engine skips the ones that change nothing. A
+// process the engine resumed from its own calendar event sleeps
+// straight through to its wake-up, without parking, when that wake-up
+// is within the current Run/RunUntil horizon and strictly earlier than
+// every pending event: parking would only pop its event straight back.
+// A process woken inline, by another process's Resource.Release or
+// Completion.Done or by a scheduled callback, always parks, because its
+// waker is still in the same instant and must not see the clock move.
+//
 // All higher-level subsystems of this repository (disks, RAID, caches,
 // networks, filesystems, the MPI-IO analogue) are built on this engine.
 package sim
@@ -15,6 +25,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"math"
 )
 
 // Time is an absolute simulated time in nanoseconds since the start of
@@ -57,10 +68,12 @@ func DurationFromSeconds(s float64) Duration {
 	return Duration(s*float64(Second) + 0.5)
 }
 
+// An event either runs fn or resumes p.
 type event struct {
 	t   Time
 	seq uint64 // tie-breaker: FIFO among same-time events
 	fn  func()
+	p   *Proc
 }
 
 type eventHeap []*event
@@ -89,9 +102,11 @@ type Engine struct {
 	now     Time
 	seq     uint64
 	events  eventHeap
-	free    []*event // dispatched events, recycled by Schedule
+	free    []*event // dispatched events, recycled by push
 	running bool
-	procs   int // live (spawned, unfinished) processes, for diagnostics
+	limit   Time  // horizon of the current Run/RunUntil
+	direct  *Proc // process resumed by its own calendar event, until it parks
+	procs   int   // live (spawned, unfinished) processes, for diagnostics
 }
 
 // NewEngine returns an engine with the clock at zero and an empty
@@ -111,7 +126,7 @@ func (e *Engine) Schedule(delay Duration, fn func()) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", delay))
 	}
-	e.push(e.now+Time(delay), fn)
+	e.push(e.now+Time(delay), fn, nil)
 }
 
 // ScheduleAt arranges for fn to run at absolute time t, which must not
@@ -120,12 +135,12 @@ func (e *Engine) ScheduleAt(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: ScheduleAt %d in the past (now %d)", t, e.now))
 	}
-	e.push(t, fn)
+	e.push(t, fn, nil)
 }
 
-// push puts fn on the calendar at t, reusing a dispatched event when
-// one is free.
-func (e *Engine) push(t Time, fn func()) {
+// push puts fn, or the resumption of p, on the calendar at t, reusing
+// a dispatched event when one is free.
+func (e *Engine) push(t Time, fn func(), p *Proc) {
 	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -134,20 +149,28 @@ func (e *Engine) push(t Time, fn func()) {
 		ev = &event{}
 	}
 	e.seq++
-	ev.t, ev.seq, ev.fn = t, e.seq, fn
+	ev.t, ev.seq, ev.fn, ev.p = t, e.seq, fn, p
 	heap.Push(&e.events, ev)
 }
 
 // dispatch pops the earliest event, advances the clock to it, recycles
-// the event and runs its function. The event is free before fn runs,
-// so whatever fn schedules can reuse it.
+// the event and runs its function or resumes its process. The event is
+// free before either runs, so whatever they schedule can reuse it. A
+// resumed process is the engine's direct runner until it parks, which
+// lets its Sleep skip the calendar (see Proc.Sleep).
 func (e *Engine) dispatch() {
 	ev := heap.Pop(&e.events).(*event)
 	e.now = ev.t
-	fn := ev.fn
-	ev.fn = nil
+	fn, p := ev.fn, ev.p
+	ev.fn, ev.p = nil, nil
 	e.free = append(e.free, ev)
-	fn()
+	if p == nil {
+		fn()
+		return
+	}
+	e.direct = p
+	p.wakeNow()
+	e.direct = nil
 }
 
 // Run executes events until the calendar is empty, returning the final
@@ -161,6 +184,7 @@ func (e *Engine) Run() Time {
 	}
 	e.running = true
 	defer func() { e.running = false }()
+	e.limit = math.MaxInt64
 	for e.events.Len() > 0 {
 		e.dispatch()
 	}
@@ -179,6 +203,7 @@ func (e *Engine) RunUntil(limit Time) Time {
 	}
 	e.running = true
 	defer func() { e.running = false }()
+	e.limit = limit
 	for e.events.Len() > 0 && e.events[0].t <= limit {
 		e.dispatch()
 	}

@@ -8,12 +8,11 @@ import "fmt"
 // some process} runs at any moment, so simulations are deterministic
 // regardless of GOMAXPROCS.
 type Proc struct {
-	eng      *Engine
-	name     string
-	resume   chan struct{} // engine -> process: continue
-	yield    chan struct{} // process -> engine: parked or finished
-	wake     func()        // p.wakeNow, bound once so Sleep and PrepareWait do not allocate
-	finished bool
+	eng    *Engine
+	name   string
+	resume chan struct{} // engine -> process: continue
+	yield  chan struct{} // process -> engine: parked or finished
+	wake   func()        // p.wakeNow, bound once so PrepareWait does not allocate
 
 	// A Fork child's name parts, formatted only by Name.
 	parent *Proc
@@ -48,25 +47,26 @@ func (e *Engine) SpawnAfter(delay Duration, name string, fn func(*Proc)) *Proc {
 	return e.spawn(delay, &Proc{name: name}, fn)
 }
 
-// spawn completes p (its name fields already set) and schedules its
-// start after delay.
+// spawn completes p (its name fields already set), starts its
+// goroutine blocked on resume, and schedules its start after delay.
 func (e *Engine) spawn(delay Duration, p *Proc, fn func(*Proc)) *Proc {
 	p.eng = e
 	p.resume = make(chan struct{})
 	p.yield = make(chan struct{})
 	p.wake = p.wakeNow
 	e.procs++
-	e.Schedule(delay, func() {
-		go func() {
-			<-p.resume
-			fn(p)
-			p.finished = true
-			p.eng.procs--
-			p.yield <- struct{}{}
-		}()
-		p.wakeNow()
-	})
+	go p.run(fn)
+	e.push(e.now+Time(delay), nil, p)
 	return p
+}
+
+// run is the process goroutine: it waits for its first resume, runs
+// fn and hands control back for good.
+func (p *Proc) run(fn func(*Proc)) {
+	<-p.resume
+	fn(p)
+	p.eng.procs--
+	p.yield <- struct{}{}
 }
 
 // wakeNow transfers control to the process and blocks the caller
@@ -83,7 +83,11 @@ func (p *Proc) park() {
 	<-p.resume
 }
 
-// Sleep suspends the process for d of simulated time.
+// Sleep suspends the process for d of simulated time. When the engine
+// resumed p from its own calendar event and p's wake-up would be the
+// very next event, Sleep just moves the clock and returns without
+// parking (see the package comment). The pending-event comparison is
+// strict: a same-time event is already queued ahead of the wake-up.
 func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: Proc %q sleeping negative duration %d", p.Name(), d))
@@ -91,7 +95,13 @@ func (p *Proc) Sleep(d Duration) {
 	if d == 0 {
 		return
 	}
-	p.eng.Schedule(d, p.wake)
+	e := p.eng
+	t := e.now + Time(d)
+	if e.direct == p && t <= e.limit && (len(e.events) == 0 || e.events[0].t > t) {
+		e.now = t
+		return
+	}
+	e.push(t, nil, p)
 	p.park()
 }
 

@@ -446,8 +446,125 @@ func TestQuickResourceThroughput(t *testing.T) {
 	}
 }
 
-// Once warm, a sleeping process allocates nothing per Sleep: the
-// calendar event is recycled and the wake closure is bound at spawn.
+// The sleep-through fast path (Proc.Sleep skipping the calendar) must
+// be invisible: each test below fixes an order the parked path gives.
+
+// An event already due at the sleeper's wake-up time runs first: it
+// was queued earlier, so it sorts ahead of the sleeper's own event.
+func TestSleepThroughYieldsToSameTimeEvent(t *testing.T) {
+	e := NewEngine()
+	var log []string
+	e.Spawn("p", func(p *Proc) {
+		e.Schedule(10, func() { log = append(log, fmt.Sprintf("event@%d", e.Now())) })
+		p.Sleep(10)
+		log = append(log, fmt.Sprintf("p@%d", p.Now()))
+	})
+	e.Run()
+	want := []string{"event@10", "p@10"}
+	if fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Fatalf("log = %v, want %v", log, want)
+	}
+}
+
+// A process woken by Release inside another process runs within the
+// releaser's instant; its next Sleep must park, so the releaser keeps
+// the release time and the sleeper resumes only after the releaser
+// parks.
+func TestSleepAfterReleaseWakeParks(t *testing.T) {
+	e := NewEngine()
+	r := NewResource(e, "r", 1)
+	var log []string
+	mark := func(p *Proc, what string) { log = append(log, fmt.Sprintf("%s@%d", what, p.Now())) }
+	e.Spawn("holder", func(p *Proc) {
+		r.Acquire(p, 1)
+		p.Sleep(10)
+		r.Release(1)
+		mark(p, "released")
+		p.Sleep(5)
+		mark(p, "holder")
+	})
+	e.Spawn("waiter", func(p *Proc) {
+		r.Acquire(p, 1)
+		mark(p, "acquired")
+		p.Sleep(3)
+		mark(p, "waiter")
+		r.Release(1)
+	})
+	e.Run()
+	want := []string{"acquired@10", "released@10", "waiter@13", "holder@15"}
+	if fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Fatalf("log = %v, want %v", log, want)
+	}
+}
+
+// A process woken from a scheduled callback runs inside that callback;
+// its Sleep goes through the calendar, so the callback's code after
+// the wake still sees the callback's time.
+func TestSleepAfterCallbackWakeParks(t *testing.T) {
+	e := NewEngine()
+	var log []string
+	var wake func()
+	e.Spawn("p", func(p *Proc) {
+		wake = p.PrepareWait()
+		p.Wait()
+		log = append(log, fmt.Sprintf("woken@%d", p.Now()))
+		p.Sleep(10)
+		log = append(log, fmt.Sprintf("p@%d", p.Now()))
+	})
+	e.Schedule(5, func() {
+		wake()
+		log = append(log, fmt.Sprintf("callback@%d", e.Now()))
+	})
+	e.Run()
+	want := []string{"woken@5", "callback@5", "p@15"}
+	if fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Fatalf("log = %v, want %v", log, want)
+	}
+}
+
+// RunUntil stops a sleeper at its limit, with the wake-up still on the
+// calendar; a later Run resumes it on time, behind an event due then.
+func TestSleepThroughStopsAtRunUntilLimit(t *testing.T) {
+	e := NewEngine()
+	var log []string
+	e.Spawn("p", func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			p.Sleep(10)
+			log = append(log, fmt.Sprintf("p@%d", p.Now()))
+		}
+	})
+	e.Schedule(30, func() { log = append(log, fmt.Sprintf("event@%d", e.Now())) })
+	if now := e.RunUntil(15); now != 15 || fmt.Sprint(log) != "[p@10]" || e.Pending() != 2 {
+		t.Fatalf("after RunUntil(15): now %d, log %v, pending %d; want 15, [p@10], 2", now, log, e.Pending())
+	}
+	want := []string{"p@10", "p@20", "event@30", "p@30"}
+	if end := e.Run(); end != 30 || fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Fatalf("after Run: end %d, log %v; want 30, %v", end, log, want)
+	}
+}
+
+// A SpawnAfter start takes its FIFO place among same-time events, and
+// a sleeper due at that time queues behind all of them.
+func TestSpawnAfterKeepsFIFO(t *testing.T) {
+	e := NewEngine()
+	var log []string
+	e.Spawn("s", func(p *Proc) {
+		p.Sleep(10)
+		log = append(log, "s")
+	})
+	e.Schedule(10, func() { log = append(log, "a") })
+	e.SpawnAfter(10, "p", func(*Proc) { log = append(log, "p") })
+	e.Schedule(10, func() { log = append(log, "b") })
+	e.Run()
+	want := []string{"a", "p", "b", "s"}
+	if fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Fatalf("log = %v, want %v", log, want)
+	}
+}
+
+// Once warm, a sleeping process allocates nothing per Sleep, whether
+// it sleeps through or parks at the RunUntil limit: the calendar event
+// is recycled.
 func TestSleepAllocFree(t *testing.T) {
 	const sleeps = 1000
 	e := NewEngine()
@@ -475,7 +592,9 @@ func BenchmarkEventDispatch(b *testing.B) {
 	e.Run()
 }
 
-func BenchmarkProcContextSwitch(b *testing.B) {
+// BenchmarkSleepThrough is a lone sleeper: every Sleep takes the
+// sleep-through fast path and never parks.
+func BenchmarkSleepThrough(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
 	e.Spawn("p", func(p *Proc) {
@@ -483,6 +602,25 @@ func BenchmarkProcContextSwitch(b *testing.B) {
 			p.Sleep(1)
 		}
 	})
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkProcHandoff alternates two processes on a one-unit
+// Resource. Each is woken inline by the other's Release, so every
+// Sleep and every Acquire after the first parks: one op is four
+// parks, two per process.
+func BenchmarkProcHandoff(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	r := NewResource(e, "r", 1)
+	for k := 0; k < 2; k++ {
+		e.Spawn("p", func(p *Proc) {
+			for i := 0; i < b.N; i++ {
+				r.Use(p, 1, 1)
+			}
+		})
+	}
 	b.ResetTimer()
 	e.Run()
 }

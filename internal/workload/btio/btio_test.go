@@ -22,7 +22,7 @@ func dumpRecords(t *testing.T, a *btio.App, rank int) []fs.IOVec {
 	for _, ph := range a.Spec().Phases {
 		for i := range ph.Steps {
 			if st := &ph.Steps[i]; ph.Name == "dump" && st.Op == synth.OpWrite {
-				return st.Vecs(rank, 0)
+				return st.AppendVecs(nil, rank, 0)
 			}
 		}
 	}

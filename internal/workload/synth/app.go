@@ -2,6 +2,7 @@ package synth
 
 import (
 	"fmt"
+	"slices"
 
 	"ioeval/internal/cluster"
 	"ioeval/internal/fs"
@@ -58,9 +59,11 @@ type openFile struct {
 	fRank int // rank within f's world (0 for per-rank files)
 }
 
-// Vecs expands the step's access list for one rank and phase
-// iteration into the vector the MPI-IO layer consumes.
-func (st *StepSpec) Vecs(rank, iter int) []fs.IOVec {
+// AppendVecs expands the step's access list for one rank and phase
+// iteration into the vector the MPI-IO layer consumes, appending it to
+// dst. The rank loop passes one buffer per rank, reused across steps
+// and iterations: no layer keeps the vector after its call returns.
+func (st *StepSpec) AppendVecs(dst []fs.IOVec, rank, iter int) []fs.IOVec {
 	accs := st.Access
 	if len(st.PerRankAccess) > 0 {
 		accs = st.PerRankAccess[rank]
@@ -70,11 +73,11 @@ func (st *StepSpec) Vecs(rank, iter int) []fs.IOVec {
 	for _, a := range accs {
 		n += a.Elements()
 	}
-	vecs := make([]fs.IOVec, 0, n)
+	dst = slices.Grow(dst, int(n))
 	for _, a := range accs {
-		expandAccess(&vecs, a, base+a.OffsetBytes, 0)
+		expandAccess(&dst, a, base+a.OffsetBytes, 0)
 	}
-	return vecs
+	return dst
 }
 
 // expandAccess emits the access's blocks, outermost dimension first,
@@ -199,6 +202,7 @@ func (a *App) RunWithPrologue(c *cluster.Cluster, tr mpiio.Tracer, prologue func
 				}
 			}
 
+			var vecs []fs.IOVec
 			for _, ph := range a.chain {
 				iters := ph.iterations()
 				for it := 0; it < iters; it++ {
@@ -207,7 +211,7 @@ func (a *App) RunWithPrologue(c *cluster.Cluster, tr mpiio.Tracer, prologue func
 						switch st.Op {
 						case OpWrite, OpRead:
 							of := files[fileIdx[st.File]]
-							vecs := st.Vecs(rank, it)
+							vecs = st.AppendVecs(vecs[:0], rank, it)
 							t0 := p.Now()
 							got := doIO(p, of, st, vecs)
 							if st.SyncAfter {
