@@ -4,6 +4,9 @@
 // dirty_ratio mechanism), write-through mode, and sequential
 // read-ahead. The cache is itself a device.BlockDev so it stacks
 // transparently over a disk or RAID array.
+// Residency is per page: a chunked page index, an LRU list and, through
+// the same pages, a dirty list in LRU order, so that Flush and dirty
+// throttling cost O(dirty pages), not O(resident pages).
 //
 // The cache is what produces the paper's two headline cache effects:
 // characterization runs use files of twice RAM so that the cache
@@ -81,14 +84,28 @@ func DefaultParams(name string, capacity int64) Params {
 // list intrusively and recycled through its free list, so steady-state
 // insert/evict traffic allocates nothing.
 type page struct {
-	idx        int64
-	dirty      bool
-	prev, next *page // LRU neighbours: prev is more recent
+	idx          int64
+	dirty        bool
+	ch           *chunk // the index chunk holding this page
+	prev, next   *page  // LRU neighbours: prev is more recent
+	dprev, dnext *page  // dirty-list neighbours, linked while dirty
 	// gen is bumped each time the page is released. A holder that
 	// sleeps while keeping a *page (evictLRU across its write-out)
 	// compares generations afterwards to learn whether the page was
 	// evicted, dropped or invalidated — and possibly reused — meanwhile.
 	gen uint64
+}
+
+// chunkShift sets the page index's granularity: 64 pages a chunk.
+const chunkShift = 6
+
+// chunk is one slot array of the page index. Empty chunks leave the
+// index and are recycled through the cache's free chain.
+type chunk struct {
+	pages [1 << chunkShift]*page
+	n     int    // resident pages
+	key   int64  // idx >> chunkShift of every page here
+	next  *chunk // free chain
 }
 
 // Stats counts cache activity.
@@ -106,11 +123,16 @@ type Cache struct {
 	eng    *sim.Engine
 	params Params
 	under  device.BlockDev
-	pages  map[int64]*page
-	head   *page // most recently used
-	tail   *page // least recently used; the next victim
-	free   *page // released pages, chained through next
-	nDirty int64 // dirty pages
+	chunks map[int64]*chunk // page index, keyed by idx >> chunkShift
+	hint   *chunk           // last chunk looked up; nil once any is freed
+	free   *page            // released pages, chained through next
+	freeCh *chunk           // empty chunks, chained through next
+	nPages int64            // resident pages
+	head   *page            // most recently used
+	tail   *page            // least recently used; the next victim
+	dhead  *page            // the dirty list is the LRU list restricted
+	dtail  *page            // to dirty pages, in the same order
+	nDirty int64            // dirty pages
 
 	// lastReadEnd is the byte after the most recent read; read-ahead
 	// fires only when a read continues from here (Linux read-ahead
@@ -143,7 +165,7 @@ func New(e *sim.Engine, params Params, under device.BlockDev) *Cache {
 		eng:    e,
 		params: params,
 		under:  under,
-		pages:  map[int64]*page{},
+		chunks: map[int64]*chunk{},
 		rec:    telemetry.NewRecorder(e, "cache:"+params.Name, telemetry.LevelCache, 1),
 	}
 }
@@ -165,7 +187,7 @@ func (c *Cache) Under() device.BlockDev { return c.under }
 func (c *Cache) Params() Params { return c.params }
 
 // CachedBytes returns the bytes currently resident.
-func (c *Cache) CachedBytes() int64 { return int64(len(c.pages)) * c.params.PageSize }
+func (c *Cache) CachedBytes() int64 { return c.nPages * c.params.PageSize }
 
 // DirtyBytes returns the dirty bytes awaiting write-back.
 func (c *Cache) DirtyBytes() int64 { return c.nDirty * c.params.PageSize }
@@ -202,74 +224,150 @@ func (c *Cache) unlink(pg *page) {
 	pg.prev, pg.next = nil, nil
 }
 
-// touch moves pg to the MRU position.
+// pushDirty links pg at the head of the dirty list.
+func (c *Cache) pushDirty(pg *page) {
+	pg.dprev, pg.dnext = nil, c.dhead
+	if c.dhead != nil {
+		c.dhead.dprev = pg
+	} else {
+		c.dtail = pg
+	}
+	c.dhead = pg
+}
+
+// unlinkDirty removes pg from the dirty list.
+func (c *Cache) unlinkDirty(pg *page) {
+	if pg.dprev != nil {
+		pg.dprev.dnext = pg.dnext
+	} else {
+		c.dhead = pg.dnext
+	}
+	if pg.dnext != nil {
+		pg.dnext.dprev = pg.dprev
+	} else {
+		c.dtail = pg.dprev
+	}
+	pg.dprev, pg.dnext = nil, nil
+}
+
+// setClean marks pg clean and takes it off the dirty list.
+func (c *Cache) setClean(pg *page) {
+	pg.dirty = false
+	c.nDirty--
+	c.unlinkDirty(pg)
+}
+
+// touch moves pg to the MRU position, and a dirty pg to the dirty
+// head too, which keeps the dirty list in LRU order.
 func (c *Cache) touch(pg *page) {
 	if c.head != pg {
 		c.unlink(pg)
 		c.pushFront(pg)
 	}
+	if pg.dirty && c.dhead != pg {
+		c.unlinkDirty(pg)
+		c.pushDirty(pg)
+	}
 }
 
-// newPage returns an unlinked page for idx, recycled from the free
-// list when one is available; the caller links it with pushFront.
-func (c *Cache) newPage(idx int64, dirty bool) *page {
+// lookup returns the resident page for idx, or nil. The hint answers
+// runs of neighbouring pages without a map lookup; after a miss it is
+// idx's chunk if that exists, which put relies on.
+func (c *Cache) lookup(idx int64) *page {
+	ch := c.hint
+	if ch == nil || ch.key != idx>>chunkShift {
+		if ch = c.chunks[idx>>chunkShift]; ch == nil {
+			return nil
+		}
+		c.hint = ch
+	}
+	return ch.pages[idx&(1<<chunkShift-1)]
+}
+
+// put enters pg into the page index; lookup(pg.idx) just missed.
+func (c *Cache) put(pg *page) {
+	ch := c.hint
+	if ch == nil || ch.key != pg.idx>>chunkShift {
+		if ch = c.freeCh; ch != nil {
+			c.freeCh = ch.next
+		} else {
+			ch = &chunk{}
+		}
+		ch.key = pg.idx >> chunkShift
+		c.chunks[ch.key] = ch
+		c.hint = ch
+	}
+	ch.pages[pg.idx&(1<<chunkShift-1)] = pg
+	ch.n++
+	pg.ch = ch
+	c.nPages++
+}
+
+// drop removes pg from the page index, freeing its chunk when that
+// empties.
+func (c *Cache) drop(pg *page) {
+	ch := pg.ch
+	ch.pages[pg.idx&(1<<chunkShift-1)] = nil
+	c.nPages--
+	if ch.n--; ch.n == 0 {
+		delete(c.chunks, ch.key)
+		c.hint = nil
+		ch.next = c.freeCh
+		c.freeCh = ch
+	}
+}
+
+// newPage returns an unlinked clean page for idx, recycled from the
+// free list when one is available.
+func (c *Cache) newPage(idx int64) *page {
 	pg := c.free
 	if pg != nil {
 		c.free = pg.next
 	} else {
 		pg = &page{}
 	}
-	pg.idx, pg.dirty = idx, dirty
+	pg.idx = idx
 	return pg
 }
 
-// release unlinks a resident page, drops it from the map and the dirty
-// count, and recycles it. Callers must hold no other reference they
-// expect to stay valid: the generation bump tells them it is gone.
+// release unlinks a resident page, drops it from the index and the
+// dirty list, and recycles it. Callers must hold no other reference
+// they expect to stay valid: the generation bump tells them it is gone.
 func (c *Cache) release(pg *page) {
 	if pg.dirty {
-		pg.dirty = false
-		c.nDirty--
+		c.setClean(pg)
 	}
 	c.unlink(pg)
-	delete(c.pages, pg.idx)
+	c.drop(pg)
 	pg.gen++
 	pg.next = c.free
 	c.free = pg
 }
 
-// insert adds a page, evicting as needed. Returns the page.
-// Eviction of a dirty page synchronously writes it to the device.
-func (c *Cache) insert(r *ioreq.Request, idx int64, dirty bool) *page {
-	if pg, ok := c.pages[idx]; ok {
-		if dirty && !pg.dirty {
-			pg.dirty = true
-			c.nDirty++
+// insert makes page idx resident, evicting as needed. Eviction of a
+// dirty page synchronously writes it to the device.
+func (c *Cache) insert(r *ioreq.Request, idx int64, dirty bool) {
+	pg := c.lookup(idx)
+	if pg == nil {
+		for c.nPages >= c.maxPages() {
+			c.evictLRU(r)
 		}
-		c.touch(pg)
-		return pg
+		// evictLRU may have slept (dirty write-back), letting another
+		// process insert this very page meanwhile — re-check before
+		// creating a duplicate (which would orphan an LRU entry).
+		pg = c.lookup(idx)
 	}
-	for int64(len(c.pages)) >= c.maxPages() {
-		c.evictLRU(r)
+	if pg == nil {
+		pg = c.newPage(idx)
+		c.pushFront(pg)
+		c.put(pg)
 	}
-	// evictLRU may have slept (dirty write-back), letting another
-	// process insert this very page meanwhile — re-check before
-	// creating a duplicate (which would orphan an LRU entry).
-	if pg, ok := c.pages[idx]; ok {
-		if dirty && !pg.dirty {
-			pg.dirty = true
-			c.nDirty++
-		}
-		c.touch(pg)
-		return pg
-	}
-	pg := c.newPage(idx, dirty)
-	c.pushFront(pg)
-	c.pages[idx] = pg
-	if dirty {
+	if dirty && !pg.dirty { // it joins the dirty head; touch matches
+		pg.dirty = true
 		c.nDirty++
+		c.pushDirty(pg)
 	}
-	return pg
+	c.touch(pg)
 }
 
 func (c *Cache) evictLRU(r *ioreq.Request) {
@@ -289,14 +387,14 @@ func (c *Cache) evictLRU(r *ioreq.Request) {
 		// contiguous dirty neighbourhood in one I/O.
 		idxs := []int64{pg.idx}
 		for i := pg.idx - 1; ; i-- {
-			if n, ok := c.pages[i]; ok && n.dirty {
+			if n := c.lookup(i); n != nil && n.dirty {
 				idxs = append(idxs, i)
 			} else {
 				break
 			}
 		}
 		for i := pg.idx + 1; ; i++ {
-			if n, ok := c.pages[i]; ok && n.dirty {
+			if n := c.lookup(i); n != nil && n.dirty {
 				idxs = append(idxs, i)
 			} else {
 				break
@@ -322,9 +420,8 @@ func (c *Cache) evictLRU(r *ioreq.Request) {
 func (c *Cache) writeOut(r *ioreq.Request, idxs []int64) {
 	claimed := idxs[:0]
 	for _, idx := range idxs {
-		if pg, ok := c.pages[idx]; ok && pg.dirty {
-			pg.dirty = false
-			c.nDirty--
+		if pg := c.lookup(idx); pg != nil && pg.dirty {
+			c.setClean(pg)
 			claimed = append(claimed, idx)
 		}
 	}
@@ -384,7 +481,7 @@ func (c *Cache) ReadAt(r *ioreq.Request, off, n int64) {
 	var missStart int64 = -1
 	var runs [][2]int64
 	for idx := first; idx < last; idx++ {
-		if pg, ok := c.pages[idx]; ok {
+		if pg := c.lookup(idx); pg != nil {
 			c.touch(pg)
 			if missStart >= 0 {
 				runs = append(runs, [2]int64{missStart, idx})
@@ -476,11 +573,9 @@ func (c *Cache) throttle(r *ioreq.Request) {
 	c.rec.Add("throttle_stalls", 1)
 	target := limit / 2
 	// Collect dirty pages from the LRU end (oldest first).
-	var victims []int64
-	for pg := c.tail; pg != nil && c.nDirty-int64(len(victims)) > target; pg = pg.prev {
-		if pg.dirty {
-			victims = append(victims, pg.idx)
-		}
+	victims := make([]int64, 0, c.nDirty-target)
+	for pg := c.dtail; pg != nil && c.nDirty-int64(len(victims)) > target; pg = pg.dprev {
+		victims = append(victims, pg.idx)
 	}
 	c.writeOut(r, victims)
 }
@@ -491,16 +586,11 @@ func (c *Cache) Flush(r *ioreq.Request) {
 	r.PushOn(c.rec)
 	defer r.Pop()
 	defer r.Observe(telemetry.ClassMeta, 1, 0)
-	var dirtyIdx []int64
-	for idx, pg := range c.pages {
-		if pg.dirty {
-			dirtyIdx = append(dirtyIdx, idx)
-		}
+	dirtyIdx := make([]int64, 0, c.nDirty)
+	for pg := c.dhead; pg != nil; pg = pg.dnext {
+		dirtyIdx = append(dirtyIdx, pg.idx)
 	}
-	// Write back in page order: map iteration order must not reach
-	// the device-level event sequence (run-to-run determinism).
-	slices.Sort(dirtyIdx)
-	c.writeOut(r, dirtyIdx)
+	c.writeOut(r, dirtyIdx) // in page order: writeOut sorts
 	c.under.Flush(r)
 }
 
@@ -510,7 +600,7 @@ func (c *Cache) Flush(r *ioreq.Request) {
 // first.
 func (c *Cache) DropCaches(r *ioreq.Request) {
 	c.Flush(r)
-	// Release every page (not just forget the map), so an eviction
+	// Release every page (not just reset the index), so an eviction
 	// still in its write-out sees the generation change.
 	for c.tail != nil {
 		c.release(c.tail)
@@ -519,12 +609,21 @@ func (c *Cache) DropCaches(r *ioreq.Request) {
 
 // InvalidateRange drops all pages covering [off, off+n), discarding
 // dirty data (callers use it for cache-coherence invalidation, where
-// the remote copy is authoritative).
+// the remote copy is authoritative). It visits resident chunks, not
+// the range: an NFS client invalidates a whole 1 TiB file slot.
 func (c *Cache) InvalidateRange(off, n int64) {
+	if n <= 0 {
+		return
+	}
 	first, last := c.pageRange(off, n)
-	for idx, pg := range c.pages {
-		if idx >= first && idx < last {
-			c.release(pg)
+	for key, ch := range c.chunks {
+		if key < first>>chunkShift || key > (last-1)>>chunkShift {
+			continue
+		}
+		for i := range ch.pages {
+			if pg := ch.pages[i]; pg != nil && pg.idx >= first && pg.idx < last {
+				c.release(pg)
+			}
 		}
 	}
 }

@@ -340,3 +340,57 @@ func BenchmarkCachedRead(b *testing.B) {
 	b.ResetTimer()
 	e.Run()
 }
+
+// BenchmarkFlushFewDirty flushes one dirty page over 2 GiB of clean
+// resident pages per op: Flush must cost O(dirty), not O(resident).
+func BenchmarkFlushFewDirty(b *testing.B) {
+	b.ReportAllocs()
+	e := sim.NewEngine()
+	c := New(e, DefaultParams("pc", 4*gb), nullDev{capacity: 64 * gb})
+	run(e, func(p *sim.Proc) { c.Populate(ioreq.Writer(p), 0, 2*gb) })
+	b.ResetTimer()
+	run(e, func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			c.WriteAt(ioreq.Writer(p), int64(i%1024)*c.params.PageSize, 4*kb)
+			c.Flush(ioreq.Meta(p))
+		}
+	})
+}
+
+// BenchmarkThrottledWrite streams 1 MiB writes through a full cache
+// past its dirty ratio, so each op inserts, evicts and is throttled
+// with the cleaned pages still resident behind the dirty ones.
+func BenchmarkThrottledWrite(b *testing.B) {
+	b.ReportAllocs()
+	e := sim.NewEngine()
+	c := New(e, DefaultParams("pc", 256*mb), nullDev{capacity: 64 * gb})
+	write := func(p *sim.Proc, i int) { c.WriteAt(ioreq.Writer(p), int64(i)*mb%(32*gb), mb) }
+	run(e, func(p *sim.Proc) {
+		for i := 0; i < 512; i++ {
+			write(p, i)
+		}
+	})
+	b.ResetTimer()
+	run(e, func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			write(p, 512+i)
+		}
+	})
+}
+
+// BenchmarkInvalidateSlot invalidates a 1 TiB NFS file slot holding a
+// few resident pages while 2 GiB of another slot stay resident.
+func BenchmarkInvalidateSlot(b *testing.B) {
+	b.ReportAllocs()
+	const slot = int64(1) << 40
+	e := sim.NewEngine()
+	c := New(e, DefaultParams("pc", 4*gb), nullDev{capacity: 4 * slot})
+	run(e, func(p *sim.Proc) { c.Populate(ioreq.Writer(p), slot, 2*gb) })
+	b.ResetTimer()
+	run(e, func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			c.Populate(ioreq.Writer(p), 0, 4*c.params.PageSize)
+			c.InvalidateRange(0, slot)
+		}
+	})
+}

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -57,56 +58,83 @@ func (d *recDev) Name() string    { return "rec" }
 
 var _ device.BlockDev = (*recDev)(nil)
 
-// lruPages returns the pages on the LRU list, most recent first, and
-// fails the test if the list's links are inconsistent. It is the only
-// part of the invariant check that depends on how the LRU list is
-// represented.
-func lruPages(t *testing.T, c *Cache) []*page {
-	t.Helper()
+// listPages returns the pages of one intrusive list, head first, and
+// panics if its links are inconsistent or it is longer than the index.
+func listPages(c *Cache, name string, head, tail *page, next, prev func(*page) *page) []*page {
 	var out []*page
-	var prev *page
-	for pg := c.head; pg != nil; prev, pg = pg, pg.next {
-		if pg.prev != prev {
-			t.Fatalf("page %d: broken back link", pg.idx)
+	var last *page
+	for pg := head; pg != nil; last, pg = pg, next(pg) {
+		if prev(pg) != last {
+			panic(fmt.Sprintf("%s list: page %d: broken back link", name, pg.idx))
 		}
-		if len(out) > len(c.pages) {
-			t.Fatalf("LRU holds more than the map's %d pages (or a cycle)", len(c.pages))
+		if int64(len(out)) > c.nPages {
+			panic(fmt.Sprintf("%s list holds more than the index's %d pages (or a cycle)", name, c.nPages))
 		}
 		out = append(out, pg)
 	}
-	if c.tail != prev {
-		t.Fatal("LRU tail is not the last linked page")
+	if tail != last {
+		panic(fmt.Sprintf("%s list: tail is not the last linked page", name))
 	}
 	return out
 }
 
-// checkInvariants verifies the cache's internal bookkeeping: the page
-// map and the LRU list hold the same pages, nDirty counts exactly the
-// dirty ones, and every linked page is mapped under its own index.
-func checkInvariants(t *testing.T, c *Cache) {
-	t.Helper()
-	linked := lruPages(t, c)
-	var dirty int64
+// checkInvariants verifies the cache's internal bookkeeping without
+// changing it (the chunk hint included):
+//   - the page index and the LRU list hold the same pages: every
+//     linked page is the index's entry for its idx, and nPages is the
+//     LRU length;
+//   - every chunk in the index is non-empty with a true resident
+//     count, and the hint, when set, is the index's chunk for its key;
+//   - the dirty list's links are consistent, it is the LRU order
+//     restricted to dirty pages, and nDirty is its length.
+//
+// It runs inside simulated processes, where t.Fatal would stop only
+// that process's goroutine and leave the engine waiting for it, so it
+// panics instead, which fails the test binary at once.
+func checkInvariants(c *Cache) {
+	linked := listPages(c, "LRU", c.head, c.tail,
+		func(pg *page) *page { return pg.next }, func(pg *page) *page { return pg.prev })
+	var lruDirty []*page
 	for _, pg := range linked {
 		if pg.dirty {
-			dirty++
+			lruDirty = append(lruDirty, pg)
 		}
-		if c.pages[pg.idx] != pg {
-			t.Fatalf("linked page %d is not the map's entry for its index", pg.idx)
+		ch := c.chunks[pg.idx>>chunkShift]
+		if ch == nil || pg.ch != ch || ch.pages[pg.idx&(1<<chunkShift-1)] != pg {
+			panic(fmt.Sprintf("linked page %d is not the index's entry for its idx", pg.idx))
 		}
 	}
-	if len(linked) != len(c.pages) {
-		t.Fatalf("LRU holds %d pages, map %d", len(linked), len(c.pages))
+	if int64(len(linked)) != c.nPages {
+		panic(fmt.Sprintf("LRU holds %d pages, nPages = %d", len(linked), c.nPages))
 	}
-	if dirty != c.nDirty {
-		t.Fatalf("nDirty = %d, counted %d dirty pages", c.nDirty, dirty)
+	for key, ch := range c.chunks {
+		n := 0
+		for _, pg := range ch.pages {
+			if pg != nil {
+				n++
+			}
+		}
+		if ch.key != key || n == 0 || n != ch.n {
+			panic(fmt.Sprintf("chunk %d: key %d, count %d, holds %d pages", key, ch.key, ch.n, n))
+		}
+	}
+	if h := c.hint; h != nil && c.chunks[h.key] != h {
+		panic(fmt.Sprintf("hint chunk %d is not in the index", h.key))
+	}
+	dirty := listPages(c, "dirty", c.dhead, c.dtail,
+		func(pg *page) *page { return pg.dnext }, func(pg *page) *page { return pg.dprev })
+	if int64(len(dirty)) != c.nDirty {
+		panic(fmt.Sprintf("nDirty = %d, dirty list holds %d pages", c.nDirty, len(dirty)))
+	}
+	if !slices.Equal(dirty, lruDirty) {
+		panic(fmt.Sprintf("dirty list is not the LRU order of the %d dirty pages", len(lruDirty)))
 	}
 }
 
 // opTrace drives a seeded random mix of every cache entry point from
 // several concurrent processes over a recording device and returns
 // the device-call trace followed by the final statistics.
-func opTrace(t *testing.T, policy Policy, seed int64) (trace string, st Stats) {
+func opTrace(policy Policy, seed int64) (trace string, st Stats) {
 	const (
 		ps      = 4 << 10
 		procs   = 5
@@ -124,7 +152,7 @@ func opTrace(t *testing.T, policy Policy, seed int64) (trace string, st Stats) {
 		ReadAhead:  8 * ps,
 		DirtyRatio: 0.25,
 	}, dev)
-	dev.onCall = func() { checkInvariants(t, c) }
+	dev.onCall = func() { checkInvariants(c) }
 
 	extent := func(rng *rand.Rand, next int64) (int64, int64) {
 		off := rng.Int63n(devSize)
@@ -192,13 +220,13 @@ func opTrace(t *testing.T, policy Policy, seed int64) (trace string, st Stats) {
 				default:
 					c.DropCaches(ioreq.Meta(p))
 				}
-				checkInvariants(t, c)
+				checkInvariants(c)
 				p.Sleep(sim.Duration(rng.Int63n(int64(100 * sim.Microsecond))))
 			}
 		})
 	}
 	e.Run()
-	checkInvariants(t, c)
+	checkInvariants(c)
 	fmt.Fprintf(&dev.log, "end %d stats %+v cached %d dirty %d\n",
 		e.Now(), c.Stats, c.CachedBytes(), c.DirtyBytes())
 	return dev.log.String(), c.Stats
@@ -215,7 +243,7 @@ func TestCacheOpTraceGolden(t *testing.T) {
 		policy Policy
 		seed   int64
 	}{{WriteBack, 1}, {WriteBack, 2}, {WriteThrough, 3}} {
-		trace, st := opTrace(t, sc.policy, sc.seed)
+		trace, st := opTrace(sc.policy, sc.seed)
 		if st.Evictions == 0 || st.WriteBackBytes == 0 && sc.policy == WriteBack {
 			t.Fatalf("%v seed %d: workload too light: %+v", sc.policy, sc.seed, st)
 		}

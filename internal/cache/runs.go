@@ -47,7 +47,7 @@ func (c *Cache) ReadRuns(r *ioreq.Request, runs []device.Run) {
 		first, last := c.pageRange(run.Off, run.Len)
 		allHit := true
 		for idx := first; idx < last; idx++ {
-			if pg, ok := c.pages[idx]; ok {
+			if pg := c.lookup(idx); pg != nil {
 				c.touch(pg)
 			} else {
 				missing = append(missing, idx)

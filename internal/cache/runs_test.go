@@ -111,6 +111,38 @@ func TestInvalidateRange(t *testing.T) {
 	})
 }
 
+// InvalidateRange drops exactly the pages holding a byte of
+// [off, off+n), across chunk boundaries too; an empty or negative
+// range drops nothing.
+func TestInvalidateRangeBounds(t *testing.T) {
+	const ps, resident = 64 * kb, 130 // pages
+	for _, tc := range []struct {
+		name     string
+		off, n   int64
+		from, to int64 // the pages dropped
+	}{
+		{"empty unaligned", ps + 100, 0, 0, 0},
+		{"negative", ps + 100, -ps, 0, 0},
+		{"one byte", ps + 100, 1, 1, 2},
+		{"straddles two pages", 2*ps - 1, 2, 1, 3},
+		{"crosses a chunk", 63 * ps, 2 * ps, 63, 65},
+		{"whole slot", 0, 1 << 40, 0, resident},
+	} {
+		e := sim.NewEngine()
+		c, _ := newStack(e, 256*mb)
+		run(e, func(p *sim.Proc) { c.Populate(ioreq.Writer(p), 0, resident*ps) })
+		c.InvalidateRange(tc.off, tc.n)
+		for idx := int64(0); idx < resident; idx++ {
+			if dropped := c.lookup(idx) == nil; dropped != (idx >= tc.from && idx < tc.to) {
+				t.Errorf("%s: page %d dropped = %v", tc.name, idx, dropped)
+			}
+		}
+		if want := (resident - (tc.to - tc.from)) * ps; c.CachedBytes() != want {
+			t.Errorf("%s: %d bytes cached, want %d", tc.name, c.CachedBytes(), want)
+		}
+	}
+}
+
 func TestPopulate(t *testing.T) {
 	e := sim.NewEngine()
 	c, d := newStack(e, 256*mb)
