@@ -27,7 +27,7 @@ func main() {
 	platform := flag.String("platform", "aohyper", "cluster: aohyper or clusterA")
 	orgName := flag.String("org", "raid5", "Aohyper device organization")
 	procs := flag.Int("procs", 8, "processes")
-	bytesMB := flag.Int64("bytes", 64, "MiB per rank per measurement")
+	perRank := cliutil.SizeFlag(flag.CommandLine, "bytes", 64, cliutil.MiB, "`MiB` per rank per measurement")
 	storeDir := cliutil.StoreFlag(flag.CommandLine)
 	charWorkers := cliutil.CharWorkersFlag(flag.CommandLine)
 	flag.Parse()
@@ -44,14 +44,14 @@ func main() {
 
 	sum, err := bench.RunBeffIO(c, bench.BeffIOConfig{
 		Procs:        *procs,
-		BytesPerRank: *bytesMB << 20,
+		BytesPerRank: perRank.Bytes(),
 	})
 	if err != nil {
 		cliutil.Fatal(err)
 	}
 
 	fmt.Printf("b_eff_io-like run — %s, %d procs, %d MiB/rank per pattern\n\n",
-		c.Cfg.Name, *procs, *bytesMB)
+		c.Cfg.Name, *procs, perRank.Bytes()>>20)
 	var tb stats.Table
 	tb.AddRow("pattern", "transfer", "write", "read")
 	for _, r := range sum.Results {

@@ -10,11 +10,14 @@
 package cliutil
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"ioeval/internal/bench"
@@ -149,6 +152,47 @@ func StoreFlag(fs *flag.FlagSet) *string {
 // worker count, so there is no reason for a CLI to idle.
 func CharWorkersFlag(fs *flag.FlagSet) *int {
 	return fs.Int("char-workers", 0, "concurrent characterization measurement units (0 = all CPUs, 1 = sequential); results are byte-identical at any count")
+}
+
+// Size units for SizeFlag, as the log2 of their byte count.
+const (
+	KiB uint = 10
+	MiB uint = 20
+)
+
+// Size is an int64 flag typed in KiB or MiB and read in bytes, so a
+// command converts its size flags once, where it declares them.
+type Size struct {
+	n    int64 // as typed, in the flag's unit
+	unit uint  // KiB or MiB
+}
+
+// SizeFlag registers a size flag whose default and command-line value
+// are in unit. A back-quoted unit in usage names the value in -h.
+func SizeFlag(fs *flag.FlagSet, name string, def int64, unit uint, usage string) *Size {
+	s := &Size{n: def, unit: unit}
+	fs.Var(s, name, usage)
+	return s
+}
+
+// Bytes returns the flag's value in bytes.
+func (s *Size) Bytes() int64 { return s.n << s.unit }
+
+// String prints the value in the flag's unit.
+func (s *Size) String() string { return strconv.FormatInt(s.n, 10) }
+
+// Set parses v with flag.Int64's syntax and errors, and rejects a
+// value whose byte count does not fit in an int64.
+func (s *Size) Set(v string) error {
+	n, err := strconv.ParseInt(v, 0, 64)
+	switch {
+	case errors.Is(err, strconv.ErrRange), n > math.MaxInt64>>s.unit, n < math.MinInt64>>s.unit:
+		return errors.New("value out of range")
+	case err != nil:
+		return errors.New("parse error")
+	}
+	s.n = n
+	return nil
 }
 
 // FaultPlan resolves a builtin scenario name, applying the -seed

@@ -160,6 +160,58 @@ func TestFlagRegistration(t *testing.T) {
 	}
 }
 
+// TestSizeFlag drives SizeFlag through a real FlagSet: flag.Int64's
+// number syntax, bytes out, the -h default printed in the flag's
+// unit, and rejection of a value whose byte count overflows int64
+// (2^54 KiB would wrap a later <<10 to 0).
+func TestSizeFlag(t *testing.T) {
+	cases := []struct {
+		name    string
+		unit    uint
+		args    []string
+		want    int64 // bytes
+		wantErr string
+	}{
+		{"default KiB", KiB, nil, 32 << 10, ""},
+		{"default MiB", MiB, nil, 32 << 20, ""},
+		{"decimal KiB", KiB, []string{"-size", "1024"}, 1 << 20, ""},
+		{"decimal MiB", MiB, []string{"-size", "64"}, 64 << 20, ""},
+		{"hex", KiB, []string{"-size", "0x400"}, 1 << 20, ""},
+		{"largest KiB", KiB, []string{"-size", "9007199254740991"}, 9007199254740991 << 10, ""},
+		{"KiB bytes overflow", KiB, []string{"-size", "18014398509481984"}, 0, "value out of range"},
+		{"MiB bytes overflow", MiB, []string{"-size", "0x80000000000"}, 0, "value out of range"},
+		{"negative bytes overflow", KiB, []string{"-size", "-18014398509481985"}, 0, "value out of range"},
+		{"int64 overflow", KiB, []string{"-size", "9223372036854775808"}, 0, "value out of range"},
+		{"not a number", KiB, []string{"-size", "4k"}, 0, "parse error"},
+	}
+	for _, tc := range cases {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		size := SizeFlag(fs, "size", 32, tc.unit, "a size")
+		err := fs.Parse(tc.args)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s: Parse(%q) error = %v, want %q", tc.name, tc.args, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: Parse(%q): %v", tc.name, tc.args, err)
+		} else if got := size.Bytes(); got != tc.want {
+			t.Errorf("%s: Parse(%q) = %d bytes, want %d", tc.name, tc.args, got, tc.want)
+		}
+	}
+
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	var help strings.Builder
+	fs.SetOutput(&help)
+	SizeFlag(fs, "max", 16384, KiB, "largest block size in `KiB`")
+	fs.PrintDefaults()
+	if want := "  -max KiB\n    \tlargest block size in KiB (default 16384)\n"; help.String() != want {
+		t.Errorf("-h text = %q, want %q", help.String(), want)
+	}
+}
+
 func TestFaultPlan(t *testing.T) {
 	if plan, err := FaultPlan("", 99); plan != nil || err != nil {
 		t.Errorf("empty name: plan=%v err=%v, want nil,nil", plan, err)

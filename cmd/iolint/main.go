@@ -1,8 +1,8 @@
 // Command iolint runs the repo-native static-analysis suite
 // (internal/lint) over the module: determinism (wall clock, global
-// rand, map order), lock discipline, unchecked errors, flow-sensitive
-// unit safety, telemetry-probe conformance, request-path signatures
-// and defer-shaped span balance — the invariants behind the
+// rand, map order), lock discipline, unchecked errors,
+// telemetry-probe conformance, request-path signatures and
+// defer-shaped span balance — the invariants behind the
 // methodology's byte-identical reports.
 //
 // Usage:

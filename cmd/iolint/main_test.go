@@ -15,14 +15,14 @@ func TestListExitsZero(t *testing.T) {
 		t.Fatalf("-list exit code = %d, want 0 (stderr: %s)", code, errw.String())
 	}
 	for _, name := range []string{
-		"determinism", "lockdiscipline", "errcheck", "unitflow",
+		"determinism", "lockdiscipline", "errcheck",
 		"probeconform", "reqpath", "spanbalance",
 	} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output lacks analyzer %q", name)
 		}
 	}
-	for _, retired := range []string{"unitsafety", "seedflow"} {
+	for _, retired := range []string{"unitsafety", "seedflow", "unitflow"} {
 		if strings.Contains(out.String(), retired) {
 			t.Errorf("-list still mentions the retired %s analyzer", retired)
 		}

@@ -26,8 +26,8 @@ func main() {
 	platform := flag.String("platform", "aohyper", "cluster: aohyper or clusterA")
 	orgName := flag.String("org", "raid5", "Aohyper device organization")
 	procs := flag.Int("procs", 8, "processes")
-	fileMB := flag.Int64("file", 32768, "total file size in MiB (paper: 32 GiB)")
-	xferKB := flag.Int64("xfer", 256, "transfer size in KiB (must divide every block size)")
+	file := cliutil.SizeFlag(flag.CommandLine, "file", 32768, cliutil.MiB, "total file size in `MiB` (paper: 32 GiB)")
+	xfer := cliutil.SizeFlag(flag.CommandLine, "xfer", 256, cliutil.KiB, "transfer size in `KiB` (must divide every block size)")
 	collective := flag.Bool("collective", false, "use collective (two-phase) I/O")
 	storeDir := cliutil.StoreFlag(flag.CommandLine)
 	charWorkers := cliutil.CharWorkersFlag(flag.CommandLine)
@@ -45,8 +45,8 @@ func main() {
 
 	results, err := bench.RunIOR(c, bench.IORConfig{
 		Procs:        *procs,
-		FileSize:     *fileMB << 20,
-		TransferSize: *xferKB << 10,
+		FileSize:     file.Bytes(),
+		TransferSize: xfer.Bytes(),
 		Collective:   *collective,
 	})
 	if err != nil {
@@ -54,7 +54,7 @@ func main() {
 	}
 
 	fmt.Printf("IOR-like sweep — %s, %d procs, %d MiB file, %d KiB transfers, collective=%v\n\n",
-		c.Cfg.Name, *procs, *fileMB, *xferKB, *collective)
+		c.Cfg.Name, *procs, file.Bytes()>>20, xfer.Bytes()>>10, *collective)
 	var tb stats.Table
 	tb.AddRow("block", "write", "read")
 	for _, r := range results {

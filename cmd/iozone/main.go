@@ -30,9 +30,9 @@ import (
 func main() {
 	orgName := flag.String("org", "raid5", "device organization: jbod, raid1 or raid5")
 	target := flag.String("target", "local", "filesystem under test: local (I/O node) or nfs")
-	fileMB := flag.Int64("file", 4096, "file size in MiB (paper rule: 2x RAM)")
-	minKB := flag.Int64("min", 32, "smallest block size in KiB")
-	maxKB := flag.Int64("max", 16384, "largest block size in KiB")
+	file := cliutil.SizeFlag(flag.CommandLine, "file", 4096, cliutil.MiB, "file size in `MiB` (paper rule: 2x RAM)")
+	minSize := cliutil.SizeFlag(flag.CommandLine, "min", 32, cliutil.KiB, "smallest block size in `KiB`")
+	maxSize := cliutil.SizeFlag(flag.CommandLine, "max", 16384, cliutil.KiB, "largest block size in `KiB`")
 	modesArg := flag.String("modes", "seq", "comma list of: seq, rand, stride")
 	storeDir := cliutil.StoreFlag(flag.CommandLine)
 	charWorkers := cliutil.CharWorkersFlag(flag.CommandLine)
@@ -64,16 +64,13 @@ func main() {
 	}
 
 	// An empty list would silently run the default sweep instead.
-	if *minKB <= 0 || *maxKB < *minKB {
-		cliutil.Fatal(fmt.Errorf("block sizes need 0 < -min <= -max, got -min %d -max %d", *minKB, *maxKB))
-	}
-	var blockSizes []int64
-	for bs := *minKB << 10; bs <= *maxKB<<10; bs *= 2 {
-		blockSizes = append(blockSizes, bs)
+	blockSizes := bench.BlockSizes(minSize.Bytes(), maxSize.Bytes())
+	if len(blockSizes) == 0 {
+		cliutil.Fatal(fmt.Errorf("block sizes need 0 < -min <= -max, got -min %v -max %v", minSize, maxSize))
 	}
 
 	results, err := bench.RunIOzone(c.Eng, fsi, bench.IOzoneConfig{
-		FileSize:   *fileMB << 20,
+		FileSize:   file.Bytes(),
 		BlockSizes: blockSizes,
 		Modes:      modes,
 		RandomOps:  4096,
@@ -87,7 +84,7 @@ func main() {
 		cliutil.Fatal(err)
 	}
 
-	fmt.Printf("IOzone-like sweep — %s, %s target, file %d MiB\n\n", org, *target, *fileMB)
+	fmt.Printf("IOzone-like sweep — %s, %s target, file %d MiB\n\n", org, *target, file.Bytes()>>20)
 	var tb stats.Table
 	tb.AddRow("mode", "block", "rate", "IOPS", "latency")
 	for _, r := range results {

@@ -2,7 +2,8 @@
 // numbers come from a simulated substrate, but who wins, by roughly
 // what factor, and where the crossovers fall must match the paper.
 // These tests share the memoized experiment results with the bench
-// harness.
+// harness. They run in parallel: the experiments memo is single-flight,
+// so tests that need the same result wait on one computation of it.
 package ioeval
 
 import (
@@ -28,6 +29,7 @@ func skipShort(t *testing.T) {
 // --- Fig. 5 / Fig. 13 --------------------------------------------------
 
 func TestShapeFig5(t *testing.T) {
+	t.Parallel()
 	skipShort(t)
 	pts := experiments.Fig5Data()
 	if len(pts) == 0 {
@@ -70,6 +72,7 @@ func TestShapeFig5(t *testing.T) {
 }
 
 func TestShapeFig6(t *testing.T) {
+	t.Parallel()
 	skipShort(t)
 	pts := experiments.Fig6Data()
 	if len(pts) == 0 {
@@ -96,6 +99,7 @@ func TestShapeFig6(t *testing.T) {
 // --- Table II / Table V -------------------------------------------------
 
 func TestShapeTable2(t *testing.T) {
+	t.Parallel()
 	skipShort(t)
 	full := experiments.EvalBTIO(experiments.Aohyper, cluster.RAID5, 16, btio.Full)
 	simple := experiments.EvalBTIO(experiments.Aohyper, cluster.RAID5, 16, btio.Simple)
@@ -131,6 +135,7 @@ func TestShapeTable2(t *testing.T) {
 }
 
 func TestShapeTable5(t *testing.T) {
+	t.Parallel()
 	skipShort(t)
 	full := experiments.EvalBTIO(experiments.ClusterA, cluster.RAID5, 64, btio.Full)
 	simple := experiments.EvalBTIO(experiments.ClusterA, cluster.RAID5, 64, btio.Simple)
@@ -151,6 +156,7 @@ func TestShapeTable5(t *testing.T) {
 // --- Tables III/IV + Fig. 12 -------------------------------------------
 
 func TestShapeTables3and4(t *testing.T) {
+	t.Parallel()
 	skipShort(t)
 	for _, org := range experiments.AohyperOrgs {
 		full := experiments.EvalBTIO(experiments.Aohyper, org, 16, btio.Full)
@@ -187,6 +193,7 @@ func TestShapeTables3and4(t *testing.T) {
 }
 
 func TestShapeFig12(t *testing.T) {
+	t.Parallel()
 	skipShort(t)
 	rows := experiments.Fig12Data()
 	exec := map[string]map[string]float64{"FULL": {}, "SIMPLE": {}}
@@ -224,6 +231,7 @@ func TestShapeFig12(t *testing.T) {
 // --- Tables VI/VII + Fig. 15 -------------------------------------------
 
 func TestShapeTables6and7(t *testing.T) {
+	t.Parallel()
 	skipShort(t)
 	for _, procs := range []int{16, 64} {
 		full := experiments.EvalBTIO(experiments.ClusterA, cluster.RAID5, procs, btio.Full)
@@ -243,6 +251,7 @@ func TestShapeTables6and7(t *testing.T) {
 }
 
 func TestShapeFig15(t *testing.T) {
+	t.Parallel()
 	skipShort(t)
 	rows := experiments.Fig15Data()
 	io16, io64 := 0.0, 0.0
@@ -267,6 +276,7 @@ func TestShapeFig15(t *testing.T) {
 // --- Table VIII ----------------------------------------------------------
 
 func TestShapeTable8(t *testing.T) {
+	t.Parallel()
 	skipShort(t)
 	for _, procs := range []int{16, 64} {
 		for _, ft := range []madbench.FileType{madbench.Unique, madbench.Shared} {
@@ -297,6 +307,7 @@ func TestShapeTable8(t *testing.T) {
 // --- Fig. 17 + Table IX ---------------------------------------------------
 
 func TestShapeTable9(t *testing.T) {
+	t.Parallel()
 	skipShort(t)
 	rows := experiments.Table9Data()
 	// Column S_w: the used fraction of the local-FS level must fall
@@ -320,6 +331,7 @@ func TestShapeTable9(t *testing.T) {
 }
 
 func TestShapeFig17(t *testing.T) {
+	t.Parallel()
 	skipShort(t)
 	rows := experiments.Fig17Data()
 	// "the most suitable configuration is RAID 5 because this I/O
@@ -339,6 +351,7 @@ func TestShapeFig17(t *testing.T) {
 // --- Fig. 18 + Tables X/XI -------------------------------------------------
 
 func TestShapeTables10and11(t *testing.T) {
+	t.Parallel()
 	skipShort(t)
 	ev16 := experiments.EvalMadBench(experiments.ClusterA, cluster.RAID5, 16, madbench.Unique)
 	ev64 := experiments.EvalMadBench(experiments.ClusterA, cluster.RAID5, 64, madbench.Unique)
@@ -357,6 +370,7 @@ func TestShapeTables10and11(t *testing.T) {
 }
 
 func TestShapeFig16Timeline(t *testing.T) {
+	t.Parallel()
 	skipShort(t)
 	a := experiments.Fig16()
 	if len(a.Text) == 0 {

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -14,6 +16,44 @@ const (
 	mb = int64(1) << 20
 	gb = int64(1) << 30
 )
+
+// TestBlockSizes pins the doubling sweep, including the ends where a
+// naive bs *= 2 loop overflows: a hi near math.MaxInt64 must end the
+// list at 1<<62 instead of wrapping negative and appending forever.
+func TestBlockSizes(t *testing.T) {
+	// powers returns 1<<a, 1<<(a+1), …, 1<<b.
+	powers := func(a, b int) []int64 {
+		var out []int64
+		for i := a; i <= b; i++ {
+			out = append(out, 1<<i)
+		}
+		return out
+	}
+	cases := []struct {
+		name   string
+		lo, hi int64
+		want   []int64
+	}{
+		{"paper sweep", 32 * kb, 16 * mb, powers(15, 24)},
+		{"one size", mb, mb, []int64{mb}},
+		{"hi between powers", mb, 3 * mb, []int64{mb, 2 * mb}},
+		{"lo not a power", 3 * kb, 12 * kb, []int64{3 * kb, 6 * kb, 12 * kb}},
+		{"hi below lo", 64 * kb, 32 * kb, nil},
+		{"zero lo", 0, mb, nil},
+		{"negative lo", -kb, mb, nil},
+		{"hi 2^53-1 KiB", 32 * kb, 9007199254740991 << 10, powers(15, 62)},
+		{"hi MaxInt64", 1, math.MaxInt64, powers(0, 62)},
+		{"lo 2^62", 1 << 62, math.MaxInt64, []int64{1 << 62}},
+	}
+	for _, tc := range cases {
+		if got := BlockSizes(tc.lo, tc.hi); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: BlockSizes(%d, %d) = %v, want %v", tc.name, tc.lo, tc.hi, got, tc.want)
+		}
+	}
+	if got := DefaultBlockSizes(); !reflect.DeepEqual(got, powers(15, 24)) {
+		t.Errorf("DefaultBlockSizes() = %v, want 32 KiB … 16 MiB", got)
+	}
+}
 
 func TestIOzoneLocalFSSweep(t *testing.T) {
 	c := cluster.Aohyper(cluster.RAID5)

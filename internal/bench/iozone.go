@@ -79,10 +79,18 @@ type IOzoneConfig struct {
 }
 
 // DefaultBlockSizes is the paper's 32 KB … 16 MB sweep.
-func DefaultBlockSizes() []int64 {
+func DefaultBlockSizes() []int64 { return BlockSizes(32<<10, 16<<20) }
+
+// BlockSizes is the doubling sweep lo, 2·lo, 4·lo, … up to hi bytes.
+// It is empty unless 0 < lo <= hi, and it stops before a doubling
+// would pass hi, so no hi up to math.MaxInt64 can overflow it.
+func BlockSizes(lo, hi int64) []int64 {
 	var out []int64
-	for bs := int64(32 << 10); bs <= 16<<20; bs *= 2 {
+	for bs := lo; bs > 0 && bs <= hi; bs *= 2 {
 		out = append(out, bs)
+		if bs > hi/2 {
+			break
+		}
 	}
 	return out
 }

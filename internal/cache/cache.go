@@ -134,6 +134,11 @@ type Cache struct {
 	dtail  *page            // to dirty pages, in the same order
 	nDirty int64            // dirty pages
 
+	// maxPages (Capacity/PageSize) and dirtyLimit (the throttle's
+	// threshold in pages) are fixed by the params, so New computes
+	// them once.
+	maxPages, dirtyLimit int64
+
 	// lastReadEnd is the byte after the most recent read; read-ahead
 	// fires only when a read continues from here (Linux read-ahead
 	// switches itself off for random access).
@@ -161,12 +166,15 @@ func New(e *sim.Engine, params Params, under device.BlockDev) *Cache {
 	if params.DirtyRatio == 0 {
 		params.DirtyRatio = 0.20
 	}
+	maxPages := params.Capacity / params.PageSize
 	return &Cache{
-		eng:    e,
-		params: params,
-		under:  under,
-		chunks: map[int64]*chunk{},
-		rec:    telemetry.NewRecorder(e, "cache:"+params.Name, telemetry.LevelCache, 1),
+		eng:        e,
+		params:     params,
+		under:      under,
+		chunks:     map[int64]*chunk{},
+		maxPages:   maxPages,
+		dirtyLimit: max(int64(float64(maxPages)*params.DirtyRatio), 1),
+		rec:        telemetry.NewRecorder(e, "cache:"+params.Name, telemetry.LevelCache, 1),
 	}
 }
 
@@ -191,8 +199,6 @@ func (c *Cache) CachedBytes() int64 { return c.nPages * c.params.PageSize }
 
 // DirtyBytes returns the dirty bytes awaiting write-back.
 func (c *Cache) DirtyBytes() int64 { return c.nDirty * c.params.PageSize }
-
-func (c *Cache) maxPages() int64 { return c.params.Capacity / c.params.PageSize }
 
 func (c *Cache) memCopy(p *sim.Proc, n int64) {
 	p.Sleep(sim.Duration(float64(n) / c.params.MemRate * 1e9))
@@ -349,7 +355,7 @@ func (c *Cache) release(pg *page) {
 func (c *Cache) insert(r *ioreq.Request, idx int64, dirty bool) {
 	pg := c.lookup(idx)
 	if pg == nil {
-		for c.nPages >= c.maxPages() {
+		for c.nPages >= c.maxPages {
 			c.evictLRU(r)
 		}
 		// evictLRU may have slept (dirty write-back), letting another
@@ -562,16 +568,12 @@ func (c *Cache) WriteAt(r *ioreq.Request, off, n int64) {
 // threshold the writer synchronously cleans down to half the
 // threshold, exactly like a task stuck in balance_dirty_pages.
 func (c *Cache) throttle(r *ioreq.Request) {
-	limit := int64(float64(c.maxPages()) * c.params.DirtyRatio)
-	if limit < 1 {
-		limit = 1
-	}
-	if c.nDirty <= limit {
+	if c.nDirty <= c.dirtyLimit {
 		return
 	}
 	c.Stats.ThrottleStalls++
 	c.rec.Add("throttle_stalls", 1)
-	target := limit / 2
+	target := c.dirtyLimit / 2
 	// Collect dirty pages from the LRU end (oldest first).
 	victims := make([]int64, 0, c.nDirty-target)
 	for pg := c.dtail; pg != nil && c.nDirty-int64(len(victims)) > target; pg = pg.dprev {

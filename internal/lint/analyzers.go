@@ -7,7 +7,6 @@ func DefaultAnalyzers() []*Analyzer {
 		Determinism(),
 		LockDiscipline(),
 		ErrCheck(),
-		UnitFlow(),
 		ProbeConform(),
 		ReqPath(),
 		SpanBalance(),

@@ -118,10 +118,6 @@ func TestErrCheckAnalyzer(t *testing.T) {
 	checkFixture(t, []*Analyzer{ErrCheck()}, "errcheck")
 }
 
-func TestUnitFlowAnalyzer(t *testing.T) {
-	checkFixture(t, []*Analyzer{UnitFlow()}, "unitflow")
-}
-
 func TestReqPathAnalyzer(t *testing.T) {
 	checkFixture(t, []*Analyzer{ReqPath(), SpanBalance()}, "cache")
 }
@@ -133,10 +129,10 @@ func TestSpanBalanceAnalyzer(t *testing.T) {
 // TestSynthPlaneFixture pins the analyzers' view of the synthetic-
 // workload layer: reqpath must not flag *sim.Proc on application-layer
 // entry points (the engine's Run/rank procedures are the MPI idiom),
-// while determinism and unitflow still bind — phase chains must not
-// leak map order and spec byte fields must not mix unit suffixes.
+// while determinism and errcheck still bind — phase chains must not
+// leak map order and spec compile errors must not be dropped.
 func TestSynthPlaneFixture(t *testing.T) {
-	checkFixture(t, []*Analyzer{ReqPath(), Determinism(), UnitFlow()}, "synthplane")
+	checkFixture(t, []*Analyzer{ReqPath(), Determinism(), ErrCheck()}, "synthplane")
 }
 
 func TestProbeConformAnalyzer(t *testing.T) {

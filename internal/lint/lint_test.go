@@ -63,15 +63,15 @@ func suppressLines(t *testing.T) (file string, markers map[string]int) {
 // reported under the "directive" check, and a well-formed directive
 // that suppresses nothing is reported under "directive-unused". The
 // multi-finding line pins the per-check scoping: one line carrying a
-// determinism and a unitflow finding keeps the determinism one when
-// the directive names unitflow.
+// determinism and an errcheck finding keeps the determinism one when
+// the directive names errcheck.
 func TestSuppression(t *testing.T) {
 	file, markers := suppressLines(t)
 	p, err := fixtures().Load("suppress")
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := &Runner{Analyzers: []*Analyzer{Determinism(), UnitFlow()}}
+	runner := &Runner{Analyzers: []*Analyzer{Determinism(), ErrCheck()}}
 	diags := runner.Run([]*Package{p})
 
 	got := map[string][]int{}
@@ -91,8 +91,8 @@ func TestSuppression(t *testing.T) {
 	if !equalInts(got[DeterminismCheck], wantDet) {
 		t.Errorf("determinism findings on lines %v, want %v", got[DeterminismCheck], wantDet)
 	}
-	if len(got[UnitFlowCheck]) != 0 {
-		t.Errorf("unitflow findings on lines %v; the multi-finding directive should suppress them", got[UnitFlowCheck])
+	if len(got[ErrCheckCheck]) != 0 {
+		t.Errorf("errcheck findings on lines %v; the multi-finding directive should suppress them", got[ErrCheckCheck])
 	}
 	if !equalInts(got[DirectiveCheck], []int{markers["malformed-directive"]}) {
 		t.Errorf("directive findings on lines %v, want [%d]", got[DirectiveCheck], markers["malformed-directive"])
@@ -107,15 +107,15 @@ func TestSuppression(t *testing.T) {
 
 // TestUnusedDirectiveInactiveCheck pins the gating: a directive for a
 // check the runner did not execute must not be reported as unused —
-// the wrong-check directive names errcheck, and errcheck is not in
-// the analyzer set above.
+// the wrong-check directive names spanbalance, and spanbalance is not
+// in the analyzer set above.
 func TestUnusedDirectiveInactiveCheck(t *testing.T) {
 	_, markers := suppressLines(t)
 	p, err := fixtures().Load("suppress")
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := &Runner{Analyzers: []*Analyzer{Determinism(), UnitFlow()}}
+	runner := &Runner{Analyzers: []*Analyzer{Determinism(), ErrCheck()}}
 	for _, d := range runner.Run([]*Package{p}) {
 		if d.Check == DirectiveUnusedCheck && d.Pos.Line != markers["far-away-directive"] {
 			t.Errorf("unexpected directive-unused finding: %s", d)
@@ -156,7 +156,7 @@ func TestRunnerOrderDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := &Runner{Analyzers: []*Analyzer{Determinism(), ErrCheck(), UnitFlow()}}
+	runner := &Runner{Analyzers: []*Analyzer{Determinism(), ErrCheck(), LockDiscipline()}}
 	a := formatDiags(runner.Run([]*Package{p}))
 	b := formatDiags(runner.Run([]*Package{p}))
 	if a != b {

@@ -6,6 +6,8 @@ package suppress
 
 import "time"
 
+func record(ns int64) error { return nil }
+
 // Stamp's wall-clock read is silenced by the directive above it.
 func Stamp() int64 {
 	//lint:ignore determinism fixture: the wall-clock read is the point of this test
@@ -19,7 +21,7 @@ func Inline() int64 {
 
 // WrongCheck is NOT silenced: the directive names another check.
 func WrongCheck() int64 {
-	//lint:ignore errcheck this reason matches a different analyzer
+	//lint:ignore spanbalance this reason matches a different analyzer
 	return time.Now().UnixNano() // unsuppressed-wrong-check
 }
 
@@ -40,8 +42,8 @@ func FarAway() int64 {
 }
 
 // MultiFinding has two findings of different checks on one line; the
-// trailing directive silences only the named check (unitflow) and
+// trailing directive silences only the named check (errcheck) and
 // leaves the determinism finding standing.
-func MultiFinding(sizeBytes, quotaKiB int64) int64 {
-	return sizeBytes + quotaKiB + time.Now().UnixNano() //lint:ignore unitflow fixture: the unit mix is deliberate, the wall clock is the finding under test
+func MultiFinding() {
+	record(time.Now().UnixNano()) //lint:ignore errcheck fixture: the dropped error is deliberate, the wall clock is the finding under test
 }

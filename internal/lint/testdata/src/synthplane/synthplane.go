@@ -2,7 +2,7 @@
 // in the stack for the analyzers: an application-layer package sits
 // ABOVE the I/O library, so its exported entry points legitimately
 // carry *sim.Proc (MPI-style rank procedures) — reqpath must stay
-// quiet about them — while the determinism and unit-safety contracts
+// quiet about them — while the determinism and errcheck contracts
 // still bind it like every other internal package: spec compilation
 // and trace inference feed byte-identical reports.
 package synthplane
@@ -64,8 +64,17 @@ func StampSpec(s *Spec) string {
 	return fmt.Sprint(time.Now()) // want determinism "reads the wall clock"
 }
 
-// mixedUnits slips a KiB-suffixed stride into a bytes slot — the
-// classic off-by-1024 the spec fields' *_bytes naming exists to stop.
-func mixedUnits(blockBytes, strideKiB int64) int64 {
-	return blockBytes + strideKiB // want unitflow "mixes Bytes and KiB"
+// Validate rejects a spec with no phases.
+func Validate(s *Spec) error {
+	if len(s.Phases) == 0 {
+		return fmt.Errorf("spec has no phases")
+	}
+	return nil
+}
+
+// compileUnchecked drops Validate's verdict: a bad spec would run as
+// if it were good.
+func compileUnchecked(s *Spec) []string {
+	Validate(s) // want errcheck "unchecked error"
+	return ChainSorted(s)
 }
