@@ -280,6 +280,10 @@ func TestFSBenchBadConfigErrors(t *testing.T) {
 		{"iozone zero block size", "IOzone needs a positive block size, got 0",
 			iozone(IOzoneConfig{FileSize: mb, BlockSizes: []int64{64 * kb, 0}})},
 		{"iozone point negative block size", "IOzone needs a positive block size, got -4096", iozoneBlock(-4 * kb)},
+		{"iozone block larger than file", "IOzone block size 2097152 exceeds the file size 1048576",
+			iozone(IOzoneConfig{FileSize: mb, BlockSizes: []int64{512 * kb, 2 * mb}})},
+		{"iozone point block larger than file", "IOzone block size 4611686018427387904 exceeds the file size 1048576",
+			iozoneBlock(1 << 62)},
 		{"bonnie zero file size", "bonnie needs a positive file size, got 0", bonnie(0)},
 		{"bonnie negative file size", "bonnie needs a positive file size, got -1048576", bonnie(-mb)},
 	}
@@ -294,6 +298,33 @@ func TestFSBenchBadConfigErrors(t *testing.T) {
 				t.Fatalf("rejected config ran to t=%d", now)
 			}
 		})
+	}
+}
+
+// TestCheckIOzone: a sweep point needs a positive file size and a
+// positive block size no larger than the file; a block the size of
+// the file is a valid one-block point.
+func TestCheckIOzone(t *testing.T) {
+	cases := []struct {
+		file, bs int64
+		want     string // "" for a valid point
+	}{
+		{mb, 4 * kb, ""},
+		{mb, mb, ""},
+		{mb, mb + 1, "block size 1048577 exceeds the file size 1048576"},
+		{mb, 1 << 62, "block size 4611686018427387904 exceeds the file size 1048576"},
+		{64 * mb, 128 * mb, "block size 134217728 exceeds the file size 67108864"},
+		{0, 4 * kb, "needs a positive file size, got 0"},
+		{mb, 0, "needs a positive block size, got 0"},
+	}
+	for _, tc := range cases {
+		err := checkIOzone(IOzoneConfig{FileSize: tc.file}, tc.bs)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("file %d bs %d: unexpected error %v", tc.file, tc.bs, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("file %d bs %d: error %v, want one containing %q", tc.file, tc.bs, err, tc.want)
+		}
 	}
 }
 

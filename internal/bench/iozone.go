@@ -176,6 +176,10 @@ func checkIOzone(cfg IOzoneConfig, bs int64) error {
 	if bs <= 0 {
 		return fmt.Errorf("bench: IOzone needs a positive block size, got %d", bs)
 	}
+	if bs > cfg.FileSize {
+		// It would move no whole block: a row of 0 ops at rate 0.
+		return fmt.Errorf("bench: IOzone block size %d exceeds the file size %d", bs, cfg.FileSize)
+	}
 	return nil
 }
 

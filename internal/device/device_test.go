@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"ioeval/internal/ioreq"
+	"ioeval/internal/racebuild"
 	"ioeval/internal/sim"
 )
 
@@ -231,9 +232,11 @@ func BenchmarkDiskOp(b *testing.B) {
 	e.Run()
 }
 
-// An uncontended ReadAt allocates only its span: the span is bound to
-// the disk's recorder, so no label is built per request. The spawn
-// that drives the reads adds about 10 allocations per run.
+// An uncontended ReadAt allocates nothing: its span is bound to the
+// disk's recorder, so no label is built per request, and comes from
+// the span pool. The spawn that drives the reads adds about 10
+// allocations per run. A race build allows one per read, since its
+// pool drops a quarter of the spans it is given.
 func TestReadAtAllocs(t *testing.T) {
 	const reads = 10000
 	e := sim.NewEngine()
@@ -247,7 +250,11 @@ func TestReadAtAllocs(t *testing.T) {
 		})
 		e.Run()
 	}
-	if per := testing.AllocsPerRun(5, run) / reads; per > 1.05 {
-		t.Fatalf("%.3f allocs per ReadAt, want 1 (the span)", per)
+	limit := 0.05
+	if racebuild.Enabled {
+		limit = 1.05
+	}
+	if per := testing.AllocsPerRun(5, run) / reads; per > limit {
+		t.Fatalf("%.3f allocs per ReadAt, want <= %.2f", per, limit)
 	}
 }

@@ -321,7 +321,8 @@ func (h *localHandle) ReadAt(r *ioreq.Request, off, n int64) int64 {
 	if off+n > h.f.size {
 		n = h.f.size - off
 	}
-	for _, piece := range h.f.appendRange(nil, off, n) {
+	var buf [4]ioreq.Vec // most ranges map to one extent: no allocation
+	for _, piece := range h.f.appendRange(buf[:0], off, n) {
 		h.m.dev.ReadAt(r, piece.Off, piece.Len)
 	}
 	r.Observe(telemetry.ClassRead, 1, n)
@@ -339,7 +340,8 @@ func (h *localHandle) WriteAt(r *ioreq.Request, off, n int64) int64 {
 		return 0
 	}
 	h.m.ensureAllocated(h.f, off+n)
-	for _, piece := range h.f.appendRange(nil, off, n) {
+	var buf [4]ioreq.Vec
+	for _, piece := range h.f.appendRange(buf[:0], off, n) {
 		h.m.dev.WriteAt(r, piece.Off, piece.Len)
 	}
 	if off+n > h.f.size {

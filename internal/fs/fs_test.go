@@ -8,6 +8,7 @@ import (
 	"ioeval/internal/cache"
 	"ioeval/internal/device"
 	"ioeval/internal/ioreq"
+	"ioeval/internal/racebuild"
 	"ioeval/internal/sim"
 )
 
@@ -379,4 +380,44 @@ func BenchmarkFSWrite(b *testing.B) {
 	})
 	b.ResetTimer()
 	e.Run()
+}
+
+// TestSingleRangeAllocs pins a single-range ReadAt and WriteAt on a
+// raw mount at no allocation: the extent lookup fills a stack buffer,
+// and the fs and disk spans come from the span pool. A race build
+// allows one per span, since its pool drops a quarter of them.
+func TestSingleRangeAllocs(t *testing.T) {
+	e := sim.NewEngine()
+	m, _ := newRawMount(e)
+	var h Handle
+	run(t, e, func(p *sim.Proc) {
+		var err error
+		if h, err = m.Open(ioreq.Meta(p), "/f", OWrite|OCreate); err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		h.WriteAt(ioreq.Writer(p), 0, 64*mb)
+	})
+	const n = 2000
+	limit := 0.05
+	if racebuild.Enabled {
+		limit = 2.05
+	}
+	for _, write := range []bool{false, true} {
+		per := testing.AllocsPerRun(5, func() {
+			e.Spawn("rw", func(p *sim.Proc) {
+				r := ioreq.Reader(p)
+				for i := int64(0); i < n; i++ {
+					if write {
+						h.WriteAt(r, i%1024*64*kb, 64*kb)
+					} else {
+						h.ReadAt(r, i%1024*64*kb, 64*kb)
+					}
+				}
+			})
+			e.Run()
+		}) / n
+		if per > limit {
+			t.Errorf("write=%v: %.3f allocs per op, want <= %.2f", write, per, limit)
+		}
+	}
 }

@@ -19,10 +19,22 @@
 // used-% table); spans measure it directly. The two must agree —
 // telemetry.PathProfile, aggregated from popped spans by a Collector,
 // is the ground truth against which the used-% verdict is checked.
+//
+// Span lifetime. Spans come from a package-level pool: Pop records a
+// span, folds it into its parent, zeroes it and returns it to the
+// pool, so the next open on any request may reuse it. Two rules keep
+// that safe. A span is referenced only by the view that opened it, by
+// its children's parent links and by the views WithProc makes at a
+// sim.Fork fan-out; so a WithProc view must not outlive the sim.Fork
+// it was made for, because the span it starts at is popped and reused
+// once the fork returns. And nothing may keep a span past its Pop: a
+// stale reader finds a zeroed span, whose nil recorder panics on use
+// instead of feeding another request's counters.
 package ioreq
 
 import (
 	"fmt"
+	"sync"
 
 	"ioeval/internal/sim"
 	"ioeval/internal/telemetry"
@@ -33,7 +45,8 @@ import (
 // incrementally accumulate the union of completed children, so the
 // parent's self time (time not inside any child) is exact even when
 // sim.Fork runs children in parallel. Every span belongs to its
-// component's recorder, which gives it its level and name.
+// component's recorder, which gives it its level and name. Spans are
+// recycled through spanPool (see the package comment).
 type span struct {
 	parent *span
 	rec    *telemetry.Recorder
@@ -43,6 +56,11 @@ type span struct {
 	covered  sim.Duration // total length of the children union
 	gauged   bool         // opened by Enter: counted in rec's queue-depth gauge
 }
+
+// spanPool holds popped spans for reuse. Pop returns a span only
+// after zeroing it, so a pooled span's nil recorder makes any stale
+// use panic.
+var spanPool = sync.Pool{New: func() any { return new(span) }}
 
 // remote reports whether s was opened beneath a global-filesystem
 // span: work a file server's backend stack (local fs, cache, RAID,
@@ -115,7 +133,10 @@ func (r *Request) Class() telemetry.OpClass { return r.class }
 // copies the request's class and collector; its span stack starts
 // at the caller's current span, so spans the child pushes nest under
 // the span that was open when the fork happened. Use at every
-// sim.Fork fan-out that continues a request on child procs.
+// sim.Fork fan-out that continues a request on child procs, and only
+// inside the forked function: the view must not outlive the sim.Fork
+// it was made for, since the span it starts at is popped and reused
+// after the fork returns.
 func (r *Request) WithProc(child *sim.Proc) *Request {
 	return &Request{p: child, class: r.class, col: r.col, cur: r.cur}
 }
@@ -149,7 +170,9 @@ func (r *Request) open(rec *telemetry.Recorder, gauged bool) {
 	if rec == nil {
 		panic("ioreq: span opened on a nil recorder")
 	}
-	r.cur = &span{parent: r.cur, rec: rec, start: r.p.Now(), gauged: gauged}
+	s := spanPool.Get().(*span)
+	*s = span{parent: r.cur, rec: rec, start: r.p.Now(), gauged: gauged}
+	r.cur = s
 }
 
 // Observe records ops operations of class moving bytes on the
@@ -176,13 +199,17 @@ func (r *Request) Exit() {
 }
 
 // Pop closes the current span, records it into the collector, and
-// folds its interval into the parent's child-coverage union. Spans
-// are strictly LIFO per proc view; the engine's one-runner-at-a-time
-// handshake makes the shared parent update race-free.
+// folds its interval into the parent's child-coverage union, then
+// zeroes the span and returns it to the pool. Spans are strictly LIFO
+// per proc view; the engine's one-runner-at-a-time handshake makes
+// the shared parent update race-free.
 func (r *Request) Pop() {
 	s := r.cur
 	if s == nil {
 		panic("ioreq: Pop with no open span")
+	}
+	if s.rec == nil {
+		panic("ioreq: Pop of a span that was already popped")
 	}
 	end := r.p.Now()
 	dur := sim.Duration(end - s.start)
@@ -205,6 +232,8 @@ func (r *Request) Pop() {
 		}
 	}
 	r.cur = s.parent
+	*s = span{}
+	spanPool.Put(s)
 }
 
 // Depth returns the number of open spans on this view's stack

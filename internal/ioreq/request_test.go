@@ -4,6 +4,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"ioeval/internal/racebuild"
 	"ioeval/internal/sim"
 	"ioeval/internal/telemetry"
 )
@@ -274,13 +275,79 @@ func TestPushOwnRecorder(t *testing.T) {
 	}
 }
 
-// TestSpanSize pins the span at one 48-byte allocation: every layer
-// boundary allocates one, so a larger span shows in the benchmark's
-// allocated bytes.
+// TestSpanSize pins the span at 48 bytes: every layer boundary opens
+// one, so a larger span shows in the pool's footprint and, in a race
+// build or after a GC empties the pool, in the allocated bytes.
 func TestSpanSize(t *testing.T) {
 	if n := unsafe.Sizeof(span{}); n > 48 {
 		t.Errorf("span is %d bytes, want <= 48", n)
 	}
+}
+
+// TestSpanAllocs pins a steady-state PushOn/Pop pair at no
+// allocation: Pop returns the span to the pool the next PushOn takes
+// it from. A race build allows one per pair, since its pool drops a
+// quarter of the spans it is given.
+func TestSpanAllocs(t *testing.T) {
+	e := sim.NewEngine()
+	rec := recAt(e, telemetry.LevelCache)
+	col := NewCollector()
+	var allocs float64
+	e.Spawn("req", func(p *sim.Proc) {
+		r := Reader(p).SetCollector(col)
+		r.PushOn(rec) // a parent, so each Pop also folds into it
+		allocs = testing.AllocsPerRun(1000, func() {
+			r.PushOn(rec)
+			r.Pop()
+		})
+		r.Pop()
+	})
+	e.Run()
+	limit := 0.0
+	if racebuild.Enabled {
+		limit = 1
+	}
+	if allocs > limit {
+		t.Errorf("PushOn/Pop allocates %.1f objects per pair, want <= %.0f", allocs, limit)
+	}
+}
+
+// TestPopRecycledSpanPanics pins the pool's safety net: a view that
+// outlives the span it starts at (here, a WithProc view kept past
+// the parent's Pop) finds the span zeroed, and its Pop panics instead
+// of recording into whatever request reuses the span.
+func TestPopRecycledSpanPanics(t *testing.T) {
+	e := sim.NewEngine()
+	e.Spawn("req", func(p *sim.Proc) {
+		r := Reader(p)
+		r.PushOn(recAt(e, telemetry.LevelCache))
+		stale := r.WithProc(p)
+		r.Pop()
+		defer func() {
+			if recover() == nil {
+				t.Error("Pop of a recycled span did not panic")
+			}
+		}()
+		stale.Pop()
+	})
+	e.Run()
+}
+
+// BenchmarkSpan measures one PushOn/Pop pair on a recorder built
+// outside the loop, the span every layer boundary opens.
+func BenchmarkSpan(b *testing.B) {
+	e := sim.NewEngine()
+	rec := recAt(e, telemetry.LevelCache)
+	e.Spawn("req", func(p *sim.Proc) {
+		r := Reader(p).SetCollector(NewCollector())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r.PushOn(rec)
+			r.Pop()
+		}
+	})
+	e.Run()
 }
 
 // TestPopWithoutPushPanics pins the stack-discipline guard.

@@ -148,6 +148,30 @@ func TestLoaderRejectsMissingDir(t *testing.T) {
 	}
 }
 
+// TestLoaderHonoursBuildConstraints: of a constant split across a
+// //go:build race file and a //go:build !race file, the loader
+// type-checks only the plain-build side, as go build does, instead of
+// reporting it redeclared.
+func TestLoaderHonoursBuildConstraints(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"race.go":   "//go:build race\n\npackage tags\n\nconst Enabled = true\n",
+		"norace.go": "//go:build !race\n\npackage tags\n\nconst Enabled = false\n",
+	}
+	for name, src := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, err := NewTreeLoader("example.com/tags", dir).Load(".")
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	if len(p.Files) != 1 || p.Fset.Position(p.Files[0].Pos()).Filename != filepath.Join(dir, "norace.go") {
+		t.Errorf("loaded %d files, want only norace.go", len(p.Files))
+	}
+}
+
 // TestRunnerOrderDeterministic shuffles nothing but runs twice: the
 // diagnostics of the suite over a fixture must be byte-identical
 // (the sorter is part of the contract this tool preaches).

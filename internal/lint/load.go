@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -190,20 +191,23 @@ func hasGoFiles(dir string) bool {
 		return false
 	}
 	for _, e := range entries {
-		if !e.IsDir() && isLintableFile(e.Name()) {
+		if !e.IsDir() && isLintableFile(dir, e.Name()) {
 			return true
 		}
 	}
 	return false
 }
 
-// isLintableFile reports whether name is a Go file the loader should
-// parse: not a test file, not hidden, not underscore-prefixed.
-func isLintableFile(name string) bool {
-	return strings.HasSuffix(name, ".go") &&
-		!strings.HasSuffix(name, "_test.go") &&
-		!strings.HasPrefix(name, ".") &&
-		!strings.HasPrefix(name, "_")
+// isLintableFile reports whether name, in dir, is a Go file the
+// loader should parse: not a test file, and one a plain go build
+// compiles, which also rules out hidden and underscore-prefixed names
+// and, of a pair split by a //go:build race constraint, the race file.
+func isLintableFile(dir, name string) bool {
+	if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		return false
+	}
+	ok, err := build.Default.MatchFile(dir, name)
+	return ok || err != nil // an unreadable file fails loudly in the parse
 }
 
 // load parses and type-checks the package in dir under importPath,
@@ -233,7 +237,7 @@ func (l *Loader) load(dir, importPath string) (*Package, error) {
 	}
 	var files []*ast.File
 	for _, e := range entries {
-		if e.IsDir() || !isLintableFile(e.Name()) {
+		if e.IsDir() || !isLintableFile(dir, e.Name()) {
 			continue
 		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"ioeval/internal/ioreq"
+	"ioeval/internal/racebuild"
 	"ioeval/internal/sim"
 )
 
@@ -213,9 +214,11 @@ func BenchmarkSend(b *testing.B) {
 	e.Run()
 }
 
-// A Send allocates only its span: the span is bound to the network's
-// recorder, so no label is built per message. The spawn that drives
-// the sends adds about 10 allocations per run.
+// A Send allocates nothing: its span is bound to the network's
+// recorder, so no label is built per message, and comes from the span
+// pool. The spawn that drives the sends adds about 10 allocations per
+// run. A race build allows one per send, since its pool drops a
+// quarter of the spans it is given.
 func TestSendAllocs(t *testing.T) {
 	const sends = 10000
 	e := sim.NewEngine()
@@ -229,7 +232,11 @@ func TestSendAllocs(t *testing.T) {
 		})
 		e.Run()
 	}
-	if per := testing.AllocsPerRun(5, run) / sends; per > 1.05 {
-		t.Fatalf("%.3f allocs per Send, want 1 (the span)", per)
+	limit := 0.05
+	if racebuild.Enabled {
+		limit = 1.05
+	}
+	if per := testing.AllocsPerRun(5, run) / sends; per > limit {
+		t.Fatalf("%.3f allocs per Send, want <= %.2f", per, limit)
 	}
 }

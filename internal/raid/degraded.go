@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ioeval/internal/ioreq"
-	"ioeval/internal/sim"
 )
 
 // Degraded-mode operation: redundant arrays keep serving after a
@@ -61,18 +60,21 @@ func (a *Array) degradedRead(r *ioreq.Request, s segment) {
 	case RAID5:
 		// Reconstruct: read the same extent from every survivor (the
 		// row's other data chunks and its parity), XOR is free.
-		fns := make([]func(*sim.Proc), 0, len(a.members)-1)
-		for i := range a.members {
-			if i == s.disk || a.failed[i] {
-				continue
-			}
-			m := a.members[i]
-			fns = append(fns, func(c *sim.Proc) { m.ReadAt(r.WithProc(c), s.off, s.len) })
-		}
-		sim.Fork(r.Proc(), "reconstruct", fns...)
+		a.readSurvivors(r, s.disk, s.off, s.len, "reconstruct")
 	default:
 		panic(fmt.Sprintf("raid %q: read from failed member of %v", a.name, a.level))
 	}
+}
+
+// readSurvivors reads [off, off+n) from every healthy member other
+// than skip, in parallel on processes named label. The call runs on
+// a scratch of its own: it may be inside a forked child of a call
+// that holds one.
+func (a *Array) readSurvivors(r *ioreq.Request, skip int, off, n int64, label string) {
+	sc := a.takeScratch()
+	defer a.putScratch(sc)
+	a.eachSurvivor(sc, skip, off, n)
+	a.fanOut(r, sc, false, label)
 }
 
 // degradedWrite handles one segment whose home disk failed: the data

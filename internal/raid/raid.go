@@ -53,6 +53,7 @@ type Array struct {
 	rrNext     int          // RAID 1 read round-robin cursor
 	failed     map[int]bool // degraded-mode members (see degraded.go)
 	rec        *telemetry.Recorder
+	spare      []*scratch // scratch not held by a call (takeScratch)
 }
 
 var _ device.BlockDev = (*Array)(nil)
@@ -161,45 +162,117 @@ type segment struct {
 	off, len int64
 }
 
-// mergeSegments coalesces physically adjacent extents per disk,
-// preserving per-disk order. The input must already be sorted by
-// logical position (which the mappers guarantee).
-func mergeSegments(segs []segment) [][]segment {
-	byDisk := map[int][]segment{}
-	order := []int{}
-	for _, s := range segs {
-		list := byDisk[s.disk]
-		if n := len(list); n > 0 && list[n-1].off+list[n-1].len == s.off {
-			list[n-1].len += s.len
-		} else {
-			if len(list) == 0 {
-				order = append(order, s.disk)
-			}
-			list = append(list, s)
-		}
-		byDisk[s.disk] = list
-	}
-	out := make([][]segment, 0, len(order))
-	for _, d := range order {
-		out = append(out, byDisk[d])
-	}
-	return out
+// scratch is the working memory of one call into the array: the
+// mappers append into segs, mergeSegments groups them per disk into
+// groups/bounds, and fanOut builds its sim.Fork arguments in fns from
+// tasks. A call takes a scratch on entry and returns it on exit, so a
+// call parked in its Fork keeps its own while another process enters
+// the same array.
+type scratch struct {
+	segs   []segment // mapper output, in logical order
+	groups []segment // segs grouped by disk, adjacent extents merged
+	bounds []int     // groups[bounds[i-1]:bounds[i]] is the i-th disk's list
+	seen   []bool    // per member: already grouped (mergeSegments)
+	fns    []func(*sim.Proc)
+	tasks  []*diskTask
 }
 
-// runPerDisk executes each disk's segment list in parallel across
-// disks (serially within a disk), blocking the request until all
-// complete.
-func (a *Array) runPerDisk(r *ioreq.Request, perDisk [][]segment, write bool) {
-	if len(perDisk) == 1 {
-		a.runSegs(r, perDisk[0], write)
+// diskTask runs one disk's segment list on a forked process. A task
+// binds run to itself once, when its scratch first needs it, so a
+// fan-out builds no closure per disk.
+type diskTask struct {
+	a     *Array
+	r     *ioreq.Request
+	segs  []segment
+	write bool
+	run   func(*sim.Proc)
+}
+
+func (t *diskTask) exec(c *sim.Proc) { t.a.runSegs(t.r.WithProc(c), t.segs, t.write) }
+
+// takeScratch pops a scratch off the array's stack, or makes one when
+// every scratch is in use by a call still inside the array. Only one
+// process runs at a time, so the stack needs no lock.
+func (a *Array) takeScratch() *scratch {
+	n := len(a.spare)
+	if n == 0 {
+		return &scratch{seen: make([]bool, len(a.members))}
+	}
+	sc := a.spare[n-1]
+	a.spare[n-1] = nil
+	a.spare = a.spare[:n-1]
+	return sc
+}
+
+// putScratch empties sc and pushes it back on the array's stack.
+func (a *Array) putScratch(sc *scratch) {
+	sc.segs, sc.groups, sc.bounds = sc.segs[:0], sc.groups[:0], sc.bounds[:0]
+	a.spare = append(a.spare, sc)
+}
+
+// mergeSegments groups sc.segs per disk into sc.groups and sc.bounds,
+// coalescing physically adjacent extents and preserving per-disk
+// order. Disks appear in the order of their first segment. The input
+// must already be sorted by logical position (which the mappers
+// guarantee).
+func (sc *scratch) mergeSegments() {
+	sc.groups, sc.bounds = sc.groups[:0], sc.bounds[:0]
+	for i, first := range sc.segs {
+		if sc.seen[first.disk] {
+			continue
+		}
+		sc.seen[first.disk] = true
+		lo := len(sc.groups)
+		for _, s := range sc.segs[i:] {
+			if s.disk != first.disk {
+				continue
+			}
+			if k := len(sc.groups) - 1; k >= lo && sc.groups[k].off+sc.groups[k].len == s.off {
+				sc.groups[k].len += s.len
+			} else {
+				sc.groups = append(sc.groups, s)
+			}
+		}
+		sc.bounds = append(sc.bounds, len(sc.groups))
+	}
+	for _, s := range sc.segs {
+		sc.seen[s.disk] = false
+	}
+}
+
+// runPerDisk executes each of sc's per-disk segment lists in parallel
+// across disks (serially within a disk), blocking the request until
+// all complete.
+func (a *Array) runPerDisk(r *ioreq.Request, sc *scratch, write bool) {
+	if len(sc.bounds) == 1 {
+		a.runSegs(r, sc.groups, write)
 		return
 	}
-	fns := make([]func(*sim.Proc), len(perDisk))
-	for i, segs := range perDisk {
-		segs := segs
-		fns[i] = func(c *sim.Proc) { a.runSegs(r.WithProc(c), segs, write) }
+	a.fanOut(r, sc, write, "stripe")
+}
+
+// fanOut forks one process per disk list in sc, named label, and
+// waits for them all.
+func (a *Array) fanOut(r *ioreq.Request, sc *scratch, write bool, label string) {
+	lo := 0
+	for i, hi := range sc.bounds {
+		if i == len(sc.tasks) {
+			t := &diskTask{a: a}
+			t.run = t.exec
+			sc.tasks = append(sc.tasks, t)
+		}
+		t := sc.tasks[i]
+		t.r, t.segs, t.write = r, sc.groups[lo:hi], write
+		sc.fns = append(sc.fns, t.run)
+		lo = hi
 	}
-	sim.Fork(r.Proc(), "stripe", fns...)
+	sim.Fork(r.Proc(), label, sc.fns...)
+	// A spare scratch keeps no request or list alive.
+	clear(sc.fns)
+	sc.fns = sc.fns[:0]
+	for _, t := range sc.tasks[:len(sc.bounds)] {
+		t.r, t.segs = nil, nil
+	}
 }
 
 func (a *Array) runSegs(r *ioreq.Request, segs []segment, write bool) {
@@ -231,18 +304,24 @@ func (a *Array) ReadAt(r *ioreq.Request, off, n int64) {
 	r.Enter(a.rec)
 	defer r.Exit()
 	defer r.Observe(telemetry.ClassRead, 1, n)
+	sc := a.takeScratch()
+	defer a.putScratch(sc)
 	switch a.level {
 	case JBOD:
-		a.runPerDisk(r, mergeSegments(a.mapConcat(off, n)), false)
+		sc.segs = a.mapConcat(sc.segs, off, n)
+		sc.mergeSegments()
 	case RAID0:
-		a.runPerDisk(r, mergeSegments(a.mapStripe(off, n, len(a.members))), false)
+		sc.segs = a.mapStripe(sc.segs, off, n, len(a.members))
+		sc.mergeSegments()
 	case RAID1:
 		// Balance reads across mirrors: split the request round-robin in
 		// stripe-sized slices so large reads use all spindles.
-		a.runPerDisk(r, a.mapMirrorRead(off, n), false)
+		a.mapMirrorRead(sc, off, n)
 	case RAID5:
-		a.runPerDisk(r, mergeSegments(a.mapRAID5Data(off, n)), false)
+		sc.segs = a.mapRAID5Data(sc.segs, off, n)
+		sc.mergeSegments()
 	}
+	a.runPerDisk(r, sc, false)
 }
 
 // WriteAt implements device.BlockDev.
@@ -254,24 +333,23 @@ func (a *Array) WriteAt(r *ioreq.Request, off, n int64) {
 	r.Enter(a.rec)
 	defer r.Exit()
 	defer r.Observe(telemetry.ClassWrite, 1, n)
+	sc := a.takeScratch()
+	defer a.putScratch(sc)
 	switch a.level {
 	case JBOD:
-		a.runPerDisk(r, mergeSegments(a.mapConcat(off, n)), true)
+		sc.segs = a.mapConcat(sc.segs, off, n)
+		sc.mergeSegments()
+		a.runPerDisk(r, sc, true)
 	case RAID0:
-		a.runPerDisk(r, mergeSegments(a.mapStripe(off, n, len(a.members))), true)
+		sc.segs = a.mapStripe(sc.segs, off, n, len(a.members))
+		sc.mergeSegments()
+		a.runPerDisk(r, sc, true)
 	case RAID1:
 		// Every healthy mirror writes the full data.
-		fns := make([]func(*sim.Proc), 0, len(a.members))
-		for i := range a.members {
-			if a.failed[i] {
-				continue
-			}
-			m := a.members[i]
-			fns = append(fns, func(c *sim.Proc) { m.WriteAt(r.WithProc(c), off, n) })
-		}
-		sim.Fork(r.Proc(), "mirror", fns...)
+		a.eachSurvivor(sc, -1, off, n)
+		a.fanOut(r, sc, true, "mirror")
 	case RAID5:
-		a.writeRAID5(r, off, n)
+		a.writeRAID5(r, sc, off, n)
 	}
 }
 
@@ -292,9 +370,23 @@ func (a *Array) Flush(r *ioreq.Request) {
 	sim.Fork(r.Proc(), "flush", fns...)
 }
 
+// eachSurvivor puts one list in sc per healthy member other than
+// skip, in member order, each the single extent [off, off+n).
+func (a *Array) eachSurvivor(sc *scratch, skip int, off, n int64) {
+	for i := range a.members {
+		if i == skip || a.failed[i] {
+			continue
+		}
+		sc.groups = append(sc.groups, segment{disk: i, off: off, len: n})
+		sc.bounds = append(sc.bounds, len(sc.groups))
+	}
+}
+
+// The mappers append a logical range's physical segments to segs, in
+// logical order, and return the extended slice.
+
 // mapConcat maps a JBOD logical range onto members laid end to end.
-func (a *Array) mapConcat(off, n int64) []segment {
-	var segs []segment
+func (a *Array) mapConcat(segs []segment, off, n int64) []segment {
 	base := int64(0)
 	for i, m := range a.members {
 		c := m.Capacity()
@@ -311,9 +403,8 @@ func (a *Array) mapConcat(off, n int64) []segment {
 // mapStripe maps a striped logical range over nData disks (RAID 0
 // semantics; also used for the data part of full RAID 5 rows when
 // nData = members-1 is handled by mapRAID5Data instead).
-func (a *Array) mapStripe(off, n int64, nData int) []segment {
+func (a *Array) mapStripe(segs []segment, off, n int64, nData int) []segment {
 	u := a.stripeUnit
-	var segs []segment
 	for n > 0 {
 		chunk := off / u
 		within := off % u
@@ -329,34 +420,34 @@ func (a *Array) mapStripe(off, n int64, nData int) []segment {
 
 // mapMirrorRead splits a RAID 1 read across mirrors in 1 MB slices,
 // rotating the starting mirror per call to balance independent small
-// reads too.
-func (a *Array) mapMirrorRead(off, n int64) [][]segment {
+// reads too. It fills sc's per-disk lists directly, in member order.
+func (a *Array) mapMirrorRead(sc *scratch, off, n int64) {
 	const slice = 1 << 20
-	nm := len(a.members)
-	healthy := make([]int, 0, nm)
-	for i := 0; i < nm; i++ {
+	healthy := 0
+	for i := range a.members {
 		if !a.failed[i] {
-			healthy = append(healthy, i)
+			healthy++
 		}
 	}
-	perDisk := make([][]segment, nm)
-	i := a.rrNext % len(healthy)
-	a.rrNext = (a.rrNext + 1) % len(healthy)
-	for n > 0 {
-		take := min(slice, n)
-		d := healthy[i]
-		perDisk[d] = append(perDisk[d], segment{disk: d, off: off, len: take})
-		off += take
-		n -= take
-		i = (i + 1) % len(healthy)
-	}
-	var out [][]segment
-	for _, segs := range perDisk {
-		if len(segs) > 0 {
-			out = append(out, segs)
+	first := a.rrNext % healthy
+	a.rrNext = (a.rrNext + 1) % healthy
+	count := (n + slice - 1) / slice
+	h := 0 // d's rank among the healthy members
+	for d := range a.members {
+		if a.failed[d] {
+			continue
 		}
+		// Slice k goes to the healthy member of rank (first+k) mod healthy.
+		lo := len(sc.groups)
+		for k := int64((h - first + healthy) % healthy); k < count; k += int64(healthy) {
+			o := off + k*slice
+			sc.groups = append(sc.groups, segment{disk: d, off: o, len: min(slice, off+n-o)})
+		}
+		if len(sc.groups) > lo {
+			sc.bounds = append(sc.bounds, len(sc.groups))
+		}
+		h++
 	}
-	return out
 }
 
 // raid5Geometry: rows of (n-1) data chunks + 1 parity chunk, parity
@@ -381,9 +472,8 @@ func (a *Array) raid5ParityPos(row int64) (disk int, physOff int64) {
 
 // mapRAID5Data maps a logical range to data-chunk segments (parity
 // untouched — reads never touch parity on a healthy array).
-func (a *Array) mapRAID5Data(off, n int64) []segment {
+func (a *Array) mapRAID5Data(segs []segment, off, n int64) []segment {
 	u := a.stripeUnit
-	var segs []segment
 	for n > 0 {
 		chunk := off / u
 		within := off % u
@@ -400,7 +490,7 @@ func (a *Array) mapRAID5Data(off, n int64) []segment {
 // the new data: write n members in parallel) and partial rows
 // (read-modify-write: read old data+parity, then write new
 // data+parity).
-func (a *Array) writeRAID5(r *ioreq.Request, off, n int64) {
+func (a *Array) writeRAID5(r *ioreq.Request, sc *scratch, off, n int64) {
 	u := a.stripeUnit
 	rowBytes := u * int64(len(a.members)-1)
 
@@ -408,8 +498,10 @@ func (a *Array) writeRAID5(r *ioreq.Request, off, n int64) {
 		row      int64
 		off, len int64 // logical, within this row's data
 	}
-	var partial []rowSpan
-	var fullSegs []segment // data+parity segments of all full rows
+	// A contiguous range has at most two partial rows: its first and
+	// its last.
+	var partial [2]rowSpan
+	np := 0
 
 	for n > 0 {
 		row := off / rowBytes
@@ -417,21 +509,23 @@ func (a *Array) writeRAID5(r *ioreq.Request, off, n int64) {
 		take := min(rowBytes-within, n)
 		if within == 0 && take == rowBytes {
 			// Full row: data chunks + parity chunk, all written.
-			fullSegs = append(fullSegs, a.mapRAID5Data(off, take)...)
+			sc.segs = a.mapRAID5Data(sc.segs, off, take)
 			pd, physOff := a.raid5ParityPos(row)
-			fullSegs = append(fullSegs, segment{disk: pd, off: physOff, len: u})
+			sc.segs = append(sc.segs, segment{disk: pd, off: physOff, len: u})
 		} else {
-			partial = append(partial, rowSpan{row: row, off: off, len: take})
+			partial[np] = rowSpan{row: row, off: off, len: take}
+			np++
 		}
 		off += take
 		n -= take
 	}
 
-	if len(fullSegs) > 0 {
-		a.runPerDisk(r, mergeSegments(fullSegs), true)
+	if len(sc.segs) > 0 {
+		sc.mergeSegments()
+		a.runPerDisk(r, sc, true)
 	}
-	for _, span := range partial {
-		a.rmwRow(r, span.row, span.off, span.len)
+	for _, span := range partial[:np] {
+		a.rmwRow(r, sc, span.row, span.off, span.len)
 	}
 }
 
@@ -439,19 +533,16 @@ func (a *Array) writeRAID5(r *ioreq.Request, off, n int64) {
 // 1 reads the old data chunks and old parity in parallel; phase 2
 // writes the new data and new parity in parallel. This is the classic
 // "small-write penalty" (4 disk ops for a single-chunk write).
-func (a *Array) rmwRow(r *ioreq.Request, row, off, n int64) {
-	dataSegs := a.mapRAID5Data(off, n)
+func (a *Array) rmwRow(r *ioreq.Request, sc *scratch, row, off, n int64) {
+	sc.segs = a.mapRAID5Data(sc.segs[:0], off, n)
 	pd, physOff := a.raid5ParityPos(row)
 	// Parity must be re-read/re-written across the byte range the data
 	// touches within the row (aligned to the same within-chunk span).
-	u := a.stripeUnit
-	pw := paritySpan(dataSegs, u)
-	paritySeg := segment{disk: pd, off: physOff + pw.off, len: pw.len}
-
-	readSegs := append(append([]segment{}, dataSegs...), paritySeg)
-	a.runPerDisk(r, mergeSegments(readSegs), false)
-	writeSegs := append(append([]segment{}, dataSegs...), paritySeg)
-	a.runPerDisk(r, mergeSegments(writeSegs), true)
+	pw := paritySpan(sc.segs, a.stripeUnit)
+	sc.segs = append(sc.segs, segment{disk: pd, off: physOff + pw.off, len: pw.len})
+	sc.mergeSegments()
+	a.runPerDisk(r, sc, false)
+	a.runPerDisk(r, sc, true)
 }
 
 type span struct{ off, len int64 }

@@ -1,11 +1,15 @@
 package raid
 
 import (
+	"cmp"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"ioeval/internal/device"
 	"ioeval/internal/ioreq"
+	"ioeval/internal/racebuild"
 	"ioeval/internal/sim"
 	"ioeval/internal/telemetry"
 )
@@ -281,7 +285,7 @@ func TestQuickRAID5MappingCoverage(t *testing.T) {
 	f := func(offRaw, lenRaw uint32) bool {
 		off := int64(offRaw) % (1 * gb)
 		n := int64(lenRaw)%(64*mb) + 1
-		segs := a.mapRAID5Data(off, n)
+		segs := a.mapRAID5Data(nil, off, n)
 		var total int64
 		type key struct {
 			d   int
@@ -305,27 +309,130 @@ func TestQuickRAID5MappingCoverage(t *testing.T) {
 	}
 }
 
-// Property: mergeSegments preserves total length.
+// perDisk returns sc's per-disk lists as one slice each.
+func perDisk(sc *scratch) [][]segment {
+	out := make([][]segment, 0, len(sc.bounds))
+	lo := 0
+	for _, hi := range sc.bounds {
+		out = append(out, sc.groups[lo:hi])
+		lo = hi
+	}
+	return out
+}
+
+// mergeSegmentsRef is the map-based grouping mergeSegments replaced:
+// per-disk lists in order of each disk's first segment, physically
+// adjacent extents coalesced.
+func mergeSegmentsRef(segs []segment) [][]segment {
+	byDisk := map[int][]segment{}
+	var order []int
+	for _, s := range segs {
+		list := byDisk[s.disk]
+		if n := len(list); n > 0 && list[n-1].off+list[n-1].len == s.off {
+			list[n-1].len += s.len
+		} else {
+			if len(list) == 0 {
+				order = append(order, s.disk)
+			}
+			list = append(list, s)
+		}
+		byDisk[s.disk] = list
+	}
+	out := make([][]segment, 0, len(order))
+	for _, d := range order {
+		out = append(out, byDisk[d])
+	}
+	return out
+}
+
+// Property: mergeSegments preserves total length. It groups exactly
+// as the map-based reference does (same disk order, same lists), and
+// a reused scratch carries nothing from one call to the next.
 func TestQuickMergePreservesLength(t *testing.T) {
+	sc := &scratch{seen: make([]bool, 5)}
 	f := func(raw []uint16) bool {
-		var segs []segment
-		off := int64(0)
-		var total int64
-		for i, r := range raw {
+		sc.segs = sc.segs[:0]
+		off, total := int64(0), int64(0)
+		for _, r := range raw {
 			l := int64(r%512) + 1
-			segs = append(segs, segment{disk: i % 3, off: off, len: l})
+			if r&0x200 != 0 {
+				off += 4096 // a gap: not adjacent to its predecessor
+			}
+			sc.segs = append(sc.segs, segment{disk: int(r>>10) % 5, off: off, len: l})
 			off += l
 			total += l
 		}
-		var merged int64
-		for _, list := range mergeSegments(segs) {
-			for _, s := range list {
-				merged += s.len
+		want := mergeSegmentsRef(sc.segs)
+		sc.mergeSegments()
+		merged := int64(0)
+		for _, s := range sc.groups {
+			merged += s.len
+		}
+		if merged != total || !reflect.DeepEqual(perDisk(sc), want) {
+			return false
+		}
+		for _, seen := range sc.seen {
+			if seen {
+				return false
 			}
 		}
-		return merged == total
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// mirrorReadRef is the list-building RAID 1 read split mapMirrorRead
+// replaced: 1 MB slices dealt round-robin over the healthy mirrors
+// from the rotating cursor, one list per mirror in member order.
+func mirrorReadRef(a *Array, off, n int64) [][]segment {
+	const slice = 1 << 20
+	var healthy []int
+	for i := range a.members {
+		if !a.failed[i] {
+			healthy = append(healthy, i)
+		}
+	}
+	perDisk := make([][]segment, len(a.members))
+	i := a.rrNext % len(healthy)
+	a.rrNext = (a.rrNext + 1) % len(healthy)
+	for n > 0 {
+		take := min(slice, n)
+		d := healthy[i]
+		perDisk[d] = append(perDisk[d], segment{disk: d, off: off, len: take})
+		off += take
+		n -= take
+		i = (i + 1) % len(healthy)
+	}
+	var out [][]segment
+	for _, segs := range perDisk {
+		if len(segs) > 0 {
+			out = append(out, segs)
+		}
+	}
+	return out
+}
+
+// Property: mapMirrorRead splits a RAID 1 read exactly as the
+// list-building reference does, with and without a failed mirror,
+// from any cursor position.
+func TestQuickMirrorReadMatchesReference(t *testing.T) {
+	f := func(members, fail, cursor uint8, offRaw, lenRaw uint32) bool {
+		e := sim.NewEngine()
+		a := NewRAID1(e, "r1", asBlockDevs(disks(e, 2+int(members%3)))...)
+		if fail%2 == 1 {
+			a.Fail(int(fail/2) % len(a.members))
+		}
+		a.rrNext = int(cursor)
+		off, n := int64(offRaw), int64(lenRaw)%(16*mb)+1
+		want := mirrorReadRef(a, off, n)
+		a.rrNext = int(cursor)
+		sc := a.takeScratch()
+		a.mapMirrorRead(sc, off, n)
+		return reflect.DeepEqual(perDisk(sc), want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -340,4 +447,134 @@ func BenchmarkRAID5LargeWrite(b *testing.B) {
 	})
 	b.ResetTimer()
 	e.Run()
+}
+
+// allocsPerOp runs op n times on one spawned process and returns the
+// allocations per op (the spawn adds about 10 per run).
+func allocsPerOp(e *sim.Engine, n int, op func(p *sim.Proc, i int)) float64 {
+	run := func() {
+		e.Spawn("op", func(p *sim.Proc) {
+			for i := 0; i < n; i++ {
+				op(p, i)
+			}
+		})
+		e.Run()
+	}
+	return testing.AllocsPerRun(5, run) / float64(n)
+}
+
+// TestRAID5Allocs pins a RAID 5 full-row read (4 data members) and
+// full-row write (4 data + parity) at what the fan-out itself costs.
+// The mapping, grouping and Fork arguments come from the array's
+// scratch, and the spans from the span pool; what is left is the
+// op's own Request, sim.Fork's Completion and its wait, and per forked
+// member the child process (4 allocations in spawn, 2 in Fork) plus
+// its WithProc view. A race build allows one more per span (the array
+// and each member), since its pool drops a quarter of them.
+func TestRAID5Allocs(t *testing.T) {
+	e := sim.NewEngine()
+	a := NewRAID5(e, "r5", 256*kb, asBlockDevs(disks(e, 5))...)
+	row := 4 * 256 * kb
+	cases := []struct {
+		name    string
+		members int
+		op      func(p *sim.Proc, i int)
+	}{
+		{"read", 4, func(p *sim.Proc, i int) { a.ReadAt(ioreq.Reader(p), int64(i%64)*row, row) }},
+		{"full-row write", 5, func(p *sim.Proc, i int) { a.WriteAt(ioreq.Writer(p), int64(i%64)*row, row) }},
+	}
+	for _, tc := range cases {
+		limit := float64(3+7*tc.members) + 0.05
+		if racebuild.Enabled {
+			limit += float64(1 + tc.members)
+		}
+		if per := allocsPerOp(e, 2000, tc.op); per > limit {
+			t.Errorf("%s: %.3f allocs per op, want <= %.2f", tc.name, per, limit)
+		}
+	}
+}
+
+// extentOp is one member request: its direction and extent.
+type extentOp struct {
+	write    bool
+	off, len int64
+}
+
+// logDev is a member that records every request it serves and takes
+// a fixed millisecond for each.
+type logDev struct {
+	log []extentOp
+}
+
+func (d *logDev) ReadAt(r *ioreq.Request, off, n int64) {
+	d.log = append(d.log, extentOp{false, off, n})
+	r.Proc().Sleep(sim.Millisecond)
+}
+
+func (d *logDev) WriteAt(r *ioreq.Request, off, n int64) {
+	d.log = append(d.log, extentOp{true, off, n})
+	r.Proc().Sleep(sim.Millisecond)
+}
+
+func (d *logDev) Flush(*ioreq.Request) {}
+func (d *logDev) Capacity() int64      { return 230 * gb }
+func (d *logDev) Name() string         { return "log" }
+
+// TestRAID5ScratchReentry runs two requests on one RAID 5 array, the
+// second entering while the first is parked in its stripe Fork with
+// more segments to go on some members. Each member must serve exactly
+// the extents the two requests ask for when run alone: a scratch
+// shared between the calls would let the second's mapping overwrite
+// the per-disk lists the first's children are still walking.
+func TestRAID5ScratchReentry(t *testing.T) {
+	row := 4 * 256 * kb
+	first := func(p *sim.Proc, a *Array) { a.ReadAt(ioreq.Reader(p), 0, 5*row) } // two segments on three members
+	second := func(p *sim.Proc, a *Array) { a.WriteAt(ioreq.Writer(p), 64*mb+128*kb, 3*row) }
+	array := func() (*Array, []*logDev) {
+		ds := make([]*logDev, 5)
+		bs := make([]device.BlockDev, 5)
+		for i := range ds {
+			ds[i] = &logDev{}
+			bs[i] = ds[i]
+		}
+		return NewRAID5(sim.NewEngine(), "r5", 256*kb, bs...), ds
+	}
+	want := make([][]extentOp, 5)
+	for _, op := range []func(*sim.Proc, *Array){first, second} {
+		a, ds := array()
+		a.eng.Spawn("alone", func(p *sim.Proc) { op(p, a) })
+		a.eng.Run()
+		for i, d := range ds {
+			want[i] = append(want[i], d.log...)
+		}
+	}
+
+	a, ds := array()
+	var firstEnd, secondStart sim.Time
+	a.eng.Spawn("first", func(p *sim.Proc) { first(p, a); firstEnd = p.Now() })
+	a.eng.SpawnAfter(sim.Millisecond/2, "second", func(p *sim.Proc) { secondStart = p.Now(); second(p, a) })
+	a.eng.Run()
+	if secondStart >= firstEnd {
+		t.Fatalf("second request entered at %v, after the first finished at %v", secondStart, firstEnd)
+	}
+	if len(a.spare) != 2 {
+		t.Errorf("array holds %d scratch buffers, want 2 (one per call inside it at once)", len(a.spare))
+	}
+	byExtent := func(x, y extentOp) int {
+		return cmp.Or(cmp.Compare(x.off, y.off), cmp.Compare(x.len, y.len), cmp.Compare(btoi(x.write), btoi(y.write)))
+	}
+	for i, d := range ds {
+		slices.SortFunc(d.log, byExtent)
+		slices.SortFunc(want[i], byExtent)
+		if !slices.Equal(d.log, want[i]) {
+			t.Errorf("member %d served %+v, want %+v", i, d.log, want[i])
+		}
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -112,14 +112,6 @@ func (a *Array) reconstructChunk(r *ioreq.Request, idx int, off, n int64) {
 		// The lost chunk is the XOR of the same physical extent on
 		// every surviving member (data or parity alike); read them in
 		// parallel, the XOR itself is free.
-		fns := make([]func(*sim.Proc), 0, len(a.members)-1)
-		for i := range a.members {
-			if i == idx || a.failed[i] {
-				continue
-			}
-			m := a.members[i]
-			fns = append(fns, func(c *sim.Proc) { m.ReadAt(r.WithProc(c), off, n) })
-		}
-		sim.Fork(r.Proc(), "rebuild", fns...)
+		a.readSurvivors(r, idx, off, n, "rebuild")
 	}
 }
