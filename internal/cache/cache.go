@@ -133,6 +133,7 @@ type Cache struct {
 	dhead  *page            // the dirty list is the LRU list restricted
 	dtail  *page            // to dirty pages, in the same order
 	nDirty int64            // dirty pages
+	spare  []*scratch       // scratch not held by a call (takeScratch)
 
 	// maxPages (Capacity/PageSize) and dirtyLimit (the throttle's
 	// threshold in pages) are fixed by the params, so New computes
@@ -176,6 +177,35 @@ func New(e *sim.Engine, params Params, under device.BlockDev) *Cache {
 		dirtyLimit: max(int64(float64(maxPages)*params.DirtyRatio), 1),
 		rec:        telemetry.NewRecorder(e, "cache:"+params.Name, telemetry.LevelCache, 1),
 	}
+}
+
+// scratch is the working memory of one cache call. A call can park in
+// the device below (a write-out, a miss fetch) while another process
+// enters the cache, so each call takes a scratch of its own off the
+// cache's stack and returns it on exit.
+type scratch struct {
+	idxs []int64      // page indices: misses, write-out victims
+	runs []device.Run // ReadAt's missing page runs (in pages), ReadRuns' device reads
+}
+
+// takeScratch pops a scratch off the cache's stack, or makes one when
+// every scratch is held by a call still inside the cache. Only one
+// process runs at a time, so the stack needs no lock.
+func (c *Cache) takeScratch() *scratch {
+	n := len(c.spare)
+	if n == 0 {
+		return &scratch{}
+	}
+	sc := c.spare[n-1]
+	c.spare[n-1] = nil
+	c.spare = c.spare[:n-1]
+	return sc
+}
+
+// putScratch empties sc and pushes it back on the cache's stack.
+func (c *Cache) putScratch(sc *scratch) {
+	sc.idxs, sc.runs = sc.idxs[:0], sc.runs[:0]
+	c.spare = append(c.spare, sc)
 }
 
 // Telemetry returns the cache's telemetry probe.
@@ -391,22 +421,24 @@ func (c *Cache) evictLRU(r *ioreq.Request) {
 		// arrays (one read-modify-write per 64 KB). Like the kernel
 		// flusher, cluster the write-back: take the victim's whole
 		// contiguous dirty neighbourhood in one I/O.
-		idxs := []int64{pg.idx}
+		sc := c.takeScratch()
+		sc.idxs = append(sc.idxs, pg.idx)
 		for i := pg.idx - 1; ; i-- {
 			if n := c.lookup(i); n != nil && n.dirty {
-				idxs = append(idxs, i)
+				sc.idxs = append(sc.idxs, i)
 			} else {
 				break
 			}
 		}
 		for i := pg.idx + 1; ; i++ {
 			if n := c.lookup(i); n != nil && n.dirty {
-				idxs = append(idxs, i)
+				sc.idxs = append(sc.idxs, i)
 			} else {
 				break
 			}
 		}
-		c.writeOut(r, idxs)
+		c.writeOut(r, sc.idxs)
+		c.putScratch(sc)
 	}
 	// The write-out may have slept, letting another process evict,
 	// drop or invalidate the victim (and reuse the page object for
@@ -483,14 +515,15 @@ func (c *Cache) ReadAt(r *ioreq.Request, off, n int64) {
 	streaming := off == c.lastReadEnd
 	c.lastReadEnd = off + n
 
-	// Identify missing runs.
+	// Identify missing runs, in pages.
+	sc := c.takeScratch()
+	defer c.putScratch(sc)
 	var missStart int64 = -1
-	var runs [][2]int64
 	for idx := first; idx < last; idx++ {
 		if pg := c.lookup(idx); pg != nil {
 			c.touch(pg)
 			if missStart >= 0 {
-				runs = append(runs, [2]int64{missStart, idx})
+				sc.runs = append(sc.runs, device.Run{Off: missStart, Len: idx - missStart})
 				missStart = -1
 			}
 		} else if missStart < 0 {
@@ -498,12 +531,12 @@ func (c *Cache) ReadAt(r *ioreq.Request, off, n int64) {
 		}
 	}
 	if missStart >= 0 {
-		runs = append(runs, [2]int64{missStart, last})
+		sc.runs = append(sc.runs, device.Run{Off: missStart, Len: last - missStart})
 	}
 
 	var missBytes int64
-	for _, mr := range runs {
-		start, end := mr[0], mr[1]
+	for _, mr := range sc.runs {
+		start, end := mr.Off, mr.Off+mr.Len
 		// Read-ahead: extend the last run if it reaches the end of the
 		// request and the request continues a sequential stream.
 		extra := int64(0)
@@ -575,11 +608,12 @@ func (c *Cache) throttle(r *ioreq.Request) {
 	c.rec.Add("throttle_stalls", 1)
 	target := c.dirtyLimit / 2
 	// Collect dirty pages from the LRU end (oldest first).
-	victims := make([]int64, 0, c.nDirty-target)
-	for pg := c.dtail; pg != nil && c.nDirty-int64(len(victims)) > target; pg = pg.dprev {
-		victims = append(victims, pg.idx)
+	sc := c.takeScratch()
+	for pg := c.dtail; pg != nil && c.nDirty-int64(len(sc.idxs)) > target; pg = pg.dprev {
+		sc.idxs = append(sc.idxs, pg.idx)
 	}
-	c.writeOut(r, victims)
+	c.writeOut(r, sc.idxs)
+	c.putScratch(sc)
 }
 
 // Flush implements device.BlockDev: write out every dirty page and
@@ -588,11 +622,12 @@ func (c *Cache) Flush(r *ioreq.Request) {
 	r.PushOn(c.rec)
 	defer r.Pop()
 	defer r.Observe(telemetry.ClassMeta, 1, 0)
-	dirtyIdx := make([]int64, 0, c.nDirty)
+	sc := c.takeScratch()
 	for pg := c.dhead; pg != nil; pg = pg.dnext {
-		dirtyIdx = append(dirtyIdx, pg.idx)
+		sc.idxs = append(sc.idxs, pg.idx)
 	}
-	c.writeOut(r, dirtyIdx) // in page order: writeOut sorts
+	c.writeOut(r, sc.idxs) // in page order: writeOut sorts
+	c.putScratch(sc)
 	c.under.Flush(r)
 }
 

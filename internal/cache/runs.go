@@ -37,7 +37,8 @@ func (c *Cache) ReadRuns(r *ioreq.Request, runs []device.Run) {
 
 	// Collect the missing page indices across all runs, counting hit
 	// and miss bytes per run against resident pages.
-	var missing []int64
+	sc := c.takeScratch()
+	defer c.putScratch(sc)
 	var totalBytes int64
 	for _, run := range runs {
 		if run.Len == 0 {
@@ -50,7 +51,7 @@ func (c *Cache) ReadRuns(r *ioreq.Request, runs []device.Run) {
 			if pg := c.lookup(idx); pg != nil {
 				c.touch(pg)
 			} else {
-				missing = append(missing, idx)
+				sc.idxs = append(sc.idxs, idx)
 				allHit = false
 			}
 		}
@@ -61,7 +62,7 @@ func (c *Cache) ReadRuns(r *ioreq.Request, runs []device.Run) {
 		}
 	}
 
-	if len(missing) > 0 {
+	if missing := sc.idxs; len(missing) > 0 {
 		slices.Sort(missing)
 		// Dedup (two runs can touch the same page).
 		uniq := missing[:1]
@@ -72,7 +73,7 @@ func (c *Cache) ReadRuns(r *ioreq.Request, runs []device.Run) {
 		}
 		// Insert as resident before the fetch (models page I/O locking),
 		// then fetch merged runs from the device.
-		var devRuns []device.Run
+		devRuns := sc.runs
 		for _, idx := range uniq {
 			c.insert(r, idx, false)
 			off := idx * ps
@@ -101,6 +102,7 @@ func (c *Cache) ReadRuns(r *ioreq.Request, runs []device.Run) {
 				}
 			}
 		}
+		sc.runs = devRuns
 		device.ReadRuns(r, c.under, devRuns)
 	}
 	c.memCopy(r.Proc(), totalBytes)

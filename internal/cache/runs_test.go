@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -205,5 +206,88 @@ func TestQuickReadRunsAccounting(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// procDev is a lower device that records, per calling process, every
+// extent it serves, and takes a millisecond for each.
+type procDev struct {
+	log map[string][]device.Run
+}
+
+func (d *procDev) record(r *ioreq.Request, off, n int64) {
+	name := r.Proc().Name()
+	d.log[name] = append(d.log[name], device.Run{Off: off, Len: n})
+	r.Proc().Sleep(sim.Millisecond)
+}
+
+func (d *procDev) ReadAt(r *ioreq.Request, off, n int64)  { d.record(r, off, n) }
+func (d *procDev) WriteAt(r *ioreq.Request, off, n int64) { d.record(r, off, n) }
+func (d *procDev) Flush(*ioreq.Request)                   {}
+func (d *procDev) Capacity() int64                        { return 16 * gb }
+func (d *procDev) Name() string                           { return "proc" }
+
+// TestCacheScratchReentry runs two reads on one cache, the second
+// entering while the first is parked fetching the first of several
+// missing runs. Each must fetch exactly the extents it fetches when
+// run alone: a scratch shared between the calls would let the
+// second's miss list overwrite the runs the first is still fetching.
+func TestCacheScratchReentry(t *testing.T) {
+	// holes gives a read over [base, base+8 pages) three missing runs:
+	// the pages in between are resident.
+	holes := func(base int64) []device.Run {
+		return []device.Run{{Off: base + 2*64*kb, Len: 64 * kb}, {Off: base + 5*64*kb, Len: 64 * kb}}
+	}
+	for _, tc := range []struct {
+		name string
+		read func(c *Cache, p *sim.Proc, base int64)
+	}{
+		{"ReadAt", func(c *Cache, p *sim.Proc, base int64) { c.ReadAt(ioreq.Reader(p), base, 8*64*kb) }},
+		{"ReadRuns", func(c *Cache, p *sim.Proc, base int64) {
+			c.ReadRuns(ioreq.Reader(p), []device.Run{{Off: base, Len: 8 * 64 * kb}})
+		}},
+	} {
+		bases := map[string]int64{"first": 0, "second": 1 * gb}
+		stack := func() (*sim.Engine, *Cache, *procDev) {
+			e := sim.NewEngine()
+			d := &procDev{log: map[string][]device.Run{}}
+			c := New(e, Params{Name: "pc", Capacity: 64 * mb, PageSize: 64 * kb, MemRate: 1e9}, d)
+			e.Spawn("setup", func(p *sim.Proc) {
+				for _, base := range bases {
+					for _, h := range holes(base) {
+						c.Populate(ioreq.Reader(p), h.Off, h.Len)
+					}
+				}
+			})
+			e.Run()
+			return e, c, d
+		}
+		want := map[string][]device.Run{}
+		for name, base := range bases {
+			e, c, d := stack()
+			e.Spawn(name, func(p *sim.Proc) { tc.read(c, p, base) })
+			e.Run()
+			if len(d.log[name]) != 3 {
+				t.Fatalf("%s %s alone: %d device reads, want 3", tc.name, name, len(d.log[name]))
+			}
+			want[name] = d.log[name]
+		}
+
+		e, c, d := stack()
+		var firstEnd, secondStart sim.Time
+		e.Spawn("first", func(p *sim.Proc) { tc.read(c, p, bases["first"]); firstEnd = p.Now() })
+		e.SpawnAfter(sim.Millisecond/2, "second", func(p *sim.Proc) { secondStart = p.Now(); tc.read(c, p, bases["second"]) })
+		e.Run()
+		if secondStart >= firstEnd {
+			t.Fatalf("%s: second read entered at %v, after the first finished at %v", tc.name, secondStart, firstEnd)
+		}
+		if len(c.spare) != 2 {
+			t.Errorf("%s: %d spare scratches, want 2 (one per overlapping call)", tc.name, len(c.spare))
+		}
+		for name, w := range want {
+			if got := d.log[name]; !slices.Equal(got, w) {
+				t.Errorf("%s %s: device reads %v, want %v as alone", tc.name, name, got, w)
+			}
+		}
 	}
 }

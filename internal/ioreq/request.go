@@ -24,10 +24,10 @@
 // span, folds it into its parent, zeroes it and returns it to the
 // pool, so the next open on any request may reuse it. Two rules keep
 // that safe. A span is referenced only by the view that opened it, by
-// its children's parent links and by the views WithProc makes at a
-// sim.Fork fan-out; so a WithProc view must not outlive the sim.Fork
-// it was made for, because the span it starts at is popped and reused
-// once the fork returns. And nothing may keep a span past its Pop: a
+// its children's parent links and by the views WithProc makes (or
+// ViewInto fills) at a sim.Fork fan-out; so such a view must not
+// outlive the sim.Fork it was made for, because the span it starts at
+// is popped and reused once the fork returns. And nothing may keep a span past its Pop: a
 // stale reader finds a zeroed span, whose nil recorder panics on use
 // instead of feeding another request's counters.
 package ioreq
@@ -138,7 +138,17 @@ func (r *Request) Class() telemetry.OpClass { return r.class }
 // it was made for, since the span it starts at is popped and reused
 // after the fork returns.
 func (r *Request) WithProc(child *sim.Proc) *Request {
-	return &Request{p: child, class: r.class, col: r.col, cur: r.cur}
+	return r.ViewInto(new(Request), child)
+}
+
+// ViewInto fills the caller-owned v with the view WithProc would
+// build for child, and returns v. A fan-out that keeps one Request per
+// forked task uses it to make no view per fork. The lifetime rule is
+// WithProc's: v is valid only inside the sim.Fork it was filled for,
+// and its owner must not reuse it before that Fork returns.
+func (r *Request) ViewInto(v *Request, child *sim.Proc) *Request {
+	*v = Request{p: child, class: r.class, col: r.col, cur: r.cur}
+	return v
 }
 
 // PushOn opens a span on rec, at rec's level, that feeds no queue

@@ -179,16 +179,19 @@ type scratch struct {
 
 // diskTask runs one disk's segment list on a forked process. A task
 // binds run to itself once, when its scratch first needs it, so a
-// fan-out builds no closure per disk.
+// fan-out builds no closure per disk. It owns its child's request
+// view, filled when the child starts: the view lives exactly as long
+// as the task's part in one Fork (DESIGN §11).
 type diskTask struct {
 	a     *Array
 	r     *ioreq.Request
+	view  ioreq.Request
 	segs  []segment
 	write bool
 	run   func(*sim.Proc)
 }
 
-func (t *diskTask) exec(c *sim.Proc) { t.a.runSegs(t.r.WithProc(c), t.segs, t.write) }
+func (t *diskTask) exec(c *sim.Proc) { t.a.runSegs(t.r.ViewInto(&t.view, c), t.segs, t.write) }
 
 // takeScratch pops a scratch off the array's stack, or makes one when
 // every scratch is in use by a call still inside the array. Only one
@@ -271,7 +274,7 @@ func (a *Array) fanOut(r *ioreq.Request, sc *scratch, write bool, label string) 
 	clear(sc.fns)
 	sc.fns = sc.fns[:0]
 	for _, t := range sc.tasks[:len(sc.bounds)] {
-		t.r, t.segs = nil, nil
+		t.r, t.view, t.segs = nil, ioreq.Request{}, nil
 	}
 }
 

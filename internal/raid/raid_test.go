@@ -466,11 +466,11 @@ func allocsPerOp(e *sim.Engine, n int, op func(p *sim.Proc, i int)) float64 {
 // TestRAID5Allocs pins a RAID 5 full-row read (4 data members) and
 // full-row write (4 data + parity) at what the fan-out itself costs.
 // The mapping, grouping and Fork arguments come from the array's
-// scratch, and the spans from the span pool; what is left is the
-// op's own Request, sim.Fork's Completion and its wait, and per forked
-// member the child process (4 allocations in spawn, 2 in Fork) plus
-// its WithProc view. A race build allows one more per span (the array
-// and each member), since its pool drops a quarter of them.
+// scratch, each forked member's request view from its diskTask, the
+// spans from the span pool and the forked children from the engine's
+// pool of finished ones; what is left is the op's own Request. A race
+// build allows one more per span (the array and each member), since
+// its pool drops a quarter of them.
 func TestRAID5Allocs(t *testing.T) {
 	e := sim.NewEngine()
 	a := NewRAID5(e, "r5", 256*kb, asBlockDevs(disks(e, 5))...)
@@ -484,7 +484,7 @@ func TestRAID5Allocs(t *testing.T) {
 		{"full-row write", 5, func(p *sim.Proc, i int) { a.WriteAt(ioreq.Writer(p), int64(i%64)*row, row) }},
 	}
 	for _, tc := range cases {
-		limit := float64(3+7*tc.members) + 0.05
+		limit := 1.05
 		if racebuild.Enabled {
 			limit += float64(1 + tc.members)
 		}

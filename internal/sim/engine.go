@@ -104,9 +104,10 @@ type Engine struct {
 	events  eventHeap
 	free    []*event // dispatched events, recycled by push
 	running bool
-	limit   Time  // horizon of the current Run/RunUntil
-	direct  *Proc // process resumed by its own calendar event, until it parks
-	procs   int   // live (spawned, unfinished) processes, for diagnostics
+	limit   Time    // horizon of the current Run/RunUntil
+	direct  *Proc   // process resumed by its own calendar event, until it parks
+	procs   int     // live (spawned, unfinished) processes, for diagnostics
+	idle    []*Proc // finished Fork children, reused by Fork until retire
 }
 
 // NewEngine returns an engine with the clock at zero and an empty
@@ -183,7 +184,7 @@ func (e *Engine) Run() Time {
 		panic("sim: Run called re-entrantly")
 	}
 	e.running = true
-	defer func() { e.running = false }()
+	defer e.stop()
 	e.limit = math.MaxInt64
 	for e.events.Len() > 0 {
 		e.dispatch()
@@ -202,7 +203,7 @@ func (e *Engine) RunUntil(limit Time) Time {
 		panic("sim: RunUntil called re-entrantly")
 	}
 	e.running = true
-	defer func() { e.running = false }()
+	defer e.stop()
 	e.limit = limit
 	for e.events.Len() > 0 && e.events[0].t <= limit {
 		e.dispatch()
@@ -211,6 +212,19 @@ func (e *Engine) RunUntil(limit Time) Time {
 		e.now = limit
 	}
 	return e.now
+}
+
+// stop ends a Run or RunUntil call. It retires the idle Fork
+// children: each is resumed with no body, and acknowledges before its
+// goroutine exits. So no pooled goroutine outlives the call, and an
+// engine that is dropped leaks none.
+func (e *Engine) stop() {
+	for _, c := range e.idle {
+		c.wakeNow()
+	}
+	clear(e.idle)
+	e.idle = e.idle[:0]
+	e.running = false
 }
 
 // Pending reports the number of events waiting on the calendar.

@@ -18,6 +18,9 @@ type Proc struct {
 	parent *Proc
 	label  string
 	index  int
+
+	fn    func(*Proc) // a pooled Fork child's body until it returns; nil retires the child
+	joins int         // this process's Fork children still running
 }
 
 // Engine returns the engine this process belongs to.
@@ -60,13 +63,55 @@ func (e *Engine) spawn(delay Duration, p *Proc, fn func(*Proc)) *Proc {
 	return p
 }
 
-// run is the process goroutine: it waits for its first resume, runs
-// fn and hands control back for good.
+// run is a spawned process's goroutine: it waits for its first
+// resume, runs fn and hands control back for good.
 func (p *Proc) run(fn func(*Proc)) {
 	<-p.resume
 	fn(p)
 	p.eng.procs--
 	p.yield <- struct{}{}
+}
+
+// child takes a finished Fork child off the engine's idle list, or
+// starts a new one when the list is empty.
+func (e *Engine) child() *Proc {
+	if n := len(e.idle); n > 0 {
+		c := e.idle[n-1]
+		e.idle = e.idle[:n-1]
+		return c
+	}
+	c := &Proc{eng: e, resume: make(chan struct{}), yield: make(chan struct{})}
+	c.wake = c.wakeNow
+	go c.loop()
+	return c
+}
+
+// loop is a Fork child's goroutine. Each resume after Fork has set fn
+// runs one body. The child then goes back on the idle list, counts
+// itself out of its parent's join and, as the last child out, wakes
+// the parent inline. The parent may fork again at once and take this
+// child off the idle list before it has handed control back; that is
+// safe because the tail below touches none of the child's fields, and
+// its new start event cannot be dispatched until the hand-back is
+// done. A resume with fn nil is the engine retiring the child (see
+// Engine.stop): it acknowledges and exits.
+func (c *Proc) loop() {
+	for {
+		<-c.resume
+		if c.fn == nil {
+			c.yield <- struct{}{}
+			return
+		}
+		c.fn(c)
+		e, parent := c.eng, c.parent
+		c.fn, c.parent = nil, nil
+		e.procs--
+		e.idle = append(e.idle, c)
+		if parent.joins--; parent.joins == 0 {
+			parent.wakeNow()
+		}
+		c.yield <- struct{}{}
+	}
 }
 
 // wakeNow transfers control to the process and blocks the caller
@@ -133,7 +178,7 @@ func (p *Proc) Wait() { p.park() }
 type Completion struct {
 	eng     *Engine
 	pending int
-	waiters []func()
+	waiters []*Proc
 }
 
 // NewCompletion returns a Completion that completes after n calls to
@@ -159,7 +204,7 @@ func (c *Completion) Done() {
 		ws := c.waiters
 		c.waiters = nil
 		for _, w := range ws {
-			w()
+			w.wakeNow()
 		}
 	}
 }
@@ -170,25 +215,30 @@ func (c *Completion) WaitFor(p *Proc) {
 	if c.pending == 0 {
 		return
 	}
-	c.waiters = append(c.waiters, p.PrepareWait())
-	p.Wait()
+	c.waiters = append(c.waiters, p)
+	p.park()
 }
 
 // Fork runs each fn as a child process at the current simulated time
 // and parks p until all of them finish. It is the fundamental
 // fan-out/fan-in primitive used to model parallel sub-operations
 // (e.g. a RAID stripe write touching several member disks at once).
+//
+// Children come from the engine's pool of finished Fork children and
+// go back to it when their fn returns, so a warm Fork allocates
+// nothing. The join count is p's own, since a process is in at most
+// one Fork at a time, and the last child out wakes p.
 func Fork(p *Proc, name string, fns ...func(*Proc)) {
 	if len(fns) == 0 {
 		return
 	}
-	c := NewCompletion(p.eng, len(fns))
+	e := p.eng
+	p.joins = len(fns)
 	for i, fn := range fns {
-		fn := fn
-		p.eng.spawn(0, &Proc{parent: p, label: name, index: i}, func(child *Proc) {
-			fn(child)
-			c.Done()
-		})
+		c := e.child()
+		c.parent, c.label, c.index, c.fn = p, name, i, fn
+		e.procs++
+		e.push(e.now, nil, c)
 	}
-	c.WaitFor(p)
+	p.park()
 }

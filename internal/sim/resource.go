@@ -11,7 +11,8 @@ type Resource struct {
 	name     string
 	capacity int64
 	inUse    int64
-	queue    []*claim
+	queue    []claim // waiting claims; queue[qhead:] in FIFO order
+	qhead    int
 
 	// statistics
 	busy      Duration // capacity-unit-weighted busy time
@@ -20,10 +21,12 @@ type Resource struct {
 	waited    Duration
 }
 
+// claim is a waiting Acquire. Claims are held by value in a queue
+// that reuses its backing array, so a warm contended Acquire
+// allocates nothing.
 type claim struct {
-	n    int64
-	wake func()
-	t0   Time
+	n int64
+	p *Proc
 }
 
 // NewResource creates a resource with the given capacity (units are
@@ -58,14 +61,20 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 		panic(fmt.Sprintf("sim: resource %q: acquire %d of %d", r.name, n, r.capacity))
 	}
 	r.acquires++
-	if len(r.queue) == 0 && r.inUse+n <= r.capacity {
+	if r.qhead == len(r.queue) && r.inUse+n <= r.capacity {
 		r.stamp()
 		r.inUse += n
 		return
 	}
+	if r.qhead > 0 && len(r.queue) == cap(r.queue) {
+		// Slide the waiting claims to the front instead of growing.
+		k := copy(r.queue, r.queue[r.qhead:])
+		clear(r.queue[k:])
+		r.queue, r.qhead = r.queue[:k], 0
+	}
 	t0 := p.Now()
-	r.queue = append(r.queue, &claim{n: n, wake: p.PrepareWait(), t0: t0})
-	p.Wait()
+	r.queue = append(r.queue, claim{n: n, p: p})
+	p.park()
 	r.waited += Duration(p.Now() - t0)
 }
 
@@ -77,15 +86,18 @@ func (r *Resource) Release(n int64) {
 	}
 	r.stamp()
 	r.inUse -= n
-	for len(r.queue) > 0 {
-		head := r.queue[0]
+	for r.qhead < len(r.queue) {
+		head := r.queue[r.qhead]
 		if r.inUse+head.n > r.capacity {
 			break
 		}
-		r.queue = r.queue[1:]
+		r.queue[r.qhead] = claim{}
+		if r.qhead++; r.qhead == len(r.queue) {
+			r.queue, r.qhead = r.queue[:0], 0
+		}
 		r.stamp()
 		r.inUse += head.n
-		head.wake()
+		head.p.wakeNow()
 	}
 }
 

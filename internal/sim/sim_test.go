@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -580,6 +581,116 @@ func TestSleepAllocFree(t *testing.T) {
 	if perSleep := allocs / sleeps; perSleep >= 0.01 {
 		t.Fatalf("%.4f allocs per Sleep, want < 0.01", perSleep)
 	}
+}
+
+// A warm Fork takes its children from the engine's pool and joins on
+// the parent, so it allocates nothing; fns is built once, outside the
+// measured call.
+func TestForkAllocs(t *testing.T) {
+	e := NewEngine()
+	ran := 0
+	child := func(*Proc) { ran++ }
+	fns := []func(*Proc){child, child, child, child}
+	var allocs float64
+	e.Spawn("parent", func(p *Proc) {
+		Fork(p, "warm", fns...)
+		allocs = testing.AllocsPerRun(100, func() { Fork(p, "c", fns...) })
+	})
+	e.Run()
+	if ran != 4*102 {
+		t.Fatalf("%d children ran, want %d", ran, 4*102)
+	}
+	if allocs != 0 {
+		t.Fatalf("%.2f allocs per warm Fork of 4, want 0", allocs)
+	}
+}
+
+// A contended Acquire queues its claim by value in a reused array, so
+// once warm it allocates nothing: two processes alternate on a
+// one-unit Resource, and every Acquire after the first waits.
+func TestResourceWaitAllocs(t *testing.T) {
+	const rounds = 500
+	e := NewEngine()
+	r := NewResource(e, "r", 1)
+	stop := false
+	for k := 0; k < 2; k++ {
+		e.Spawn("user", func(p *Proc) {
+			for !stop {
+				r.Use(p, 1, 1)
+			}
+		})
+	}
+	e.RunUntil(10)
+	before := r.TotalWait()
+	allocs := testing.AllocsPerRun(20, func() { e.RunUntil(e.Now() + rounds) })
+	stop = true
+	e.Run()
+	if r.TotalWait() == before {
+		t.Fatal("no Acquire waited")
+	}
+	if perAcquire := allocs / rounds; perAcquire >= 0.01 {
+		t.Fatalf("%.4f allocs per contended Acquire, want < 0.01", perAcquire)
+	}
+}
+
+// Run and RunUntil retire the pooled Fork children before they
+// return, so no goroutine outlives the call.
+func TestRunRetiresIdleProcs(t *testing.T) {
+	// settled polls until the goroutine count is back to base: a
+	// retired child has acknowledged, but may not have exited yet.
+	settled := func(base int) int {
+		n := runtime.NumGoroutine()
+		for i := 0; i < 10000 && n > base; i++ {
+			runtime.Gosched()
+			n = runtime.NumGoroutine()
+		}
+		return n
+	}
+	base := settled(runtime.NumGoroutine())
+	work := func(e *Engine) {
+		for i := 0; i < 4; i++ {
+			e.SpawnAfter(Duration(i), "p", func(p *Proc) {
+				for j := 0; j < 3; j++ {
+					Fork(p, "a",
+						func(c *Proc) { c.Sleep(5) },
+						func(c *Proc) { Fork(c, "b", func(g *Proc) { g.Sleep(3) }, func(*Proc) {}) },
+					)
+				}
+			})
+		}
+	}
+	e := NewEngine()
+	work(e)
+	e.Run()
+	if n := settled(base); n != base {
+		t.Fatalf("after Run: %d goroutines, want %d", n, base)
+	}
+	e = NewEngine()
+	work(e)
+	e.RunUntil(20) // some children finished, others parked at the horizon
+	if len(e.idle) != 0 {
+		t.Fatalf("%d idle children left after RunUntil", len(e.idle))
+	}
+	e.RunUntil(1000)
+	if n := settled(base); n != base || e.Pending() != 0 {
+		t.Fatalf("after RunUntil: %d goroutines, want %d; %d events pending", n, base, e.Pending())
+	}
+}
+
+// BenchmarkFork is one four-way Fork per op of a process whose
+// children return at once: warm, the children come from the pool.
+func BenchmarkFork(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	child := func(*Proc) {}
+	fns := []func(*Proc){child, child, child, child}
+	e.Spawn("p", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			Fork(p, "c", fns...)
+		}
+	})
+	b.ResetTimer()
+	e.Run()
 }
 
 func BenchmarkEventDispatch(b *testing.B) {
