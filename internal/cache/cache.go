@@ -25,6 +25,15 @@ import (
 	"ioeval/internal/telemetry"
 )
 
+var (
+	kEvictions      = telemetry.NewAuxKey("evictions")
+	kDirtyEvictions = telemetry.NewAuxKey("dirty_evictions")
+	kWritebackBytes = telemetry.NewAuxKey("writeback_bytes")
+	kHitBytes       = telemetry.NewAuxKey("hit_bytes")
+	kMissBytes      = telemetry.NewAuxKey("miss_bytes")
+	kThrottleStalls = telemetry.NewAuxKey("throttle_stalls")
+)
+
 // Policy selects how writes propagate to the underlying device.
 type Policy int
 
@@ -184,8 +193,8 @@ func New(e *sim.Engine, params Params, under device.BlockDev) *Cache {
 // enters the cache, so each call takes a scratch of its own off the
 // cache's stack and returns it on exit.
 type scratch struct {
-	idxs []int64      // page indices: misses, write-out victims
-	runs []device.Run // ReadAt's missing page runs (in pages), ReadRuns' device reads
+	idxs []int64      // write-out victims' page indices
+	runs []device.Run // missing page runs (in pages); ReadRuns turns them into device reads
 }
 
 // takeScratch pops a scratch off the cache's stack, or makes one when
@@ -354,14 +363,19 @@ func (c *Cache) drop(pg *page) {
 }
 
 // newPage returns an unlinked clean page for idx, recycled from the
-// free list when one is available.
+// free list. An empty free list is refilled with a block of up to a
+// chunk's worth of pages, one allocation for all of them: every
+// measurement unit fills fresh caches from empty.
 func (c *Cache) newPage(idx int64) *page {
-	pg := c.free
-	if pg != nil {
-		c.free = pg.next
-	} else {
-		pg = &page{}
+	if c.free == nil {
+		block := make([]page, min(1<<chunkShift, c.maxPages))
+		for i := range block[1:] {
+			block[i].next = &block[i+1]
+		}
+		c.free = &block[0]
 	}
+	pg := c.free
+	c.free = pg.next
 	pg.idx = idx
 	return pg
 }
@@ -413,10 +427,10 @@ func (c *Cache) evictLRU(r *ioreq.Request) {
 	}
 	gen := pg.gen
 	c.Stats.Evictions++
-	c.rec.Add("evictions", 1)
+	c.rec.Add(kEvictions, 1)
 	if pg.dirty {
 		c.Stats.DirtyEvict++
-		c.rec.Add("dirty_evictions", 1)
+		c.rec.Add(kDirtyEvictions, 1)
 		// Writing back a single page would be pathological on parity
 		// arrays (one read-modify-write per 64 KB). Like the kernel
 		// flusher, cluster the write-back: take the victim's whole
@@ -478,7 +492,7 @@ func (c *Cache) writeOut(r *ioreq.Request, idxs []int64) {
 		}
 		c.under.WriteAt(r, off, n)
 		c.Stats.WriteBackBytes += n
-		c.rec.Add("writeback_bytes", n)
+		c.rec.Add(kWritebackBytes, n)
 	}
 	for _, idx := range claimed[1:] {
 		if idx == runStart+runLen {
@@ -498,6 +512,27 @@ func (c *Cache) pageRange(off, n int64) (int64, int64) {
 	return off / ps, (off + n + ps - 1) / ps
 }
 
+// appendMissing touches the resident pages of [first, last) and
+// appends its missing pages to dst as runs, in pages, reporting whether
+// any page was missing. A missing page inside or just past dst's last
+// run extends it, so ascending neighbouring ranges collect one run.
+func (c *Cache) appendMissing(dst []device.Run, first, last int64) ([]device.Run, bool) {
+	missed := false
+	for idx := first; idx < last; idx++ {
+		if pg := c.lookup(idx); pg != nil {
+			c.touch(pg)
+			continue
+		}
+		missed = true
+		if k := len(dst) - 1; k >= 0 && dst[k].Off <= idx && idx <= dst[k].End() {
+			dst[k].Len = max(dst[k].Len, idx+1-dst[k].Off)
+		} else {
+			dst = append(dst, device.Run{Off: idx, Len: 1})
+		}
+	}
+	return dst, missed
+}
+
 // ReadAt implements device.BlockDev. Missing page runs are fetched
 // from the underlying device (with read-ahead when the run is large
 // enough to look sequential); resident pages cost memory-copy time.
@@ -515,24 +550,9 @@ func (c *Cache) ReadAt(r *ioreq.Request, off, n int64) {
 	streaming := off == c.lastReadEnd
 	c.lastReadEnd = off + n
 
-	// Identify missing runs, in pages.
 	sc := c.takeScratch()
 	defer c.putScratch(sc)
-	var missStart int64 = -1
-	for idx := first; idx < last; idx++ {
-		if pg := c.lookup(idx); pg != nil {
-			c.touch(pg)
-			if missStart >= 0 {
-				sc.runs = append(sc.runs, device.Run{Off: missStart, Len: idx - missStart})
-				missStart = -1
-			}
-		} else if missStart < 0 {
-			missStart = idx
-		}
-	}
-	if missStart >= 0 {
-		sc.runs = append(sc.runs, device.Run{Off: missStart, Len: last - missStart})
-	}
+	sc.runs, _ = c.appendMissing(sc.runs, first, last)
 
 	var missBytes int64
 	for _, mr := range sc.runs {
@@ -565,8 +585,8 @@ func (c *Cache) ReadAt(r *ioreq.Request, off, n int64) {
 	hitBytes := n - min(missBytes, n)
 	c.Stats.HitBytes += hitBytes
 	c.Stats.MissBytes += min(missBytes, n)
-	c.rec.Add("hit_bytes", hitBytes)
-	c.rec.Add("miss_bytes", min(missBytes, n))
+	c.rec.Add(kHitBytes, hitBytes)
+	c.rec.Add(kMissBytes, min(missBytes, n))
 	c.memCopy(p, n)
 }
 
@@ -605,7 +625,7 @@ func (c *Cache) throttle(r *ioreq.Request) {
 		return
 	}
 	c.Stats.ThrottleStalls++
-	c.rec.Add("throttle_stalls", 1)
+	c.rec.Add(kThrottleStalls, 1)
 	target := c.dirtyLimit / 2
 	// Collect dirty pages from the LRU end (oldest first).
 	sc := c.takeScratch()

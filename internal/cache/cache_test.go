@@ -394,3 +394,23 @@ func BenchmarkInvalidateSlot(b *testing.B) {
 		}
 	})
 }
+
+// Filling a fresh cache allocates its pages in blocks: per 64 new
+// pages, one page block and one index chunk. The rest is a fixed cost:
+// the engine, the cache, its page-index map and the spawn that fills it.
+func TestFreshFillAllocs(t *testing.T) {
+	const pages = 4096
+	fill := func() {
+		e := sim.NewEngine()
+		c := New(e, DefaultParams("pc", pages*64*kb), nullDev{capacity: 64 * gb})
+		e.Spawn("fill", func(p *sim.Proc) { c.Populate(ioreq.Writer(p), 0, pages*64*kb) })
+		e.Run()
+		if c.CachedBytes() != pages*64*kb {
+			t.Fatalf("cached %d bytes, want %d", c.CachedBytes(), pages*64*kb)
+		}
+	}
+	allocs := testing.AllocsPerRun(5, fill)
+	if limit := 2.0*pages/64 + 64; allocs > limit {
+		t.Fatalf("filling %d pages: %.0f allocs, want <= %.0f (%.3f per page)", pages, allocs, limit, allocs/pages)
+	}
+}

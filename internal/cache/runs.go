@@ -1,8 +1,6 @@
 package cache
 
 import (
-	"slices"
-
 	"ioeval/internal/device"
 	"ioeval/internal/ioreq"
 )
@@ -35,8 +33,8 @@ func (c *Cache) ReadRuns(r *ioreq.Request, runs []device.Run) {
 	lastRun := runs[len(runs)-1]
 	c.lastReadEnd = lastRun.Off + lastRun.Len
 
-	// Collect the missing page indices across all runs, counting hit
-	// and miss bytes per run against resident pages.
+	// Collect the missing page runs of every run, counting hit and miss
+	// bytes per run against resident pages.
 	sc := c.takeScratch()
 	defer c.putScratch(sc)
 	var totalBytes int64
@@ -46,46 +44,32 @@ func (c *Cache) ReadRuns(r *ioreq.Request, runs []device.Run) {
 		}
 		totalBytes += run.Len
 		first, last := c.pageRange(run.Off, run.Len)
-		allHit := true
-		for idx := first; idx < last; idx++ {
-			if pg := c.lookup(idx); pg != nil {
-				c.touch(pg)
-			} else {
-				sc.idxs = append(sc.idxs, idx)
-				allHit = false
-			}
-		}
-		if allHit {
-			c.Stats.HitBytes += run.Len
-		} else {
+		var missed bool
+		if sc.runs, missed = c.appendMissing(sc.runs, first, last); missed {
 			c.Stats.MissBytes += run.Len
+		} else {
+			c.Stats.HitBytes += run.Len
 		}
 	}
 
-	if missing := sc.idxs; len(missing) > 0 {
-		slices.Sort(missing)
-		// Dedup (two runs can touch the same page).
-		uniq := missing[:1]
-		for _, idx := range missing[1:] {
-			if idx != uniq[len(uniq)-1] {
-				uniq = append(uniq, idx)
-			}
-		}
+	// Two runs can share a page, and runs need not come in order: merge
+	// the missing runs into an ascending cover of distinct pages.
+	if !ioreq.IsSorted(sc.runs) {
+		ioreq.Sort(sc.runs)
+	}
+	if devRuns := ioreq.Merge(sc.runs); len(devRuns) > 0 {
 		// Insert as resident before the fetch (models page I/O locking),
-		// then fetch merged runs from the device.
-		devRuns := sc.runs
-		for _, idx := range uniq {
-			c.insert(r, idx, false)
-			off := idx * ps
-			n := ps
-			if off+n > c.under.Capacity() {
-				n = c.under.Capacity() - off
+		// turning each missing run into the device read that fetches it.
+		for i, mr := range devRuns {
+			for idx := mr.Off; idx < mr.Off+mr.Len; idx++ {
+				c.insert(r, idx, false)
 			}
-			devRuns = ioreq.AppendMerged(devRuns, device.Run{Off: off, Len: n})
+			off := mr.Off * ps
+			devRuns[i] = device.Run{Off: off, Len: min(mr.Len*ps, c.under.Capacity()-off)}
 		}
 		// Streaming batches extend the final fetch by the read-ahead
 		// window.
-		if streaming && c.params.ReadAhead > 0 && len(devRuns) > 0 {
+		if streaming && c.params.ReadAhead > 0 {
 			lastDev := &devRuns[len(devRuns)-1]
 			if lastDev.Off+lastDev.Len >= lastRun.Off+lastRun.Len {
 				extend := c.params.ReadAhead
@@ -102,7 +86,6 @@ func (c *Cache) ReadRuns(r *ioreq.Request, runs []device.Run) {
 				}
 			}
 		}
-		sc.runs = devRuns
 		device.ReadRuns(r, c.under, devRuns)
 	}
 	c.memCopy(r.Proc(), totalBytes)

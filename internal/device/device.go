@@ -12,6 +12,12 @@ import (
 	"ioeval/internal/telemetry"
 )
 
+var (
+	kSlowedOps = telemetry.NewAuxKey("slowed_ops")
+	kSeqOps    = telemetry.NewAuxKey("seq_ops")
+	kRandomOps = telemetry.NewAuxKey("random_ops")
+)
+
 // BlockDev is a byte-addressable block storage target. Offsets and
 // lengths are in bytes; implementations charge simulated time to the
 // calling process.
@@ -136,7 +142,7 @@ func (d *Disk) scaled(t sim.Duration) sim.Duration {
 	if d.slow <= 1 {
 		return t
 	}
-	d.rec.Add("slowed_ops", 1)
+	d.rec.Add(kSlowedOps, 1)
 	return sim.Duration(float64(t) * d.slow)
 }
 
@@ -219,9 +225,9 @@ func (d *Disk) WriteAt(r *ioreq.Request, off, n int64) {
 func (d *Disk) afterOp(off, n int64, seq, write bool, t sim.Duration) {
 	d.nextSeq = off + n
 	if seq {
-		d.rec.Add("seq_ops", 1)
+		d.rec.Add(kSeqOps, 1)
 	} else {
-		d.rec.Add("random_ops", 1)
+		d.rec.Add(kRandomOps, 1)
 	}
 	if write {
 		d.rec.Observe(telemetry.ClassWrite, 1, n, t)

@@ -11,6 +11,17 @@ import (
 	"ioeval/internal/telemetry"
 )
 
+var (
+	kDiskFailures      = telemetry.NewAuxKey("disk_failures")
+	kRebuildsStarted   = telemetry.NewAuxKey("rebuilds_started")
+	kRebuildsCompleted = telemetry.NewAuxKey("rebuilds_completed")
+	kDiskSlowdowns     = telemetry.NewAuxKey("disk_slowdowns")
+	kNetDegrades       = telemetry.NewAuxKey("net_degrades")
+	kNetFlaps          = telemetry.NewAuxKey("net_flaps")
+	kNfsStalls         = telemetry.NewAuxKey("nfs_stalls")
+	kNfsRestarts       = telemetry.NewAuxKey("nfs_restarts")
+)
+
 // Injector is an armed fault plan on one cluster. It is a telemetry
 // probe: its counters record what was actually injected (failures,
 // slowdowns, flaps, stalls, rebuild progress), so degraded-mode
@@ -77,7 +88,7 @@ func (in *Injector) arm(c *cluster.Cluster, ev Event, rng *rand.Rand) {
 		member := ev.Member
 		c.Eng.ScheduleAt(at, func() {
 			arr.Fail(member)
-			in.rec.Add("disk_failures", 1)
+			in.rec.Add(kDiskFailures, 1)
 		})
 		if ev.Rebuild != nil {
 			rb := *ev.Rebuild
@@ -90,14 +101,14 @@ func (in *Injector) arm(c *cluster.Cluster, ev Event, rng *rand.Rand) {
 			c.Telemetry.Register(spare.Telemetry())
 			start := at + sim.Time(rb.Delay)
 			c.Eng.ScheduleAt(start, func() {
-				in.rec.Add("rebuilds_started", 1)
+				in.rec.Add(kRebuildsStarted, 1)
 				c.Eng.Spawn("rebuild:"+arr.Name(), func(p *sim.Proc) {
 					if err := arr.Rebuild(p, spare, raid.RebuildConfig{
 						Bytes: rb.Bytes, Chunk: rb.Chunk, Rate: rb.Rate,
 					}); err != nil {
 						panic(fmt.Sprintf("fault: %v", err)) // validated at Apply
 					}
-					in.rec.Add("rebuilds_completed", 1)
+					in.rec.Add(kRebuildsCompleted, 1)
 				})
 			})
 		}
@@ -106,14 +117,14 @@ func (in *Injector) arm(c *cluster.Cluster, ev Event, rng *rand.Rand) {
 		factor := ev.Factor
 		c.Eng.ScheduleAt(at, func() {
 			d.SetSlowFactor(factor)
-			in.rec.Add("disk_slowdowns", 1)
+			in.rec.Add(kDiskSlowdowns, 1)
 		})
 	case NetDegrade:
 		node := netNode(c, ev)
 		factor := ev.Factor
 		c.Eng.ScheduleAt(at, func() {
 			c.DataNet.Degrade(node, factor)
-			in.rec.Add("net_degrades", 1)
+			in.rec.Add(kNetDegrades, 1)
 		})
 	case NetFlap:
 		node := netNode(c, ev)
@@ -129,7 +140,7 @@ func (in *Injector) arm(c *cluster.Cluster, ev Event, rng *rand.Rand) {
 			until := start + sim.Time(ev.Duration)
 			c.Eng.ScheduleAt(start, func() {
 				c.DataNet.FailLinkUntil(node, until)
-				in.rec.Add("net_flaps", 1)
+				in.rec.Add(kNetFlaps, 1)
 			})
 		}
 	case NFSStall:
@@ -137,7 +148,7 @@ func (in *Injector) arm(c *cluster.Cluster, ev Event, rng *rand.Rand) {
 		dur := ev.Duration
 		c.Eng.ScheduleAt(at, func() {
 			srv.Stall(dur)
-			in.rec.Add("nfs_stalls", 1)
+			in.rec.Add(kNfsStalls, 1)
 		})
 		if ev.Restart {
 			c.Eng.ScheduleAt(at+sim.Time(dur), func() {
@@ -146,7 +157,7 @@ func (in *Injector) arm(c *cluster.Cluster, ev Event, rng *rand.Rand) {
 						n.NFS.InvalidateCaches()
 					}
 				}
-				in.rec.Add("nfs_restarts", 1)
+				in.rec.Add(kNfsRestarts, 1)
 			})
 		}
 	}

@@ -509,9 +509,9 @@ func (f *File) exchange(r *ioreq.Request, c *collOp, rank int, myBytes int64, to
 			continue
 		}
 		if toAggs {
-			f.w.net.Send(r, f.w.Node(rank), f.w.Node(pt.rank), share)
+			f.w.net.Transfer(r, f.w.nics[rank], f.w.nics[pt.rank], share)
 		} else {
-			f.w.net.Send(r, f.w.Node(pt.rank), f.w.Node(rank), share)
+			f.w.net.Transfer(r, f.w.nics[pt.rank], f.w.nics[rank], share)
 		}
 	}
 }

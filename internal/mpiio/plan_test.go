@@ -38,7 +38,11 @@ func BenchmarkComputePlan(b *testing.B) {
 		b.Fatalf("%d extents, want %d", extents, procs*6561)
 	}
 	e := sim.NewEngine()
-	w := mpiio.NewWorld(e, netsim.New(e, netsim.GigabitEthernet("comm")), nodes)
+	comm := netsim.New(e, netsim.GigabitEthernet("comm"))
+	for i := 0; i < 8; i++ {
+		comm.Attach(fmt.Sprintf("n%d", i))
+	}
+	w := mpiio.NewWorld(e, comm, nodes)
 	f := mpiio.OpenFile(w, "/btio.out", fs.OWrite|fs.OCreate, make([]fs.Interface, procs), mpiio.DefaultHints())
 	want := btio.New(btio.Config{Class: btio.ClassC, Procs: procs}).DumpBytes()
 	b.ReportAllocs()

@@ -21,6 +21,14 @@ import (
 	"ioeval/internal/telemetry"
 )
 
+var (
+	kComputeNs     = telemetry.NewAuxKey("compute_ns")
+	kCommNs        = telemetry.NewAuxKey("comm_ns")
+	kCommBytes     = telemetry.NewAuxKey("comm_bytes")
+	kBarrierNs     = telemetry.NewAuxKey("barrier_ns")
+	kCollectiveOps = telemetry.NewAuxKey("collective_ops")
+)
+
 // Op identifies a traced operation kind.
 type Op int
 
@@ -94,7 +102,7 @@ type Tracer interface {
 type World struct {
 	eng    *sim.Engine
 	net    *netsim.Network
-	nodes  []string // node name per rank
+	nics   []*netsim.NIC // per rank, the NIC of its node on net
 	tracer Tracer
 	rec    *telemetry.Recorder
 	col    *ioreq.Collector
@@ -108,7 +116,10 @@ func NewWorld(e *sim.Engine, net *netsim.Network, rankNodes []string) *World {
 	if len(rankNodes) == 0 {
 		panic("mpiio: empty world")
 	}
-	w := &World{eng: e, net: net, nodes: append([]string{}, rankNodes...)}
+	w := &World{eng: e, net: net, nics: make([]*netsim.NIC, len(rankNodes))}
+	for i, node := range rankNodes {
+		w.nics[i] = net.NIC(node)
+	}
 	w.barrier.n = len(rankNodes)
 	w.rec = telemetry.NewRecorder(e, "mpiio", telemetry.LevelLibrary, int64(len(rankNodes)))
 	return w
@@ -140,10 +151,10 @@ func (w *World) req(p *sim.Proc, class telemetry.OpClass) *ioreq.Request {
 }
 
 // Size returns the number of ranks.
-func (w *World) Size() int { return len(w.nodes) }
+func (w *World) Size() int { return len(w.nics) }
 
 // Node returns the node hosting a rank.
-func (w *World) Node(rank int) string { return w.nodes[rank] }
+func (w *World) Node(rank int) string { return w.nics[rank].Node() }
 
 // Engine returns the simulation engine.
 func (w *World) Engine() *sim.Engine { return w.eng }
@@ -178,15 +189,15 @@ func (w *World) record(ev Event) {
 	case OpOpen, OpClose, OpSync:
 		w.rec.Observe(telemetry.ClassMeta, ops, 0, busy)
 	case OpCompute:
-		w.rec.Add("compute_ns", int64(busy))
+		w.rec.Add(kComputeNs, int64(busy))
 	case OpComm:
-		w.rec.Add("comm_ns", int64(busy))
-		w.rec.Add("comm_bytes", ev.Bytes)
+		w.rec.Add(kCommNs, int64(busy))
+		w.rec.Add(kCommBytes, ev.Bytes)
 	case OpBarrier:
-		w.rec.Add("barrier_ns", int64(busy))
+		w.rec.Add(kBarrierNs, int64(busy))
 	}
 	if ev.Op == OpWriteAll || ev.Op == OpReadAll {
-		w.rec.Add("collective_ops", ops)
+		w.rec.Add(kCollectiveOps, ops)
 	}
 }
 
@@ -202,7 +213,7 @@ func (w *World) Compute(p *sim.Proc, rank int, d sim.Duration) {
 // so its network span is discarded rather than attributed to the path.
 func (w *World) Send(p *sim.Proc, fromRank, toRank int, nb int64) {
 	t0 := p.Now()
-	w.net.Send(ioreq.Meta(p), w.nodes[fromRank], w.nodes[toRank], nb)
+	w.net.Transfer(ioreq.Meta(p), w.nics[fromRank], w.nics[toRank], nb)
 	w.trace(Event{Rank: fromRank, Op: OpComm, Offset: -1, Bytes: nb, Count: 1, T0: t0, T1: p.Now()})
 }
 

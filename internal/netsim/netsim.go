@@ -17,6 +17,14 @@ import (
 	"ioeval/internal/telemetry"
 )
 
+var (
+	kLinkFlaps    = telemetry.NewAuxKey("link_flaps")
+	kFlapWaits    = telemetry.NewAuxKey("flap_waits")
+	kFlapWaitNs   = telemetry.NewAuxKey("flap_wait_ns")
+	kLoopbackMsgs = telemetry.NewAuxKey("loopback_msgs")
+	kDegradedMsgs = telemetry.NewAuxKey("degraded_msgs")
+)
+
 // Params describes one network.
 type Params struct {
 	Name string
@@ -65,7 +73,10 @@ type Network struct {
 }
 
 // NIC is one node's attachment: independent TX and RX channels.
+// Components resolve their NICs once, when they are built, and send
+// between them with Transfer.
 type NIC struct {
+	net  *Network
 	node string
 	tx   *sim.Resource
 	rx   *sim.Resource
@@ -112,6 +123,7 @@ func (n *Network) Attach(node string) *NIC {
 		panic(fmt.Sprintf("netsim %q: node %q attached twice", n.params.Name, node))
 	}
 	nic := &NIC{
+		net:  n,
 		node: node,
 		tx:   sim.NewResource(n.eng, n.params.Name+":"+node+":tx", 1),
 		rx:   sim.NewResource(n.eng, n.params.Name+":"+node+":rx", 1),
@@ -156,7 +168,7 @@ func (n *Network) FailLinkUntil(node string, until sim.Time) {
 	if until > nic.downUntil {
 		nic.downUntil = until
 	}
-	nic.rec.Add("link_flaps", 1)
+	nic.rec.Add(kLinkFlaps, 1)
 }
 
 // awaitLinks parks p until both endpoints' links are up. Re-checks
@@ -173,8 +185,8 @@ func (n *Network) awaitLinks(p *sim.Proc, src, dst *NIC) {
 		d := sim.Duration(until - p.Now())
 		for _, nic := range []*NIC{src, dst} {
 			if nic.downUntil > p.Now() {
-				nic.rec.Add("flap_waits", 1)
-				nic.rec.Add("flap_wait_ns", int64(d))
+				nic.rec.Add(kFlapWaits, 1)
+				nic.rec.Add(kFlapWaitNs, int64(d))
 			}
 			if src == dst {
 				break // loopback: count once
@@ -202,18 +214,27 @@ func (n *Network) xferTime(nb int64) sim.Duration {
 	return sim.Duration(float64(nb) / n.params.Bandwidth * 1e9)
 }
 
-// Send transfers nb bytes from one node to another, blocking the
-// request's process for the full transfer time. Loopback (from == to)
-// costs only the per-message overhead plus a memory-speed copy
-// approximation.
+// Send is Transfer between two nodes named by their attachment names.
+// It looks both NICs up per message; components resolve theirs once
+// and call Transfer.
 func (n *Network) Send(r *ioreq.Request, from, to string, nb int64) {
+	n.Transfer(r, n.NIC(from), n.NIC(to), nb)
+}
+
+// Transfer moves nb bytes from src to dst, NICs of this network,
+// blocking the request's process for the full transfer time. Loopback
+// (src == dst) costs only the per-message overhead plus a
+// memory-speed copy approximation.
+func (n *Network) Transfer(r *ioreq.Request, src, dst *NIC, nb int64) {
 	if nb < 0 {
 		panic(fmt.Sprintf("netsim %q: negative send size", n.params.Name))
+	}
+	if src.net != n || dst.net != n {
+		panic(fmt.Sprintf("netsim %q: transfer %s -> %s between NICs of another network", n.params.Name, src.node, dst.node))
 	}
 	r.Enter(n.rec)
 	defer r.Exit()
 	p := r.Proc()
-	src, dst := n.NIC(from), n.NIC(to)
 	n.Stats.Messages++
 	n.Stats.Bytes += nb
 
@@ -232,12 +253,12 @@ func (n *Network) Send(r *ioreq.Request, from, to string, nb int64) {
 		dst.rec.Exit()
 		src.rec.Exit()
 	}()
-	if from == to {
-		n.rec.Add("loopback_msgs", 1)
+	if src == dst {
+		n.rec.Add(kLoopbackMsgs, 1)
 	}
 
 	p.Sleep(n.params.PerMessage)
-	if from == to {
+	if src == dst {
 		// Loopback: no wire, charge a fast memory copy.
 		p.Sleep(sim.Duration(float64(nb) / (4 * n.params.Bandwidth) * 1e9))
 		return
@@ -248,7 +269,7 @@ func (n *Network) Send(r *ioreq.Request, from, to string, nb int64) {
 	n.awaitLinks(p, src, dst)
 	slow := slowFactor(src, dst)
 	if slow > 1 {
-		n.rec.Add("degraded_msgs", 1)
+		n.rec.Add(kDegradedMsgs, 1)
 		r.Tag("degraded_link")
 	}
 
@@ -275,13 +296,6 @@ func (n *Network) Send(r *ioreq.Request, from, to string, nb int64) {
 			return
 		}
 	}
-}
-
-// RoundTrip models a small request/response exchange (an RPC shell):
-// request of reqBytes one way, response of respBytes back.
-func (n *Network) RoundTrip(r *ioreq.Request, from, to string, reqBytes, respBytes int64) {
-	n.Send(r, from, to, reqBytes)
-	n.Send(r, to, from, respBytes)
 }
 
 // Utilization returns the TX-side utilization of a node's NIC.

@@ -126,14 +126,43 @@ func TestLoopbackFast(t *testing.T) {
 	}
 }
 
-func TestRoundTrip(t *testing.T) {
+// A request and its response between resolved endpoints cost two
+// latency-bound messages, the same as Send by name.
+func TestTransferRoundTrip(t *testing.T) {
 	e := sim.NewEngine()
 	n := newNet(e, "cl", "srv")
-	d := elapsed(e, func(p *sim.Proc) { n.RoundTrip(ioreq.Meta(p), "cl", "srv", 128, 128) })
-	// Two latency-bound messages.
+	cl, srv := n.NIC("cl"), n.NIC("srv")
+	d := elapsed(e, func(p *sim.Proc) {
+		n.Transfer(ioreq.Meta(p), cl, srv, 128)
+		n.Transfer(ioreq.Meta(p), srv, cl, 128)
+	})
 	if d < 200*sim.Microsecond || d > 400*sim.Microsecond {
 		t.Fatalf("round trip took %v, want ~220µs", d)
 	}
+	e2 := sim.NewEngine()
+	n2 := newNet(e2, "cl", "srv")
+	byName := elapsed(e2, func(p *sim.Proc) {
+		n2.Send(ioreq.Meta(p), "cl", "srv", 128)
+		n2.Send(ioreq.Meta(p), "srv", "cl", 128)
+	})
+	if byName != d {
+		t.Fatalf("round trip by name took %v, by endpoint %v", byName, d)
+	}
+}
+
+// A NIC belongs to the network that attached it.
+func TestTransferForeignNICPanics(t *testing.T) {
+	e := sim.NewEngine()
+	n, other := newNet(e, "a", "b"), newNet(e, "a")
+	e.Spawn("s", func(p *sim.Proc) {
+		defer func() {
+			if recover() == nil {
+				t.Error("expected panic on a NIC of another network")
+			}
+		}()
+		n.Transfer(ioreq.Meta(p), other.NIC("a"), n.NIC("b"), 1)
+	})
+	e.Run()
 }
 
 func TestDuplicateAttachPanics(t *testing.T) {
@@ -214,29 +243,38 @@ func BenchmarkSend(b *testing.B) {
 	e.Run()
 }
 
-// A Send allocates nothing: its span is bound to the network's
-// recorder, so no label is built per message, and comes from the span
-// pool. The spawn that drives the sends adds about 10 allocations per
-// run. A race build allows one per send, since its pool drops a
-// quarter of the spans it is given.
+// A send allocates nothing, by name or between resolved endpoints: its
+// span is bound to the network's recorder, so no label is built per
+// message, and comes from the span pool. The spawn that drives the
+// sends adds about 10 allocations per run. A race build allows one per
+// send, since its pool drops a quarter of the spans it is given.
 func TestSendAllocs(t *testing.T) {
 	const sends = 10000
 	e := sim.NewEngine()
 	n := newNet(e, "a", "b")
-	run := func() {
-		e.Spawn("s", func(p *sim.Proc) {
-			r := ioreq.Meta(p)
-			for i := 0; i < sends; i++ {
-				n.Send(r, "a", "b", 64<<10)
-			}
-		})
-		e.Run()
-	}
+	a, b := n.NIC("a"), n.NIC("b")
 	limit := 0.05
 	if racebuild.Enabled {
 		limit = 1.05
 	}
-	if per := testing.AllocsPerRun(5, run) / sends; per > limit {
-		t.Fatalf("%.3f allocs per Send, want <= %.2f", per, limit)
+	for _, tc := range []struct {
+		name string
+		send func(r *ioreq.Request)
+	}{
+		{"Send", func(r *ioreq.Request) { n.Send(r, "a", "b", 64<<10) }},
+		{"Transfer", func(r *ioreq.Request) { n.Transfer(r, a, b, 64<<10) }},
+	} {
+		run := func() {
+			e.Spawn("s", func(p *sim.Proc) {
+				r := ioreq.Meta(p)
+				for i := 0; i < sends; i++ {
+					tc.send(r)
+				}
+			})
+			e.Run()
+		}
+		if per := testing.AllocsPerRun(5, run) / sends; per > limit {
+			t.Fatalf("%.3f allocs per %s, want <= %.2f", per, tc.name, limit)
+		}
 	}
 }

@@ -102,6 +102,15 @@ func (c *Client) slot(path string) int64 {
 	return s
 }
 
+// cacheBase returns the data-cache address of the handle's file,
+// mapping its slot on the first cached access.
+func (h *remoteHandle) cacheBase() int64 {
+	if h.slot < 0 {
+		h.slot = h.c.slot(h.path)
+	}
+	return h.slot * slotBytes
+}
+
 // revalidate implements close-to-open consistency: called at open
 // time, it drops the path's cached pages when the server-side change
 // generation moved since this client last validated.
@@ -164,7 +173,7 @@ func (h *remoteHandle) cachedRead(r *ioreq.Request, off, n int64) (int64, bool) 
 	if off+n > slotBytes {
 		return 0, false // beyond the slot: bypass
 	}
-	base := c.slot(h.path) * slotBytes
+	base := h.cacheBase()
 	c.dataCache.ReadAt(r, base+off, n)
 	return n, true
 }
@@ -181,7 +190,7 @@ func (h *remoteHandle) cachedWrite(r *ioreq.Request, off, n int64) (int64, bool)
 	if end := off + n; end > c.sizes[h.path] {
 		c.sizes[h.path] = end
 	}
-	base := c.slot(h.path) * slotBytes
+	base := h.cacheBase()
 	c.dataCache.WriteAt(r, base+off, n)
 	c.noteOwnWrite(h.path)
 	delete(c.attrCache, h.path)

@@ -15,7 +15,7 @@ func cachedRig(nClients int, clientCacheBytes int64) *rig {
 	for i, c := range r.clients {
 		params := c.params
 		params.CacheBytes = clientCacheBytes
-		r.clients[i] = NewClient(r.eng, params, c.node, r.net, r.srv)
+		r.clients[i] = NewClient(r.eng, params, c.Node(), r.net, r.srv)
 	}
 	return r
 }

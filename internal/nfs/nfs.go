@@ -24,6 +24,17 @@ import (
 	"ioeval/internal/telemetry"
 )
 
+var (
+	kStalls             = telemetry.NewAuxKey("stalls")
+	kCommits            = telemetry.NewAuxKey("commits")
+	kTimeouts           = telemetry.NewAuxKey("timeouts")
+	kRetries            = telemetry.NewAuxKey("retries")
+	kCacheInvalidations = telemetry.NewAuxKey("cache_invalidations")
+	kLockPairs          = telemetry.NewAuxKey("lock_pairs")
+	kCacheReadBytes     = telemetry.NewAuxKey("cache_read_bytes")
+	kCacheWriteBytes    = telemetry.NewAuxKey("cache_write_bytes")
+)
+
 // rpcHeaderBytes approximates the on-wire size of an NFS RPC header.
 const rpcHeaderBytes = 150
 
@@ -69,8 +80,7 @@ func DefaultServerParams(name string) ServerParams {
 type Server struct {
 	eng     *sim.Engine
 	params  ServerParams
-	node    string
-	net     *netsim.Network
+	nic     *netsim.NIC // the server node's NIC on the data network
 	backend fs.Interface
 	threads *sim.Resource
 	handles map[string]fs.Handle
@@ -84,7 +94,8 @@ type Server struct {
 	rec *telemetry.Recorder
 }
 
-// NewServer creates a server on the given node exporting backend.
+// NewServer creates a server on the given node, which must already
+// be attached to net, exporting backend.
 func NewServer(e *sim.Engine, params ServerParams, node string, net *netsim.Network, backend fs.Interface) *Server {
 	if params.Threads <= 0 {
 		panic(fmt.Sprintf("nfs %q: need at least one server thread", params.Name))
@@ -92,8 +103,7 @@ func NewServer(e *sim.Engine, params ServerParams, node string, net *netsim.Netw
 	return &Server{
 		eng:     e,
 		params:  params,
-		node:    node,
-		net:     net,
+		nic:     net.NIC(node),
 		backend: backend,
 		threads: sim.NewResource(e, "nfsd:"+params.Name, params.Threads),
 		handles: map[string]fs.Handle{},
@@ -106,7 +116,7 @@ func NewServer(e *sim.Engine, params ServerParams, node string, net *netsim.Netw
 func (s *Server) Telemetry() *telemetry.Recorder { return s.rec }
 
 // Node returns the server's network node name.
-func (s *Server) Node() string { return s.node }
+func (s *Server) Node() string { return s.nic.Node() }
 
 // Backend returns the exported filesystem.
 func (s *Server) Backend() fs.Interface { return s.backend }
@@ -122,7 +132,7 @@ func (s *Server) Stall(d sim.Duration) {
 	if until > s.downUntil {
 		s.downUntil = until
 	}
-	s.rec.Add("stalls", 1)
+	s.rec.Add(kStalls, 1)
 }
 
 // DownUntil returns the time the server next accepts RPCs (zero when
@@ -167,7 +177,7 @@ func (s *Server) commit(p *sim.Proc, n int64) {
 		return
 	}
 	s.serve(p, telemetry.ClassMeta, n, s.params.CommitCost*sim.Duration(n), nil)
-	s.rec.Add("commits", n)
+	s.rec.Add(kCommits, n)
 }
 
 // ClientParams configures an NFS client mount.
@@ -206,8 +216,8 @@ func DefaultClientParams(name string) ClientParams {
 type Client struct {
 	eng    *sim.Engine
 	params ClientParams
-	node   string
 	net    *netsim.Network
+	nic    *netsim.NIC // the client node's NIC on net
 	srv    *Server
 
 	attrCache map[string]fs.FileInfo
@@ -235,7 +245,8 @@ type ClientStats struct {
 
 var _ fs.Interface = (*Client)(nil)
 
-// NewClient mounts srv on the given client node.
+// NewClient mounts srv on the given client node, which must already
+// be attached to net.
 func NewClient(e *sim.Engine, params ClientParams, node string, net *netsim.Network, srv *Server) *Client {
 	if params.RSize <= 0 || params.WSize <= 0 {
 		panic(fmt.Sprintf("nfs client %q: rsize/wsize must be positive", params.Name))
@@ -252,8 +263,8 @@ func NewClient(e *sim.Engine, params ClientParams, node string, net *netsim.Netw
 	c := &Client{
 		eng:       e,
 		params:    params,
-		node:      node,
 		net:       net,
+		nic:       net.NIC(node),
 		srv:       srv,
 		attrCache: map[string]fs.FileInfo{},
 		pathSlots: map[string]int64{},
@@ -276,7 +287,7 @@ func (c *Client) Name() string { return c.params.Name }
 func (c *Client) Telemetry() *telemetry.Recorder { return c.rec }
 
 // Node returns the client's network node.
-func (c *Client) Node() string { return c.node }
+func (c *Client) Node() string { return c.nic.Node() }
 
 // Server returns the mounted server.
 func (c *Client) Server() *Server { return c.srv }
@@ -294,13 +305,13 @@ func (c *Client) awaitServer(r *ioreq.Request) {
 	backoff := c.params.RetryBackoff
 	for p.Now() < c.srv.downUntil {
 		p.Sleep(c.params.RetryTimeout) // in-flight attempt times out
-		c.rec.Add("timeouts", 1)
+		c.rec.Add(kTimeouts, 1)
 		p.Sleep(backoff) // back off before retransmitting
 		backoff *= 2
 		if backoff > c.params.RetryBackoffMax {
 			backoff = c.params.RetryBackoffMax
 		}
-		c.rec.Add("retries", 1)
+		c.rec.Add(kRetries, 1)
 	}
 }
 
@@ -310,7 +321,7 @@ func (c *Client) awaitServer(r *ioreq.Request) {
 func (c *Client) InvalidateCaches() {
 	c.attrCache = map[string]fs.FileInfo{}
 	c.validGen = map[string]int64{}
-	c.rec.Add("cache_invalidations", 1)
+	c.rec.Add(kCacheInvalidations, 1)
 }
 
 // metaRPC performs a small request/response exchange plus server CPU.
@@ -318,14 +329,14 @@ func (c *Client) metaRPC(r *ioreq.Request, fn func()) {
 	p := r.Proc()
 	c.awaitServer(r)
 	start := p.Now()
-	c.net.Send(r, c.node, c.srv.node, rpcHeaderBytes)
+	c.net.Transfer(r, c.nic, c.srv.nic, rpcHeaderBytes)
 	c.srv.serve(p, telemetry.ClassMeta, 1, c.srv.params.RPCCost, func() int64 {
 		if fn != nil {
 			fn()
 		}
 		return 0
 	})
-	c.net.Send(r, c.srv.node, c.node, rpcHeaderBytes)
+	c.net.Transfer(r, c.srv.nic, c.nic, rpcHeaderBytes)
 	c.rec.Observe(telemetry.ClassMeta, 1, 0, sim.Duration(p.Now()-start))
 }
 
@@ -349,7 +360,7 @@ func (c *Client) Open(r *ioreq.Request, path string, flags int) (fs.Handle, erro
 		c.sizes[path] = 0
 	}
 	c.revalidate(path)
-	return &remoteHandle{c: c, path: path, srvHandle: h}, nil
+	return &remoteHandle{c: c, path: path, srvHandle: h, slot: -1}, nil
 }
 
 // Remove implements fs.Interface.
@@ -406,7 +417,7 @@ func (c *Client) LockUnlock(r *ioreq.Request, count int64) {
 	defer r.Pop()
 	p := r.Proc()
 	c.awaitServer(r)
-	c.rec.Add("lock_pairs", count)
+	c.rec.Add(kLockPairs, count)
 	start := p.Now()
 	// Two round trips per pair plus the lockd (NLM) processing cost,
 	// pipelined with the op stream: charged serially on the client,
@@ -421,7 +432,8 @@ type remoteHandle struct {
 	path      string
 	srvHandle fs.Handle
 	closed    bool
-	direct    bool // bypass the client data cache (MPI-IO shared files)
+	direct    bool  // bypass the client data cache (MPI-IO shared files)
+	slot      int64 // the path's data-cache slot, -1 until first cached access
 }
 
 func (h *remoteHandle) Path() string { return h.path }
@@ -452,13 +464,13 @@ func (c *Client) rpcRead(r *ioreq.Request, srvHandle fs.Handle, off, n int64) in
 		}
 		c.awaitServer(r)
 		c.Stats.ReadRPCs++
-		c.net.Send(r, c.node, c.srv.node, rpcHeaderBytes)
+		c.net.Transfer(r, c.nic, c.srv.nic, rpcHeaderBytes)
 		var nr int64
 		c.srv.serve(p, telemetry.ClassRead, 1, c.srv.params.RPCCost, func() int64 {
 			nr = srvHandle.ReadAt(r, off, chunk)
 			return nr
 		})
-		c.net.Send(r, c.srv.node, c.node, rpcHeaderBytes+nr)
+		c.net.Transfer(r, c.srv.nic, c.nic, rpcHeaderBytes+nr)
 		got += nr
 		off += chunk
 		n -= chunk
@@ -477,7 +489,7 @@ func (h *remoteHandle) ReadAt(r *ioreq.Request, off, n int64) int64 {
 	r.Enter(c.rec)
 	defer r.Exit()
 	if got, ok := h.cachedRead(r, off, n); ok {
-		c.rec.Add("cache_read_bytes", got)
+		c.rec.Add(kCacheReadBytes, got)
 		r.Observe(telemetry.ClassRead, 1, got)
 		return got
 	}
@@ -498,12 +510,12 @@ func (c *Client) rpcWriteUnstable(r *ioreq.Request, srvHandle fs.Handle, off, n 
 		}
 		c.awaitServer(r)
 		c.Stats.WriteRPCs++
-		c.net.Send(r, c.node, c.srv.node, rpcHeaderBytes+chunk)
+		c.net.Transfer(r, c.nic, c.srv.nic, rpcHeaderBytes+chunk)
 		c.srv.serve(p, telemetry.ClassWrite, 1, c.srv.params.RPCCost, func() int64 {
 			srvHandle.WriteAt(r, off, chunk)
 			return chunk
 		})
-		c.net.Send(r, c.srv.node, c.node, rpcHeaderBytes)
+		c.net.Transfer(r, c.srv.nic, c.nic, rpcHeaderBytes)
 		put += chunk
 		off += chunk
 		n -= chunk
@@ -522,7 +534,7 @@ func (h *remoteHandle) WriteAt(r *ioreq.Request, off, n int64) int64 {
 	defer r.Exit()
 	p := r.Proc()
 	if put, ok := h.cachedWrite(r, off, n); ok {
-		c.rec.Add("cache_write_bytes", put)
+		c.rec.Add(kCacheWriteBytes, put)
 		r.Observe(telemetry.ClassWrite, 1, put)
 		return put
 	}
@@ -564,7 +576,7 @@ func (h *remoteHandle) ReadVec(r *ioreq.Request, vecs []fs.IOVec) int64 {
 	c.awaitServer(r)
 	c.Stats.ReadRPCs += count
 	// Request stream: headers only (one per op).
-	c.net.Send(r, c.node, c.srv.node, rpcHeaderBytes*count)
+	c.net.Transfer(r, c.nic, c.srv.nic, rpcHeaderBytes*count)
 	// Per-RPC round-trip latencies beyond the first pipeline poorly for
 	// synchronous clients: charge them serially.
 	extra := count - 1
@@ -574,7 +586,7 @@ func (h *remoteHandle) ReadVec(r *ioreq.Request, vecs []fs.IOVec) int64 {
 		got = h.srvHandle.ReadVec(r, vecs)
 		return got
 	})
-	c.net.Send(r, c.srv.node, c.node, rpcHeaderBytes*count+got)
+	c.net.Transfer(r, c.srv.nic, c.nic, rpcHeaderBytes*count+got)
 	r.Observe(telemetry.ClassRead, count, got)
 	return got
 }
@@ -610,7 +622,7 @@ func (h *remoteHandle) WriteVec(r *ioreq.Request, vecs []fs.IOVec) int64 {
 	}
 	c.awaitServer(r)
 	c.Stats.WriteRPCs += count
-	c.net.Send(r, c.node, c.srv.node, rpcHeaderBytes*count+total)
+	c.net.Transfer(r, c.nic, c.srv.nic, rpcHeaderBytes*count+total)
 	extra := count - 1
 	p.Sleep(sim.Duration(extra) * 2 * c.net.Params().Latency)
 	var put int64
@@ -620,7 +632,7 @@ func (h *remoteHandle) WriteVec(r *ioreq.Request, vecs []fs.IOVec) int64 {
 	})
 	c.srv.commit(p, count)
 	c.srv.gen[h.path]++
-	c.net.Send(r, c.srv.node, c.node, rpcHeaderBytes*count)
+	c.net.Transfer(r, c.srv.nic, c.nic, rpcHeaderBytes*count)
 	delete(c.attrCache, h.path)
 	r.Observe(telemetry.ClassWrite, count, put)
 	return put

@@ -110,7 +110,7 @@ func (h *pfsHandle) transfer(r *ioreq.Request, ops []serverOp, write bool) int64
 			if write {
 				req += op.bytes
 			}
-			c.net.Send(cr, c.node, srv.node, req)
+			c.net.Transfer(cr, c.nic, srv.nic, req)
 			err := sys.serve(child, srv, class, op.ops, op.bytes, sys.params.RPCCost*sim.Duration(op.ops), func() error {
 				sh, err := sys.subfile(cr, i, h.path)
 				if err != nil {
@@ -131,7 +131,7 @@ func (h *pfsHandle) transfer(r *ioreq.Request, ops []serverOp, write bool) int64
 			if !write {
 				resp += op.bytes
 			}
-			c.net.Send(cr, srv.node, c.node, resp)
+			c.net.Transfer(cr, srv.nic, c.nic, resp)
 		})
 	}
 	sim.Fork(r.Proc(), "pfs-xfer", fns...)

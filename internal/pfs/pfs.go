@@ -49,8 +49,7 @@ func DefaultParams(name string) Params {
 // column on a node-local filesystem.
 type Server struct {
 	eng     *sim.Engine
-	node    string
-	net     *netsim.Network
+	nic     *netsim.NIC // the server node's NIC on the data network
 	backend fs.Interface
 	threads *sim.Resource
 	handles map[string]fs.Handle
@@ -67,8 +66,8 @@ type System struct {
 	sizes   map[string]int64 // logical file sizes (metadata)
 }
 
-// NewSystem deploys servers on the given nodes; backends[i] is the
-// node-local filesystem of server i.
+// NewSystem deploys servers on the given nodes, which must already be
+// attached to net; backends[i] is the node-local filesystem of server i.
 func NewSystem(e *sim.Engine, params Params, nodes []string, net *netsim.Network, backends []fs.Interface) *System {
 	if len(nodes) == 0 || len(nodes) != len(backends) {
 		panic(fmt.Sprintf("pfs %q: %d nodes, %d backends", params.Name, len(nodes), len(backends)))
@@ -83,8 +82,7 @@ func NewSystem(e *sim.Engine, params Params, nodes []string, net *netsim.Network
 	for i, node := range nodes {
 		sys.servers = append(sys.servers, &Server{
 			eng:     e,
-			node:    node,
-			net:     net,
+			nic:     net.NIC(node),
 			backend: backends[i],
 			threads: sim.NewResource(e, fmt.Sprintf("pfsd:%s:%d", params.Name, i), params.Threads),
 			handles: map[string]fs.Handle{},
@@ -146,23 +144,24 @@ func (sys *System) serve(p *sim.Proc, srv *Server, class telemetry.OpClass, ops,
 // fs.Interface. Note the absence of ByteRangeLocker and of any data
 // cache: PVFS does neither.
 type Client struct {
-	eng  *sim.Engine
-	node string
-	net  *netsim.Network
-	sys  *System
+	eng *sim.Engine
+	net *netsim.Network
+	nic *netsim.NIC // the client node's NIC on net
+	sys *System
 
 	rec *telemetry.Recorder
 }
 
 var _ fs.Interface = (*Client)(nil)
 
-// NewClient attaches a compute node to the filesystem.
+// NewClient attaches a compute node, already attached to net, to the
+// filesystem.
 func NewClient(e *sim.Engine, node string, net *netsim.Network, sys *System) *Client {
 	return &Client{
-		eng:  e,
-		node: node,
-		net:  net,
-		sys:  sys,
+		eng: e,
+		net: net,
+		nic: net.NIC(node),
+		sys: sys,
 		rec: telemetry.NewRecorder(e, fmt.Sprintf("pfs-client:%s:%s", sys.params.Name, node),
 			telemetry.LevelGlobalFS, 1),
 	}
@@ -175,7 +174,7 @@ func (c *Client) Telemetry() *telemetry.Recorder { return c.rec }
 func (c *Client) Name() string { return c.sys.params.Name }
 
 // Node returns the client's network node.
-func (c *Client) Node() string { return c.node }
+func (c *Client) Node() string { return c.nic.Node() }
 
 // metaServer is the metadata daemon (server 0).
 func (c *Client) metaServer() *Server { return c.sys.servers[0] }
@@ -185,9 +184,9 @@ func (c *Client) metaRPC(r *ioreq.Request, fn func() error) error {
 	srv := c.metaServer()
 	p := r.Proc()
 	start := p.Now()
-	c.net.Send(r, c.node, srv.node, rpcHeaderBytes)
+	c.net.Transfer(r, c.nic, srv.nic, rpcHeaderBytes)
 	err := c.sys.serve(p, srv, telemetry.ClassMeta, 1, 0, c.sys.params.RPCCost, fn)
-	c.net.Send(r, srv.node, c.node, rpcHeaderBytes)
+	c.net.Transfer(r, srv.nic, c.nic, rpcHeaderBytes)
 	c.rec.Observe(telemetry.ClassMeta, 1, 0, sim.Duration(p.Now()-start))
 	return err
 }
@@ -262,13 +261,13 @@ func (c *Client) Sync(r *ioreq.Request) {
 		srv := c.sys.servers[i]
 		fns[i] = func(child *sim.Proc) {
 			cr := r.WithProc(child)
-			c.net.Send(cr, c.node, srv.node, rpcHeaderBytes)
+			c.net.Transfer(cr, c.nic, srv.nic, rpcHeaderBytes)
 			// A sync charges no RPC cost and cannot fail.
 			_ = c.sys.serve(child, srv, telemetry.ClassMeta, 1, 0, 0, func() error {
 				srv.backend.Sync(cr)
 				return nil
 			})
-			c.net.Send(cr, srv.node, c.node, rpcHeaderBytes)
+			c.net.Transfer(cr, srv.nic, c.nic, rpcHeaderBytes)
 		}
 	}
 	sim.Fork(r.Proc(), "pfs-sync", fns...)

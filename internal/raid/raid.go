@@ -16,6 +16,13 @@ import (
 	"ioeval/internal/telemetry"
 )
 
+var (
+	kRebuildsStarted   = telemetry.NewAuxKey("rebuilds_started")
+	kRebuildBytes      = telemetry.NewAuxKey("rebuild_bytes")
+	kRebuildsCompleted = telemetry.NewAuxKey("rebuilds_completed")
+	kDegradedSegs      = telemetry.NewAuxKey("degraded_segs")
+)
+
 // Level identifies the array organization.
 type Level int
 
@@ -281,7 +288,7 @@ func (a *Array) fanOut(r *ioreq.Request, sc *scratch, write bool, label string) 
 func (a *Array) runSegs(r *ioreq.Request, segs []segment, write bool) {
 	for _, s := range segs {
 		if a.failed[s.disk] {
-			a.rec.Add("degraded_segs", 1)
+			a.rec.Add(kDegradedSegs, 1)
 			r.Tag("raid_degraded")
 			if write {
 				a.degradedWrite(r, s)

@@ -74,7 +74,7 @@ func (a *Array) Rebuild(p *sim.Proc, spare device.BlockDev, cfg RebuildConfig) e
 		chunk = 1 << 20
 	}
 
-	a.rec.Add("rebuilds_started", 1)
+	a.rec.Add(kRebuildsStarted, 1)
 	r := ioreq.Writer(p)
 	start := p.Now()
 	for done := int64(0); done < total; {
@@ -83,7 +83,7 @@ func (a *Array) Rebuild(p *sim.Proc, spare device.BlockDev, cfg RebuildConfig) e
 		a.reconstructChunk(r, idx, off, n)
 		spare.WriteAt(r, off, n)
 		done += n
-		a.rec.Add("rebuild_bytes", n)
+		a.rec.Add(kRebuildBytes, n)
 		if cfg.Rate > 0 {
 			// Pace: never run ahead of the configured rebuild rate.
 			target := sim.DurationFromSeconds(float64(done) / cfg.Rate)
@@ -98,7 +98,7 @@ func (a *Array) Rebuild(p *sim.Proc, spare device.BlockDev, cfg RebuildConfig) e
 	}
 	a.members[idx] = spare
 	delete(a.failed, idx)
-	a.rec.Add("rebuilds_completed", 1)
+	a.rec.Add(kRebuildsCompleted, 1)
 	return nil
 }
 

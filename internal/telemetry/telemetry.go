@@ -18,6 +18,8 @@ package telemetry
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"ioeval/internal/sim"
 )
@@ -301,9 +303,49 @@ type Probe interface {
 	Snapshot() Snapshot
 }
 
+// AuxKey is an interned auxiliary counter name. A package declares
+// each of its keys once, as a package variable
+// (var kEvictions = telemetry.NewAuxKey("evictions")), so adding to a
+// counter indexes a slice instead of hashing a string.
+type AuxKey int32
+
+// auxNames holds the interned counter names: auxNames.s[k] is key k's.
+var auxNames struct {
+	sync.Mutex
+	s []string
+}
+
+// NewAuxKey interns name: the same name always yields the same key, so
+// packages that count the same fact share one counter.
+func NewAuxKey(name string) AuxKey {
+	auxNames.Lock()
+	defer auxNames.Unlock()
+	if k := slices.Index(auxNames.s, name); k >= 0 {
+		return AuxKey(k)
+	}
+	auxNames.s = append(auxNames.s, name)
+	return AuxKey(len(auxNames.s) - 1)
+}
+
+// AuxNames returns the interned counter names, indexed by key.
+func AuxNames() []string {
+	auxNames.Lock()
+	defer auxNames.Unlock()
+	return slices.Clone(auxNames.s)
+}
+
+// auxSlot is one auxiliary counter of a Recorder; set records that it
+// was added to, if only with 0.
+type auxSlot struct {
+	v   int64
+	set bool
+}
+
 // Recorder accumulates Counters for one component. All layer
 // packages record through Recorders, and every layer constructor
-// builds its own, so a component is never without one.
+// builds its own, so a component is never without one. Auxiliary
+// counters are added through interned AuxKeys and read by name with
+// AuxVal.
 type Recorder struct {
 	eng       *sim.Engine
 	component string
@@ -311,6 +353,7 @@ type Recorder struct {
 	units     int64
 
 	c        Counters
+	aux      []auxSlot // indexed by AuxKey; Snapshot builds the Aux map from it
 	inFlight int64
 }
 
@@ -368,16 +411,20 @@ func (r *Recorder) Exit() {
 	r.c.QueueDepth = r.inFlight
 }
 
-// Add increments an auxiliary counter.
-func (r *Recorder) Add(key string, delta int64) {
-	if r.c.Aux == nil {
-		r.c.Aux = map[string]int64{}
+// Add increments an auxiliary counter. Adding 0 still enters the key
+// into snapshots.
+func (r *Recorder) Add(k AuxKey, delta int64) {
+	if int(k) >= len(r.aux) {
+		r.aux = append(r.aux, make([]auxSlot, int(k)+1-len(r.aux))...)
 	}
-	r.c.Aux[key] += delta
+	r.aux[k].v += delta
+	r.aux[k].set = true
 }
 
-// AuxVal returns the current value of an auxiliary counter.
-func (r *Recorder) AuxVal(key string) int64 { return r.c.Aux[key] }
+// AuxVal returns the current value of the auxiliary counter named key,
+// 0 when it was never added to. It builds a snapshot to do so: it is
+// for tests and reports, not for the request path.
+func (r *Recorder) AuxVal(key string) int64 { return r.Snapshot().Counters.Aux[key] }
 
 // Snapshot implements Probe: a copy of the counters stamped with the
 // engine's current time. The interval of a raw snapshot runs from
@@ -393,10 +440,15 @@ func (r *Recorder) Snapshot() Snapshot {
 		s.At = r.eng.Now()
 		s.Interval = sim.Duration(s.At)
 	}
-	if len(r.c.Aux) > 0 {
-		s.Counters.Aux = make(map[string]int64, len(r.c.Aux))
-		for k, v := range r.c.Aux {
-			s.Counters.Aux[k] = v
+	var names []string // auxNames.s is append-only: its header stays valid
+	for k, a := range r.aux {
+		if a.set {
+			if names == nil {
+				auxNames.Lock()
+				names, s.Counters.Aux = auxNames.s, map[string]int64{}
+				auxNames.Unlock()
+			}
+			s.Counters.Aux[names[k]] = a.v
 		}
 	}
 	return s

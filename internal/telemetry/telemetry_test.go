@@ -31,7 +31,7 @@ func TestRecorderObserve(t *testing.T) {
 	r.Observe(ClassRead, 1, 512, sim.Millisecond)
 	r.Observe(ClassMeta, 1, 0, sim.Microsecond)
 	r.Observe(ClassRead, 0, 99, sim.Second) // ops<=0 ignored
-	r.Add("evictions", 3)
+	r.Add(NewAuxKey("evictions"), 3)
 
 	s := r.Snapshot()
 	if s.Component != "disk:test" || s.Level != LevelDevice || s.Units != 1 {
@@ -77,7 +77,7 @@ func TestSnapshotSubDeltas(t *testing.T) {
 	r := NewRecorder(eng, "c", LevelLocalFS, 2)
 
 	r.Observe(ClassWrite, 10, 1000, 100*sim.Millisecond)
-	r.Add("aux", 5)
+	r.Add(NewAuxKey("aux"), 5)
 	r.Enter()
 	eng.Schedule(sim.Second, func() {})
 	eng.Run()
@@ -85,7 +85,7 @@ func TestSnapshotSubDeltas(t *testing.T) {
 
 	r.Observe(ClassWrite, 5, 500, 50*sim.Millisecond)
 	r.Observe(ClassRead, 1, 64, sim.Millisecond)
-	r.Add("aux", 2)
+	r.Add(NewAuxKey("aux"), 2)
 	eng.Schedule(sim.Second, func() {})
 	eng.Run()
 	s2 := r.Snapshot()
@@ -186,7 +186,7 @@ func TestReportJSONRoundtrip(t *testing.T) {
 	eng := sim.NewEngine()
 	r := NewRecorder(eng, "disk:sda", LevelDevice, 1)
 	r.Observe(ClassWrite, 3, 3000, 30*sim.Microsecond)
-	r.Add("random_ops", 1)
+	r.Add(NewAuxKey("random_ops"), 1)
 	rep := &Report{
 		App:        "test-app",
 		Config:     "test-cfg",
@@ -237,5 +237,58 @@ func TestLevelTextRoundtrip(t *testing.T) {
 	var l Level
 	if err := l.UnmarshalText([]byte("bogus")); err == nil {
 		t.Fatal("expected error for unknown level")
+	}
+}
+
+// Interning is by name: one name, one key, whichever package asks.
+func TestNewAuxKeyInterns(t *testing.T) {
+	a, b := NewAuxKey("intern_a"), NewAuxKey("intern_b")
+	if a == b {
+		t.Fatalf("distinct names share key %d", a)
+	}
+	if again := NewAuxKey("intern_a"); again != a {
+		t.Fatalf("re-interning intern_a gave %d, want %d", again, a)
+	}
+	if names := AuxNames(); len(names) <= int(b) || names[a] != "intern_a" || names[b] != "intern_b" {
+		t.Fatalf("AuxNames() = %v, want intern_a at %d and intern_b at %d", names, a, b)
+	}
+}
+
+// A snapshot carries exactly the keys added to, zero adds included,
+// and AuxVal reads a counter by name.
+func TestAuxSnapshotTouched(t *testing.T) {
+	r := NewRecorder(nil, "cache:test", LevelCache, 1)
+	if s := r.Snapshot(); s.Counters.Aux != nil {
+		t.Fatalf("untouched recorder has aux %v", s.Counters.Aux)
+	}
+	hit, miss := NewAuxKey("touch_hit"), NewAuxKey("touch_miss")
+	NewAuxKey("touch_never")
+	r.Add(hit, 0)
+	r.Add(miss, 4096)
+	r.Add(miss, 4096)
+	got := r.Snapshot().Counters.Aux
+	want := map[string]int64{"touch_hit": 0, "touch_miss": 8192}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("aux = %v, want %v", got, want)
+	}
+	if r.AuxVal("touch_miss") != 8192 || r.AuxVal("touch_never") != 0 || r.AuxVal("no_such_key") != 0 {
+		t.Fatalf("AuxVal: miss %d never %d unknown %d",
+			r.AuxVal("touch_miss"), r.AuxVal("touch_never"), r.AuxVal("no_such_key"))
+	}
+	// A key interned after the recorder last grew still lands.
+	late := NewAuxKey("touch_late")
+	r.Add(late, 1)
+	if r.Snapshot().Counters.Aux["touch_late"] != 1 {
+		t.Fatalf("late key lost: %v", r.Snapshot().Counters.Aux)
+	}
+}
+
+// Adding to an interned key is a slice-slot add: no allocation once
+// the recorder has grown to hold it.
+func TestAuxAddAllocs(t *testing.T) {
+	r := NewRecorder(nil, "c", LevelCache, 1)
+	k := NewAuxKey("alloc_probe")
+	if n := testing.AllocsPerRun(1000, func() { r.Add(k, 1) }); n != 0 {
+		t.Fatalf("%v allocs per Add, want 0", n)
 	}
 }
