@@ -24,31 +24,21 @@ import (
 )
 
 func main() {
-	platform := flag.String("platform", "aohyper", "cluster: aohyper or clusterA")
-	orgName := flag.String("org", "raid5", "Aohyper device organization")
+	platform := cliutil.EnumFlag(flag.CommandLine, "platform", "aohyper", "cluster: aohyper or clusterA", cliutil.Platforms...)
+	orgName := cliutil.EnumFlag(flag.CommandLine, "org", "raid5", "Aohyper device organization", cliutil.Orgs...)
 	procs := flag.Int("procs", 8, "processes")
 	perRank := cliutil.SizeFlag(flag.CommandLine, "bytes", 64, cliutil.MiB, "`MiB` per rank per measurement")
-	storeDir := cliutil.StoreFlag(flag.CommandLine)
-	charWorkers := cliutil.CharWorkersFlag(flag.CommandLine)
-	flag.Parse()
+	stored := cliutil.StoredFlags(flag.CommandLine)
+	cliutil.Parse()
 
-	org, err := cliutil.ParseOrg(*orgName)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	build, err := cliutil.ClusterBuilder(*platform, org, 0)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
+	org := cliutil.Must(cliutil.ParseOrg(*orgName))
+	build := cliutil.Must(cliutil.ClusterBuilder(*platform, org, 0))
 	c := build()
 
-	sum, err := bench.RunBeffIO(c, bench.BeffIOConfig{
+	sum := cliutil.Must(bench.RunBeffIO(c, bench.BeffIOConfig{
 		Procs:        *procs,
 		BytesPerRank: perRank.Bytes(),
-	})
-	if err != nil {
-		cliutil.Fatal(err)
-	}
+	}))
 
 	fmt.Printf("b_eff_io-like run — %s, %d procs, %d MiB/rank per pattern\n\n",
 		c.Cfg.Name, *procs, perRank.Bytes()>>20)
@@ -61,22 +51,5 @@ func main() {
 	fmt.Println(tb.String())
 	fmt.Printf("b_eff_io = %s\n", stats.MBs(sum.BeffIO))
 
-	st, err := cliutil.OpenStore(*storeDir)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	if st != nil {
-		sess := core.NewSession(build,
-			core.WithStore(st),
-			core.WithCharacterizeWorkers(*charWorkers),
-			core.WithCharacterizeConfig(cliutil.CharConfig(true, false)))
-		ch, err := sess.Characterization()
-		if err != nil {
-			cliutil.Fatal(err)
-		}
-		fmt.Println()
-		fmt.Println("Stored library-level baseline:")
-		fmt.Println(core.FormatPerfTable(ch.Table(core.LevelIOLib)))
-		fmt.Println(cliutil.StoreSummary(st))
-	}
+	cliutil.Check(stored.Baseline(build, "\nStored library-level baseline:", core.LevelIOLib))
 }

@@ -25,25 +25,18 @@ import (
 )
 
 func main() {
-	platform := flag.String("platform", "aohyper", "cluster: aohyper or clusterA")
-	orgName := flag.String("org", "raid5", "Aohyper device organization")
-	className := flag.String("class", "C", "NPB class: A, B or C")
+	platform := cliutil.EnumFlag(flag.CommandLine, "platform", "aohyper", "cluster: aohyper or clusterA", cliutil.Platforms...)
+	orgName := cliutil.EnumFlag(flag.CommandLine, "org", "raid5", "Aohyper device organization", cliutil.Orgs...)
+	className := cliutil.EnumFlag(flag.CommandLine, "class", "C", "NPB class: A, B or C", cliutil.Classes...)
 	procs := flag.Int("procs", 16, "MPI processes (square)")
-	subtype := flag.String("subtype", "full", "I/O subtype: full or simple")
+	subtype := cliutil.EnumFlag(flag.CommandLine, "subtype", "full", "I/O subtype: full or simple", cliutil.Subtypes...)
 	timeline := flag.Bool("timeline", false, "render the Jumpshot-style trace timeline")
 	metrics := cliutil.MetricsFlag(flag.CommandLine)
-	storeDir := cliutil.StoreFlag(flag.CommandLine)
-	charWorkers := cliutil.CharWorkersFlag(flag.CommandLine)
-	flag.Parse()
+	stored := cliutil.StoredFlags(flag.CommandLine)
+	cliutil.Parse()
 
-	org, err := cliutil.ParseOrg(*orgName)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	build, err := cliutil.ClusterBuilder(*platform, org, 0)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
+	org := cliutil.Must(cliutil.ParseOrg(*orgName))
+	build := cliutil.Must(cliutil.ClusterBuilder(*platform, org, 0))
 	c := build()
 
 	class := btio.ClassC
@@ -63,10 +56,7 @@ func main() {
 	tr := trace.New()
 	ps := trace.NewPhaseSnapshotter(c.Eng, c.Telemetry, tr, 0)
 	fmt.Printf("running %s on %s ...\n\n", app.Name(), c.Cfg.Name)
-	res, err := app.Run(c, ps)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
+	res := cliutil.Must(app.Run(c, ps))
 
 	var tb stats.Table
 	tb.AddRow("metric", "value")
@@ -90,30 +80,13 @@ func main() {
 		fmt.Println(trace.Timeline{Width: 110}.Render(tr.Events()))
 	}
 
-	st, err := cliutil.OpenStore(*storeDir)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	if st != nil {
-		sess := core.NewSession(build,
-			core.WithStore(st),
-			core.WithCharacterizeWorkers(*charWorkers),
-			core.WithCharacterizeConfig(cliutil.CharConfig(true, false)))
-		ev, err := sess.Evaluate(btio.New(cfg))
-		if err != nil {
-			cliutil.Fatal(err)
-		}
-		fmt.Println(core.FormatEvaluation(ev))
-		fmt.Println(cliutil.StoreSummary(st))
-	}
+	cliutil.Check(stored.Evaluate(build, btio.New(cfg)))
 
 	if *metrics != "" {
 		rep := c.TelemetryReport()
 		rep.App = app.Name()
 		rep.Phases = ps.Finish()
-		if err := cliutil.WriteMetrics(*metrics, rep, st); err != nil {
-			cliutil.Fatal(err)
-		}
+		cliutil.Check(cliutil.WriteMetrics(*metrics, rep, stored.Store))
 		fmt.Printf("(telemetry report written to %s)\n", *metrics)
 	}
 }

@@ -1,12 +1,15 @@
 // Package cliutil is the shared wiring of the ioeval commands: one
 // implementation of the common flags (-fault, -seed, -spans,
-// -metrics, -store), the platform/organization parsers, the quick
-// characterization preset, JSON-export helpers and the exit-code
-// conventions, so the ten main.go files cannot drift apart.
+// -metrics, -store) and of the enum flags' value sets, the
+// platform/organization parsers, the quick characterization preset,
+// the workload catalogue (workload.go), the -store epilogue and the
+// methodology driver (method.go), JSON-export helpers and the
+// exit-code conventions, so the main.go files keep only their own
+// flags and output.
 //
 // Exit codes: 1 for runtime failures (Fatal), 2 for usage errors
-// (FatalUsage) — matching the flag package's own behavior on bad
-// flags.
+// (FatalUsage, BadValue, Parse) — matching the flag package's own
+// behavior on bad flags.
 package cliutil
 
 import (
@@ -17,6 +20,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -42,6 +46,103 @@ func FatalUsage() {
 	os.Exit(2)
 }
 
+// BadValue reports an invalid flag value the way the flag package
+// does, the error and then the usage, and exits with status 2.
+func BadValue(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	FatalUsage()
+}
+
+// Check exits through Fatal on a non-nil error.
+func Check(err error) {
+	if err != nil {
+		Fatal(err)
+	}
+}
+
+// Must returns v, or exits through Fatal on a non-nil error.
+func Must[T any](v T, err error) T {
+	Check(err)
+	return v
+}
+
+// Value sets of the commands' enum flags.
+var (
+	Platforms = []string{"aohyper", "clusterA"}
+	Orgs      = []string{"jbod", "raid1", "raid5"}
+	Apps      = []string{"btio", "madbench", "flashio"}       // iomethod -app; tracetool -capture takes the first two
+	Subtypes  = []string{"full", "simple"}                    // BT-IO
+	FileTypes = []string{"unique", "shared"}                  // MADbench2
+	Classes   = []string{"A", "B", "C"}                       // NPB
+	Targets   = []string{"local", "nfs"}                      // iozone
+	Modes     = []string{"seq", "rand", "stride"}             // iozone
+	Ranks     = []string{"io-time", "used-pct", "throughput"} // iosweep
+)
+
+// enumFlag is a string flag whose value must come from a fixed set.
+type enumFlag struct {
+	name, def string
+	val       *string
+	values    []string
+	list      bool // comma-separated, each element checked
+}
+
+// enums are the enum flags registered on each flag set, for Parse.
+var enums = map[*flag.FlagSet][]enumFlag{}
+
+// EnumFlag registers a string flag that takes its default or one of
+// values; Parse rejects anything else. It stays a plain string flag,
+// so -h prints it like any other.
+func EnumFlag(fs *flag.FlagSet, name, def, usage string, values ...string) *string {
+	p := fs.String(name, def, usage)
+	enums[fs] = append(enums[fs], enumFlag{name: name, def: def, val: p, values: values})
+	return p
+}
+
+// EnumListFlag registers a comma-separated list flag whose every
+// element must be one of values.
+func EnumListFlag(fs *flag.FlagSet, name, def, usage string, values ...string) *string {
+	p := fs.String(name, def, usage)
+	enums[fs] = append(enums[fs], enumFlag{name: name, val: p, values: values, list: true})
+	return p
+}
+
+// checkEnums returns an error naming the valid values for the first
+// enum flag of fs whose value is outside its set.
+func checkEnums(fs *flag.FlagSet) error {
+	for _, e := range enums[fs] {
+		vals := []string{*e.val}
+		if e.list {
+			vals = SplitList(*e.val)
+		} else if *e.val == e.def {
+			continue
+		}
+		for _, v := range vals {
+			if !slices.Contains(e.values, v) {
+				return fmt.Errorf("invalid value %q for flag -%s: want %s", v, e.name, oneOf(e.values))
+			}
+		}
+	}
+	return nil
+}
+
+// Parse parses the command line and checks every enum flag, so an
+// unknown value exits with status 2 before the command does any work.
+func Parse() {
+	flag.Parse()
+	if err := checkEnums(flag.CommandLine); err != nil {
+		BadValue(err)
+	}
+}
+
+// oneOf renders a value set as "a, b or c".
+func oneOf(values []string) string {
+	if len(values) < 2 {
+		return strings.Join(values, "")
+	}
+	return strings.Join(values[:len(values)-1], ", ") + " or " + values[len(values)-1]
+}
+
 // SplitList splits a comma-separated flag value, trimming whitespace
 // and dropping empty fields.
 func SplitList(s string) []string {
@@ -64,7 +165,7 @@ func ParseOrg(s string) (cluster.Organization, error) {
 	case "raid5":
 		return cluster.RAID5, nil
 	}
-	return 0, fmt.Errorf("unknown organization %q", s)
+	return 0, fmt.Errorf("unknown organization %q (want %s)", s, oneOf(Orgs))
 }
 
 // PlatformConfig returns the named base platform's configuration.
@@ -75,21 +176,19 @@ func PlatformConfig(name string) (cluster.Config, error) {
 	case "clusterA":
 		return cluster.ClusterA().Cfg, nil
 	}
-	return cluster.Config{}, fmt.Errorf("unknown platform %q", name)
+	return cluster.Config{}, fmt.Errorf("unknown platform %q (want %s)", name, oneOf(Platforms))
 }
 
 // ClusterBuilder returns a fresh-cluster builder for the named
 // platform: org applies to Aohyper (clusterA has a fixed
 // organization), pfsNodes > 0 additionally deploys the parallel FS.
 func ClusterBuilder(platform string, org cluster.Organization, pfsNodes int) (func() *cluster.Cluster, error) {
-	var cfg cluster.Config
-	switch platform {
-	case "clusterA":
-		cfg = cluster.ClusterA().Cfg
-	case "aohyper":
-		cfg = cluster.Aohyper(org).Cfg
-	default:
-		return nil, fmt.Errorf("unknown platform %q", platform)
+	cfg, err := PlatformConfig(platform)
+	if err != nil {
+		return nil, err
+	}
+	if platform == "aohyper" {
+		cfg.Org = org
 	}
 	cfg.PFSIONodes = pfsNodes
 	return func() *cluster.Cluster { return cluster.New(cfg) }, nil
@@ -118,13 +217,15 @@ func CharConfig(quick, usePFS bool) core.CharacterizeConfig {
 
 // FaultFlag registers -fault (a single builtin scenario name).
 func FaultFlag(fs *flag.FlagSet) *string {
-	return fs.String("fault", "", "also evaluate under a fault scenario: "+strings.Join(fault.BuiltinNames(), ", "))
+	names := fault.BuiltinNames()
+	return EnumFlag(fs, "fault", "", "also evaluate under a fault scenario: "+strings.Join(names, ", "), names...)
 }
 
 // FaultListFlag registers -fault as a comma-separated scenario axis
 // ("none" stands for the healthy run).
 func FaultListFlag(fs *flag.FlagSet) *string {
-	return fs.String("fault", "", "comma-separated fault scenarios to sweep (none = healthy run): none, "+strings.Join(fault.BuiltinNames(), ", "))
+	names := append([]string{"none"}, fault.BuiltinNames()...)
+	return EnumListFlag(fs, "fault", "", "comma-separated fault scenarios to sweep (none = healthy run): "+strings.Join(names, ", "), names...)
 }
 
 // SeedFlag registers -seed (fault-plan seed override).

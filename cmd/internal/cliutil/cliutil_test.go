@@ -9,6 +9,13 @@ import (
 
 	"ioeval/internal/bench"
 	"ioeval/internal/cluster"
+	"ioeval/internal/fault"
+	"ioeval/internal/sim"
+	"ioeval/internal/sweep"
+	"ioeval/internal/workload/btio"
+	"ioeval/internal/workload/flashio"
+	"ioeval/internal/workload/madbench"
+	"ioeval/internal/workload/synth"
 )
 
 func TestSplitList(t *testing.T) {
@@ -260,5 +267,160 @@ func TestWriteFileFn(t *testing.T) {
 	}
 	if err := WriteFileFn(path, func(io.Writer) error { return io.ErrClosedPipe }); err != io.ErrClosedPipe {
 		t.Errorf("write error not surfaced: %v", err)
+	}
+}
+
+// TestEnumFlags parses every valid value and one invalid value of each
+// command's enum flags: a valid value (and the default) passes the
+// check, an invalid one fails it with an error naming every valid
+// value.
+func TestEnumFlags(t *testing.T) {
+	faults := fault.BuiltinNames()
+	cases := []struct {
+		flag    string // command and flag, for messages
+		def     string
+		values  []string
+		list    bool
+		invalid string
+	}{
+		{"-platform", "aohyper", Platforms, false, "beowulf"},
+		{"-org", "raid5", Orgs, false, "raid6"},
+		{"-fault", "", faults, false, "disk-fial"},
+		{"iomethod -app", "btio", Apps, false, "ior"},
+		{"iomethod, btio, tracetool -subtype", "full", Subtypes, false, "simpel"},
+		{"iomethod, madbench -filetype", "shared", FileTypes, false, "private"},
+		{"btio -class", "C", Classes, false, "D"},
+		{"iozone -target", "local", Targets, false, "nsf"},
+		{"iozone -modes", "seq", Modes, true, "seq,random"},
+		{"tracetool -capture", "", Apps[:2], false, "flashio"},
+		{"iosynth -emit", "", Workloads[:4], false, "flashio"},
+		{"iosweep -platforms", "aohyper", Platforms, true, "aohyper,beowulf"},
+		{"iosweep -orgs", "jbod", Orgs, true, "jbod,raid6"},
+		{"iosweep -rank", "io-time", Ranks, false, "time"},
+		{"iosweep -apps", "btio-full", Workloads, true, "btio"},
+		{"iosweep -fault", "", append([]string{"none"}, faults...), true, "none,disk-fial"},
+	}
+	parse := func(tc int, args ...string) error {
+		c := cases[tc]
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		if c.list {
+			EnumListFlag(fs, "f", c.def, "usage", c.values...)
+		} else {
+			EnumFlag(fs, "f", c.def, "usage", c.values...)
+		}
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return checkEnums(fs)
+	}
+	for i, c := range cases {
+		if err := parse(i); err != nil {
+			t.Errorf("%s: default %q rejected: %v", c.flag, c.def, err)
+		}
+		for _, v := range c.values {
+			if err := parse(i, "-f", v); err != nil {
+				t.Errorf("%s %s: %v", c.flag, v, err)
+			}
+		}
+		if c.list {
+			if err := parse(i, "-f", strings.Join(c.values, ",")); err != nil {
+				t.Errorf("%s with every value: %v", c.flag, err)
+			}
+		}
+		err := parse(i, "-f", c.invalid)
+		if err == nil {
+			t.Errorf("%s %s accepted", c.flag, c.invalid)
+		} else if !strings.Contains(err.Error(), oneOf(c.values)) {
+			t.Errorf("%s %s: error %q does not name the valid values", c.flag, c.invalid, err)
+		}
+	}
+}
+
+func TestOneOf(t *testing.T) {
+	for in, want := range map[string]string{"": "", "a": "a", "a,b": "a or b", "a,b,c": "a, b or c"} {
+		if got := oneOf(SplitList(in)); got != want {
+			t.Errorf("oneOf(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+// TestWorkloadCatalogue pins the catalogue's defaults: each name, in
+// quick and full sizes and with and without the parallel FS, builds
+// the spec of the package configuration it stands for.
+func TestWorkloadCatalogue(t *testing.T) {
+	for _, quick := range []bool{false, true} {
+		class, kpix := btio.ClassC, 18
+		if quick {
+			class, kpix = btio.ClassA, 4
+		}
+		for _, usePFS := range []bool{false, true} {
+			bt := func(st btio.Subtype) *synth.App {
+				return btio.New(btio.Config{Class: class, Procs: 4, Subtype: st, ComputeScale: 1, UsePFS: usePFS}).App
+			}
+			mad := func(ft madbench.FileType) *synth.App {
+				return madbench.New(madbench.Config{Procs: 4, KPix: kpix, FileType: ft, BusyWork: sim.Second}).App
+			}
+			want := map[string]*synth.App{
+				"btio-full":       bt(btio.Full),
+				"btio-simple":     bt(btio.Simple),
+				"madbench-shared": mad(madbench.Shared),
+				"madbench-unique": mad(madbench.Unique),
+				"flashio":         flashio.New(flashio.Config{Procs: 4, Compute: 5 * sim.Second}).App,
+			}
+			if len(want) != len(Workloads) {
+				t.Fatalf("catalogue lists %d workloads, test pins %d", len(Workloads), len(want))
+			}
+			for _, name := range Workloads {
+				got, err := Workload(name, 4, quick, usePFS)
+				if err != nil {
+					t.Fatalf("Workload(%q): %v", name, err)
+				}
+				if !reflect.DeepEqual(got.Spec(), want[name].Spec()) {
+					t.Errorf("Workload(%q, quick %v, usePFS %v) builds another spec", name, quick, usePFS)
+				}
+			}
+		}
+	}
+	if _, err := Workload("btio", 4, true, false); err == nil || !strings.Contains(err.Error(), oneOf(Workloads)) {
+		t.Errorf("unknown workload: err = %v, want one naming the catalogue", err)
+	}
+}
+
+func TestWorkloadName(t *testing.T) {
+	for _, tc := range []struct{ app, subtype, filetype, want string }{
+		{"btio", "full", "shared", "btio-full"},
+		{"btio", "simple", "unique", "btio-simple"},
+		{"madbench", "simple", "unique", "madbench-unique"},
+		{"madbench", "full", "shared", "madbench-shared"},
+		{"flashio", "simple", "unique", "flashio"},
+	} {
+		if got := WorkloadName(tc.app, tc.subtype, tc.filetype); got != tc.want {
+			t.Errorf("WorkloadName(%q, %q, %q) = %q, want %q", tc.app, tc.subtype, tc.filetype, got, tc.want)
+		}
+	}
+}
+
+func TestStoredWithoutStore(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	s := StoredFlags(fs)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	build, err := ClusterBuilder("aohyper", cluster.JBOD, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sess, err := s.session(build); sess != nil || err != nil || s.Store != nil {
+		t.Errorf("session without -store = %v, %v (store %v), want nil, nil", sess, err, s.Store)
+	}
+}
+
+// TestRanksParse keeps the -rank value set in step with the sweep's
+// metrics.
+func TestRanksParse(t *testing.T) {
+	for _, r := range Ranks {
+		if m, err := sweep.ParseMetric(r); err != nil || m.String() != r {
+			t.Errorf("ParseMetric(%q) = %v, %v", r, m, err)
+		}
 	}
 }

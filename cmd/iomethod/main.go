@@ -6,7 +6,7 @@
 // Usage:
 //
 //	iomethod [-platform aohyper|clusterA] [-org jbod|raid1|raid5]
-//	         [-app btio|madbench] [-procs N] [-subtype full|simple]
+//	         [-app btio|madbench|flashio] [-procs N] [-subtype full|simple]
 //	         [-filetype unique|shared] [-quick] [-fault scenario] [-seed N]
 //	         [-spans] [-store DIR]
 //
@@ -24,155 +24,43 @@ import (
 
 	"ioeval/cmd/internal/cliutil"
 	"ioeval/internal/core"
-	"ioeval/internal/sim"
-	"ioeval/internal/workload"
-	"ioeval/internal/workload/btio"
-	"ioeval/internal/workload/flashio"
-	"ioeval/internal/workload/madbench"
 )
 
 func main() {
-	platform := flag.String("platform", "aohyper", "cluster to simulate: aohyper or clusterA")
-	orgName := flag.String("org", "raid5", "Aohyper device organization: jbod, raid1 or raid5")
-	appName := flag.String("app", "btio", "application: btio, madbench or flashio")
+	m := cliutil.MethodFlags(flag.CommandLine)
+	appName := cliutil.EnumFlag(flag.CommandLine, "app", "btio", "application: btio, madbench or flashio", cliutil.Apps...)
 	procs := flag.Int("procs", 16, "MPI processes (must be a square)")
-	subtype := flag.String("subtype", "full", "BT-IO subtype: full or simple")
-	filetype := flag.String("filetype", "shared", "MADbench2 filetype: unique or shared")
+	subtype := cliutil.EnumFlag(flag.CommandLine, "subtype", "full", "BT-IO subtype: full or simple", cliutil.Subtypes...)
+	filetype := cliutil.EnumFlag(flag.CommandLine, "filetype", "shared", "MADbench2 filetype: unique or shared", cliutil.FileTypes...)
 	quick := flag.Bool("quick", false, "reduced characterization and class A BT-IO (fast demo)")
-	utilization := flag.Bool("utilization", false, "print the cluster utilization report after evaluation")
-	pfsNodes := flag.Int("pfs", 0, "deploy a PVFS-like parallel FS over N I/O nodes and run against it")
 	saveChar := flag.String("save-char", "", "write the characterization to this JSON file")
 	loadChar := flag.String("load-char", "", "reuse a characterization from this JSON file (skips phase 1 system side)")
-	metrics := cliutil.MetricsFlag(flag.CommandLine)
-	faultName := cliutil.FaultFlag(flag.CommandLine)
-	seed := cliutil.SeedFlag(flag.CommandLine)
-	spans := cliutil.SpansFlag(flag.CommandLine)
-	storeDir := cliutil.StoreFlag(flag.CommandLine)
-	charWorkers := cliutil.CharWorkersFlag(flag.CommandLine)
-	flag.Parse()
+	cliutil.Parse()
 
-	org, err := cliutil.ParseOrg(*orgName)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	build, err := cliutil.ClusterBuilder(*platform, org, *pfsNodes)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	usePFS := *pfsNodes > 0
-
+	build := cliutil.Must(m.Builder())
 	fmt.Println("== Phase 2 preview: I/O configuration analysis ==")
 	fmt.Println(core.AnalyzeConfiguration(build()))
 
 	fmt.Println("== Phase 1: characterization (system side) ==")
-	opts := []core.SessionOption{core.WithCharacterizeWorkers(*charWorkers)}
-	plan, err := cliutil.FaultPlan(*faultName, *seed)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	if plan != nil {
-		opts = append(opts, core.WithFaultPlan(*plan))
-	}
-	st, err := cliutil.OpenStore(*storeDir)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	if st != nil {
-		opts = append(opts, core.WithStore(st))
-	}
+	source := core.WithCharacterizeConfig(cliutil.CharConfig(*quick, m.UsePFS()))
 	if *loadChar != "" {
-		f, err := os.Open(*loadChar)
-		if err != nil {
-			cliutil.Fatal(err)
-		}
+		f := cliutil.Must(os.Open(*loadChar))
 		ch, err := core.ReadCharacterizationJSON(f)
 		_ = f.Close() // read-only; a close error cannot lose data
-		if err != nil {
-			cliutil.Fatal(err)
-		}
+		cliutil.Check(err)
 		fmt.Printf("(loaded characterization of %s from %s)\n", ch.Config, *loadChar)
-		opts = append(opts, core.WithCharacterization(ch))
-	} else {
-		opts = append(opts, core.WithCharacterizeConfig(cliutil.CharConfig(*quick, usePFS)))
+		source = core.WithCharacterization(ch)
 	}
-	sess := core.NewSession(build, opts...)
-	ch, err := sess.Characterization()
-	if err != nil {
-		cliutil.Fatal(err)
-	}
+	sess := cliutil.Must(m.Session(build, source))
+	ch := cliutil.Must(sess.Characterization())
 	if *saveChar != "" {
-		if err := cliutil.WriteFileFn(*saveChar, ch.WriteJSON); err != nil {
-			cliutil.Fatal(err)
-		}
+		cliutil.Check(cliutil.WriteFileFn(*saveChar, ch.WriteJSON))
 		fmt.Printf("(characterization saved to %s)\n", *saveChar)
 	}
-	for _, level := range core.Levels() {
-		fmt.Println(core.FormatPerfTable(ch.Table(level)))
-	}
+	cliutil.PrintTables(ch)
 
-	var app workload.App
-	switch *appName {
-	case "btio":
-		class := btio.ClassC
-		if *quick {
-			class = btio.ClassA
-		}
-		sub := btio.Full
-		if *subtype == "simple" {
-			sub = btio.Simple
-		}
-		app = btio.New(btio.Config{Class: class, Procs: *procs, Subtype: sub, ComputeScale: 1, UsePFS: usePFS})
-	case "madbench":
-		ft := madbench.Shared
-		if *filetype == "unique" {
-			ft = madbench.Unique
-		}
-		kpix := 18
-		if *quick {
-			kpix = 4
-		}
-		app = madbench.New(madbench.Config{Procs: *procs, KPix: kpix, FileType: ft, BusyWork: sim.Second})
-	case "flashio":
-		app = flashio.New(flashio.Config{Procs: *procs, Compute: 5 * sim.Second})
-	default:
-		cliutil.Fatal(fmt.Errorf("unknown app %q", *appName))
-	}
-
+	app := cliutil.Must(cliutil.Workload(cliutil.WorkloadName(*appName, *subtype, *filetype), *procs, *quick, m.UsePFS()))
 	fmt.Printf("== Phase 1: characterization (application side) + Phase 3: evaluation ==\n")
 	fmt.Printf("running %s ...\n\n", app.Name())
-	rep, err := sess.Run(app)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	ev := rep.Evaluation
-	fmt.Println(core.FormatProfile(ev.AppName(), ev.Profile()))
-	fmt.Println(core.FormatEvaluation(ev))
-	if *spans {
-		fmt.Println(core.FormatPathReport(ev.PathReport()))
-	}
-	if rep.Degraded != nil {
-		fmt.Printf("== Phase 3 (degraded): evaluation under fault scenario %q ==\n", rep.Scenario)
-		fmt.Println(core.FormatEvaluation(rep.Degraded))
-		if *spans {
-			fmt.Println(core.FormatPathReport(rep.Degraded.PathReport()))
-		}
-		fmt.Println("Healthy vs degraded:")
-		fmt.Println(core.FormatUsedComparison(ev.Used(), rep.Degraded.Used()))
-	}
-	if *utilization {
-		fmt.Println(rep.Utilization)
-		if rep.Degraded != nil {
-			fmt.Println("Utilization under fault scenario:")
-			fmt.Println(rep.DegradedUtilization)
-		}
-	}
-	if *metrics != "" {
-		if err := cliutil.WriteMetrics(*metrics, ev.TelemetryReport(), st); err != nil {
-			cliutil.Fatal(err)
-		}
-		fmt.Printf("(telemetry report written to %s)\n", *metrics)
-	}
-	if st != nil {
-		fmt.Println(cliutil.StoreSummary(st))
-	}
+	cliutil.Check(m.Run(sess, app))
 }

@@ -23,35 +23,25 @@ import (
 )
 
 func main() {
-	platform := flag.String("platform", "aohyper", "cluster: aohyper or clusterA")
-	orgName := flag.String("org", "raid5", "Aohyper device organization")
+	platform := cliutil.EnumFlag(flag.CommandLine, "platform", "aohyper", "cluster: aohyper or clusterA", cliutil.Platforms...)
+	orgName := cliutil.EnumFlag(flag.CommandLine, "org", "raid5", "Aohyper device organization", cliutil.Orgs...)
 	procs := flag.Int("procs", 8, "processes")
 	file := cliutil.SizeFlag(flag.CommandLine, "file", 32768, cliutil.MiB, "total file size in `MiB` (paper: 32 GiB)")
 	xfer := cliutil.SizeFlag(flag.CommandLine, "xfer", 256, cliutil.KiB, "transfer size in `KiB` (must divide every block size)")
 	collective := flag.Bool("collective", false, "use collective (two-phase) I/O")
-	storeDir := cliutil.StoreFlag(flag.CommandLine)
-	charWorkers := cliutil.CharWorkersFlag(flag.CommandLine)
-	flag.Parse()
+	stored := cliutil.StoredFlags(flag.CommandLine)
+	cliutil.Parse()
 
-	org, err := cliutil.ParseOrg(*orgName)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	build, err := cliutil.ClusterBuilder(*platform, org, 0)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
+	org := cliutil.Must(cliutil.ParseOrg(*orgName))
+	build := cliutil.Must(cliutil.ClusterBuilder(*platform, org, 0))
 	c := build()
 
-	results, err := bench.RunIOR(c, bench.IORConfig{
+	results := cliutil.Must(bench.RunIOR(c, bench.IORConfig{
 		Procs:        *procs,
 		FileSize:     file.Bytes(),
 		TransferSize: xfer.Bytes(),
 		Collective:   *collective,
-	})
-	if err != nil {
-		cliutil.Fatal(err)
-	}
+	}))
 
 	fmt.Printf("IOR-like sweep — %s, %d procs, %d MiB file, %d KiB transfers, collective=%v\n\n",
 		c.Cfg.Name, *procs, file.Bytes()>>20, xfer.Bytes()>>10, *collective)
@@ -62,21 +52,5 @@ func main() {
 	}
 	fmt.Println(tb.String())
 
-	st, err := cliutil.OpenStore(*storeDir)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	if st != nil {
-		sess := core.NewSession(build,
-			core.WithStore(st),
-			core.WithCharacterizeWorkers(*charWorkers),
-			core.WithCharacterizeConfig(cliutil.CharConfig(true, false)))
-		ch, err := sess.Characterization()
-		if err != nil {
-			cliutil.Fatal(err)
-		}
-		fmt.Println("Stored library-level baseline:")
-		fmt.Println(core.FormatPerfTable(ch.Table(core.LevelIOLib)))
-		fmt.Println(cliutil.StoreSummary(st))
-	}
+	cliutil.Check(stored.Baseline(build, "Stored library-level baseline:", core.LevelIOLib))
 }

@@ -28,91 +28,64 @@ import (
 
 	"ioeval/cmd/internal/cliutil"
 	"ioeval/internal/fault"
-	"ioeval/internal/sim"
 	"ioeval/internal/sweep"
 	"ioeval/internal/workload"
-	"ioeval/internal/workload/btio"
-	"ioeval/internal/workload/flashio"
-	"ioeval/internal/workload/madbench"
 )
 
 func main() {
-	platforms := flag.String("platforms", "aohyper", "comma-separated platforms: aohyper, clusterA")
-	orgs := flag.String("orgs", "jbod,raid1,raid5", "comma-separated device organizations")
+	platforms := cliutil.EnumListFlag(flag.CommandLine, "platforms", "aohyper", "comma-separated platforms: aohyper, clusterA", cliutil.Platforms...)
+	orgs := cliutil.EnumListFlag(flag.CommandLine, "orgs", "jbod,raid1,raid5", "comma-separated device organizations", cliutil.Orgs...)
 	pfs := flag.String("pfs", "0", "comma-separated I/O-node counts (0 = NFS path, n > 0 = parallel FS over n I/O nodes)")
-	apps := flag.String("apps", "btio-full,btio-simple", "comma-separated workloads: btio-full, btio-simple, madbench-shared, madbench-unique, flashio")
+	apps := cliutil.EnumListFlag(flag.CommandLine, "apps", "btio-full,btio-simple", "comma-separated workloads: btio-full, btio-simple, madbench-shared, madbench-unique, flashio", cliutil.Workloads...)
 	procs := flag.Int("procs", 16, "MPI processes per workload (btio needs a square)")
 	workers := flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
-	rankName := flag.String("rank", "io-time", "ranking metric: io-time, used-pct or throughput")
+	rankName := cliutil.EnumFlag(flag.CommandLine, "rank", "io-time", "ranking metric: io-time, used-pct or throughput", cliutil.Ranks...)
 	quick := flag.Bool("quick", false, "reduced characterization and class A BT-IO (fast demo)")
 	jsonOut := flag.String("json", "", "write the ranked report to this JSON file")
 	faults := cliutil.FaultListFlag(flag.CommandLine)
 	seed := cliutil.SeedFlag(flag.CommandLine)
 	storeDir := cliutil.StoreFlag(flag.CommandLine)
 	charWorkers := cliutil.CharWorkersFlag(flag.CommandLine)
-	flag.Parse()
+	cliutil.Parse()
 
-	rank, err := sweep.ParseMetric(*rankName)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
+	rank := cliutil.Must(sweep.ParseMetric(*rankName))
 	spec := sweep.GridSpec{Char: cliutil.CharConfig(*quick, false)}
 	for _, p := range cliutil.SplitList(*platforms) {
-		cfg, err := cliutil.PlatformConfig(p)
-		if err != nil {
-			cliutil.Fatal(err)
-		}
-		spec.Platforms = append(spec.Platforms, cfg)
+		spec.Platforms = append(spec.Platforms, cliutil.Must(cliutil.PlatformConfig(p)))
 	}
 	for _, o := range cliutil.SplitList(*orgs) {
-		org, err := cliutil.ParseOrg(o)
-		if err != nil {
-			cliutil.Fatal(err)
-		}
-		spec.Orgs = append(spec.Orgs, org)
+		spec.Orgs = append(spec.Orgs, cliutil.Must(cliutil.ParseOrg(o)))
 	}
 	for _, s := range cliutil.SplitList(*pfs) {
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 0 {
-			cliutil.Fatal(fmt.Errorf("bad -pfs entry %q", s))
+			cliutil.BadValue(fmt.Errorf("bad -pfs entry %q", s))
 		}
 		spec.PFSIONodes = append(spec.PFSIONodes, n)
 	}
 	for _, a := range cliutil.SplitList(*apps) {
-		app, err := appSpec(a, *procs, *quick)
-		if err != nil {
-			cliutil.Fatal(err)
-		}
-		spec.Apps = append(spec.Apps, app)
+		spec.Apps = append(spec.Apps, sweep.AppSpec{Name: a, NewFor: func(usePFS bool) workload.App {
+			return cliutil.Must(cliutil.Workload(a, *procs, *quick, usePFS))
+		}})
 	}
 	for _, f := range cliutil.SplitList(*faults) {
 		if f == "none" {
 			spec.Scenarios = append(spec.Scenarios, fault.Plan{})
 			continue
 		}
-		plan, err := cliutil.FaultPlan(f, *seed)
-		if err != nil {
-			cliutil.Fatal(err)
-		}
-		spec.Scenarios = append(spec.Scenarios, *plan)
+		spec.Scenarios = append(spec.Scenarios, *cliutil.Must(cliutil.FaultPlan(f, *seed)))
 	}
 
 	grid := spec.Grid()
 	eng := sweep.NewEngine(*workers)
 	eng.SetCharWorkers(*charWorkers)
-	st, err := cliutil.OpenStore(*storeDir)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
+	st := cliutil.Must(cliutil.OpenStore(*storeDir))
 	if st != nil {
 		eng.SetStore(st)
 	}
 	fmt.Printf("sweeping %d configurations × %d workloads on %d workers ...\n",
 		len(grid.Configs), len(spec.Apps), eng.Workers())
-	rep, err := eng.Run(grid, rank)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
+	rep := cliutil.Must(eng.Run(grid, rank))
 	fmt.Println(rep)
 	snap := eng.Snapshot()
 	fmt.Printf("engine: %d characterizations (%d cache hits), %d evaluations (%d cache hits)\n",
@@ -122,43 +95,7 @@ func main() {
 		fmt.Println(cliutil.StoreSummary(st))
 	}
 	if *jsonOut != "" {
-		if err := rep.WriteFile(*jsonOut); err != nil {
-			cliutil.Fatal(err)
-		}
+		cliutil.Check(rep.WriteFile(*jsonOut))
 		fmt.Printf("(report written to %s)\n", *jsonOut)
 	}
-}
-
-func appSpec(name string, procs int, quick bool) (sweep.AppSpec, error) {
-	class := btio.ClassC
-	if quick {
-		class = btio.ClassA
-	}
-	kpix := 18
-	if quick {
-		kpix = 4
-	}
-	switch name {
-	case "btio-full", "btio-simple":
-		st := btio.Full
-		if name == "btio-simple" {
-			st = btio.Simple
-		}
-		return sweep.AppSpec{Name: name, New: func() workload.App {
-			return btio.New(btio.Config{Class: class, Procs: procs, Subtype: st, ComputeScale: 1})
-		}}, nil
-	case "madbench-shared", "madbench-unique":
-		ft := madbench.Shared
-		if name == "madbench-unique" {
-			ft = madbench.Unique
-		}
-		return sweep.AppSpec{Name: name, New: func() workload.App {
-			return madbench.New(madbench.Config{Procs: procs, KPix: kpix, FileType: ft, BusyWork: sim.Second})
-		}}, nil
-	case "flashio":
-		return sweep.AppSpec{Name: name, New: func() workload.App {
-			return flashio.New(flashio.Config{Procs: procs, Compute: 5 * sim.Second})
-		}}, nil
-	}
-	return sweep.AppSpec{}, fmt.Errorf("unknown app %q", name)
 }

@@ -25,158 +25,51 @@ import (
 
 	"ioeval/cmd/internal/cliutil"
 	"ioeval/internal/core"
-	"ioeval/internal/sim"
 	"ioeval/internal/stats"
-	"ioeval/internal/workload/btio"
-	"ioeval/internal/workload/madbench"
 	"ioeval/internal/workload/synth"
 )
 
 func main() {
+	m := cliutil.MethodFlags(flag.CommandLine)
 	specPath := flag.String("spec", "", "synthetic-workload spec (JSON) to evaluate")
-	emit := flag.String("emit", "", "write a generator's spec instead of running: btio-full, btio-simple, madbench-shared or madbench-unique")
+	emit := cliutil.EnumFlag(flag.CommandLine, "emit", "", "write a generator's spec instead of running: btio-full, btio-simple, madbench-shared or madbench-unique", cliutil.Workloads[:4]...)
 	out := flag.String("out", "", "output file for -emit (default stdout)")
-	platform := flag.String("platform", "aohyper", "cluster to simulate: aohyper or clusterA")
-	orgName := flag.String("org", "raid5", "Aohyper device organization: jbod, raid1 or raid5")
 	procs := flag.Int("procs", 16, "MPI processes for -emit generators")
-	pfsNodes := flag.Int("pfs", 0, "deploy a PVFS-like parallel FS over N I/O nodes and run against it")
 	quick := flag.Bool("quick", false, "reduced characterization and generator problem sizes")
-	utilization := flag.Bool("utilization", false, "print the cluster utilization report after evaluation")
-	faultName := cliutil.FaultFlag(flag.CommandLine)
-	seed := cliutil.SeedFlag(flag.CommandLine)
-	spans := cliutil.SpansFlag(flag.CommandLine)
-	metrics := cliutil.MetricsFlag(flag.CommandLine)
-	storeDir := cliutil.StoreFlag(flag.CommandLine)
-	charWorkers := cliutil.CharWorkersFlag(flag.CommandLine)
-	flag.Parse()
+	cliutil.Parse()
 
 	if *emit != "" {
-		if err := emitSpec(*emit, *procs, *quick, *out); err != nil {
-			cliutil.Fatal(err)
-		}
+		cliutil.Check(emitSpec(*emit, *procs, *quick, *out))
 		return
 	}
 	if *specPath == "" {
 		cliutil.FatalUsage()
 	}
 
-	spec, err := synth.LoadSpec(*specPath)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	app, err := synth.Compile(spec)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-
-	org, err := cliutil.ParseOrg(*orgName)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	build, err := cliutil.ClusterBuilder(*platform, org, *pfsNodes)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
+	spec := cliutil.Must(synth.LoadSpec(*specPath))
+	app := cliutil.Must(synth.Compile(spec))
+	build := cliutil.Must(m.Builder())
 
 	fmt.Println("== Phase 1: characterization (system side) ==")
-	opts := []core.SessionOption{
-		core.WithCharacterizeConfig(cliutil.CharConfig(*quick, *pfsNodes > 0)),
-		core.WithCharacterizeWorkers(*charWorkers),
-	}
-	plan, err := cliutil.FaultPlan(*faultName, *seed)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	if plan != nil {
-		opts = append(opts, core.WithFaultPlan(*plan))
-	}
-	st, err := cliutil.OpenStore(*storeDir)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	if st != nil {
-		opts = append(opts, core.WithStore(st))
-	}
-	sess := core.NewSession(build, opts...)
-	ch, err := sess.Characterization()
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	for _, level := range core.Levels() {
-		fmt.Println(core.FormatPerfTable(ch.Table(level)))
-	}
+	sess := cliutil.Must(m.Session(build, core.WithCharacterizeConfig(cliutil.CharConfig(*quick, m.UsePFS()))))
+	cliutil.PrintTables(cliutil.Must(sess.Characterization()))
 
 	declR, declW := spec.DeclaredBytes()
 	fmt.Printf("== Phase 3: evaluating spec %s (%d ranks, %d phases, %s read / %s written declared) ==\n\n",
 		app.Name(), spec.Procs, len(spec.Phases), stats.IBytes(declR), stats.IBytes(declW))
-	rep, err := sess.Run(app)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	ev := rep.Evaluation
-	fmt.Println(core.FormatProfile(ev.AppName(), ev.Profile()))
-	fmt.Println(core.FormatEvaluation(ev))
-	if *spans {
-		fmt.Println(core.FormatPathReport(ev.PathReport()))
-	}
-	if rep.Degraded != nil {
-		fmt.Printf("== Phase 3 (degraded): evaluation under fault scenario %q ==\n", rep.Scenario)
-		fmt.Println(core.FormatEvaluation(rep.Degraded))
-		if *spans {
-			fmt.Println(core.FormatPathReport(rep.Degraded.PathReport()))
-		}
-		fmt.Println("Healthy vs degraded:")
-		fmt.Println(core.FormatUsedComparison(ev.Used(), rep.Degraded.Used()))
-	}
-	if *utilization {
-		fmt.Println(rep.Utilization)
-		if rep.Degraded != nil {
-			fmt.Println("Utilization under fault scenario:")
-			fmt.Println(rep.DegradedUtilization)
-		}
-	}
-	if *metrics != "" {
-		if err := cliutil.WriteMetrics(*metrics, ev.TelemetryReport(), st); err != nil {
-			cliutil.Fatal(err)
-		}
-		fmt.Printf("(telemetry report written to %s)\n", *metrics)
-	}
-	if st != nil {
-		fmt.Println(cliutil.StoreSummary(st))
-	}
+	cliutil.Check(m.Run(sess, app))
 }
 
 // emitSpec writes the spec one of the application generators runs.
 func emitSpec(name string, procs int, quick bool, out string) error {
-	var spec *synth.Spec
-	switch name {
-	case "btio-full", "btio-simple":
-		class := btio.ClassC
-		if quick {
-			class = btio.ClassA
-		}
-		st := btio.Full
-		if name == "btio-simple" {
-			st = btio.Simple
-		}
-		spec = btio.New(btio.Config{Class: class, Procs: procs, Subtype: st, ComputeScale: 1}).Spec()
-	case "madbench-shared", "madbench-unique":
-		ft := madbench.Shared
-		if name == "madbench-unique" {
-			ft = madbench.Unique
-		}
-		kpix := 18
-		if quick {
-			kpix = 4
-		}
-		spec = madbench.New(madbench.Config{Procs: procs, KPix: kpix, FileType: ft, BusyWork: sim.Second}).Spec()
-	default:
-		return fmt.Errorf("unknown generator %q (want btio-full, btio-simple, madbench-shared or madbench-unique)", name)
+	app, err := cliutil.Workload(name, procs, quick, false)
+	if err != nil {
+		return err
 	}
 	if out == "" {
-		return spec.WriteJSON(os.Stdout)
+		return app.Spec().WriteJSON(os.Stdout)
 	}
-	if err := cliutil.WriteFileFn(out, spec.WriteJSON); err != nil {
+	if err := cliutil.WriteFileFn(out, app.Spec().WriteJSON); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s spec to %s\n", name, out)

@@ -19,7 +19,6 @@ import (
 
 	"ioeval/cmd/internal/cliutil"
 	"ioeval/internal/bench"
-	"ioeval/internal/cluster"
 	"ioeval/internal/core"
 	"ioeval/internal/fs"
 	"ioeval/internal/ioreq"
@@ -28,25 +27,23 @@ import (
 )
 
 func main() {
-	orgName := flag.String("org", "raid5", "device organization: jbod, raid1 or raid5")
-	target := flag.String("target", "local", "filesystem under test: local (I/O node) or nfs")
+	orgName := cliutil.EnumFlag(flag.CommandLine, "org", "raid5", "device organization: jbod, raid1 or raid5", cliutil.Orgs...)
+	target := cliutil.EnumFlag(flag.CommandLine, "target", "local", "filesystem under test: local (I/O node) or nfs", cliutil.Targets...)
 	file := cliutil.SizeFlag(flag.CommandLine, "file", 4096, cliutil.MiB, "file size in `MiB` (paper rule: 2x RAM)")
 	minSize := cliutil.SizeFlag(flag.CommandLine, "min", 32, cliutil.KiB, "smallest block size in `KiB`")
 	maxSize := cliutil.SizeFlag(flag.CommandLine, "max", 16384, cliutil.KiB, "largest block size in `KiB`")
-	modesArg := flag.String("modes", "seq", "comma list of: seq, rand, stride")
-	storeDir := cliutil.StoreFlag(flag.CommandLine)
-	charWorkers := cliutil.CharWorkersFlag(flag.CommandLine)
-	flag.Parse()
+	modesArg := cliutil.EnumListFlag(flag.CommandLine, "modes", "seq", "comma list of: seq, rand, stride", cliutil.Modes...)
+	stored := cliutil.StoredFlags(flag.CommandLine)
+	cliutil.Parse()
 
-	org, err := cliutil.ParseOrg(*orgName)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	c := cluster.Aohyper(org)
+	org := cliutil.Must(cliutil.ParseOrg(*orgName))
+	build := cliutil.Must(cliutil.ClusterBuilder("aohyper", org, 0))
+	c := build()
 
 	var fsi fs.Interface = c.ServerFS
+	level := core.LevelLocalFS
 	if *target == "nfs" {
-		fsi = c.Nodes[0].NFS
+		fsi, level = c.Nodes[0].NFS, core.LevelNFS
 	}
 
 	var modes []bench.Mode
@@ -58,8 +55,6 @@ func main() {
 			modes = append(modes, bench.RandWrite, bench.RandRead)
 		case "stride":
 			modes = append(modes, bench.StrideWrite, bench.StrideRead)
-		default:
-			cliutil.Fatal(fmt.Errorf("unknown mode %q", m))
 		}
 	}
 
@@ -69,7 +64,7 @@ func main() {
 		cliutil.Fatal(fmt.Errorf("block sizes need 0 < -min <= -max, got -min %v -max %v", minSize, maxSize))
 	}
 
-	results, err := bench.RunIOzone(c.Eng, fsi, bench.IOzoneConfig{
+	results := cliutil.Must(bench.RunIOzone(c.Eng, fsi, bench.IOzoneConfig{
 		FileSize:   file.Bytes(),
 		BlockSizes: blockSizes,
 		Modes:      modes,
@@ -79,10 +74,7 @@ func main() {
 			c.IOCache.DropCaches(m)
 			c.Nodes[0].NFS.DropCaches(m)
 		},
-	})
-	if err != nil {
-		cliutil.Fatal(err)
-	}
+	}))
 
 	fmt.Printf("IOzone-like sweep — %s, %s target, file %d MiB\n\n", org, *target, file.Bytes()>>20)
 	var tb stats.Table
@@ -93,29 +85,5 @@ func main() {
 	}
 	fmt.Println(tb.String())
 
-	st, err := cliutil.OpenStore(*storeDir)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	if st != nil {
-		build, err := cliutil.ClusterBuilder("aohyper", org, 0)
-		if err != nil {
-			cliutil.Fatal(err)
-		}
-		sess := core.NewSession(build,
-			core.WithStore(st),
-			core.WithCharacterizeWorkers(*charWorkers),
-			core.WithCharacterizeConfig(cliutil.CharConfig(true, false)))
-		ch, err := sess.Characterization()
-		if err != nil {
-			cliutil.Fatal(err)
-		}
-		level := core.LevelLocalFS
-		if *target == "nfs" {
-			level = core.LevelNFS
-		}
-		fmt.Printf("Stored %s baseline:\n", level)
-		fmt.Println(core.FormatPerfTable(ch.Table(level)))
-		fmt.Println(cliutil.StoreSummary(st))
-	}
+	cliutil.Check(stored.Baseline(build, fmt.Sprintf("Stored %s baseline:", level), level))
 }

@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"ioeval/cmd/internal/cliutil"
-	"ioeval/internal/core"
 	"ioeval/internal/sim"
 	"ioeval/internal/stats"
 	"ioeval/internal/trace"
@@ -26,25 +25,18 @@ import (
 )
 
 func main() {
-	platform := flag.String("platform", "aohyper", "cluster: aohyper or clusterA")
-	orgName := flag.String("org", "raid5", "Aohyper device organization")
+	platform := cliutil.EnumFlag(flag.CommandLine, "platform", "aohyper", "cluster: aohyper or clusterA", cliutil.Platforms...)
+	orgName := cliutil.EnumFlag(flag.CommandLine, "org", "raid5", "Aohyper device organization", cliutil.Orgs...)
 	procs := flag.Int("procs", 16, "MPI processes (square)")
 	kpix := flag.Int("kpix", 18, "KPIX (pixels = KPIX x 1024)")
 	bins := flag.Int("bins", 8, "component matrices")
-	filetype := flag.String("filetype", "shared", "unique or shared")
+	filetype := cliutil.EnumFlag(flag.CommandLine, "filetype", "shared", "unique or shared", cliutil.FileTypes...)
 	timeline := flag.Bool("timeline", false, "render the trace timeline")
-	storeDir := cliutil.StoreFlag(flag.CommandLine)
-	charWorkers := cliutil.CharWorkersFlag(flag.CommandLine)
-	flag.Parse()
+	stored := cliutil.StoredFlags(flag.CommandLine)
+	cliutil.Parse()
 
-	org, err := cliutil.ParseOrg(*orgName)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	build, err := cliutil.ClusterBuilder(*platform, org, 0)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
+	org := cliutil.Must(cliutil.ParseOrg(*orgName))
+	build := cliutil.Must(cliutil.ClusterBuilder(*platform, org, 0))
 	c := build()
 
 	ft := madbench.Shared
@@ -58,10 +50,7 @@ func main() {
 	tr := trace.New()
 	fmt.Printf("running %s on %s (slice %s per op) ...\n\n",
 		app.Name(), c.Cfg.Name, stats.IBytes(app.SliceBytes()))
-	res, err := app.Run(c, tr)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
+	res := cliutil.Must(app.Run(c, tr))
 
 	var tb stats.Table
 	tb.AddRow("metric", "value")
@@ -76,20 +65,5 @@ func main() {
 		fmt.Println(trace.Timeline{Width: 110}.Render(tr.Events()))
 	}
 
-	st, err := cliutil.OpenStore(*storeDir)
-	if err != nil {
-		cliutil.Fatal(err)
-	}
-	if st != nil {
-		sess := core.NewSession(build,
-			core.WithStore(st),
-			core.WithCharacterizeWorkers(*charWorkers),
-			core.WithCharacterizeConfig(cliutil.CharConfig(true, false)))
-		ev, err := sess.Evaluate(madbench.New(cfg))
-		if err != nil {
-			cliutil.Fatal(err)
-		}
-		fmt.Println(core.FormatEvaluation(ev))
-		fmt.Println(cliutil.StoreSummary(st))
-	}
+	cliutil.Check(stored.Evaluate(build, madbench.New(cfg)))
 }

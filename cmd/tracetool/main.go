@@ -24,18 +24,14 @@ import (
 	"ioeval/cmd/internal/cliutil"
 	"ioeval/internal/cluster"
 	"ioeval/internal/core"
-	"ioeval/internal/sim"
 	"ioeval/internal/stats"
 	"ioeval/internal/trace"
-	"ioeval/internal/workload"
-	"ioeval/internal/workload/btio"
-	"ioeval/internal/workload/madbench"
 )
 
 func main() {
-	capture := flag.String("capture", "", "workload to capture: btio or madbench (empty = analyze)")
+	capture := cliutil.EnumFlag(flag.CommandLine, "capture", "", "workload to capture: btio or madbench (empty = analyze)", cliutil.Apps[:2]...)
 	procs := flag.Int("procs", 16, "processes for capture")
-	subtype := flag.String("subtype", "full", "BT-IO subtype for capture")
+	subtype := cliutil.EnumFlag(flag.CommandLine, "subtype", "full", "BT-IO subtype for capture", cliutil.Subtypes...)
 	out := flag.String("out", "", "output trace file for capture")
 	in := flag.String("in", "", "input trace file for analysis")
 	profile := flag.Bool("profile", true, "print the application characterization")
@@ -45,7 +41,7 @@ func main() {
 	phasesCSV := flag.String("phases-csv", "", "export detected phases as CSV to this file")
 	inferOut := flag.String("infer-spec", "", "infer a synthetic-workload spec (runnable via iosynth) from the trace and write it to this JSON file")
 	quick := flag.Bool("quick", true, "reduced problem sizes for capture")
-	flag.Parse()
+	cliutil.Parse()
 
 	switch {
 	case *capture != "":
@@ -53,52 +49,17 @@ func main() {
 			cliutil.Fatal(fmt.Errorf("-capture needs -out"))
 		}
 		tr := trace.New()
-		var app workload.App
-		switch *capture {
-		case "btio":
-			class := btio.ClassC
-			if *quick {
-				class = btio.ClassA
-			}
-			st := btio.Full
-			if *subtype == "simple" {
-				st = btio.Simple
-			}
-			app = btio.New(btio.Config{Class: class, Procs: *procs, Subtype: st, ComputeScale: 1})
-		case "madbench":
-			kpix := 18
-			if *quick {
-				kpix = 4
-			}
-			app = madbench.New(madbench.Config{Procs: *procs, KPix: kpix, FileType: madbench.Shared, BusyWork: sim.Second})
-		default:
-			cliutil.Fatal(fmt.Errorf("unknown workload %q", *capture))
-		}
-		c := cluster.Aohyper(cluster.RAID5)
+		app := cliutil.Must(cliutil.Workload(cliutil.WorkloadName(*capture, *subtype, "shared"), *procs, *quick, false))
 		fmt.Fprintf(os.Stderr, "capturing %s ...\n", app.Name())
-		if _, err := app.Run(c, tr); err != nil {
-			cliutil.Fatal(err)
-		}
-		f, err := os.Create(*out)
-		if err != nil {
-			cliutil.Fatal(err)
-		}
-		defer f.Close()
-		if err := tr.WriteJSON(f); err != nil {
-			cliutil.Fatal(err)
-		}
+		_, err := app.Run(cluster.Aohyper(cluster.RAID5), tr)
+		cliutil.Check(err)
+		cliutil.Check(cliutil.WriteFileFn(*out, tr.WriteJSON))
 		fmt.Fprintf(os.Stderr, "wrote %d events to %s\n", len(tr.Events()), *out)
 
 	case *in != "":
-		f, err := os.Open(*in)
-		if err != nil {
-			cliutil.Fatal(err)
-		}
+		f := cliutil.Must(os.Open(*in))
 		defer f.Close()
-		tr, err := trace.ReadJSON(f)
-		if err != nil {
-			cliutil.Fatal(err)
-		}
+		tr := cliutil.Must(trace.ReadJSON(f))
 		if *profile {
 			fmt.Println(core.FormatProfile(*in, tr.Profile()))
 		}
@@ -115,24 +76,15 @@ func main() {
 			fmt.Println(trace.Timeline{Width: 110}.Render(tr.Events()))
 		}
 		if *csvOut != "" {
-			if err := cliutil.WriteFileFn(*csvOut, tr.WriteCSV); err != nil {
-				cliutil.Fatal(err)
-			}
+			cliutil.Check(cliutil.WriteFileFn(*csvOut, tr.WriteCSV))
 		}
 		if *phasesCSV != "" {
 			ranks := tr.Profile().NumProcs
-			if err := cliutil.WriteFileFn(*phasesCSV, func(w io.Writer) error { return tr.PhaseCSV(w, ranks) }); err != nil {
-				cliutil.Fatal(err)
-			}
+			cliutil.Check(cliutil.WriteFileFn(*phasesCSV, func(w io.Writer) error { return tr.PhaseCSV(w, ranks) }))
 		}
 		if *inferOut != "" {
-			spec, err := trace.InferSpec(tr, *in)
-			if err != nil {
-				cliutil.Fatal(err)
-			}
-			if err := cliutil.WriteFileFn(*inferOut, spec.WriteJSON); err != nil {
-				cliutil.Fatal(err)
-			}
+			spec := cliutil.Must(trace.InferSpec(tr, *in))
+			cliutil.Check(cliutil.WriteFileFn(*inferOut, spec.WriteJSON))
 			fmt.Fprintf(os.Stderr, "inferred %d-phase spec for %d ranks to %s\n",
 				len(spec.Phases), spec.Procs, *inferOut)
 		}

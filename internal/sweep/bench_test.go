@@ -21,7 +21,7 @@ func BenchmarkSweepSequentialBaseline(b *testing.B) {
 		for _, cfg := range grid.Configs {
 			for _, app := range grid.Apps {
 				sess := core.NewSession(cfg.Build, core.WithCharacterizeConfig(cfg.Char))
-				if _, err := sess.Evaluate(app.New()); err != nil {
+				if _, err := sess.Evaluate(app.app(cfg)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -32,8 +32,10 @@ type GridSpec struct {
 	Orgs []cluster.Organization
 	// PFSIONodes is the I/O-node-count axis: 0 evaluates the
 	// platform's NFS path, n > 0 deploys a PVFS-like parallel FS over
-	// n dedicated I/O nodes and characterizes/evaluates against it.
-	// Empty keeps each platform's own setting.
+	// n dedicated I/O nodes and characterizes against it (Char.UsePFS
+	// set on the cell). The workload runs on the parallel FS only if
+	// its AppSpec has NewFor, which is passed that flag; New builds the
+	// same App on every cell. Empty keeps each platform's own setting.
 	PFSIONodes []int
 	// Char parameterizes characterization for every expanded config
 	// (UsePFS is set per cell from the I/O-node axis).

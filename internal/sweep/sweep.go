@@ -53,12 +53,24 @@ type Config struct {
 	Fault *fault.Plan
 }
 
-// AppSpec is one workload of a sweep. New must return a fresh App per
-// call: evaluations run concurrently and an App instance must not be
-// shared across cells.
+// AppSpec is one workload of a sweep. New and NewFor must return a
+// fresh App per call: evaluations run concurrently and an App instance
+// must not be shared across cells.
 type AppSpec struct {
 	Name string
 	New  func() workload.App
+	// NewFor, when set, is used instead of New. It is passed the
+	// cell's parallel-FS flag (Config.Char.UsePFS), so the workload can
+	// run on the filesystem the cell characterizes.
+	NewFor func(usePFS bool) workload.App
+}
+
+// app returns a fresh App of the spec for cell cfg.
+func (a AppSpec) app(cfg Config) workload.App {
+	if a.NewFor != nil {
+		return a.NewFor(cfg.Char.UsePFS)
+	}
+	return a.New()
 }
 
 // Engine evaluates sweep cells on a bounded worker pool, sharing
@@ -199,8 +211,8 @@ func (e *Engine) Characterization(cfg Config) (*core.Characterization, error) {
 // characterizing the configuration first if no cached table set
 // exists. Single-flight per cell key.
 func (e *Engine) Evaluate(cfg Config, app AppSpec) (*core.Evaluation, error) {
-	if app.New == nil {
-		return nil, fmt.Errorf("sweep: app %q needs a New function", app.Name)
+	if app.New == nil && app.NewFor == nil {
+		return nil, fmt.Errorf("sweep: app %q needs a New or NewFor function", app.Name)
 	}
 	f := flightFor(e, e.evals, cfg.Name+"\x00"+app.Name)
 	hit := f.do(func() (*core.Evaluation, error) {
@@ -212,9 +224,9 @@ func (e *Engine) Evaluate(cfg Config, app AppSpec) (*core.Evaluation, error) {
 		opts := []core.SessionOption{core.WithCharacterization(ch)}
 		if cfg.Fault != nil && !cfg.Fault.Empty() {
 			opts = append(opts, core.WithFaultPlan(*cfg.Fault))
-			return core.NewSession(cfg.Build, opts...).EvaluateScenario(app.New())
+			return core.NewSession(cfg.Build, opts...).EvaluateScenario(app.app(cfg))
 		}
-		return core.NewSession(cfg.Build, opts...).Evaluate(app.New())
+		return core.NewSession(cfg.Build, opts...).Evaluate(app.app(cfg))
 	})
 	if hit {
 		e.nEvalHit.Add(1)

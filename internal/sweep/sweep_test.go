@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -61,12 +62,43 @@ var quickClass = btio.Class{Name: "Q", N: 64, Steps: 20, WriteInterval: 5}
 
 func testApps() []AppSpec {
 	return []AppSpec{
-		{Name: "btio-full", New: func() workload.App {
-			return btio.New(btio.Config{Class: quickClass, Procs: 4, Subtype: btio.Full})
+		{Name: "btio-full", NewFor: func(usePFS bool) workload.App {
+			return btio.New(btio.Config{Class: quickClass, Procs: 4, Subtype: btio.Full, UsePFS: usePFS})
 		}},
 		{Name: "flashio", New: func() workload.App {
 			return flashio.New(flashio.Config{Procs: 4, BlocksPerProc: 8})
 		}},
+	}
+}
+
+// TestPFSCellRunsOnPFS checks that a parallel-FS cell runs its
+// workload on the parallel FS it characterizes: BT-IO's writes on a
+// pfs-2 cell go through the PFS clients and none through the NFS
+// mounts, and an NFS cell's go the other way.
+func TestPFSCellRunsOnPFS(t *testing.T) {
+	grid := GridSpec{
+		Platforms:  []cluster.Config{tinyBase("pfs", 2)},
+		Orgs:       []cluster.Organization{cluster.RAID5},
+		PFSIONodes: []int{0, 2},
+		Char:       quickChar(),
+		Apps:       testApps()[:1],
+	}.Grid()
+	eng := NewEngine(2)
+	for _, cfg := range grid.Configs {
+		ev, err := eng.Evaluate(cfg, grid.Apps[0])
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.Name, err)
+		}
+		written := map[string]int64{}
+		for _, s := range ev.TelemetryReport().Components {
+			kind, _, _ := strings.Cut(s.Component, ":")
+			written[kind] += s.Counters.Write.Bytes
+		}
+		onPFS, onNFS := written["pfs-client"], written["nfs-client"]
+		if cfg.Char.UsePFS != (onPFS > 0) || cfg.Char.UsePFS == (onNFS > 0) {
+			t.Errorf("%s (UsePFS %v): %d bytes written through PFS clients, %d through NFS clients",
+				cfg.Name, cfg.Char.UsePFS, onPFS, onNFS)
+		}
 	}
 }
 
