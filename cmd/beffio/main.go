@@ -19,20 +19,21 @@ import (
 
 	"ioeval/cmd/internal/cliutil"
 	"ioeval/internal/bench"
+	"ioeval/internal/catalog"
 	"ioeval/internal/core"
 	"ioeval/internal/stats"
 )
 
 func main() {
-	platform := cliutil.EnumFlag(flag.CommandLine, "platform", "aohyper", "cluster: aohyper or clusterA", cliutil.Platforms...)
-	orgName := cliutil.EnumFlag(flag.CommandLine, "org", "raid5", "Aohyper device organization", cliutil.Orgs...)
+	platform := cliutil.EnumFlag(flag.CommandLine, "platform", "aohyper", "cluster: aohyper or clusterA", catalog.Platforms...)
+	orgName := cliutil.EnumFlag(flag.CommandLine, "org", "raid5", "Aohyper device organization", catalog.Orgs...)
 	procs := flag.Int("procs", 8, "processes")
 	perRank := cliutil.SizeFlag(flag.CommandLine, "bytes", 64, cliutil.MiB, "`MiB` per rank per measurement")
 	stored := cliutil.StoredFlags(flag.CommandLine)
 	cliutil.Parse()
 
-	org := cliutil.Must(cliutil.ParseOrg(*orgName))
-	build := cliutil.Must(cliutil.ClusterBuilder(*platform, org, 0))
+	org := cliutil.Must(catalog.ParseOrg(*orgName))
+	build := cliutil.Must(catalog.Builder(*platform, org, 0))
 	c := build()
 
 	sum := cliutil.Must(bench.RunBeffIO(c, bench.BeffIOConfig{

@@ -18,6 +18,7 @@ import (
 	"fmt"
 
 	"ioeval/cmd/internal/cliutil"
+	"ioeval/internal/catalog"
 	"ioeval/internal/core"
 	"ioeval/internal/stats"
 	"ioeval/internal/trace"
@@ -25,8 +26,8 @@ import (
 )
 
 func main() {
-	platform := cliutil.EnumFlag(flag.CommandLine, "platform", "aohyper", "cluster: aohyper or clusterA", cliutil.Platforms...)
-	orgName := cliutil.EnumFlag(flag.CommandLine, "org", "raid5", "Aohyper device organization", cliutil.Orgs...)
+	platform := cliutil.EnumFlag(flag.CommandLine, "platform", "aohyper", "cluster: aohyper or clusterA", catalog.Platforms...)
+	orgName := cliutil.EnumFlag(flag.CommandLine, "org", "raid5", "Aohyper device organization", catalog.Orgs...)
 	className := cliutil.EnumFlag(flag.CommandLine, "class", "C", "NPB class: A, B or C", cliutil.Classes...)
 	procs := flag.Int("procs", 16, "MPI processes (square)")
 	subtype := cliutil.EnumFlag(flag.CommandLine, "subtype", "full", "I/O subtype: full or simple", cliutil.Subtypes...)
@@ -34,10 +35,6 @@ func main() {
 	metrics := cliutil.MetricsFlag(flag.CommandLine)
 	stored := cliutil.StoredFlags(flag.CommandLine)
 	cliutil.Parse()
-
-	org := cliutil.Must(cliutil.ParseOrg(*orgName))
-	build := cliutil.Must(cliutil.ClusterBuilder(*platform, org, 0))
-	c := build()
 
 	class := btio.ClassC
 	switch *className {
@@ -50,9 +47,11 @@ func main() {
 	if *subtype == "simple" {
 		sub = btio.Simple
 	}
+	app := cliutil.Valid(catalog.BTIO(class, *procs, sub))
 
-	cfg := btio.Config{Class: class, Procs: *procs, Subtype: sub, ComputeScale: 1}
-	app := btio.New(cfg)
+	org := cliutil.Must(catalog.ParseOrg(*orgName))
+	build := cliutil.Must(catalog.Builder(*platform, org, 0))
+	c := build()
 	tr := trace.New()
 	ps := trace.NewPhaseSnapshotter(c.Eng, c.Telemetry, tr, 0)
 	fmt.Printf("running %s on %s ...\n\n", app.Name(), c.Cfg.Name)
@@ -80,7 +79,7 @@ func main() {
 		fmt.Println(trace.Timeline{Width: 110}.Render(tr.Events()))
 	}
 
-	cliutil.Check(stored.Evaluate(build, btio.New(cfg)))
+	cliutil.Check(stored.Evaluate(build, app))
 
 	if *metrics != "" {
 		rep := c.TelemetryReport()

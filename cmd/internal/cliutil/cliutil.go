@@ -1,11 +1,11 @@
 // Package cliutil is the shared wiring of the ioeval commands: one
 // implementation of the common flags (-fault, -seed, -spans,
-// -metrics, -store) and of the enum flags' value sets, the
-// platform/organization parsers, the quick characterization preset,
-// the workload catalogue (workload.go), the -store epilogue and the
-// methodology driver (method.go), JSON-export helpers and the
-// exit-code conventions, so the main.go files keep only their own
-// flags and output.
+// -metrics, -store) and of the enum flags' value sets, the quick
+// characterization preset, the mapping of their flags onto the
+// workload catalogue (internal/catalog) and the -store epilogue
+// (workload.go), the methodology driver (method.go), JSON-export
+// helpers and the exit-code conventions, so the main.go files keep
+// only their own flags and output.
 //
 // Exit codes: 1 for runtime failures (Fatal), 2 for usage errors
 // (FatalUsage, BadValue, Parse) — matching the flag package's own
@@ -25,7 +25,6 @@ import (
 	"strings"
 
 	"ioeval/internal/bench"
-	"ioeval/internal/cluster"
 	"ioeval/internal/core"
 	"ioeval/internal/fault"
 	"ioeval/internal/store"
@@ -66,10 +65,19 @@ func Must[T any](v T, err error) T {
 	return v
 }
 
-// Value sets of the commands' enum flags.
+// Valid returns v, or exits through BadValue on a non-nil error, such
+// as a process count the workload it builds cannot run.
+func Valid[T any](v T, err error) T {
+	if err != nil {
+		BadValue(err)
+	}
+	return v
+}
+
+// Value sets of the commands' enum flags; platforms, organizations
+// and workloads are the catalogue's (catalog.Platforms, catalog.Orgs,
+// catalog.Workloads).
 var (
-	Platforms = []string{"aohyper", "clusterA"}
-	Orgs      = []string{"jbod", "raid1", "raid5"}
 	Apps      = []string{"btio", "madbench", "flashio"}       // iomethod -app; tracetool -capture takes the first two
 	Subtypes  = []string{"full", "simple"}                    // BT-IO
 	FileTypes = []string{"unique", "shared"}                  // MADbench2
@@ -79,23 +87,21 @@ var (
 	Ranks     = []string{"io-time", "used-pct", "throughput"} // iosweep
 )
 
-// enumFlag is a string flag whose value must come from a fixed set.
-type enumFlag struct {
-	name, def string
-	val       *string
-	values    []string
-	list      bool // comma-separated, each element checked
-}
-
-// enums are the enum flags registered on each flag set, for Parse.
-var enums = map[*flag.FlagSet][]enumFlag{}
+// checks are the value checks registered on each flag set, run by
+// Parse in registration order.
+var checks = map[*flag.FlagSet][]func() error{}
 
 // EnumFlag registers a string flag that takes its default or one of
 // values; Parse rejects anything else. It stays a plain string flag,
 // so -h prints it like any other.
 func EnumFlag(fs *flag.FlagSet, name, def, usage string, values ...string) *string {
 	p := fs.String(name, def, usage)
-	enums[fs] = append(enums[fs], enumFlag{name: name, def: def, val: p, values: values})
+	checks[fs] = append(checks[fs], func() error {
+		if *p == def {
+			return nil
+		}
+		return checkValues(name, []string{*p}, values)
+	})
 	return p
 }
 
@@ -103,34 +109,37 @@ func EnumFlag(fs *flag.FlagSet, name, def, usage string, values ...string) *stri
 // element must be one of values.
 func EnumListFlag(fs *flag.FlagSet, name, def, usage string, values ...string) *string {
 	p := fs.String(name, def, usage)
-	enums[fs] = append(enums[fs], enumFlag{name: name, val: p, values: values, list: true})
+	checks[fs] = append(checks[fs], func() error { return checkValues(name, SplitList(*p), values) })
 	return p
 }
 
-// checkEnums returns an error naming the valid values for the first
-// enum flag of fs whose value is outside its set.
-func checkEnums(fs *flag.FlagSet) error {
-	for _, e := range enums[fs] {
-		vals := []string{*e.val}
-		if e.list {
-			vals = SplitList(*e.val)
-		} else if *e.val == e.def {
-			continue
-		}
-		for _, v := range vals {
-			if !slices.Contains(e.values, v) {
-				return fmt.Errorf("invalid value %q for flag -%s: want %s", v, e.name, oneOf(e.values))
-			}
+// checkValues returns an error naming the valid values for the first
+// of vals outside them.
+func checkValues(name string, vals, values []string) error {
+	for _, v := range vals {
+		if !slices.Contains(values, v) {
+			return fmt.Errorf("invalid value %q for flag -%s: want %s", v, name, oneOf(values))
 		}
 	}
 	return nil
 }
 
-// Parse parses the command line and checks every enum flag, so an
-// unknown value exits with status 2 before the command does any work.
+// check returns the first error of fs's registered value checks.
+func check(fs *flag.FlagSet) error {
+	for _, c := range checks[fs] {
+		if err := c(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Parse parses the command line and runs every registered value check
+// (enum flags, -pfs), so an invalid value exits with status 2 before
+// the command does any work.
 func Parse() {
 	flag.Parse()
-	if err := checkEnums(flag.CommandLine); err != nil {
+	if err := check(flag.CommandLine); err != nil {
 		BadValue(err)
 	}
 }
@@ -153,45 +162,6 @@ func SplitList(s string) []string {
 		}
 	}
 	return out
-}
-
-// ParseOrg parses a device-organization name.
-func ParseOrg(s string) (cluster.Organization, error) {
-	switch s {
-	case "jbod":
-		return cluster.JBOD, nil
-	case "raid1":
-		return cluster.RAID1, nil
-	case "raid5":
-		return cluster.RAID5, nil
-	}
-	return 0, fmt.Errorf("unknown organization %q (want %s)", s, oneOf(Orgs))
-}
-
-// PlatformConfig returns the named base platform's configuration.
-func PlatformConfig(name string) (cluster.Config, error) {
-	switch name {
-	case "aohyper":
-		return cluster.Aohyper(cluster.JBOD).Cfg, nil
-	case "clusterA":
-		return cluster.ClusterA().Cfg, nil
-	}
-	return cluster.Config{}, fmt.Errorf("unknown platform %q (want %s)", name, oneOf(Platforms))
-}
-
-// ClusterBuilder returns a fresh-cluster builder for the named
-// platform: org applies to Aohyper (clusterA has a fixed
-// organization), pfsNodes > 0 additionally deploys the parallel FS.
-func ClusterBuilder(platform string, org cluster.Organization, pfsNodes int) (func() *cluster.Cluster, error) {
-	cfg, err := PlatformConfig(platform)
-	if err != nil {
-		return nil, err
-	}
-	if platform == "aohyper" {
-		cfg.Org = org
-	}
-	cfg.PFSIONodes = pfsNodes
-	return func() *cluster.Cluster { return cluster.New(cfg) }, nil
 }
 
 // CharConfig returns the characterization parameters the evaluation
@@ -329,21 +299,13 @@ func StoreSummary(st *store.Store) string {
 		st.Dir(), s.Hits, s.Misses, s.Puts, s.Quarantined)
 }
 
-// AddStoreSnapshot appends the store's telemetry probe to the
-// report's component snapshots, so store behavior (hits, misses,
-// writes, quarantined entries) is visible in the exported
-// TelemetryReport.
-func AddStoreSnapshot(rep *telemetry.Report, st *store.Store) {
-	if rep == nil || st == nil {
-		return
-	}
-	rep.Components = append(rep.Components, st.Snapshot())
-}
-
-// WriteMetrics writes the telemetry report to path, folding in the
-// store's snapshot when a store is in use.
+// WriteMetrics writes the telemetry report to path. With a store in
+// use, the store's snapshot (hits, misses, writes, quarantined
+// entries) joins the report's components.
 func WriteMetrics(path string, rep *telemetry.Report, st *store.Store) error {
-	AddStoreSnapshot(rep, st)
+	if st != nil {
+		rep.Components = append(rep.Components, st.Snapshot())
+	}
 	return rep.WriteFile(path)
 }
 

@@ -1,18 +1,22 @@
 package cliutil
 
 import (
+	"encoding/json"
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"ioeval/internal/bench"
+	"ioeval/internal/catalog"
 	"ioeval/internal/cluster"
+	"ioeval/internal/core"
 	"ioeval/internal/fault"
-	"ioeval/internal/sim"
 	"ioeval/internal/sweep"
-	"ioeval/internal/workload/btio"
+	"ioeval/internal/telemetry"
 	"ioeval/internal/workload/flashio"
 	"ioeval/internal/workload/madbench"
 	"ioeval/internal/workload/synth"
@@ -37,58 +41,32 @@ func TestSplitList(t *testing.T) {
 	}
 }
 
-func TestParseOrg(t *testing.T) {
-	for name, want := range map[string]cluster.Organization{
-		"jbod": cluster.JBOD, "raid1": cluster.RAID1, "raid5": cluster.RAID5,
-	} {
-		got, err := ParseOrg(name)
-		if err != nil || got != want {
-			t.Errorf("ParseOrg(%q) = %v, %v", name, got, err)
-		}
-	}
-	if _, err := ParseOrg("raid6"); err == nil {
-		t.Error("ParseOrg accepted an unknown organization")
-	}
-}
-
-func TestPlatformConfig(t *testing.T) {
-	for _, name := range []string{"aohyper", "clusterA"} {
-		cfg, err := PlatformConfig(name)
-		if err != nil {
-			t.Fatalf("PlatformConfig(%q): %v", name, err)
-		}
-		if cfg.ComputeNodes <= 0 {
-			t.Errorf("PlatformConfig(%q): no compute nodes", name)
-		}
-	}
-	if _, err := PlatformConfig("beowulf"); err == nil {
-		t.Error("PlatformConfig accepted an unknown platform")
-	}
-}
-
+// TestClusterBuilder drives Method.Builder through -platform, -org
+// and -pfs: each call builds a fresh cluster, and Cluster A stays
+// RAID 5 whatever -org says.
 func TestClusterBuilder(t *testing.T) {
-	build, err := ClusterBuilder("aohyper", cluster.RAID5, 0)
-	if err != nil {
-		t.Fatal(err)
+	builder := func(args ...string) func() *cluster.Cluster {
+		t.Helper()
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		m := MethodFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		build, err := m.Builder()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return build
 	}
-	c := build()
-	if c.Cfg.Org != cluster.RAID5 || c.Cfg.PFSIONodes != 0 {
-		t.Errorf("aohyper cluster: org %v, pfs %d", c.Cfg.Org, c.Cfg.PFSIONodes)
+	build := builder()
+	if c := build(); c.Cfg != cluster.Aohyper(cluster.RAID5).Cfg {
+		t.Errorf("default cluster: %+v", c.Cfg)
 	}
-	if c2 := build(); c2 == c {
+	if build() == build() {
 		t.Error("builder returned the same cluster twice (must be fresh per call)")
 	}
-
-	build, err = ClusterBuilder("clusterA", cluster.JBOD, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c := build(); c.Cfg.PFSIONodes != 2 {
-		t.Errorf("pfsNodes not applied: %d", c.Cfg.PFSIONodes)
-	}
-
-	if _, err := ClusterBuilder("beowulf", cluster.JBOD, 0); err == nil {
-		t.Error("ClusterBuilder accepted an unknown platform")
+	if c := builder("-platform", "clusterA", "-org", "jbod", "-pfs", "2")(); c.Cfg.Org != cluster.RAID5 || c.Cfg.PFSIONodes != 2 {
+		t.Errorf("clusterA cluster: org %v, pfs %d", c.Cfg.Org, c.Cfg.PFSIONodes)
 	}
 }
 
@@ -283,8 +261,8 @@ func TestEnumFlags(t *testing.T) {
 		list    bool
 		invalid string
 	}{
-		{"-platform", "aohyper", Platforms, false, "beowulf"},
-		{"-org", "raid5", Orgs, false, "raid6"},
+		{"-platform", "aohyper", catalog.Platforms, false, "beowulf"},
+		{"-org", "raid5", catalog.Orgs, false, "raid6"},
 		{"-fault", "", faults, false, "disk-fial"},
 		{"iomethod -app", "btio", Apps, false, "ior"},
 		{"iomethod, btio, tracetool -subtype", "full", Subtypes, false, "simpel"},
@@ -293,11 +271,11 @@ func TestEnumFlags(t *testing.T) {
 		{"iozone -target", "local", Targets, false, "nsf"},
 		{"iozone -modes", "seq", Modes, true, "seq,random"},
 		{"tracetool -capture", "", Apps[:2], false, "flashio"},
-		{"iosynth -emit", "", Workloads[:4], false, "flashio"},
-		{"iosweep -platforms", "aohyper", Platforms, true, "aohyper,beowulf"},
-		{"iosweep -orgs", "jbod", Orgs, true, "jbod,raid6"},
+		{"iosynth -emit", "", catalog.Workloads[:4], false, "flashio"},
+		{"iosweep -platforms", "aohyper", catalog.Platforms, true, "aohyper,beowulf"},
+		{"iosweep -orgs", "jbod", catalog.Orgs, true, "jbod,raid6"},
 		{"iosweep -rank", "io-time", Ranks, false, "time"},
-		{"iosweep -apps", "btio-full", Workloads, true, "btio"},
+		{"iosweep -apps", "btio-full", catalog.Workloads, true, "btio"},
 		{"iosweep -fault", "", append([]string{"none"}, faults...), true, "none,disk-fial"},
 	}
 	parse := func(tc int, args ...string) error {
@@ -311,7 +289,7 @@ func TestEnumFlags(t *testing.T) {
 		if err := fs.Parse(args); err != nil {
 			t.Fatal(err)
 		}
-		return checkEnums(fs)
+		return check(fs)
 	}
 	for i, c := range cases {
 		if err := parse(i); err != nil {
@@ -336,53 +314,105 @@ func TestEnumFlags(t *testing.T) {
 	}
 }
 
+// TestMethodPFSFlag: the shared method flags' -pfs takes 0 or more,
+// and a negative count fails Parse's check with an error naming the
+// flag, as iosweep's -pfs list does.
+func TestMethodPFSFlag(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want int
+		err  string
+	}{
+		{nil, 0, ""},
+		{[]string{"-pfs", "2"}, 2, ""},
+		{[]string{"-pfs", "0"}, 0, ""},
+		{[]string{"-pfs", "-1"}, 0, "invalid value -1 for flag -pfs: want 0 or more"},
+		{[]string{"-pfs", "-3", "-platform", "clusterA"}, 0, "invalid value -3 for flag -pfs"},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		m := MethodFlags(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		err := check(fs)
+		switch {
+		case tc.err == "" && err != nil:
+			t.Errorf("%q: %v", tc.args, err)
+		case tc.err == "" && *m.pfs != tc.want:
+			t.Errorf("%q: -pfs = %d, want %d", tc.args, *m.pfs, tc.want)
+		case tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)):
+			t.Errorf("%q: error = %v, want %q", tc.args, err, tc.err)
+		}
+	}
+}
+
+// TestMethodRunOnPFS: under -pfs n, Method.Run runs the workload with
+// its NFS files on the parallel FS the session characterizes. Every
+// byte it writes goes through the PFS clients, none through the NFS
+// clients, and the app passed in keeps its NFS spec.
+func TestMethodRunOnPFS(t *testing.T) {
+	tiny := core.CharacterizeConfig{
+		FSBlockSizes:   []int64{1 << 20},
+		FSModes:        []bench.Mode{bench.SeqWrite, bench.SeqRead},
+		LocalFileSize:  32 << 20,
+		GlobalFileSize: 32 << 20,
+		LibProcs:       2,
+		LibBlockSizes:  []int64{4 << 20},
+		LibTransfer:    256 << 10,
+		LibFileSize:    8 << 20,
+		RandomOps:      64,
+		UsePFS:         true,
+	}
+	apps := []*synth.App{
+		madbench.New(madbench.Config{Procs: 4, KPix: 1, Bins: 2, FileType: madbench.Shared}).App,
+		flashio.New(flashio.Config{Procs: 4, BlocksPerProc: 4}).App,
+	}
+	for _, app := range apps {
+		metrics := filepath.Join(t.TempDir(), "m.json")
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		m := MethodFlags(fs)
+		if err := fs.Parse([]string{"-pfs", "2", "-char-workers", "1", "-metrics", metrics}); err != nil {
+			t.Fatal(err)
+		}
+		build, err := m.Builder()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := m.Session(build, core.WithCharacterizeConfig(tiny))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Run(sess, app); err != nil {
+			t.Fatalf("%s: %v", app.Name(), err)
+		}
+		data, err := os.ReadFile(metrics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep telemetry.Report
+		if err := json.Unmarshal(data, &rep); err != nil {
+			t.Fatal(err)
+		}
+		written := map[string]int64{}
+		for _, s := range rep.Components {
+			kind, _, _ := strings.Cut(s.Component, ":")
+			written[kind] += s.Counters.Write.Bytes
+		}
+		if written["pfs-client"] == 0 || written["nfs-client"] != 0 {
+			t.Errorf("%s: %d bytes written through PFS clients, %d through NFS clients",
+				app.Name(), written["pfs-client"], written["nfs-client"])
+		}
+		if f := app.Spec().Files[0]; f.Mount != "" && f.Mount != "nfs" {
+			t.Errorf("%s: Run moved the given spec's file to %q", app.Name(), f.Mount)
+		}
+	}
+}
+
 func TestOneOf(t *testing.T) {
 	for in, want := range map[string]string{"": "", "a": "a", "a,b": "a or b", "a,b,c": "a, b or c"} {
 		if got := oneOf(SplitList(in)); got != want {
 			t.Errorf("oneOf(%q) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-// TestWorkloadCatalogue pins the catalogue's defaults: each name, in
-// quick and full sizes and with and without the parallel FS, builds
-// the spec of the package configuration it stands for.
-func TestWorkloadCatalogue(t *testing.T) {
-	for _, quick := range []bool{false, true} {
-		class, kpix := btio.ClassC, 18
-		if quick {
-			class, kpix = btio.ClassA, 4
-		}
-		for _, usePFS := range []bool{false, true} {
-			bt := func(st btio.Subtype) *synth.App {
-				return btio.New(btio.Config{Class: class, Procs: 4, Subtype: st, ComputeScale: 1, UsePFS: usePFS}).App
-			}
-			mad := func(ft madbench.FileType) *synth.App {
-				return madbench.New(madbench.Config{Procs: 4, KPix: kpix, FileType: ft, BusyWork: sim.Second}).App
-			}
-			want := map[string]*synth.App{
-				"btio-full":       bt(btio.Full),
-				"btio-simple":     bt(btio.Simple),
-				"madbench-shared": mad(madbench.Shared),
-				"madbench-unique": mad(madbench.Unique),
-				"flashio":         flashio.New(flashio.Config{Procs: 4, Compute: 5 * sim.Second}).App,
-			}
-			if len(want) != len(Workloads) {
-				t.Fatalf("catalogue lists %d workloads, test pins %d", len(Workloads), len(want))
-			}
-			for _, name := range Workloads {
-				got, err := Workload(name, 4, quick, usePFS)
-				if err != nil {
-					t.Fatalf("Workload(%q): %v", name, err)
-				}
-				if !reflect.DeepEqual(got.Spec(), want[name].Spec()) {
-					t.Errorf("Workload(%q, quick %v, usePFS %v) builds another spec", name, quick, usePFS)
-				}
-			}
-		}
-	}
-	if _, err := Workload("btio", 4, true, false); err == nil || !strings.Contains(err.Error(), oneOf(Workloads)) {
-		t.Errorf("unknown workload: err = %v, want one naming the catalogue", err)
 	}
 }
 
@@ -406,7 +436,7 @@ func TestStoredWithoutStore(t *testing.T) {
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	build, err := ClusterBuilder("aohyper", cluster.JBOD, 0)
+	build, err := catalog.Builder("aohyper", cluster.JBOD, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,11 @@ import (
 	"flag"
 	"fmt"
 
+	"ioeval/internal/catalog"
 	"ioeval/internal/cluster"
 	"ioeval/internal/core"
 	"ioeval/internal/workload"
+	"ioeval/internal/workload/synth"
 )
 
 // Method is the methodology run iomethod and iosynth share: the flags
@@ -20,11 +22,12 @@ type Method struct {
 	stored                            *Stored
 }
 
-// MethodFlags registers the shared flags of a methodology run on fs.
+// MethodFlags registers the shared flags of a methodology run on fs;
+// Parse rejects a negative -pfs.
 func MethodFlags(fs *flag.FlagSet) *Method {
-	return &Method{
-		platform:    EnumFlag(fs, "platform", "aohyper", "cluster to simulate: aohyper or clusterA", Platforms...),
-		org:         EnumFlag(fs, "org", "raid5", "Aohyper device organization: jbod, raid1 or raid5", Orgs...),
+	m := &Method{
+		platform:    EnumFlag(fs, "platform", "aohyper", "cluster to simulate: aohyper or clusterA", catalog.Platforms...),
+		org:         EnumFlag(fs, "org", "raid5", "Aohyper device organization: jbod, raid1 or raid5", catalog.Orgs...),
 		pfs:         fs.Int("pfs", 0, "deploy a PVFS-like parallel FS over N I/O nodes and run against it"),
 		utilization: fs.Bool("utilization", false, "print the cluster utilization report after evaluation"),
 		faultName:   FaultFlag(fs),
@@ -33,6 +36,13 @@ func MethodFlags(fs *flag.FlagSet) *Method {
 		metrics:     MetricsFlag(fs),
 		stored:      StoredFlags(fs),
 	}
+	checks[fs] = append(checks[fs], func() error {
+		if *m.pfs < 0 {
+			return fmt.Errorf("invalid value %d for flag -pfs: want 0 or more", *m.pfs)
+		}
+		return nil
+	})
+	return m
 }
 
 // UsePFS reports whether the run targets the parallel FS (-pfs > 0).
@@ -41,11 +51,11 @@ func (m *Method) UsePFS() bool { return *m.pfs > 0 }
 // Builder returns the fresh-cluster builder of -platform, -org and
 // -pfs.
 func (m *Method) Builder() (func() *cluster.Cluster, error) {
-	org, err := ParseOrg(*m.org)
+	org, err := catalog.ParseOrg(*m.org)
 	if err != nil {
 		return nil, err
 	}
-	return ClusterBuilder(*m.platform, org, *m.pfs)
+	return catalog.Builder(*m.platform, org, *m.pfs)
 }
 
 // Session builds the run's session on build: -char-workers, the -fault
@@ -80,8 +90,15 @@ func PrintTables(ch *core.Characterization) {
 // evaluation, the span report with -spans, the evaluation under the
 // fault scenario compared with the healthy one, the utilization
 // reports with -utilization, the telemetry file with -metrics and the
-// store summary with -store.
+// store summary with -store. Under -pfs app runs with its NFS files on
+// the parallel FS, the filesystem the session characterizes.
 func (m *Method) Run(sess *core.Session, app workload.App) error {
+	if m.UsePFS() {
+		var err error
+		if app, err = synth.Remount(app, "pfs"); err != nil {
+			return err
+		}
+	}
 	rep, err := sess.Run(app)
 	if err != nil {
 		return err

@@ -6,48 +6,9 @@ import (
 
 	"ioeval/internal/cluster"
 	"ioeval/internal/core"
-	"ioeval/internal/sim"
 	"ioeval/internal/store"
 	"ioeval/internal/workload"
-	"ioeval/internal/workload/btio"
-	"ioeval/internal/workload/flashio"
-	"ioeval/internal/workload/madbench"
-	"ioeval/internal/workload/synth"
 )
-
-// Workloads names the catalogue's workloads, in help-text order. The
-// first four are the spec generators iosynth -emit writes.
-var Workloads = []string{"btio-full", "btio-simple", "madbench-shared", "madbench-unique", "flashio"}
-
-// Workload builds the named workload of the catalogue for procs ranks,
-// with the defaults every command shares: NAS BT-IO class C (class A
-// under quick) at ComputeScale 1, on the parallel FS when usePFS;
-// MADbench2 at KPIX 18 (4 under quick) with 1 s of busy work per bin;
-// FLASH-IO with 5 s of compute per dump. MADbench2 and FLASH-IO have
-// no parallel-FS mount and ignore usePFS.
-func Workload(name string, procs int, quick, usePFS bool) (*synth.App, error) {
-	class, kpix := btio.ClassC, 18
-	if quick {
-		class, kpix = btio.ClassA, 4
-	}
-	bt := btio.Config{Class: class, Procs: procs, Subtype: btio.Full, ComputeScale: 1, UsePFS: usePFS}
-	mad := madbench.Config{Procs: procs, KPix: kpix, FileType: madbench.Shared, BusyWork: sim.Second}
-	switch name {
-	case "btio-simple":
-		bt.Subtype = btio.Simple
-		fallthrough
-	case "btio-full":
-		return btio.New(bt).App, nil
-	case "madbench-unique":
-		mad.FileType = madbench.Unique
-		fallthrough
-	case "madbench-shared":
-		return madbench.New(mad).App, nil
-	case "flashio":
-		return flashio.New(flashio.Config{Procs: procs, Compute: 5 * sim.Second}).App, nil
-	}
-	return nil, fmt.Errorf("unknown workload %q (want %s)", name, oneOf(Workloads))
-}
 
 // WorkloadName names the catalogue workload of an application (btio,
 // madbench or flashio) with its BT-IO subtype or MADbench2 filetype.

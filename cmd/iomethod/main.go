@@ -23,6 +23,7 @@ import (
 	"os"
 
 	"ioeval/cmd/internal/cliutil"
+	"ioeval/internal/catalog"
 	"ioeval/internal/core"
 )
 
@@ -37,6 +38,7 @@ func main() {
 	loadChar := flag.String("load-char", "", "reuse a characterization from this JSON file (skips phase 1 system side)")
 	cliutil.Parse()
 
+	app := cliutil.Valid(catalog.Workload(cliutil.WorkloadName(*appName, *subtype, *filetype), *procs, *quick))
 	build := cliutil.Must(m.Builder())
 	fmt.Println("== Phase 2 preview: I/O configuration analysis ==")
 	fmt.Println(core.AnalyzeConfiguration(build()))
@@ -59,7 +61,6 @@ func main() {
 	}
 	cliutil.PrintTables(ch)
 
-	app := cliutil.Must(cliutil.Workload(cliutil.WorkloadName(*appName, *subtype, *filetype), *procs, *quick, m.UsePFS()))
 	fmt.Printf("== Phase 1: characterization (application side) + Phase 3: evaluation ==\n")
 	fmt.Printf("running %s ...\n\n", app.Name())
 	cliutil.Check(m.Run(sess, app))

@@ -18,13 +18,14 @@ import (
 
 	"ioeval/cmd/internal/cliutil"
 	"ioeval/internal/bench"
+	"ioeval/internal/catalog"
 	"ioeval/internal/core"
 	"ioeval/internal/stats"
 )
 
 func main() {
-	platform := cliutil.EnumFlag(flag.CommandLine, "platform", "aohyper", "cluster: aohyper or clusterA", cliutil.Platforms...)
-	orgName := cliutil.EnumFlag(flag.CommandLine, "org", "raid5", "Aohyper device organization", cliutil.Orgs...)
+	platform := cliutil.EnumFlag(flag.CommandLine, "platform", "aohyper", "cluster: aohyper or clusterA", catalog.Platforms...)
+	orgName := cliutil.EnumFlag(flag.CommandLine, "org", "raid5", "Aohyper device organization", catalog.Orgs...)
 	procs := flag.Int("procs", 8, "processes")
 	file := cliutil.SizeFlag(flag.CommandLine, "file", 32768, cliutil.MiB, "total file size in `MiB` (paper: 32 GiB)")
 	xfer := cliutil.SizeFlag(flag.CommandLine, "xfer", 256, cliutil.KiB, "transfer size in `KiB` (must divide every block size)")
@@ -32,8 +33,8 @@ func main() {
 	stored := cliutil.StoredFlags(flag.CommandLine)
 	cliutil.Parse()
 
-	org := cliutil.Must(cliutil.ParseOrg(*orgName))
-	build := cliutil.Must(cliutil.ClusterBuilder(*platform, org, 0))
+	org := cliutil.Must(catalog.ParseOrg(*orgName))
+	build := cliutil.Must(catalog.Builder(*platform, org, 0))
 	c := build()
 
 	results := cliutil.Must(bench.RunIOR(c, bench.IORConfig{

@@ -27,16 +27,17 @@ import (
 	"strconv"
 
 	"ioeval/cmd/internal/cliutil"
+	"ioeval/internal/catalog"
 	"ioeval/internal/fault"
 	"ioeval/internal/sweep"
 	"ioeval/internal/workload"
 )
 
 func main() {
-	platforms := cliutil.EnumListFlag(flag.CommandLine, "platforms", "aohyper", "comma-separated platforms: aohyper, clusterA", cliutil.Platforms...)
-	orgs := cliutil.EnumListFlag(flag.CommandLine, "orgs", "jbod,raid1,raid5", "comma-separated device organizations", cliutil.Orgs...)
+	platforms := cliutil.EnumListFlag(flag.CommandLine, "platforms", "aohyper", "comma-separated platforms: aohyper, clusterA", catalog.Platforms...)
+	orgs := cliutil.EnumListFlag(flag.CommandLine, "orgs", "jbod,raid1,raid5", "comma-separated device organizations", catalog.Orgs...)
 	pfs := flag.String("pfs", "0", "comma-separated I/O-node counts (0 = NFS path, n > 0 = parallel FS over n I/O nodes)")
-	apps := cliutil.EnumListFlag(flag.CommandLine, "apps", "btio-full,btio-simple", "comma-separated workloads: btio-full, btio-simple, madbench-shared, madbench-unique, flashio", cliutil.Workloads...)
+	apps := cliutil.EnumListFlag(flag.CommandLine, "apps", "btio-full,btio-simple", "comma-separated workloads: btio-full, btio-simple, madbench-shared, madbench-unique, flashio", catalog.Workloads...)
 	procs := flag.Int("procs", 16, "MPI processes per workload (btio needs a square)")
 	workers := flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
 	rankName := cliutil.EnumFlag(flag.CommandLine, "rank", "io-time", "ranking metric: io-time, used-pct or throughput", cliutil.Ranks...)
@@ -51,10 +52,10 @@ func main() {
 	rank := cliutil.Must(sweep.ParseMetric(*rankName))
 	spec := sweep.GridSpec{Char: cliutil.CharConfig(*quick, false)}
 	for _, p := range cliutil.SplitList(*platforms) {
-		spec.Platforms = append(spec.Platforms, cliutil.Must(cliutil.PlatformConfig(p)))
+		spec.Platforms = append(spec.Platforms, cliutil.Must(catalog.Platform(p)))
 	}
 	for _, o := range cliutil.SplitList(*orgs) {
-		spec.Orgs = append(spec.Orgs, cliutil.Must(cliutil.ParseOrg(o)))
+		spec.Orgs = append(spec.Orgs, cliutil.Must(catalog.ParseOrg(o)))
 	}
 	for _, s := range cliutil.SplitList(*pfs) {
 		n, err := strconv.Atoi(s)
@@ -64,9 +65,8 @@ func main() {
 		spec.PFSIONodes = append(spec.PFSIONodes, n)
 	}
 	for _, a := range cliutil.SplitList(*apps) {
-		spec.Apps = append(spec.Apps, sweep.AppSpec{Name: a, NewFor: func(usePFS bool) workload.App {
-			return cliutil.Must(cliutil.Workload(a, *procs, *quick, usePFS))
-		}})
+		app := cliutil.Valid(catalog.Workload(a, *procs, *quick))
+		spec.Apps = append(spec.Apps, sweep.AppSpec{Name: a, New: func() workload.App { return app }})
 	}
 	for _, f := range cliutil.SplitList(*faults) {
 		if f == "none" {

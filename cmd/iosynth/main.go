@@ -24,6 +24,7 @@ import (
 	"os"
 
 	"ioeval/cmd/internal/cliutil"
+	"ioeval/internal/catalog"
 	"ioeval/internal/core"
 	"ioeval/internal/stats"
 	"ioeval/internal/workload/synth"
@@ -32,14 +33,14 @@ import (
 func main() {
 	m := cliutil.MethodFlags(flag.CommandLine)
 	specPath := flag.String("spec", "", "synthetic-workload spec (JSON) to evaluate")
-	emit := cliutil.EnumFlag(flag.CommandLine, "emit", "", "write a generator's spec instead of running: btio-full, btio-simple, madbench-shared or madbench-unique", cliutil.Workloads[:4]...)
+	emit := cliutil.EnumFlag(flag.CommandLine, "emit", "", "write a generator's spec instead of running: btio-full, btio-simple, madbench-shared or madbench-unique", catalog.Workloads[:4]...)
 	out := flag.String("out", "", "output file for -emit (default stdout)")
 	procs := flag.Int("procs", 16, "MPI processes for -emit generators")
 	quick := flag.Bool("quick", false, "reduced characterization and generator problem sizes")
 	cliutil.Parse()
 
 	if *emit != "" {
-		cliutil.Check(emitSpec(*emit, *procs, *quick, *out))
+		cliutil.Check(emitSpec(*emit, cliutil.Valid(catalog.Workload(*emit, *procs, *quick)), *out))
 		return
 	}
 	if *specPath == "" {
@@ -60,12 +61,8 @@ func main() {
 	cliutil.Check(m.Run(sess, app))
 }
 
-// emitSpec writes the spec one of the application generators runs.
-func emitSpec(name string, procs int, quick bool, out string) error {
-	app, err := cliutil.Workload(name, procs, quick, false)
-	if err != nil {
-		return err
-	}
+// emitSpec writes the spec the named application generator built.
+func emitSpec(name string, app catalog.App, out string) error {
 	if out == "" {
 		return app.Spec().WriteJSON(os.Stdout)
 	}

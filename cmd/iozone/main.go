@@ -19,6 +19,7 @@ import (
 
 	"ioeval/cmd/internal/cliutil"
 	"ioeval/internal/bench"
+	"ioeval/internal/catalog"
 	"ioeval/internal/core"
 	"ioeval/internal/fs"
 	"ioeval/internal/ioreq"
@@ -27,7 +28,7 @@ import (
 )
 
 func main() {
-	orgName := cliutil.EnumFlag(flag.CommandLine, "org", "raid5", "device organization: jbod, raid1 or raid5", cliutil.Orgs...)
+	orgName := cliutil.EnumFlag(flag.CommandLine, "org", "raid5", "device organization: jbod, raid1 or raid5", catalog.Orgs...)
 	target := cliutil.EnumFlag(flag.CommandLine, "target", "local", "filesystem under test: local (I/O node) or nfs", cliutil.Targets...)
 	file := cliutil.SizeFlag(flag.CommandLine, "file", 4096, cliutil.MiB, "file size in `MiB` (paper rule: 2x RAM)")
 	minSize := cliutil.SizeFlag(flag.CommandLine, "min", 32, cliutil.KiB, "smallest block size in `KiB`")
@@ -36,8 +37,8 @@ func main() {
 	stored := cliutil.StoredFlags(flag.CommandLine)
 	cliutil.Parse()
 
-	org := cliutil.Must(cliutil.ParseOrg(*orgName))
-	build := cliutil.Must(cliutil.ClusterBuilder("aohyper", org, 0))
+	org := cliutil.Must(catalog.ParseOrg(*orgName))
+	build := cliutil.Must(catalog.Builder("aohyper", org, 0))
 	c := build()
 
 	var fsi fs.Interface = c.ServerFS

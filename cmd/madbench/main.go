@@ -18,35 +18,32 @@ import (
 	"fmt"
 
 	"ioeval/cmd/internal/cliutil"
-	"ioeval/internal/sim"
+	"ioeval/internal/catalog"
 	"ioeval/internal/stats"
 	"ioeval/internal/trace"
 	"ioeval/internal/workload/madbench"
 )
 
 func main() {
-	platform := cliutil.EnumFlag(flag.CommandLine, "platform", "aohyper", "cluster: aohyper or clusterA", cliutil.Platforms...)
-	orgName := cliutil.EnumFlag(flag.CommandLine, "org", "raid5", "Aohyper device organization", cliutil.Orgs...)
+	platform := cliutil.EnumFlag(flag.CommandLine, "platform", "aohyper", "cluster: aohyper or clusterA", catalog.Platforms...)
+	orgName := cliutil.EnumFlag(flag.CommandLine, "org", "raid5", "Aohyper device organization", catalog.Orgs...)
 	procs := flag.Int("procs", 16, "MPI processes (square)")
-	kpix := flag.Int("kpix", 18, "KPIX (pixels = KPIX x 1024)")
-	bins := flag.Int("bins", 8, "component matrices")
+	kpix := flag.Int("kpix", madbench.DefaultKPix, "KPIX (pixels = KPIX x 1024)")
+	bins := flag.Int("bins", madbench.DefaultBins, "component matrices")
 	filetype := cliutil.EnumFlag(flag.CommandLine, "filetype", "shared", "unique or shared", cliutil.FileTypes...)
 	timeline := flag.Bool("timeline", false, "render the trace timeline")
 	stored := cliutil.StoredFlags(flag.CommandLine)
 	cliutil.Parse()
 
-	org := cliutil.Must(cliutil.ParseOrg(*orgName))
-	build := cliutil.Must(cliutil.ClusterBuilder(*platform, org, 0))
-	c := build()
-
 	ft := madbench.Shared
 	if *filetype == "unique" {
 		ft = madbench.Unique
 	}
-	cfg := madbench.Config{
-		Procs: *procs, KPix: *kpix, Bins: *bins, FileType: ft, BusyWork: sim.Second,
-	}
-	app := madbench.New(cfg)
+	app := cliutil.Valid(catalog.MADbench(*procs, *kpix, *bins, ft))
+
+	org := cliutil.Must(catalog.ParseOrg(*orgName))
+	build := cliutil.Must(catalog.Builder(*platform, org, 0))
+	c := build()
 	tr := trace.New()
 	fmt.Printf("running %s on %s (slice %s per op) ...\n\n",
 		app.Name(), c.Cfg.Name, stats.IBytes(app.SliceBytes()))
@@ -65,5 +62,5 @@ func main() {
 		fmt.Println(trace.Timeline{Width: 110}.Render(tr.Events()))
 	}
 
-	cliutil.Check(stored.Evaluate(build, madbench.New(cfg)))
+	cliutil.Check(stored.Evaluate(build, app))
 }

@@ -22,6 +22,7 @@ import (
 	"os"
 
 	"ioeval/cmd/internal/cliutil"
+	"ioeval/internal/catalog"
 	"ioeval/internal/cluster"
 	"ioeval/internal/core"
 	"ioeval/internal/stats"
@@ -45,11 +46,11 @@ func main() {
 
 	switch {
 	case *capture != "":
+		app := cliutil.Valid(catalog.Workload(cliutil.WorkloadName(*capture, *subtype, "shared"), *procs, *quick))
 		if *out == "" {
 			cliutil.Fatal(fmt.Errorf("-capture needs -out"))
 		}
 		tr := trace.New()
-		app := cliutil.Must(cliutil.Workload(cliutil.WorkloadName(*capture, *subtype, "shared"), *procs, *quick, false))
 		fmt.Fprintf(os.Stderr, "capturing %s ...\n", app.Name())
 		_, err := app.Run(cluster.Aohyper(cluster.RAID5), tr)
 		cliutil.Check(err)

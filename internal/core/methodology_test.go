@@ -11,6 +11,7 @@ import (
 	"ioeval/internal/trace"
 	"ioeval/internal/workload/btio"
 	"ioeval/internal/workload/madbench"
+	"ioeval/internal/workload/synth"
 )
 
 const gb = int64(1) << 30
@@ -212,9 +213,13 @@ func TestMethodologyOnPFS(t *testing.T) {
 	}
 
 	quickClass := btio.Class{Name: "Q", N: 64, Steps: 20, WriteInterval: 5}
-	evPFS, err := evaluate(buildPFS(), btio.New(btio.Config{
-		Class: quickClass, Procs: 4, Subtype: btio.Simple, UsePFS: true,
-	}), chPFS)
+	onPFS, err := synth.Remount(btio.New(btio.Config{
+		Class: quickClass, Procs: 4, Subtype: btio.Simple,
+	}), "pfs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	evPFS, err := evaluate(buildPFS(), onPFS, chPFS)
 	if err != nil {
 		t.Fatalf("evaluate on PFS: %v", err)
 	}

@@ -5,12 +5,14 @@ import (
 
 	"ioeval/internal/bench"
 	"ioeval/internal/cluster"
+	"ioeval/internal/fs"
 	"ioeval/internal/ioreq"
 	"ioeval/internal/mpiio"
 	"ioeval/internal/raid"
 	"ioeval/internal/sim"
 	"ioeval/internal/stats"
 	"ioeval/internal/workload/btio"
+	"ioeval/internal/workload/synth"
 )
 
 // The ablations quantify the design factors DESIGN.md calls out; they
@@ -18,6 +20,37 @@ import (
 // phase with sensitivity data.
 
 const mb = int64(1) << 20
+
+// ablationClass is the reduced BT-IO problem the BT-IO ablations run.
+var ablationClass = btio.Class{Name: "Q", N: 102, Steps: 40, WriteInterval: 5}
+
+// raid5With builds Aohyper RAID 5 with one factor changed by set.
+func raid5With(set func(*cluster.Config)) *cluster.Cluster {
+	cfg := cluster.Aohyper(cluster.RAID5).Cfg
+	set(&cfg)
+	return cluster.New(cfg)
+}
+
+// seqRates runs IOzone's sequential write and read of 4 MB blocks over
+// a file of fileSize bytes on fsi and returns both rates, formatted.
+func seqRates(eng *sim.Engine, fsi fs.Interface, fileSize int64, betweenRuns func(*sim.Proc)) (w, r string) {
+	results, err := bench.RunIOzone(eng, fsi, bench.IOzoneConfig{
+		FileSize: fileSize, BlockSizes: []int64{4 * mb},
+		Modes:       []bench.Mode{bench.SeqWrite, bench.SeqRead},
+		BetweenRuns: betweenRuns,
+	})
+	if err != nil {
+		panic(err)
+	}
+	for _, res := range results {
+		if res.Mode == bench.SeqWrite {
+			w = stats.MBs(res.Rate)
+		} else {
+			r = stats.MBs(res.Rate)
+		}
+	}
+	return w, r
+}
 
 // AblationCollectiveBuffering compares independent vs two-phase
 // collective I/O at small transfer sizes (IOR, 64 KB transfers).
@@ -48,9 +81,7 @@ func AblationSharedNetwork() Artifact {
 	var tb stats.Table
 	tb.AddRow("network", "exec time", "I/O time")
 	for _, separate := range []bool{true, false} {
-		cfg := cluster.Aohyper(cluster.RAID5).Cfg
-		cfg.SeparateDataNet = separate
-		c := cluster.New(cfg)
+		c := raid5With(func(cfg *cluster.Config) { cfg.SeparateDataNet = separate })
 		app := btio.New(btio.Config{
 			Class: btio.Class{Name: "Q", N: 102, Steps: 40, WriteInterval: 5, ComputeTotal: 100 * sim.Second},
 			Procs: 16, Subtype: btio.Full, ComputeScale: 1,
@@ -75,9 +106,7 @@ func AblationCachePolicy() Artifact {
 	var tb stats.Table
 	tb.AddRow("policy", "block", "write rate")
 	for _, wt := range []bool{false, true} {
-		cfg := cluster.Aohyper(cluster.RAID5).Cfg
-		cfg.WriteThrough = wt
-		c := cluster.New(cfg)
+		c := raid5With(func(cfg *cluster.Config) { cfg.WriteThrough = wt })
 		results, err := bench.RunIOzone(c.Eng, c.ServerFS, bench.IOzoneConfig{
 			FileSize: 1 << 30, BlockSizes: []int64{64 << 10, 4 * mb}, Modes: []bench.Mode{bench.SeqWrite},
 		})
@@ -100,25 +129,8 @@ func AblationStripeUnit() Artifact {
 	var tb stats.Table
 	tb.AddRow("stripe unit", "seq write", "seq read")
 	for _, su := range []int64{64 << 10, 256 << 10, 1 << 20} {
-		cfg := cluster.Aohyper(cluster.RAID5).Cfg
-		cfg.StripeUnit = su
-		c := cluster.New(cfg)
-		results, err := bench.RunIOzone(c.Eng, c.ServerFS, bench.IOzoneConfig{
-			FileSize: 2 << 30, BlockSizes: []int64{4 * mb},
-			Modes:       []bench.Mode{bench.SeqWrite, bench.SeqRead},
-			BetweenRuns: func(p *sim.Proc) { c.IOCache.DropCaches(ioreq.Meta(p)) },
-		})
-		if err != nil {
-			panic(err)
-		}
-		var w, r string
-		for _, res := range results {
-			if res.Mode == bench.SeqWrite {
-				w = stats.MBs(res.Rate)
-			} else {
-				r = stats.MBs(res.Rate)
-			}
-		}
+		c := raid5With(func(cfg *cluster.Config) { cfg.StripeUnit = su })
+		w, r := seqRates(c.Eng, c.ServerFS, 2<<30, func(p *sim.Proc) { c.IOCache.DropCaches(ioreq.Meta(p)) })
 		tb.AddRow(stats.IBytes(su), w, r)
 	}
 	return Artifact{ID: "abl-stripe", Title: "Ablation: RAID 5 stripe unit (IOzone local, 4 MB blocks)", Text: tb.String()}
@@ -129,24 +141,8 @@ func AblationNFSTransferSize() Artifact {
 	var tb stats.Table
 	tb.AddRow("rsize/wsize", "seq write", "seq read")
 	for _, sz := range []int64{32 << 10, 256 << 10, 1 << 20} {
-		cfg := cluster.Aohyper(cluster.RAID5).Cfg
-		cfg.NFSClient.RSize, cfg.NFSClient.WSize = sz, sz
-		c := cluster.New(cfg)
-		results, err := bench.RunIOzone(c.Eng, c.Nodes[0].NFS, bench.IOzoneConfig{
-			FileSize: 1 << 30, BlockSizes: []int64{4 * mb},
-			Modes: []bench.Mode{bench.SeqWrite, bench.SeqRead},
-		})
-		if err != nil {
-			panic(err)
-		}
-		var w, r string
-		for _, res := range results {
-			if res.Mode == bench.SeqWrite {
-				w = stats.MBs(res.Rate)
-			} else {
-				r = stats.MBs(res.Rate)
-			}
-		}
+		c := raid5With(func(cfg *cluster.Config) { cfg.NFSClient.RSize, cfg.NFSClient.WSize = sz, sz })
+		w, r := seqRates(c.Eng, c.Nodes[0].NFS, 1<<30, nil)
 		tb.AddRow(stats.IBytes(sz), w, r)
 	}
 	return Artifact{ID: "abl-nfs", Title: "Ablation: NFS rsize/wsize (IOzone over NFS)", Text: tb.String()}
@@ -160,12 +156,16 @@ func AblationNFSTransferSize() Artifact {
 func AblationIONodes() Artifact {
 	var tb stats.Table
 	tb.AddRow("storage", "subtype", "I/O time")
-	quickClass := btio.Class{Name: "Q", N: 102, Steps: 40, WriteInterval: 5}
 	run := func(label string, pfsNodes int, st btio.Subtype) {
-		cfg := cluster.Aohyper(cluster.RAID5).Cfg
-		cfg.PFSIONodes = pfsNodes
-		c := cluster.New(cfg)
-		app := btio.New(btio.Config{Class: quickClass, Procs: 16, Subtype: st, UsePFS: pfsNodes > 0})
+		c := raid5With(func(cfg *cluster.Config) { cfg.PFSIONodes = pfsNodes })
+		mount := "nfs"
+		if pfsNodes > 0 {
+			mount = "pfs"
+		}
+		app, err := synth.Remount(btio.New(btio.Config{Class: ablationClass, Procs: 16, Subtype: st}), mount)
+		if err != nil {
+			panic(err)
+		}
 		res, err := app.Run(c, nil)
 		if err != nil {
 			panic(err)
@@ -190,10 +190,7 @@ func AblationAggregators() Artifact {
 		c := cluster.Aohyper(cluster.RAID5)
 		hints := mpiio.DefaultHints()
 		hints.CBNodes = n
-		app := btio.New(btio.Config{
-			Class: btio.Class{Name: "Q", N: 102, Steps: 40, WriteInterval: 5},
-			Procs: 16, Subtype: btio.Full, Hints: &hints,
-		})
+		app := btio.New(btio.Config{Class: ablationClass, Procs: 16, Subtype: btio.Full, Hints: &hints})
 		res, err := app.Run(c, nil)
 		if err != nil {
 			panic(err)
@@ -214,25 +211,10 @@ func AblationDegradedRAID5() Artifact {
 		if degraded {
 			c.Array.(*raid.Array).Fail(0)
 		}
-		results, err := bench.RunIOzone(c.Eng, c.ServerFS, bench.IOzoneConfig{
-			FileSize: 2 << 30, BlockSizes: []int64{4 * mb},
-			Modes:       []bench.Mode{bench.SeqWrite, bench.SeqRead},
-			BetweenRuns: func(p *sim.Proc) { c.IOCache.DropCaches(ioreq.Meta(p)) },
-		})
-		if err != nil {
-			panic(err)
-		}
+		w, r := seqRates(c.Eng, c.ServerFS, 2<<30, func(p *sim.Proc) { c.IOCache.DropCaches(ioreq.Meta(p)) })
 		name := "healthy"
 		if degraded {
 			name = "degraded (1 failed member)"
-		}
-		var w, r string
-		for _, res := range results {
-			if res.Mode == bench.SeqWrite {
-				w = stats.MBs(res.Rate)
-			} else {
-				r = stats.MBs(res.Rate)
-			}
 		}
 		tb.AddRow(name, w, r)
 	}
@@ -245,12 +227,9 @@ func AblationDegradedRAID5() Artifact {
 func AblationSyncExport() Artifact {
 	var tb stats.Table
 	tb.AddRow("export", "I/O time", "write time")
-	quickClass := btio.Class{Name: "Q", N: 102, Steps: 40, WriteInterval: 5}
 	for _, syncExport := range []bool{true, false} {
-		cfg := cluster.Aohyper(cluster.RAID5).Cfg
-		cfg.NFSServer.SyncExport = syncExport
-		c := cluster.New(cfg)
-		app := btio.New(btio.Config{Class: quickClass, Procs: 16, Subtype: btio.Simple})
+		c := raid5With(func(cfg *cluster.Config) { cfg.NFSServer.SyncExport = syncExport })
+		app := btio.New(btio.Config{Class: ablationClass, Procs: 16, Subtype: btio.Simple})
 		res, err := app.Run(c, nil)
 		if err != nil {
 			panic(err)

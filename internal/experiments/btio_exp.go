@@ -57,9 +57,9 @@ type UsedPctRow struct {
 
 // btioUsedRows computes used percentages for BT-IO on a set of
 // configurations.
-func btioUsedRows(pl Platform, orgs []cluster.Organization, procsList []int, op core.OpType) []UsedPctRow {
+func btioUsedRows(pl Platform, procsList []int, op core.OpType) []UsedPctRow {
 	var rows []UsedPctRow
-	for _, org := range orgs {
+	for _, org := range pl.orgs() {
 		for _, procs := range procsList {
 			for _, st := range []btio.Subtype{btio.Full, btio.Simple} {
 				ev := EvalBTIO(pl, org, procs, st)
@@ -100,25 +100,25 @@ func pct(v float64) string {
 // on Aohyper's three configurations.
 func Table3() Artifact {
 	return usedArtifact("tab3", "% of I/O system use — NAS BT-IO, writing operations, Aohyper",
-		btioUsedRows(Aohyper, AohyperOrgs, []int{16}, core.Write))
+		btioUsedRows(Aohyper, []int{16}, core.Write))
 }
 
 // Table4 regenerates Table IV: the reading-operations counterpart.
 func Table4() Artifact {
 	return usedArtifact("tab4", "% of I/O system use — NAS BT-IO, reading operations, Aohyper",
-		btioUsedRows(Aohyper, AohyperOrgs, []int{16}, core.Read))
+		btioUsedRows(Aohyper, []int{16}, core.Read))
 }
 
 // Table6 regenerates Table VI (Cluster A, writes, 16 & 64 procs).
 func Table6() Artifact {
 	return usedArtifact("tab6", "% of I/O system use — NAS BT-IO, writing operations, cluster A",
-		btioUsedRows(ClusterA, []cluster.Organization{cluster.RAID5}, []int{16, 64}, core.Write))
+		btioUsedRows(ClusterA, []int{16, 64}, core.Write))
 }
 
 // Table7 regenerates Table VII (Cluster A, reads).
 func Table7() Artifact {
 	return usedArtifact("tab7", "% of I/O system use — NAS BT-IO, reading operations, cluster A",
-		btioUsedRows(ClusterA, []cluster.Organization{cluster.RAID5}, []int{16, 64}, core.Read))
+		btioUsedRows(ClusterA, []int{16, 64}, core.Read))
 }
 
 // RunFig is the data of an execution-time figure (Figs. 12 and 15).
@@ -131,9 +131,9 @@ type RunFig struct {
 	IOPctExec float64
 }
 
-func btioRunFig(pl Platform, orgs []cluster.Organization, procsList []int) []RunFig {
+func btioRunFig(pl Platform, procsList []int) []RunFig {
 	var out []RunFig
-	for _, org := range orgs {
+	for _, org := range pl.orgs() {
 		for _, procs := range procsList {
 			for _, st := range []btio.Subtype{btio.Full, btio.Simple} {
 				ev := EvalBTIO(pl, org, procs, st)
@@ -168,7 +168,7 @@ func runFigArtifact(id, title string, rows []RunFig) Artifact {
 }
 
 // Fig12Data returns the Fig. 12 rows.
-func Fig12Data() []RunFig { return btioRunFig(Aohyper, AohyperOrgs, []int{16}) }
+func Fig12Data() []RunFig { return btioRunFig(Aohyper, []int{16}) }
 
 // Fig12 regenerates Fig. 12: BT-IO class C, 16 processes — execution
 // time, I/O time and throughput on Aohyper's three configurations.
@@ -177,9 +177,7 @@ func Fig12() Artifact {
 }
 
 // Fig15Data returns the Fig. 15 rows.
-func Fig15Data() []RunFig {
-	return btioRunFig(ClusterA, []cluster.Organization{cluster.RAID5}, []int{16, 64})
-}
+func Fig15Data() []RunFig { return btioRunFig(ClusterA, []int{16, 64}) }
 
 // Fig15 regenerates Fig. 15: BT-IO on cluster A, 16 and 64 processes.
 func Fig15() Artifact {

@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"ioeval/internal/bench"
+	"ioeval/internal/catalog"
 	"ioeval/internal/cluster"
 	"ioeval/internal/core"
 	"ioeval/internal/sweep"
@@ -33,13 +34,14 @@ func (a Artifact) String() string {
 	return fmt.Sprintf("==== %s — %s ====\n%s", strings.ToUpper(a.ID), a.Title, a.Text)
 }
 
-// Platform identifies one of the paper's clusters.
-type Platform int
+// Platform identifies one of the paper's clusters by its catalogue
+// name.
+type Platform string
 
 // The two experimental platforms.
 const (
-	Aohyper Platform = iota
-	ClusterA
+	Aohyper  Platform = "aohyper"
+	ClusterA Platform = "clusterA"
 )
 
 func (pl Platform) String() string {
@@ -49,34 +51,29 @@ func (pl Platform) String() string {
 	return "ClusterA"
 }
 
-// BuildCluster returns a fresh cluster for a platform/organization.
-// Cluster A ignores org (it has a single RAID 5 configuration).
-func BuildCluster(pl Platform, org cluster.Organization) *cluster.Cluster {
-	if pl == Aohyper {
-		return cluster.Aohyper(org)
+// orgs returns the paper's configurations of Fig. 4 that the platform
+// has, as the catalogue says (Cluster A: RAID 5 only).
+func (pl Platform) orgs() []cluster.Organization {
+	var out []cluster.Organization
+	for _, org := range AohyperOrgs {
+		if catalog.Org(string(pl), org) == org {
+			out = append(out, org)
+		}
 	}
-	return cluster.ClusterA()
+	return out
 }
 
 // AohyperOrgs is the paper's three configurations of Fig. 4.
 var AohyperOrgs = []cluster.Organization{cluster.JBOD, cluster.RAID1, cluster.RAID5}
 
-// fsCharModes keeps characterization affordable: sequential plus
-// random (strided phases fall back to random in the table search).
-var fsCharModes = []bench.Mode{bench.SeqWrite, bench.SeqRead, bench.RandWrite, bench.RandRead}
-
 // charConfig returns the paper's characterization parameters for a
-// platform.
+// platform (core.DefaultCharacterizeConfig), kept affordable:
+// sequential plus random modes (strided phases fall back to random in
+// the table search) with half the random operations.
 func charConfig(pl Platform) core.CharacterizeConfig {
-	cfg := core.CharacterizeConfig{
-		FSBlockSizes:  bench.DefaultBlockSizes(), // 32 KB … 16 MB
-		FSModes:       fsCharModes,
-		RandomOps:     2048,
-		LibProcs:      8,
-		LibBlockSizes: bench.DefaultIORBlockSizes(), // 1 MB … 1024 MB
-		LibTransfer:   256 << 10,
-		LibFileSize:   32 << 30, // the paper's 32 GB IOR file
-	}
+	cfg := core.DefaultCharacterizeConfig()
+	cfg.FSModes = []bench.Mode{bench.SeqWrite, bench.SeqRead, bench.RandWrite, bench.RandRead}
+	cfg.RandomOps = 2048
 	if pl == ClusterA {
 		cfg.LibFileSize = 40 << 30 // the paper used 40 GB on cluster A
 	}
@@ -98,47 +95,37 @@ var engine = sweep.NewEngine(0)
 // evaluations actually computed vs. served from cache).
 func Engine() *sweep.Engine { return engine }
 
-// sweepConfig is the sweep-engine cell key for a platform/organization.
+// sweepConfig is the sweep-engine cell key for a platform/organization,
+// as the catalogue resolves the organization.
 func sweepConfig(pl Platform, org cluster.Organization) sweep.Config {
-	if pl == ClusterA {
-		org = cluster.RAID5 // Cluster A has a single configuration
+	org = catalog.Org(string(pl), org)
+	build, err := catalog.Builder(string(pl), org, 0)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
 	}
-	return sweep.Config{
-		Name:  fmt.Sprintf("%v/%v", pl, org),
-		Build: func() *cluster.Cluster { return BuildCluster(pl, org) },
-		Char:  charConfig(pl),
-	}
+	return sweep.Config{Name: fmt.Sprintf("%v/%v", pl, org), Build: build, Char: charConfig(pl)}
 }
 
 // BTIOSpec returns the sweep workload spec of a BT-IO run.
 func BTIOSpec(procs int, st btio.Subtype) sweep.AppSpec {
-	return sweep.AppSpec{
-		Name: fmt.Sprintf("btio/%d/%v", procs, st),
-		New: func() workload.App {
-			return btio.New(btio.Config{
-				Class:        btio.ClassC,
-				Procs:        procs,
-				Subtype:      st,
-				ComputeScale: 1.0,
-			})
-		},
-	}
+	return appSpec(fmt.Sprintf("btio/%d/%v", procs, st), "btio-"+st.String(), procs)
 }
 
 // MadBenchSpec returns the sweep workload spec of a MADbench2 run.
 func MadBenchSpec(procs int, ft madbench.FileType) sweep.AppSpec {
-	return sweep.AppSpec{
-		Name: fmt.Sprintf("madbench/%d/%v", procs, ft),
-		New: func() workload.App {
-			return madbench.New(madbench.Config{
-				Procs:    procs,
-				KPix:     18,
-				Bins:     8,
-				FileType: ft,
-				BusyWork: 1e9, // 1 s busy-work per bin (IO mode)
-			})
-		},
-	}
+	return appSpec(fmt.Sprintf("madbench/%d/%v", procs, ft), "madbench-"+strings.ToLower(ft.String()), procs)
+}
+
+// appSpec is the sweep workload spec of a catalogue workload at the
+// paper's size.
+func appSpec(name, entry string, procs int) sweep.AppSpec {
+	return sweep.AppSpec{Name: name, New: func() workload.App {
+		app, err := catalog.Workload(entry, procs, false)
+		if err != nil {
+			panic(fmt.Sprintf("experiments: %v", err))
+		}
+		return app
+	}}
 }
 
 // Characterization returns (computing once) the three-level
@@ -180,7 +167,7 @@ func SweepBTIOAohyper() Artifact {
 	grid := sweep.Grid{
 		Apps: []sweep.AppSpec{BTIOSpec(16, btio.Full), BTIOSpec(16, btio.Simple)},
 	}
-	for _, org := range AohyperOrgs {
+	for _, org := range Aohyper.orgs() {
 		grid.Configs = append(grid.Configs, sweepConfig(Aohyper, org))
 	}
 	rep, err := engine.Run(grid, sweep.ByIOTime)

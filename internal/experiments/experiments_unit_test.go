@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"ioeval/internal/bench"
 	"ioeval/internal/cluster"
+	"ioeval/internal/core"
 )
 
 func TestArtifactString(t *testing.T) {
@@ -15,12 +18,15 @@ func TestArtifactString(t *testing.T) {
 	}
 }
 
+// TestBuildClusterPlatforms checks the experiments' cells build
+// through the catalogue: Aohyper under the organization asked for,
+// Cluster A always RAID 5, with the name saying so.
 func TestBuildClusterPlatforms(t *testing.T) {
-	if c := BuildCluster(Aohyper, cluster.JBOD); c.Cfg.Name != "aohyper" || c.Cfg.Org != cluster.JBOD {
-		t.Fatalf("aohyper build: %+v", c.Cfg)
+	if cfg := sweepConfig(Aohyper, cluster.JBOD); cfg.Name != "Aohyper/JBOD" || cfg.Build().Cfg != cluster.Aohyper(cluster.JBOD).Cfg {
+		t.Fatalf("aohyper cell %s: %+v", cfg.Name, cfg.Build().Cfg)
 	}
-	if c := BuildCluster(ClusterA, cluster.JBOD); c.Cfg.Name != "clusterA" || c.Cfg.Org != cluster.RAID5 {
-		t.Fatalf("clusterA build: %+v", c.Cfg)
+	if cfg := sweepConfig(ClusterA, cluster.JBOD); cfg.Name != "ClusterA/RAID5" || cfg.Build().Cfg != cluster.ClusterA().Cfg {
+		t.Fatalf("clusterA cell %s: %+v", cfg.Name, cfg.Build().Cfg)
 	}
 	if Aohyper.String() != "Aohyper" || ClusterA.String() != "ClusterA" {
 		t.Fatal("platform strings")
@@ -28,6 +34,18 @@ func TestBuildClusterPlatforms(t *testing.T) {
 }
 
 func TestCharConfigPlatformFileSizes(t *testing.T) {
+	want := core.CharacterizeConfig{
+		FSBlockSizes:  bench.DefaultBlockSizes(),
+		FSModes:       []bench.Mode{bench.SeqWrite, bench.SeqRead, bench.RandWrite, bench.RandRead},
+		RandomOps:     2048,
+		LibProcs:      8,
+		LibBlockSizes: bench.DefaultIORBlockSizes(),
+		LibTransfer:   256 << 10,
+		LibFileSize:   32 << 30,
+	}
+	if got := charConfig(Aohyper); !reflect.DeepEqual(got, want) {
+		t.Fatalf("aohyper characterization = %+v, want %+v", got, want)
+	}
 	if got := charConfig(Aohyper).LibFileSize; got != 32<<30 {
 		t.Fatalf("aohyper lib file = %d", got)
 	}

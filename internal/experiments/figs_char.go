@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"ioeval/internal/bench"
 	"ioeval/internal/cluster"
@@ -20,34 +19,31 @@ type Fig5Point struct {
 	RateMBs   float64
 }
 
-var fig5Once sync.Once
-var fig5Points []Fig5Point
-
 // Fig5Data returns the characterization points behind Fig. 5
 // (Aohyper, local & network filesystem, JBOD/RAID1/RAID5), extracted
 // from the memoized characterization tables.
-func Fig5Data() []Fig5Point {
-	fig5Once.Do(func() {
-		for _, org := range AohyperOrgs {
-			ch := Characterization(Aohyper, org)
-			for _, level := range []core.Level{core.LevelLocalFS, core.LevelNFS} {
-				for _, row := range ch.Table(level).Rows {
-					if row.Mode != trace.Sequential {
-						continue // Fig. 5 plots the sequential curves
-					}
-					mode := bench.SeqRead
-					if row.Op == core.Write {
-						mode = bench.SeqWrite
-					}
-					fig5Points = append(fig5Points, Fig5Point{
-						Org: org, Level: level, Mode: mode,
-						BlockSize: row.BlockSize, RateMBs: row.Rate / 1e6,
-					})
+func Fig5Data() []Fig5Point { return fig5For(Aohyper) }
+
+// fig5For extracts a platform's sequential filesystem curves.
+func fig5For(pl Platform) []Fig5Point {
+	var pts []Fig5Point
+	for _, org := range pl.orgs() {
+		ch := Characterization(pl, org)
+		for _, level := range []core.Level{core.LevelLocalFS, core.LevelNFS} {
+			for _, row := range ch.Table(level).Rows {
+				if row.Mode != trace.Sequential {
+					continue // Fig. 5 plots the sequential curves
 				}
+				mode := bench.SeqRead
+				if row.Op == core.Write {
+					mode = bench.SeqWrite
+				}
+				pts = append(pts, Fig5Point{Org: org, Level: level, Mode: mode,
+					BlockSize: row.BlockSize, RateMBs: row.Rate / 1e6})
 			}
 		}
-	})
-	return fig5Points
+	}
+	return pts
 }
 
 // Fig5 regenerates Fig. 5: local and network filesystem
@@ -61,23 +57,8 @@ func Fig5() Artifact {
 
 // Fig13 regenerates Fig. 13 (same sweep on Cluster A).
 func Fig13() Artifact {
-	ch := Characterization(ClusterA, cluster.RAID5)
-	var pts []Fig5Point
-	for _, level := range []core.Level{core.LevelLocalFS, core.LevelNFS} {
-		for _, row := range ch.Table(level).Rows {
-			if row.Mode != trace.Sequential {
-				continue
-			}
-			mode := bench.SeqRead
-			if row.Op == core.Write {
-				mode = bench.SeqWrite
-			}
-			pts = append(pts, Fig5Point{Org: cluster.RAID5, Level: level, Mode: mode,
-				BlockSize: row.BlockSize, RateMBs: row.Rate / 1e6})
-		}
-	}
 	return charFigure("fig13",
-		"Local & network filesystem characterization, cluster A (IOzone)", pts)
+		"Local & network filesystem characterization, cluster A (IOzone)", fig5For(ClusterA))
 }
 
 func charFigure(id, title string, pts []Fig5Point) Artifact {
@@ -99,9 +80,9 @@ type Fig6Point struct {
 }
 
 // fig6For extracts the library-level table of a platform as points.
-func fig6For(pl Platform, orgs []cluster.Organization) []Fig6Point {
+func fig6For(pl Platform) []Fig6Point {
 	var pts []Fig6Point
-	for _, org := range orgs {
+	for _, org := range pl.orgs() {
 		ch := Characterization(pl, org)
 		byBS := map[int64]*Fig6Point{}
 		var order []int64
@@ -126,7 +107,7 @@ func fig6For(pl Platform, orgs []cluster.Organization) []Fig6Point {
 }
 
 // Fig6Data returns the Aohyper library-level points.
-func Fig6Data() []Fig6Point { return fig6For(Aohyper, AohyperOrgs) }
+func Fig6Data() []Fig6Point { return fig6For(Aohyper) }
 
 // Fig6 regenerates Fig. 6: I/O library characterization on Aohyper
 // (IOR, 8 processes, 256 KB transfers).
@@ -136,8 +117,7 @@ func Fig6() Artifact {
 
 // Fig14 regenerates Fig. 14 (library level on Cluster A).
 func Fig14() Artifact {
-	return libFigure("fig14", "I/O library characterization, cluster A (IOR, 8 procs)",
-		fig6For(ClusterA, []cluster.Organization{cluster.RAID5}))
+	return libFigure("fig14", "I/O library characterization, cluster A (IOR, 8 procs)", fig6For(ClusterA))
 }
 
 func libFigure(id, title string, pts []Fig6Point) Artifact {

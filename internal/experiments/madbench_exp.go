@@ -51,9 +51,9 @@ type MadRunRow struct {
 	CrMBs    float64
 }
 
-func madRunRows(pl Platform, orgs []cluster.Organization, procsList []int) []MadRunRow {
+func madRunRows(pl Platform, procsList []int) []MadRunRow {
 	var rows []MadRunRow
-	for _, org := range orgs {
+	for _, org := range pl.orgs() {
 		for _, procs := range procsList {
 			for _, ft := range madFileTypes {
 				ev := EvalMadBench(pl, org, procs, ft)
@@ -91,7 +91,7 @@ func madRunArtifact(id, title string, rows []MadRunRow) Artifact {
 }
 
 // Fig17Data returns the Aohyper MADbench2 rows.
-func Fig17Data() []MadRunRow { return madRunRows(Aohyper, AohyperOrgs, []int{16}) }
+func Fig17Data() []MadRunRow { return madRunRows(Aohyper, []int{16}) }
 
 // Fig17 regenerates Fig. 17: MADbench2 times and transfer rates on
 // the cluster Aohyper (16 processes, UNIQUE and SHARED).
@@ -100,9 +100,7 @@ func Fig17() Artifact {
 }
 
 // Fig18Data returns the Cluster A MADbench2 rows.
-func Fig18Data() []MadRunRow {
-	return madRunRows(ClusterA, []cluster.Organization{cluster.RAID5}, []int{16, 64})
-}
+func Fig18Data() []MadRunRow { return madRunRows(ClusterA, []int{16, 64}) }
 
 // Fig18 regenerates Fig. 18: MADbench2 on cluster A, 16 & 64
 // processes.
@@ -125,9 +123,9 @@ type MadUsedRow struct {
 // level's characterized table. Each MADbench2 function moves
 // SliceBytes blocks sequentially, so the lookup uses the profile's
 // dominant block size with sequential mode.
-func madUsedRows(pl Platform, orgs []cluster.Organization, procsList []int, level core.Level) []MadUsedRow {
+func madUsedRows(pl Platform, procsList []int, level core.Level) []MadUsedRow {
 	var rows []MadUsedRow
-	for _, org := range orgs {
+	for _, org := range pl.orgs() {
 		for _, procs := range procsList {
 			for _, ft := range madFileTypes {
 				ev := EvalMadBench(pl, org, procs, ft)
@@ -176,9 +174,7 @@ func madUsedArtifact(id, title string, rows []MadUsedRow) Artifact {
 }
 
 // Table9Data returns the Table IX rows.
-func Table9Data() []MadUsedRow {
-	return madUsedRows(Aohyper, AohyperOrgs, []int{16}, core.LevelLocalFS)
-}
+func Table9Data() []MadUsedRow { return madUsedRows(Aohyper, []int{16}, core.LevelLocalFS) }
 
 // Table9 regenerates Table IX: % of use for MADbench2 on the local
 // filesystem level, Aohyper.
@@ -190,12 +186,12 @@ func Table9() Artifact {
 // cluster A.
 func Table10() Artifact {
 	return madUsedArtifact("tab10", "% of use — MADbench2 on network filesystem, cluster A",
-		madUsedRows(ClusterA, []cluster.Organization{cluster.RAID5}, []int{16, 64}, core.LevelNFS))
+		madUsedRows(ClusterA, []int{16, 64}, core.LevelNFS))
 }
 
 // Table11 regenerates Table XI: % of use at local-filesystem level,
 // cluster A.
 func Table11() Artifact {
 	return madUsedArtifact("tab11", "% of use — MADbench2 on local filesystem, cluster A",
-		madUsedRows(ClusterA, []cluster.Organization{cluster.RAID5}, []int{16, 64}, core.LevelLocalFS))
+		madUsedRows(ClusterA, []int{16, 64}, core.LevelLocalFS))
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ioeval/internal/core"
+	"ioeval/internal/workload/synth"
 )
 
 // The acceptance benches: the engine must beat a sequential per-cell
@@ -20,8 +21,15 @@ func BenchmarkSweepSequentialBaseline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, cfg := range grid.Configs {
 			for _, app := range grid.Apps {
+				w := app.New()
+				if cfg.Char.UsePFS {
+					var err error
+					if w, err = synth.Remount(w, "pfs"); err != nil {
+						b.Fatal(err)
+					}
+				}
 				sess := core.NewSession(cfg.Build, core.WithCharacterizeConfig(cfg.Char))
-				if _, err := sess.Evaluate(app.app(cfg)); err != nil {
+				if _, err := sess.Evaluate(w); err != nil {
 					b.Fatal(err)
 				}
 			}

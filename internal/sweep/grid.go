@@ -3,6 +3,7 @@ package sweep
 import (
 	"fmt"
 
+	"ioeval/internal/catalog"
 	"ioeval/internal/cluster"
 	"ioeval/internal/core"
 	"ioeval/internal/fault"
@@ -28,14 +29,14 @@ type GridSpec struct {
 	// axis). Each must have a unique Name.
 	Platforms []cluster.Config
 	// Orgs is the device-organization axis; empty keeps each
-	// platform's own organization.
+	// platform's own organization. A platform gets no cell for an
+	// organization the catalogue says it does not have (catalog.Org).
 	Orgs []cluster.Organization
 	// PFSIONodes is the I/O-node-count axis: 0 evaluates the
 	// platform's NFS path, n > 0 deploys a PVFS-like parallel FS over
-	// n dedicated I/O nodes and characterizes against it (Char.UsePFS
-	// set on the cell). The workload runs on the parallel FS only if
-	// its AppSpec has NewFor, which is passed that flag; New builds the
-	// same App on every cell. Empty keeps each platform's own setting.
+	// n dedicated I/O nodes, characterizes against it (Char.UsePFS set
+	// on the cell) and runs every synthetic workload's NFS files on it.
+	// Empty keeps each platform's own setting.
 	PFSIONodes []int
 	// Char parameterizes characterization for every expanded config
 	// (UsePFS is set per cell from the I/O-node axis).
@@ -73,6 +74,9 @@ func (a specApp) Name() string {
 
 func (a specApp) Procs() int { return a.spec.Procs }
 
+// Spec returns the spec, so synth.Remount can move its files.
+func (a specApp) Spec() *synth.Spec { return a.spec }
+
 func (a specApp) Run(c *cluster.Cluster, tr mpiio.Tracer) (workload.Result, error) {
 	app, err := synth.Compile(a.spec)
 	if err != nil {
@@ -104,6 +108,9 @@ func (s GridSpec) Grid() Grid {
 			ioNodes = []int{base.PFSIONodes}
 		}
 		for _, org := range orgs {
+			if catalog.Org(base.Name, org) != org {
+				continue // the platform has no such configuration
+			}
 			for _, n := range ioNodes {
 				cfg := base
 				cfg.Org = org

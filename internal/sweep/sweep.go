@@ -32,6 +32,7 @@ import (
 	"ioeval/internal/fault"
 	"ioeval/internal/telemetry"
 	"ioeval/internal/workload"
+	"ioeval/internal/workload/synth"
 )
 
 // Config is one candidate I/O configuration of a sweep.
@@ -53,24 +54,15 @@ type Config struct {
 	Fault *fault.Plan
 }
 
-// AppSpec is one workload of a sweep. New and NewFor must return a
-// fresh App per call: evaluations run concurrently and an App instance
-// must not be shared across cells.
+// AppSpec is one workload of a sweep. New returns the App a cell
+// evaluates; evaluations run concurrently, so an App that keeps state
+// across runs must be fresh per call (a synth.App keeps none). On a
+// parallel-FS cell (Config.Char.UsePFS) the engine runs a copy of a
+// synthetic App with its NFS files on the parallel FS (synth.Remount),
+// the filesystem the cell characterizes.
 type AppSpec struct {
 	Name string
 	New  func() workload.App
-	// NewFor, when set, is used instead of New. It is passed the
-	// cell's parallel-FS flag (Config.Char.UsePFS), so the workload can
-	// run on the filesystem the cell characterizes.
-	NewFor func(usePFS bool) workload.App
-}
-
-// app returns a fresh App of the spec for cell cfg.
-func (a AppSpec) app(cfg Config) workload.App {
-	if a.NewFor != nil {
-		return a.NewFor(cfg.Char.UsePFS)
-	}
-	return a.New()
 }
 
 // Engine evaluates sweep cells on a bounded worker pool, sharing
@@ -211,8 +203,8 @@ func (e *Engine) Characterization(cfg Config) (*core.Characterization, error) {
 // characterizing the configuration first if no cached table set
 // exists. Single-flight per cell key.
 func (e *Engine) Evaluate(cfg Config, app AppSpec) (*core.Evaluation, error) {
-	if app.New == nil && app.NewFor == nil {
-		return nil, fmt.Errorf("sweep: app %q needs a New or NewFor function", app.Name)
+	if app.New == nil {
+		return nil, fmt.Errorf("sweep: app %q needs a New function", app.Name)
 	}
 	f := flightFor(e, e.evals, cfg.Name+"\x00"+app.Name)
 	hit := f.do(func() (*core.Evaluation, error) {
@@ -221,12 +213,18 @@ func (e *Engine) Evaluate(cfg Config, app AppSpec) (*core.Evaluation, error) {
 		if err != nil {
 			return nil, err
 		}
+		w := app.New()
+		if cfg.Char.UsePFS {
+			if w, err = synth.Remount(w, "pfs"); err != nil {
+				return nil, err
+			}
+		}
 		opts := []core.SessionOption{core.WithCharacterization(ch)}
 		if cfg.Fault != nil && !cfg.Fault.Empty() {
 			opts = append(opts, core.WithFaultPlan(*cfg.Fault))
-			return core.NewSession(cfg.Build, opts...).EvaluateScenario(app.app(cfg))
+			return core.NewSession(cfg.Build, opts...).EvaluateScenario(w)
 		}
-		return core.NewSession(cfg.Build, opts...).Evaluate(app.app(cfg))
+		return core.NewSession(cfg.Build, opts...).Evaluate(w)
 	})
 	if hit {
 		e.nEvalHit.Add(1)

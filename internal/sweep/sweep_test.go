@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +16,7 @@ import (
 	"ioeval/internal/workload"
 	"ioeval/internal/workload/btio"
 	"ioeval/internal/workload/flashio"
+	"ioeval/internal/workload/madbench"
 )
 
 const (
@@ -62,8 +64,8 @@ var quickClass = btio.Class{Name: "Q", N: 64, Steps: 20, WriteInterval: 5}
 
 func testApps() []AppSpec {
 	return []AppSpec{
-		{Name: "btio-full", NewFor: func(usePFS bool) workload.App {
-			return btio.New(btio.Config{Class: quickClass, Procs: 4, Subtype: btio.Full, UsePFS: usePFS})
+		{Name: "btio-full", New: func() workload.App {
+			return btio.New(btio.Config{Class: quickClass, Procs: 4, Subtype: btio.Full})
 		}},
 		{Name: "flashio", New: func() workload.App {
 			return flashio.New(flashio.Config{Procs: 4, BlocksPerProc: 8})
@@ -72,33 +74,60 @@ func testApps() []AppSpec {
 }
 
 // TestPFSCellRunsOnPFS checks that a parallel-FS cell runs its
-// workload on the parallel FS it characterizes: BT-IO's writes on a
-// pfs-2 cell go through the PFS clients and none through the NFS
+// workload on the parallel FS it characterizes: each workload's writes
+// on a pfs-2 cell go through the PFS clients and none through the NFS
 // mounts, and an NFS cell's go the other way.
 func TestPFSCellRunsOnPFS(t *testing.T) {
+	mad := func(ft madbench.FileType) AppSpec {
+		return AppSpec{Name: "madbench-" + ft.String(), New: func() workload.App {
+			return madbench.New(madbench.Config{Procs: 4, KPix: 1, Bins: 2, FileType: ft})
+		}}
+	}
 	grid := GridSpec{
 		Platforms:  []cluster.Config{tinyBase("pfs", 2)},
 		Orgs:       []cluster.Organization{cluster.RAID5},
 		PFSIONodes: []int{0, 2},
 		Char:       quickChar(),
-		Apps:       testApps()[:1],
+		Apps:       append(testApps(), mad(madbench.Shared), mad(madbench.Unique)),
 	}.Grid()
 	eng := NewEngine(2)
 	for _, cfg := range grid.Configs {
-		ev, err := eng.Evaluate(cfg, grid.Apps[0])
-		if err != nil {
-			t.Fatalf("%s: %v", cfg.Name, err)
+		for _, app := range grid.Apps {
+			ev, err := eng.Evaluate(cfg, app)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", app.Name, cfg.Name, err)
+			}
+			written := map[string]int64{}
+			for _, s := range ev.TelemetryReport().Components {
+				kind, _, _ := strings.Cut(s.Component, ":")
+				written[kind] += s.Counters.Write.Bytes
+			}
+			onPFS, onNFS := written["pfs-client"], written["nfs-client"]
+			if cfg.Char.UsePFS != (onPFS > 0) || cfg.Char.UsePFS == (onNFS > 0) {
+				t.Errorf("%s on %s (UsePFS %v): %d bytes written through PFS clients, %d through NFS clients",
+					app.Name, cfg.Name, cfg.Char.UsePFS, onPFS, onNFS)
+			}
 		}
-		written := map[string]int64{}
-		for _, s := range ev.TelemetryReport().Components {
-			kind, _, _ := strings.Cut(s.Component, ":")
-			written[kind] += s.Counters.Write.Bytes
-		}
-		onPFS, onNFS := written["pfs-client"], written["nfs-client"]
-		if cfg.Char.UsePFS != (onPFS > 0) || cfg.Char.UsePFS == (onNFS > 0) {
-			t.Errorf("%s (UsePFS %v): %d bytes written through PFS clients, %d through NFS clients",
-				cfg.Name, cfg.Char.UsePFS, onPFS, onNFS)
-		}
+	}
+}
+
+// TestGridSkipsMissingOrgs: the grid emits no cell for an
+// organization the catalogue says a platform does not have. Cluster A
+// is always RAID 5, so of -orgs jbod,raid5 only its RAID 5 cells
+// remain, while another platform keeps both.
+func TestGridSkipsMissingOrgs(t *testing.T) {
+	grid := GridSpec{
+		Platforms:  []cluster.Config{cluster.ClusterA().Cfg, tinyBase("beta", 2)},
+		Orgs:       []cluster.Organization{cluster.JBOD, cluster.RAID5},
+		PFSIONodes: []int{0, 2},
+	}.Grid()
+	var names []string
+	for _, c := range grid.Configs {
+		names = append(names, c.Name)
+	}
+	want := []string{"clusterA/RAID5", "clusterA/RAID5/pfs-2", "beta/JBOD", "beta/JBOD/pfs-2", "beta/RAID5", "beta/RAID5/pfs-2"}
+	if !reflect.DeepEqual(names, want) {
+		t.Errorf("grid configs = %v, want %v", names, want)
 	}
 }
 

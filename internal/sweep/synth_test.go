@@ -111,3 +111,38 @@ func TestSynthSweepInvalidSpec(t *testing.T) {
 		t.Fatalf("error %v does not wrap the compiler's *synth.Error", err)
 	}
 }
+
+// TestSynthRemountConcurrentCells runs one spec, shared by every cell,
+// on NFS and parallel-FS cells at once: each pfs-n cell runs a
+// remounted copy (synth.Remount), so the spec it was given must come
+// out unchanged. Run under -race, this also checks that no cell writes
+// to the shared spec.
+func TestSynthRemountConcurrentCells(t *testing.T) {
+	spec := btio.New(btio.Config{Class: quickClass, Procs: 4, Subtype: btio.Simple}).Spec()
+	spec.Name = "btio-shared-spec"
+	var before bytes.Buffer
+	if err := spec.WriteJSON(&before); err != nil {
+		t.Fatal(err)
+	}
+	grid := GridSpec{
+		Platforms:  []cluster.Config{tinyBase("alpha", 2), tinyBase("beta", 2)},
+		Orgs:       []cluster.Organization{cluster.JBOD, cluster.RAID5},
+		PFSIONodes: []int{0, 2},
+		Char:       quickChar(),
+		Specs:      []*synth.Spec{spec},
+	}.Grid()
+	rep, err := NewEngine(4).Run(grid, ByIOTime)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Cells) != 8 {
+		t.Fatalf("%d cells, want 8", len(rep.Cells))
+	}
+	var after bytes.Buffer
+	if err := spec.WriteJSON(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Errorf("running the cells changed the shared spec:\n--- before ---\n%s\n--- after ---\n%s", before.Bytes(), after.Bytes())
+	}
+}

@@ -72,14 +72,12 @@ type Config struct {
 	Class   Class
 	Procs   int // must be a perfect square (BT requirement)
 	Subtype Subtype
-	// Path of the shared solution file on the cluster's NFS storage.
+	// Path of the shared solution file on the cluster's NFS storage
+	// (synth.Remount moves it to another mount).
 	Path string
 	// ComputeScale scales the modeled computation time (1.0 = class
 	// default; 0 = I/O only). Tests use small values.
 	ComputeScale float64
-	// UsePFS runs against the cluster's parallel filesystem instead
-	// of NFS (the cluster must be built with Config.PFSIONodes > 0).
-	UsePFS bool
 	// Hints overrides the MPI-IO hints; zero value uses subtype
 	// defaults (full: collective buffering on; simple: off).
 	Hints *mpiio.Hints
@@ -97,11 +95,22 @@ type App struct {
 
 var _ workload.App = (*App)(nil)
 
-// New validates the configuration and returns the workload.
+// New is Build for a configuration known to be valid; it panics on
+// Build's error.
 func New(cfg Config) *App {
+	a, err := Build(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
+// Build returns the workload, or an error for a configuration BT
+// cannot run: it needs a square number of processes.
+func Build(cfg Config) (*App, error) {
 	q := int(math.Sqrt(float64(cfg.Procs)))
-	if q*q != cfg.Procs || cfg.Procs == 0 {
-		panic(fmt.Sprintf("btio: %d processes is not a square", cfg.Procs))
+	if q*q != cfg.Procs || cfg.Procs <= 0 {
+		return nil, fmt.Errorf("btio: %d processes is not a square", cfg.Procs)
 	}
 	if cfg.Path == "" {
 		cfg.Path = "/btio.out"
@@ -113,7 +122,7 @@ func New(cfg Config) *App {
 		a.pfx[i+1] = a.pfx[i] + s
 	}
 	a.App = synth.MustCompile(a.spec())
-	return a
+	return a, nil
 }
 
 // split divides n into q near-equal parts, larger parts first
@@ -211,11 +220,7 @@ func (a *App) spec() *synth.Spec {
 	c := a.cfg
 	n := int64(c.Class.N)
 
-	mount := "nfs"
-	if c.UsePFS {
-		mount = "pfs"
-	}
-	file := synth.FileSpec{Name: "solution", Path: c.Path, Mount: mount, CollectiveBuffering: c.Subtype == Full}
+	file := synth.FileSpec{Name: "solution", Path: c.Path, Mount: "nfs", CollectiveBuffering: c.Subtype == Full}
 	if h := c.Hints; h != nil {
 		file.CollectiveBuffering, file.CBNodes, file.CBBufferBytes = h.CollectiveBuffering, h.CBNodes, h.CBBufferSize
 	}

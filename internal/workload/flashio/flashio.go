@@ -13,6 +13,7 @@
 package flashio
 
 import (
+	"errors"
 	"fmt"
 
 	"ioeval/internal/mpiio"
@@ -44,10 +45,21 @@ type App struct {
 
 var _ workload.App = (*App)(nil)
 
-// New validates the configuration and returns the workload.
+// New is Build for a configuration known to be valid; it panics on
+// Build's error.
 func New(cfg Config) *App {
+	a, err := Build(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
+// Build returns the workload, or an error for a configuration
+// without processes.
+func Build(cfg Config) (*App, error) {
 	if cfg.Procs <= 0 {
-		panic("flashio: need at least one process")
+		return nil, errors.New("flashio: need at least one process")
 	}
 	if cfg.BlocksPerProc == 0 {
 		cfg.BlocksPerProc = 80
@@ -66,7 +78,7 @@ func New(cfg Config) *App {
 	}
 	a := &App{cfg: cfg}
 	a.App = synth.MustCompile(a.spec())
-	return a
+	return a, nil
 }
 
 // VarBytesPerProc returns a rank's contribution to one checkpoint

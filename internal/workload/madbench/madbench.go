@@ -57,9 +57,6 @@ type Config struct {
 	// write-behind caches cannot defer the cost out of the
 	// measurement window.
 	AsyncWrites bool
-	// UseLocal runs against each node's local filesystem instead of
-	// NFS (only meaningful with Unique files).
-	UseLocal bool
 }
 
 // App is a configured MADbench2 instance. Name, Procs, Run and Spec
@@ -71,30 +68,44 @@ type App struct {
 
 var _ workload.App = (*App)(nil)
 
-// New validates the configuration and returns the workload.
+// The paper's problem size (Table VIII), New's defaults.
+const (
+	DefaultKPix = 18
+	DefaultBins = 8
+)
+
+// New is Build for a configuration known to be valid; it panics on
+// Build's error.
 func New(cfg Config) *App {
+	a, err := Build(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
+// Build returns the workload, or an error for a configuration
+// MADbench2 cannot run: it needs a square number of processes.
+func Build(cfg Config) (*App, error) {
 	q := 1
 	for q*q < cfg.Procs {
 		q++
 	}
-	if q*q != cfg.Procs || cfg.Procs == 0 {
-		panic(fmt.Sprintf("madbench: %d processes is not a square", cfg.Procs))
+	if q*q != cfg.Procs {
+		return nil, fmt.Errorf("madbench: %d processes is not a square", cfg.Procs)
 	}
 	if cfg.KPix == 0 {
-		cfg.KPix = 18
+		cfg.KPix = DefaultKPix
 	}
 	if cfg.Bins == 0 {
-		cfg.Bins = 8
+		cfg.Bins = DefaultBins
 	}
 	if cfg.PathPrefix == "" {
 		cfg.PathPrefix = "/madbench"
 	}
-	if cfg.UseLocal && cfg.FileType == Shared {
-		panic("madbench: SHARED filetype requires shared (NFS) storage")
-	}
 	a := &App{cfg: cfg}
 	a.App = synth.MustCompile(a.spec())
-	return a
+	return a, nil
 }
 
 // SliceBytes returns the per-process matrix slice (162 MB for 18 KPIX
@@ -116,12 +127,9 @@ func (a *App) spec() *synth.Spec {
 	slice := a.SliceBytes()
 	shared := c.FileType == Shared
 
-	mount := "nfs"
-	if c.UseLocal {
-		mount = "local"
-	}
-	// UNIQUE files are per-rank files named PathPrefix.%04d.
-	file := synth.FileSpec{Name: "matrices", Path: c.PathPrefix, Mount: mount, PerRank: !shared}
+	// UNIQUE files are per-rank files named PathPrefix.%04d, on NFS
+	// until synth.Remount moves them.
+	file := synth.FileSpec{Name: "matrices", Path: c.PathPrefix, Mount: "nfs", PerRank: !shared}
 
 	// Bin b of a rank's slice lives at b*slice in a UNIQUE file and at
 	// (b*np+rank)*slice in the shared bin-major layout (slices of a bin

@@ -1,12 +1,14 @@
 package madbench_test
 
 import (
+	"strings"
 	"testing"
 
 	"ioeval/internal/cluster"
 	"ioeval/internal/mpiio"
 	"ioeval/internal/trace"
 	"ioeval/internal/workload/madbench"
+	"ioeval/internal/workload/synth"
 )
 
 const mb = int64(1) << 20
@@ -33,13 +35,17 @@ func TestNonSquareProcsPanics(t *testing.T) {
 	madbench.New(madbench.Config{Procs: 12})
 }
 
+// TestSharedRequiresNFS: a SHARED file cannot move to the node-local
+// disks, where each rank would write its own disk as if it were one
+// shared file; UNIQUE files can.
 func TestSharedRequiresNFS(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	madbench.New(madbench.Config{Procs: 4, FileType: madbench.Shared, UseLocal: true})
+	_, err := synth.Remount(madbench.New(madbench.Config{Procs: 4, FileType: madbench.Shared}), "local")
+	if err == nil || !strings.Contains(err.Error(), "per_rank") {
+		t.Fatalf("SHARED on local: err = %v, want the per_rank rule", err)
+	}
+	if _, err := synth.Remount(madbench.New(madbench.Config{Procs: 4, FileType: madbench.Unique}), "local"); err != nil {
+		t.Fatalf("UNIQUE on local: %v", err)
+	}
 }
 
 func TestOpCountsMatchPaperStructure(t *testing.T) {
@@ -114,7 +120,10 @@ func TestPhaseRatesReported(t *testing.T) {
 
 func TestUniqueLocalRunsOnNodeDisks(t *testing.T) {
 	c := cluster.Aohyper(cluster.JBOD)
-	a := madbench.New(madbench.Config{Procs: 4, KPix: 2, Bins: 4, FileType: madbench.Unique, UseLocal: true})
+	a, err := synth.Remount(madbench.New(madbench.Config{Procs: 4, KPix: 2, Bins: 4, FileType: madbench.Unique}), "local")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := a.Run(c, nil); err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -39,6 +39,30 @@ func MustCompile(s *Spec) *App {
 	return a
 }
 
+// Remount returns a copy of app with every NFS file (mount "" or
+// "nfs") on mount instead: "pfs" runs it on the cluster's parallel FS,
+// "local" on each rank's node disk. The copy compiles a copy of app's
+// spec and leaves the spec itself unchanged, so both may run at once.
+// An app with no Spec method is not a spec and comes back as it is.
+func Remount(app workload.App, mount string) (workload.App, error) {
+	sa, ok := app.(interface{ Spec() *Spec })
+	if !ok {
+		return app, nil
+	}
+	s := *sa.Spec()
+	s.Files = slices.Clone(s.Files)
+	for i := range s.Files {
+		if f := &s.Files[i]; f.Mount == "" || f.Mount == "nfs" {
+			f.Mount = mount
+		}
+	}
+	a, err := Compile(&s)
+	if err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
 // Name implements workload.App.
 func (a *App) Name() string {
 	if a.spec.Name == "" {

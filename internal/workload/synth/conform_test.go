@@ -142,9 +142,12 @@ func TestSynthConformMadbenchShared(t *testing.T) {
 }
 
 func TestSynthConformMadbenchUnique(t *testing.T) {
-	cfg := madbench.Config{Procs: 4, KPix: 1, Bins: 2, FileType: madbench.Unique,
-		UseLocal: true, BusyWork: 5 * sim.Millisecond}
-	assertDigest(t, "madbench-unique-local", runDigest(t, aohyper(cluster.RAID5), madbench.New(cfg)))
+	cfg := madbench.Config{Procs: 4, KPix: 1, Bins: 2, FileType: madbench.Unique, BusyWork: 5 * sim.Millisecond}
+	local, err := synth.Remount(madbench.New(cfg), "local")
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertDigest(t, "madbench-unique-local", runDigest(t, aohyper(cluster.RAID5), local))
 }
 
 func TestSynthConformMadbenchAsync(t *testing.T) {

@@ -41,6 +41,7 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add([]byte(`{"procs":99999,"phases":[{"name":"a","steps":[]}]}`))                                                            // over cap
 	f.Add([]byte(`{"procs":1,"phases":[{"name":"a","steps":[{"op":"write","file":"f","access":[{"block_bytes":1}]}]}]}`))          // undeclared file
 	f.Add([]byte(`{"procs":1,"phases":[{"name":"a","steps":[]}]} trailing`))
+	f.Add([]byte(`{"procs":2,"files":[{"name":"f","path":"/f","mount":"local"}],"phases":[{"name":"a","steps":[{"op":"write","file":"f","access":[{"block_bytes":1}]}]}]}`)) // shared file on local disks
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ParseSpec(data)

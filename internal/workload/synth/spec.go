@@ -244,7 +244,11 @@ func (s *Spec) Validate() error {
 			return errf(where, "missing path")
 		}
 		switch f.Mount {
-		case "", "nfs", "local", "pfs":
+		case "", "nfs", "pfs":
+		case "local":
+			if !f.PerRank {
+				return errf(where, "mount local needs per_rank: each rank would write its own node's disk as if it were one shared file")
+			}
 		default:
 			return errf(where, "unknown mount %q (want nfs, local, or pfs)", f.Mount)
 		}

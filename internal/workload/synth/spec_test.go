@@ -3,6 +3,8 @@ package synth
 import (
 	"strings"
 	"testing"
+
+	"ioeval/internal/workload"
 )
 
 // minimalSpec returns a small valid spec tests mutate.
@@ -36,6 +38,7 @@ func TestSynthSpecValidateRejections(t *testing.T) {
 		{"file without path", func(s *Spec) { s.Files[0].Path = "" }, "missing path"},
 		{"duplicate file", func(s *Spec) { s.Files = append(s.Files, s.Files[0]) }, "duplicate file"},
 		{"bad mount", func(s *Spec) { s.Files[0].Mount = "tmpfs" }, "unknown mount"},
+		{"shared file on local", func(s *Spec) { s.Files[0].Mount = "local" }, "mount local needs per_rank"},
 		{"no phases", func(s *Spec) { s.Phases = nil }, "no phases"},
 		{"phase without name", func(s *Spec) { s.Phases[0].Name = "" }, "missing name"},
 		{"negative loop", func(s *Spec) { s.Phases[0].Loop = -1 }, "loop"},
@@ -115,6 +118,57 @@ func TestSynthSpecValidateRejections(t *testing.T) {
 		})
 	}
 }
+
+// TestSynthRemount: Remount moves every NFS file, and only those, to
+// the mount asked for, on a copy; the spec it was given keeps its
+// mounts, a shared file cannot move to local disks, and an app that
+// is not a spec comes back as it is.
+func TestSynthRemount(t *testing.T) {
+	s := minimalSpec()
+	s.Files = []FileSpec{
+		{Name: "f", Path: "/f"},
+		{Name: "n", Path: "/n", Mount: "nfs", PerRank: true},
+		{Name: "l", Path: "/l", Mount: "local", PerRank: true},
+		{Name: "p", Path: "/p", Mount: "pfs"},
+	}
+	app := MustCompile(s)
+	for mount, want := range map[string][]string{
+		"pfs":   {"pfs", "pfs", "local", "pfs"},
+		"local": nil, // "f" is shared
+		"nfs":   {"nfs", "nfs", "local", "pfs"},
+	} {
+		moved, err := Remount(app, mount)
+		if want == nil {
+			if err == nil || !strings.Contains(err.Error(), "per_rank") {
+				t.Errorf("Remount(%s): err = %v, want the per_rank rule", mount, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("Remount(%s): %v", mount, err)
+		}
+		var got []string
+		for _, f := range moved.(*App).Spec().Files {
+			got = append(got, f.Mount)
+		}
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Errorf("Remount(%s) mounts = %v, want %v", mount, got, want)
+		}
+	}
+	if got := []string{s.Files[0].Mount, s.Files[1].Mount}; got[0] != "" || got[1] != "nfs" {
+		t.Errorf("Remount changed the given spec's mounts to %v", got)
+	}
+	if _, err := Remount(app, "tmpfs"); err == nil {
+		t.Error("Remount accepted an unknown mount")
+	}
+	var other workload.App = notSpec{}
+	if got, err := Remount(other, "pfs"); err != nil || got != other {
+		t.Errorf("Remount(non-spec app) = %v, %v, want it back unchanged", got, err)
+	}
+}
+
+// notSpec is a workload with no Spec method.
+type notSpec struct{ workload.App }
 
 func TestSynthSpecChainOrder(t *testing.T) {
 	s := &Spec{
