@@ -48,7 +48,7 @@ func main() {
 	case *capture != "":
 		app := cliutil.Valid(catalog.Workload(cliutil.WorkloadName(*capture, *subtype, "shared"), *procs, *quick))
 		if *out == "" {
-			cliutil.Fatal(fmt.Errorf("-capture needs -out"))
+			cliutil.BadValue(fmt.Errorf("-capture needs -out"))
 		}
 		tr := trace.New()
 		fmt.Fprintf(os.Stderr, "capturing %s ...\n", app.Name())

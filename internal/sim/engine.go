@@ -4,19 +4,25 @@
 // events from a priority queue ordered by (time, insertion sequence).
 // On top of the raw event calendar, the package offers a process model
 // (Proc) in which each simulated activity runs in its own goroutine and
-// synchronizes with the engine through a strict handshake, so execution
+// synchronizes with the others through a strict handshake, so execution
 // is sequential and fully deterministic: at any instant exactly one
-// goroutine — the engine or a single process — is running.
+// goroutine — Run's or a single process's — is running.
 //
-// A handoff costs two channel operations and a trip through the Go
-// scheduler, so the engine skips the ones that change nothing. A
-// process the engine resumed from its own calendar event sleeps
-// straight through to its wake-up, without parking, when that wake-up
-// is within the current Run/RunUntil horizon and strictly earlier than
-// every pending event: parking would only pop its event straight back.
-// A process woken inline, by another process's Resource.Release or
-// Completion.Done or by a scheduled callback, always parks, because its
-// waker is still in the same instant and must not see the clock move.
+// Whoever holds control runs the calendar. A process resumed from its
+// calendar event pops the next event itself when it parks or finishes:
+// another process is resumed with one goroutine switch, its own
+// wake-up with none, and a Sleep whose wake-up is within the horizon
+// and strictly earlier than every pending event just moves the clock.
+// Three rules keep the event order that of popping on Run's goroutine:
+//   - A process woken inline, by another process (Resource.Release,
+//     Completion.Done, a Fork's last child) or by a callback, hands
+//     control back to its waker when it parks or finishes, and its
+//     Sleep always parks: the waker must not see the clock move.
+//   - Callbacks run only on Run's goroutine, since one may wake the
+//     very process whose goroutine would run it. A process that meets
+//     a callback, or the end of the run or horizon, hands back to Run.
+//   - Run and RunUntil check for deadlock, stop at the horizon and
+//     retire idle Fork children on their own goroutine.
 //
 // All higher-level subsystems of this repository (disks, RAID, caches,
 // networks, filesystems, the MPI-IO analogue) are built on this engine.
@@ -104,16 +110,16 @@ type Engine struct {
 	events  eventHeap
 	free    []*event // dispatched events, recycled by push
 	running bool
-	limit   Time    // horizon of the current Run/RunUntil
-	direct  *Proc   // process resumed by its own calendar event, until it parks
-	procs   int     // live (spawned, unfinished) processes, for diagnostics
-	idle    []*Proc // finished Fork children, reused by Fork until retire
+	limit   Time          // horizon of the current Run/RunUntil
+	back    chan struct{} // a process -> Run's goroutine: control handed back
+	procs   int           // live (spawned, unfinished) processes, for diagnostics
+	idle    []*Proc       // finished Fork children, reused by Fork until retire
 }
 
 // NewEngine returns an engine with the clock at zero and an empty
 // event calendar.
 func NewEngine() *Engine {
-	e := &Engine{}
+	e := &Engine{back: make(chan struct{})}
 	heap.Init(&e.events)
 	return e
 }
@@ -154,24 +160,42 @@ func (e *Engine) push(t Time, fn func(), p *Proc) {
 	heap.Push(&e.events, ev)
 }
 
-// dispatch pops the earliest event, advances the clock to it, recycles
-// the event and runs its function or resumes its process. The event is
-// free before either runs, so whatever they schedule can reuse it. A
-// resumed process is the engine's direct runner until it parks, which
-// lets its Sleep skip the calendar (see Proc.Sleep).
-func (e *Engine) dispatch() {
-	ev := heap.Pop(&e.events).(*event)
-	e.now = ev.t
-	fn, p := ev.fn, ev.p
-	ev.fn, ev.p = nil, nil
-	e.free = append(e.free, ev)
-	if p == nil {
-		fn()
-		return
+// pass runs the calendar on the calling goroutine until control
+// leaves it (see the package comment). Run's goroutine runs each
+// callback it pops, and resumes each process it pops, waiting on back
+// for control to return. A process's goroutine (self parking, or nil
+// when it has finished) pops process events only: self's own wake-up
+// just returns, another process is resumed directly, and anything
+// else hands control back to Run. An event is recycled before it runs,
+// so whatever it schedules can reuse it.
+func (e *Engine) pass(self *Proc, onRun bool) {
+	next := e.back
+	for len(e.events) > 0 && e.events[0].t <= e.limit && (onRun || e.events[0].p != nil) {
+		ev := heap.Pop(&e.events).(*event)
+		e.now = ev.t
+		fn, p := ev.fn, ev.p
+		ev.fn, ev.p = nil, nil
+		e.free = append(e.free, ev)
+		if p == nil {
+			fn()
+			continue
+		}
+		if p == self {
+			return
+		}
+		if !onRun {
+			next = p.resume
+			break
+		}
+		p.resume <- struct{}{}
+		<-e.back
 	}
-	e.direct = p
-	p.wakeNow()
-	e.direct = nil
+	if !onRun {
+		next <- struct{}{}
+		if self != nil {
+			<-self.resume
+		}
+	}
 }
 
 // Run executes events until the calendar is empty, returning the final
@@ -186,9 +210,7 @@ func (e *Engine) Run() Time {
 	e.running = true
 	defer e.stop()
 	e.limit = math.MaxInt64
-	for e.events.Len() > 0 {
-		e.dispatch()
-	}
+	e.pass(nil, true)
 	if e.procs > 0 {
 		panic(fmt.Sprintf("sim: deadlock: %d process(es) still blocked with no pending events", e.procs))
 	}
@@ -205,9 +227,7 @@ func (e *Engine) RunUntil(limit Time) Time {
 	e.running = true
 	defer e.stop()
 	e.limit = limit
-	for e.events.Len() > 0 && e.events[0].t <= limit {
-		e.dispatch()
-	}
+	e.pass(nil, true)
 	if e.now < limit {
 		e.now = limit
 	}

@@ -2,17 +2,18 @@ package sim
 
 import "fmt"
 
-// Proc is a simulated process: a goroutine that advances only when the
-// engine wakes it, and that returns control to the engine whenever it
-// blocks on simulated time or on a resource. Exactly one of {engine,
-// some process} runs at any moment, so simulations are deterministic
-// regardless of GOMAXPROCS.
+// Proc is a simulated process: a goroutine that advances only when
+// control is passed to it, and that passes control on whenever it
+// blocks on simulated time or on a resource. Exactly one goroutine
+// runs at any moment, so simulations are deterministic regardless of
+// GOMAXPROCS.
 type Proc struct {
 	eng    *Engine
 	name   string
-	resume chan struct{} // engine -> process: continue
-	yield  chan struct{} // process -> engine: parked or finished
+	resume chan struct{} // control passes to this process
+	yield  chan struct{} // an inline-woken process -> its waker: parked or finished
 	wake   func()        // p.wakeNow, bound once so PrepareWait does not allocate
+	inline bool          // woken by wakeNow, until it parks or finishes
 
 	// A Fork child's name parts, formatted only by Name.
 	parent *Proc
@@ -64,12 +65,16 @@ func (e *Engine) spawn(delay Duration, p *Proc, fn func(*Proc)) *Proc {
 }
 
 // run is a spawned process's goroutine: it waits for its first
-// resume, runs fn and hands control back for good.
+// resume, runs fn and passes control on for good.
 func (p *Proc) run(fn func(*Proc)) {
 	<-p.resume
 	fn(p)
 	p.eng.procs--
-	p.yield <- struct{}{}
+	if p.inline {
+		p.yield <- struct{}{}
+	} else {
+		p.eng.pass(nil, false)
+	}
 }
 
 // child takes a finished Fork child off the engine's idle list, or
@@ -89,19 +94,15 @@ func (e *Engine) child() *Proc {
 // loop is a Fork child's goroutine. Each resume after Fork has set fn
 // runs one body. The child then goes back on the idle list, counts
 // itself out of its parent's join and, as the last child out, wakes
-// the parent inline. The parent may fork again at once and take this
-// child off the idle list before it has handed control back; that is
-// safe because the tail below touches none of the child's fields, and
-// its new start event cannot be dispatched until the hand-back is
-// done. A resume with fn nil is the engine retiring the child (see
-// Engine.stop): it acknowledges and exits.
+// the parent inline, and parks. The parent may fork again at once and
+// take this child off the idle list before it has parked; that is safe
+// because the park reads none of the fields Fork sets, and it may pop
+// the child's new start event itself. A resume with fn nil is the
+// engine retiring the child inline (see Engine.stop): it acknowledges
+// and exits.
 func (c *Proc) loop() {
-	for {
-		<-c.resume
-		if c.fn == nil {
-			c.yield <- struct{}{}
-			return
-		}
+	<-c.resume
+	for c.fn != nil {
 		c.fn(c)
 		e, parent := c.eng, c.parent
 		c.fn, c.parent = nil, nil
@@ -110,29 +111,37 @@ func (c *Proc) loop() {
 		if parent.joins--; parent.joins == 0 {
 			parent.wakeNow()
 		}
-		c.yield <- struct{}{}
+		c.park()
 	}
+	c.yield <- struct{}{}
 }
 
-// wakeNow transfers control to the process and blocks the caller
-// (engine/event context) until the process parks or finishes.
+// wakeNow runs the process inline: the caller, a process or a
+// callback, blocks until the process parks or finishes.
 func (p *Proc) wakeNow() {
+	p.inline = true
 	p.resume <- struct{}{}
 	<-p.yield
 }
 
-// park returns control to the engine and blocks until woken. Must be
-// called from the process goroutine.
+// park passes control on and blocks until the process is resumed: back
+// to its waker if it was woken inline, else along the calendar (see
+// Engine.pass). Must be called from the process goroutine.
 func (p *Proc) park() {
+	if !p.inline {
+		p.eng.pass(p, false)
+		return
+	}
+	p.inline = false
 	p.yield <- struct{}{}
 	<-p.resume
 }
 
-// Sleep suspends the process for d of simulated time. When the engine
-// resumed p from its own calendar event and p's wake-up would be the
-// very next event, Sleep just moves the clock and returns without
-// parking (see the package comment). The pending-event comparison is
-// strict: a same-time event is already queued ahead of the wake-up.
+// Sleep suspends the process for d of simulated time. When p was not
+// woken inline and its wake-up would be the very next event, Sleep just
+// moves the clock and returns without parking (see the package
+// comment). The pending-event comparison is strict: a same-time event
+// is already queued ahead of the wake-up.
 func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: Proc %q sleeping negative duration %d", p.Name(), d))
@@ -142,7 +151,7 @@ func (p *Proc) Sleep(d Duration) {
 	}
 	e := p.eng
 	t := e.now + Time(d)
-	if e.direct == p && t <= e.limit && (len(e.events) == 0 || e.events[0].t > t) {
+	if !p.inline && t <= e.limit && (len(e.events) == 0 || e.events[0].t > t) {
 		e.now = t
 		return
 	}
