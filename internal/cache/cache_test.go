@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -339,6 +340,71 @@ func BenchmarkCachedRead(b *testing.B) {
 	})
 	b.ResetTimer()
 	e.Run()
+}
+
+// benchEvicting streams 256 KiB requests cyclically over a working set
+// twice a 16 MiB cache, after one pass that fills it, so the LRU
+// evicts on every request: the shape of the benchmark harness's
+// cache.read_evict and cache.write_evict probes.
+func benchEvicting(b *testing.B, write bool) {
+	const capacity, req = 16 * mb, 256 * kb
+	b.ReportAllocs()
+	e := sim.NewEngine()
+	c := New(e, DefaultParams("pc", capacity), nullDev{capacity: gb})
+	io := func(p *sim.Proc, i int64) {
+		off := i * req % (2 * capacity)
+		if write {
+			c.WriteAt(ioreq.Writer(p), off, req)
+		} else {
+			c.ReadAt(ioreq.Reader(p), off, req)
+		}
+	}
+	run(e, func(p *sim.Proc) {
+		for i := int64(0); i < 2*capacity/req; i++ {
+			io(p, i)
+		}
+	})
+	ev0 := c.Stats.Evictions
+	b.ResetTimer()
+	run(e, func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			io(p, int64(i))
+		}
+	})
+	if c.Stats.Evictions == ev0 {
+		b.Fatal("no evictions")
+	}
+}
+
+func BenchmarkEvictingRead(b *testing.B)  { benchEvicting(b, false) }
+func BenchmarkEvictingWrite(b *testing.B) { benchEvicting(b, true) }
+
+// BenchmarkRandomEvictingRead reads 32 KiB at random aligned offsets of
+// a working set twice a full 16 MiB cache, IOzone's random mode: each
+// read misses or hits one page, and a miss evicts one. It guards the
+// single-page path.
+func BenchmarkRandomEvictingRead(b *testing.B) {
+	const capacity, req = 16 * mb, 32 * kb
+	b.ReportAllocs()
+	e := sim.NewEngine()
+	c := New(e, DefaultParams("pc", capacity), nullDev{capacity: gb})
+	rng := rand.New(rand.NewSource(1))
+	read := func(p *sim.Proc) { c.ReadAt(ioreq.Reader(p), rng.Int63n(2*capacity/req)*req, req) }
+	run(e, func(p *sim.Proc) {
+		for i := int64(0); i < 8*capacity/req; i++ {
+			read(p)
+		}
+	})
+	ev0 := c.Stats.Evictions
+	b.ResetTimer()
+	run(e, func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			read(p)
+		}
+	})
+	if c.Stats.Evictions == ev0 && b.N > 100 {
+		b.Fatal("no evictions")
+	}
 }
 
 // BenchmarkFlushFewDirty flushes one dirty page over 2 GiB of clean
