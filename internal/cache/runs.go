@@ -61,9 +61,7 @@ func (c *Cache) ReadRuns(r *ioreq.Request, runs []device.Run) {
 		// Insert as resident before the fetch (models page I/O locking),
 		// turning each missing run into the device read that fetches it.
 		for i, mr := range devRuns {
-			for idx := mr.Off; idx < mr.Off+mr.Len; idx++ {
-				c.insert(r, idx, false)
-			}
+			c.insert(r, mr.Off, mr.End(), false)
 			off := mr.Off * ps
 			devRuns[i] = device.Run{Off: off, Len: min(mr.Len*ps, c.under.Capacity()-off)}
 		}
@@ -78,9 +76,7 @@ func (c *Cache) ReadRuns(r *ioreq.Request, runs []device.Run) {
 				}
 				if extend > 0 {
 					first, last := c.pageRange(lastDev.Off+lastDev.Len, extend)
-					for idx := first; idx < last; idx++ {
-						c.insert(r, idx, false)
-					}
+					c.insert(r, first, last, false)
 					lastDev.Len += extend
 					c.Stats.ReadAheadBytes += extend
 				}
@@ -109,17 +105,17 @@ func (c *Cache) WriteRuns(r *ioreq.Request, runs []device.Run) {
 		}
 		totalBytes += run.Len
 		first, last := c.pageRange(run.Off, run.Len)
-		for idx := first; idx < last; idx++ {
-			c.insert(r, idx, dirty)
-		}
+		c.insert(r, first, last, dirty)
 	}
 	c.memCopy(r.Proc(), totalBytes)
 	if dirty {
 		c.throttle(r)
 		return
 	}
-	// Write-through: push the merged runs to the device.
-	sorted := append([]device.Run{}, runs...)
-	ioreq.Sort(sorted)
-	device.WriteRuns(r, c.under, ioreq.Merge(sorted))
+	// Write-through: push the runs, merged in the call's scratch.
+	sc := c.takeScratch()
+	defer c.putScratch(sc)
+	sc.out = append(sc.out, runs...)
+	ioreq.Sort(sc.out)
+	device.WriteRuns(r, c.under, ioreq.Merge(sc.out))
 }

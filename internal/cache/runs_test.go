@@ -134,7 +134,7 @@ func TestInvalidateRangeBounds(t *testing.T) {
 		run(e, func(p *sim.Proc) { c.Populate(ioreq.Writer(p), 0, resident*ps) })
 		c.InvalidateRange(tc.off, tc.n)
 		for idx := int64(0); idx < resident; idx++ {
-			if dropped := c.lookup(idx) == nil; dropped != (idx >= tc.from && idx < tc.to) {
+			if dropped := c.find(idx) == nil; dropped != (idx >= tc.from && idx < tc.to) {
 				t.Errorf("%s: page %d dropped = %v", tc.name, idx, dropped)
 			}
 		}
